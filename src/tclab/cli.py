@@ -3,39 +3,80 @@
 ``tclab run config.json`` executes every scenario in the config and
 writes one artifact per scenario plus a summary CSV.  The shortcut
 subcommands (``epi``, ``decay``, ``flat``, ``calib``, ``split``) build a
-one-scenario config from flags and run it the same way.  Exit codes:
+one-scenario config from flags and run it the same way; their flags are
+generated from the parameter schemas in ``scenarios``, and a flag left
+unset leaves its key out so the schema default applies.  Exit codes:
 0 all verdicts pass, 1 any verdict failed or a scenario errored, 2 the
-config was malformed.
+config was malformed (including an unknown key or an invalid value).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ScenarioError
-from .scenarios import (Scenario, load_config, run_scenario, render_artifact,
-                        render_summary, artifact_name, summary_rows,
-                        SUMMARY_COLUMNS)
+from .scenarios import (SCHEMAS, Scenario, load_config, run_scenario,
+                        render_artifact, render_summary, artifact_name,
+                        summary_rows, SUMMARY_COLUMNS)
 
 
-def _ints(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok]
+def _numbers(text: str) -> list:
+    """Comma-separated numbers, each kept an int when it reads as one."""
+    out = []
+    for tok in filter(None, text.split(",")):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            out.append(float(tok))
+    return out
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok]
+def _number_or_list(text: str):
+    values = _numbers(text)
+    return values[0] if len(values) == 1 else values
+
+
+def _flag_spec(tp) -> dict:
+    """argparse keywords for a schema field; the schema checks the value."""
+    if get_origin(tp) is Literal:
+        return {"choices": get_args(tp)}
+    if tp is bool:
+        return {"action": "store_true"}
+    if get_origin(tp) is tuple:
+        return {"type": _numbers, "metavar": "X[,X...]"}
+    return {"type": _number_or_list}
+
+
+def _add_kind(subs, kind: str, schema) -> None:
+    """Subcommand with one flag per schema field; unset flags stay unset,
+    so the dataclass alone supplies defaults."""
+    sub = subs.add_parser(kind, help=schema.__doc__.strip())
+    sub.add_argument("--name", default=kind, help="scenario name")
+    hints = get_type_hints(schema)
+    for f in fields(schema):
+        flags = ["--" + f.name.lower().replace("_", "-")]
+        if f.name == "Q" and get_origin(hints[f.name]) is tuple:
+            flags.append("--qs")
+        text = f.metadata["help"]
+        if f.default is not None:
+            shown = f.default
+            if isinstance(shown, tuple):
+                shown = ",".join(map(str, shown))
+            text += f" (default: {shown})"
+        sub.add_argument(*flags, dest=f.name, default=argparse.SUPPRESS,
+                         help=text, **_flag_spec(hints[f.name]))
+    _add_common(sub)
 
 
 def _add_common(sub):
     sub.add_argument("--out", default="out", help="artifact directory")
     sub.add_argument("--seed", type=int, default=None,
                      help="override scenario seeds")
-    sub.add_argument("--quad-order", type=int, default=None,
-                     help="quadrature order hint for surface families")
     sub.add_argument("--jobs", type=int, default=1,
                      help="scenarios to run in parallel")
 
@@ -49,99 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="run every scenario in a JSON config")
     run.add_argument("config", help="path to the config file")
     _add_common(run)
-
-    epi = subs.add_parser("epi", help="cone vs competitor gap ratios")
-    epi.add_argument("--name", default="epi")
-    epi.add_argument("--qs", type=_ints, default=[1, 2, 3])
-    epi.add_argument("--ratios", type=_ints, default=[2, 3, 4])
-    epi.add_argument("--amplitudes", type=_floats, default=[1e-3, 1e-2])
-    epi.add_argument("--random", type=int, default=0)
-    epi.add_argument("--lip-max", type=float, default=0.1)
-    epi.add_argument("--eps-target", type=float, default=1e-2)
-    _add_common(epi)
-
-    decay = subs.add_parser("decay", help="mass profile decay envelopes")
-    decay.add_argument("--name", default="decay")
-    decay.add_argument("--family", choices=["extension", "ode"],
-                       default="extension")
-    decay.add_argument("--q", type=int, default=1)
-    decay.add_argument("--mode", type=int, default=2)
-    decay.add_argument("--amplitude", type=float, default=1e-2)
-    decay.add_argument("--levels", type=int, default=8)
-    decay.add_argument("--epsilon12", type=float, default=0.1)
-    decay.add_argument("--alpha0", type=float, default=1.0)
-    decay.add_argument("--cbar", type=float, default=0.0)
-    decay.add_argument("--eps", type=float, default=0.5)
-    decay.add_argument("--e0", type=float, default=1e-2)
-    decay.add_argument("--r0", type=float, default=1.0)
-    decay.add_argument("--budget", type=float, default=10.0)
-    _add_common(decay)
-
-    flat = subs.add_parser("flat", help="radial homotopy flat-gap bounds")
-    flat.add_argument("--name", default="flat")
-    flat.add_argument("--q", type=int, default=1)
-    flat.add_argument("--mode", type=int, default=2)
-    flat.add_argument("--amplitude", type=float, default=1e-2)
-    flat.add_argument("--levels", type=int, default=6)
-    flat.add_argument("--tnodes", type=int, default=12)
-    _add_common(flat)
-
-    calib = subs.add_parser("calib", help="mass comparison probes")
-    calib.add_argument("--name", default="calib")
-    calib.add_argument("--surface", choices=["disk", "sphere", "equator"],
-                       default="disk")
-    calib.add_argument("--omega", type=float, default=0.0)
-    calib.add_argument("--probes", type=int, default=20)
-    calib.add_argument("--eps", type=_floats, default=[0.05])
-    calib.add_argument("--radius", type=float, default=1.0)
-    calib.add_argument("--form-scale", type=float, default=1.0)
-    _add_common(calib)
-
-    split = subs.add_parser("split", help="plane clustering decomposition")
-    split.add_argument("--name", default="split")
-    split.add_argument("--qs", type=_ints, default=[1, 1])
-    split.add_argument("--width", type=float, default=0.05)
-    _add_common(split)
-
+    for kind, schema in SCHEMAS.items():
+        _add_kind(subs, kind, schema)
     return parser
 
 
-def _shortcut_config(args) -> dict:
-    seed = args.seed if args.seed is not None else 0
-    if args.command == "epi":
-        params = {"Q": args.qs, "ratios": args.ratios,
-                  "amplitudes": args.amplitudes, "random": args.random,
-                  "lip_max": args.lip_max, "eps_target": args.eps_target}
-    elif args.command == "decay":
-        params = {"family": args.family, "Q": args.q, "mode": args.mode,
-                  "amplitude": args.amplitude, "levels": args.levels,
-                  "epsilon12": args.epsilon12, "alpha0": args.alpha0,
-                  "cbar": args.cbar, "eps": args.eps, "e0": args.e0,
-                  "r0": args.r0, "budget": args.budget}
-    elif args.command == "flat":
-        params = {"Q": args.q, "mode": args.mode,
-                  "amplitude": args.amplitude, "levels": args.levels,
-                  "tnodes": args.tnodes}
-    elif args.command == "calib":
-        params = {"surface": args.surface, "omega": args.omega,
-                  "probes": args.probes, "eps": args.eps,
-                  "radius": args.radius, "form_scale": args.form_scale}
-    else:
-        params = {"Q": args.qs, "width": args.width}
-    return {"scenarios": [{"name": args.name, "kind": args.command,
-                           "seed": seed, "params": params}]}
+def _shortcut_scenario(args) -> Scenario:
+    params = {f.name: getattr(args, f.name)
+              for f in fields(SCHEMAS[args.command]) if hasattr(args, f.name)}
+    return Scenario(name=args.name, kind=args.command, seed=0, params=params)
 
 
-def _apply_overrides(scenarios, seed, quad_order):
-    out = []
-    for k, sc in enumerate(scenarios):
-        params = dict(sc.params)
-        new_seed = sc.seed if seed is None else seed + k
-        if quad_order is not None:
-            params["quad_order"] = quad_order
-        out.append(Scenario(name=sc.name, kind=sc.kind, seed=new_seed,
-                            params=params))
-    return out
+def _apply_seed(scenarios, seed):
+    if seed is None:
+        return scenarios
+    return [Scenario(name=sc.name, kind=sc.kind, seed=seed + k,
+                     params=sc.params) for k, sc in enumerate(scenarios)]
 
 
 def _format_summary(results) -> str:
@@ -162,46 +126,34 @@ def _format_summary(results) -> str:
 
 def _execute(scenarios, out_dir: str, jobs: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    results = []
-    failed_scenarios = []
+    results, errored = [], []
+
+    def collect(sc, call):
+        try:
+            results.append(call())
+        except ScenarioError as err:
+            errored.append(sc.name)
+            print(str(err), file=sys.stderr)
+
     if jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_scenario, sc) for sc in scenarios]
             for sc, fut in zip(scenarios, futures):
-                try:
-                    results.append(fut.result())
-                except ScenarioError as err:
-                    failed_scenarios.append(sc)
-                    results.append(None)
-                    print(str(err), file=sys.stderr)
+                collect(sc, fut.result)
     else:
         for sc in scenarios:
-            try:
-                results.append(run_scenario(sc))
-            except ScenarioError as err:
-                failed_scenarios.append(sc)
-                results.append(None)
-                print(str(err), file=sys.stderr)
+            collect(sc, lambda: run_scenario(sc))
 
-    ok_results = []
-    any_fail = bool(failed_scenarios)
-    for sc, res in zip(scenarios, results):
-        if res is None:
-            continue
-        ok_results.append(res)
+    for res in results:
         path = os.path.join(out_dir, artifact_name(res))
         with open(path, "w", newline="") as fh:
             fh.write(render_artifact(res))
-        if res.nfail:
-            any_fail = True
-
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-        fh.write(render_summary(ok_results))
-    print(_format_summary(ok_results))
-    if failed_scenarios:
-        names = ", ".join(sc.name for sc in failed_scenarios)
-        print(f"errored scenarios: {names}", file=sys.stderr)
-    return 1 if any_fail else 0
+        fh.write(render_summary(results))
+    print(_format_summary(results))
+    if errored:
+        print(f"errored scenarios: {', '.join(errored)}", file=sys.stderr)
+    return 1 if errored or any(res.nfail for res in results) else 0
 
 
 def main(argv=None) -> int:
@@ -213,19 +165,14 @@ def main(argv=None) -> int:
                 text = fh.read()
             scenarios = load_config(text)
         else:
-            scenarios = load_config(_shortcut_config(args))
+            scenarios = [_shortcut_scenario(args)]
     except OSError as err:
         print(f"cannot read config: {err}", file=sys.stderr)
         return 2
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    scenarios = _apply_overrides(scenarios, args.seed, args.quad_order)
-    try:
-        return _execute(scenarios, args.out, args.jobs)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    return _execute(_apply_seed(scenarios, args.seed), args.out, args.jobs)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ bit-exactly because json writes shortest round-trip representations.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -395,12 +395,6 @@ class ParamSurface:
     def restrict(self, s: float, r: float):
         return RadialRestriction(self, s, r)
 
-    def boundary_samples(self, m: int = 512):
-        """Points at the outer edge u = u1 of the chart."""
-        u0, u1, v0, v1 = self.domain
-        V = v0 + (v1 - v0) * np.arange(m) / m
-        return self.points(np.full(m, u1), V)
-
 
 class RadialRestriction(ParamSurface):
     """Chart clipped to the annulus s <= |x| <= r along the radial axis.
@@ -505,12 +499,6 @@ class RadialRestriction(ParamSurface):
         ulo, uhi = self._bounds(V)
         xu, xv = self.base.partials(ulo + U * (uhi - ulo), V)
         return xu * (uhi - ulo)[..., None], xv
-
-    def boundary_samples(self, m: int = 512):
-        v0, v1 = self.domain[2], self.domain[3]
-        V = v0 + (v1 - v0) * np.arange(m) / m
-        ulo, uhi = self._bounds(V)
-        return self.base.points(uhi, V)
 
 
 class SurfaceStack:
@@ -645,25 +633,10 @@ def infinite_cone_cylinder_mass(curve, plane_basis: np.ndarray,
 # ---------------------------------------------------------------------------
 # module-level operation names
 
-def surface_mass(surface, check: bool = True,
-                 rtol: float = MASS_SELF_CHECK_TOL) -> float:
-    return surface.mass(check=check, rtol=rtol)
-
-
-def integrate_form(surface, form, order=None) -> float:
-    return surface.integrate_form(form, order=order)
-
-
 def integrate_density(surface, density, order=None) -> float:
     if isinstance(surface, ConeOverCurve):
         surface = surface.chart()
     return surface.integrate_density(density, order=order)
-
-
-def pushforward(surface, phi, dphi=None):
-    if isinstance(surface, ConeOverCurve):
-        surface = surface.chart()
-    return surface.pushforward(phi, dphi)
 
 
 def restrict_annulus(current, s: float, r: float):

@@ -16,7 +16,6 @@ their difference quotient is the achieved decay factor.  A flat (or purely
 tilted) curve makes both gaps vanish and the ratio is defined as 0.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ from .errors import (LipschitzTooLarge, NoConvergence, NotGraph,
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, plane_from_spanning, standard_plane,
                    twovector_mass_norm, unit_tangent_matrix, wedge_matrix)
-
-log = logging.getLogger(__name__)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0

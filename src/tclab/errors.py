@@ -57,10 +57,6 @@ class VertexTooClose(TclabError):
     """An integral with a vertex-singular weight was asked to start at ~0."""
 
 
-class DegenerateHomotopy(TclabError):
-    """The homotopy sheet is rank-deficient on a non-negligible set."""
-
-
 class TubesOverlap(TclabError):
     """Plane tubes intersect in the sampled region; clustering is ambiguous."""
 

@@ -16,7 +16,7 @@ Norm conventions fixed here and used everywhere else:
   |T - tau| are measured in this norm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,23 +147,6 @@ def check_antisymmetric(A) -> np.ndarray:
     return 0.5 * (A - A.T)
 
 
-@dataclass(frozen=True)
-class TwoCovector:
-    """Constant two-covector, value(v, w) = v @ matrix @ w."""
-
-    matrix: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", check_antisymmetric(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __call__(self, v, w) -> float:
-        return float(np.asarray(v) @ self.matrix @ np.asarray(w))
-
-
 def comass2(A) -> float:
     """Comass of a two-covector: max of A(v, w) over orthonormal pairs.
 
@@ -172,21 +155,6 @@ def comass2(A) -> float:
     """
     A = check_antisymmetric(A)
     return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
-def comass2_sampled(A, samples: int, rng) -> float:
-    """Monte-Carlo lower bound for comass2, used as an independent check."""
-    A = check_antisymmetric(A)
-    d = A.shape[0]
-    v = rng.standard_normal((samples, d))
-    w = rng.standard_normal((samples, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    w -= np.sum(w * v, axis=1, keepdims=True) * v
-    n = np.linalg.norm(w, axis=1, keepdims=True)
-    good = n[:, 0] > 1e-12
-    w = w[good] / n[good]
-    vals = np.einsum("ki,ij,kj->k", v[good], A, w)
-    return float(np.max(np.abs(vals)))
 
 
 def wedge_matrix(u, v) -> np.ndarray:

@@ -77,11 +77,6 @@ class DecayConstants:
     def a(self) -> float:
         return 2.0 / (1.0 - self.epsilon12)
 
-    @property
-    def decay_exponent(self) -> float:
-        """Power of s/r in the mass-ratio envelope."""
-        return self.a - 2.0
-
 
 def mass_profile(current, radii, Q: int) -> MassProfile:
     values = np.array([annulus_mass(current, 0.0, float(r)) for r in radii])

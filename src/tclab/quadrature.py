@@ -25,19 +25,6 @@ def gauss_legendre(order: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
-def tensor_grid(order_u: int, order_v: int, dom):
-    """Tensor Gauss-Legendre grid on the rectangle dom = (u0, u1, v0, v1).
-
-    Returns flattened node arrays U, V and the combined weight array W.
-    """
-    u0, u1, v0, v1 = dom
-    xu, wu = gauss_legendre(order_u, u0, u1)
-    xv, wv = gauss_legendre(order_v, v0, v1)
-    U, V = np.meshgrid(xu, xv, indexing="ij")
-    W = np.outer(wu, wv)
-    return U.ravel(), V.ravel(), W.ravel()
-
-
 def periodic_trapezoid(fn, period: float, nodes: int, rtol: float = 1e-10,
                        max_doublings: int = 6):
     """Integrate a smooth periodic vector-valued function over one period.

@@ -12,9 +12,13 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,8 +34,6 @@ from .calibration import (solid_angle_form, TwoFormField, bump_field,
                           spherical_cap)
 from .decomposition import EmbeddedCurve, split_current
 
-KINDS = ("epi", "decay", "flat", "calib", "split")
-
 # Single-mode linear theory predicts a gap ratio of 2a/(1+a^2) for a
 # profile of frequency ratio a.  Random families must certify ratio
 # <= 0.95 with margin for quadratic corrections, so the mode pool
@@ -43,25 +45,23 @@ EXCESS_CAP = 0.05
 # ---------------------------------------------------------------------------
 # curve families
 
-def single_mode_curve(Q: int, mode: int, amplitude: float, n: int = 1,
-                      rho: float = 1.0, phase: float = 0.0,
-                      direction: int = 0) -> WindingCurve:
-    """Winding curve whose profile is one cosine mode of the given size."""
+def single_mode_series(Q: int, mode: int, amplitude: float, n: int = 1,
+                       phase: float = 0.0, direction: int = 0) -> FourierSeries:
+    """Profile made of one cosine mode of the given size in one direction."""
     alpha = np.zeros((mode + 1, n))
     beta = np.zeros((mode, n))
     alpha[mode, direction] = amplitude * np.cos(phase)
     beta[mode - 1, direction] = amplitude * np.sin(phase)
-    series = FourierSeries(Q=Q, n=n, alpha=alpha, beta=beta)
-    return WindingCurve.from_fourier(series, rho=rho)
-
-
-def single_mode_series(Q: int, mode: int, amplitude: float, n: int = 1,
-                       phase: float = 0.0) -> FourierSeries:
-    alpha = np.zeros((mode + 1, n))
-    beta = np.zeros((mode, n))
-    alpha[mode, 0] = amplitude * np.cos(phase)
-    beta[mode - 1, 0] = amplitude * np.sin(phase)
     return FourierSeries(Q=Q, n=n, alpha=alpha, beta=beta)
+
+
+def single_mode_curve(Q: int, mode: int, amplitude: float, n: int = 1,
+                      rho: float = 1.0, phase: float = 0.0,
+                      direction: int = 0) -> WindingCurve:
+    """Winding curve whose profile is one cosine mode of the given size."""
+    series = single_mode_series(Q, mode, amplitude, n=n, phase=phase,
+                                direction=direction)
+    return WindingCurve.from_fourier(series, rho=rho)
 
 
 def random_link_curve(rng: np.random.Generator, qmax: int = 3,
@@ -160,16 +160,215 @@ def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
+# parameter schemas
+#
+# One frozen dataclass per kind names every key its runner reads, with the
+# key's type, default and validity rules.  Building one from a config's
+# params rejects unknown keys and wrong types; the command line builds the
+# shortcut flags from the same fields, so each default lives only here.
+
+def _key(default, help: str, **meta):
+    return field(default=default, metadata={"help": help, **meta})
+
+
+Order = int | tuple[int, int] | None
+
+
+@dataclass(frozen=True)
+class EpiParams:
+    """cone vs competitor gap ratios"""
+
+    Q: tuple[int, ...] = _key((1, 2, 3), "winding numbers of the mode grid")
+    ratios: tuple[int, ...] = _key((2, 3, 4), "grid frequencies i/Q")
+    amplitudes: tuple[float, ...] = _key((1e-3, 1e-2), "grid amplitudes")
+    random: int = _key(0, "random multi-mode curves after the grid")
+    lip_max: float = _key(0.1, "Lipschitz budget of random curves")
+    eps_target: float = _key(1e-2, "PASS needs ratio <= 1 - eps_target")
+
+
+@dataclass(frozen=True)
+class _ExtensionParams:
+    """Single-mode harmonic extension surface read by decay and flat."""
+
+    Q: int = _key(1, "winding number")
+    mode: int | None = _key(None, "profile frequency i, not Q; default 2Q",
+                            family="extension")
+    amplitude: float = _key(1e-2, "profile amplitude", family="extension")
+    rho: float = _key(1.0, "outer radius of the surface", family="extension")
+    r_max: float | None = _key(None, "largest profile radius; default rho/2",
+                               family="extension")
+    quad_order: Order = _key(None, "Gauss-Legendre order: n (n by "
+                             "max(n, 8 mode)) or n,m", family="extension")
+
+    def __post_init__(self):
+        """Fill mode = 2Q and r_max = rho/2; refuse the pure-tilt mode."""
+        if self.mode is None:
+            object.__setattr__(self, "mode", 2 * self.Q)
+        if self.r_max is None:
+            object.__setattr__(self, "r_max", 0.5 * self.rho)
+        if self.Q < 1 or self.mode < 1:
+            raise ConfigError(f"Q and mode must be positive, got {self.Q}, "
+                              f"{self.mode}")
+        if self.mode == self.Q:
+            raise ConfigError(f"mode {self.mode} equals Q: that profile is a "
+                              "tilted plane whose excess is pure roundoff")
+
+
+@dataclass(frozen=True)
+class DecayParams(_ExtensionParams):
+    """mass profile decay envelopes"""
+
+    family: Literal["extension", "ode"] = _key(
+        "extension", "harmonic extension surface or closed-form rate ODE")
+    levels: int = _key(8, "dyadic radii in the profile")
+    epsilon12: float = _key(0.1, "rate a = 2 / (1 - epsilon12)")
+    alpha0: float = _key(1.0, "almost-minimality exponent")
+    cbar: float = _key(0.0, "almost-minimality coefficient")
+    eps: float = _key(0.5, "drift exponent of the envelope")
+    budget: float = _key(10.0, "largest envelope constant C that passes")
+    e0: float = _key(1e-2, "excess at radius r0", family="ode")
+    r0: float = _key(1.0, "largest profile radius", family="ode")
+
+    def __post_init__(self):
+        try:
+            self.constants()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        if self.family == "extension":
+            super().__post_init__()
+
+    def constants(self) -> DecayConstants:
+        return DecayConstants(epsilon12=self.epsilon12, alpha0=self.alpha0,
+                              cbar=self.cbar, eps=self.eps)
+
+
+@dataclass(frozen=True)
+class FlatParams(_ExtensionParams):
+    """radial homotopy flat-gap bounds"""
+
+    levels: int = _key(6, "dyadic radii r, each bounded against r/2")
+    tnodes: int = _key(12, "quadrature nodes along the homotopy")
+
+
+@dataclass(frozen=True)
+class CalibParams:
+    """mass comparison probes"""
+
+    surface: Literal["disk", "sphere", "equator"] = _key(
+        "disk", "calibrated surface under test")
+    radius: float = _key(1.0, "surface radius")
+    omega: float = _key(0.0, "almost-minimality constant Omega")
+    probes: int = _key(20, "seeded bump fields")
+    eps: tuple[float, ...] = _key((0.05,), "sweep times per bump")
+    form_scale: float = _key(1.0, "scale of the calibrating form")
+    comass_check: bool = _key(False, "check the form's comass at scale 1 too")
+    bump_power: int = _key(5, "bump exponent (1 - |y|^2/R^2)^power")
+    quad_order: Order = _key(None, "Gauss-Legendre order: n (n by 2n) or "
+                             "n,m; default 96,192")
+
+
+@dataclass(frozen=True)
+class SplitParams:
+    """plane clustering decomposition"""
+
+    Q: tuple[int, ...] = _key((1, 1), "winding numbers of flat circles in "
+                              "alternating orthogonal planes")
+    width: float = _key(0.05, "tube width around each plane")
+
+
+SCHEMAS = {"epi": EpiParams, "decay": DecayParams, "flat": FlatParams,
+           "calib": CalibParams, "split": SplitParams}
+
+_NAMES = {int: "integer", float: "finite number", str: "string",
+          bool: "boolean", type(None): "null"}
+
+
+def _describe(tp) -> str:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        return " or ".join(map(repr, args))
+    if origin in (Union, UnionType):
+        return " or ".join(map(_describe, args))
+    if origin is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"list of {count}{_describe(args[0])}s"
+    return _NAMES[tp]
+
+
+def _coerce(value, tp):
+    """``value`` as type ``tp``, lists made tuples and ints floats; raises
+    a bare ConfigError on mismatch, which the caller names."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal and value in args:
+        return value
+    if origin in (Union, UnionType):
+        for alt in args:
+            with contextlib.suppress(ConfigError):
+                return _coerce(value, alt)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        types = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(types) == len(value):
+            return tuple(map(_coerce, value, types))
+    if tp is float and type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    if type(value) is tp:
+        return value
+    raise ConfigError()
+
+
+def _parse_params(kind: str, params: dict):
+    """Typed, validated parameters of one scenario kind."""
+    schema = SCHEMAS.get(kind)
+    if schema is None:
+        raise ConfigError(f"unknown kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object")
+    known = {f.name: f for f in fields(schema)}
+    hints = get_type_hints(schema)
+    values = {}
+    for key, value in params.items():
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} for kind {kind!r} "
+                              f"(known: {', '.join(known)})")
+        try:
+            values[key] = _coerce(value, hints[key])
+        except ConfigError:
+            raise ConfigError(f"key {key!r} must be {_describe(hints[key])}"
+                              f", got {value!r}") from None
+    family = values.get("family", getattr(schema, "family", None))
+    for key in values:
+        needs = known[key].metadata.get("family")
+        if family and needs and needs != family:
+            raise ConfigError(f"key {key!r} is not read by {kind} family "
+                              f"{family!r}")
+    return schema(**values)
+
+
+# ---------------------------------------------------------------------------
 # scenario plumbing
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named experiment: kind, seed and kind-specific parameters."""
+    """One named experiment: kind, seed and kind-specific parameters.
+
+    ``params`` is kept as written, so the config hash does not depend on
+    defaults; ``typed`` holds the validated values the runner reads.
+    """
 
     name: str
     kind: str
     seed: int
     params: dict = field(default_factory=dict)
+    typed: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            if not isinstance(self.seed, int):
+                raise ConfigError("seed must be an integer")
+            typed = _parse_params(self.kind, self.params)
+        except ConfigError as err:
+            raise ConfigError(f"scenario {self.name!r}: {err}") from None
+        object.__setattr__(self, "typed", typed)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF])
@@ -183,26 +382,27 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """Artifact rows of one scenario; each row ends with its verdict."""
+
     name: str
     kind: str
     columns: tuple
     rows: list
-    verdicts: list
     fitted: dict
     config_hash: str
     payload: dict | None = None
 
     @property
     def npass(self) -> int:
-        return sum(1 for v in self.verdicts if v == "PASS")
+        return sum(1 for row in self.rows if row[-1] == "PASS")
 
     @property
     def nfail(self) -> int:
-        return len(self.verdicts) - self.npass
+        return len(self.rows) - self.npass
 
 
 def load_config(source) -> list:
-    """Parse a config mapping (or JSON text) into scenario objects."""
+    """Parse a config mapping (or JSON text) into validated scenarios."""
     if isinstance(source, str):
         try:
             source = json.loads(source)
@@ -221,21 +421,17 @@ def load_config(source) -> list:
         if not isinstance(entry, dict):
             raise ConfigError(f"scenario #{k} is not an object")
         name = entry.get("name")
-        kind = entry.get("kind")
         if not isinstance(name, str) or not name:
             raise ConfigError(f"scenario #{k} lacks a name")
         if name in seen:
             raise ConfigError(f"duplicate scenario name {name!r}")
         seen.add(name)
-        if kind not in KINDS:
-            raise ConfigError(f"scenario {name!r}: unknown kind {kind!r}")
-        seed = entry.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError(f"scenario {name!r}: seed must be an integer")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"scenario {name!r}: params must be an object")
-        out.append(Scenario(name=name, kind=kind, seed=seed, params=params))
+        extra = sorted(set(entry) - {"name", "kind", "seed", "params"})
+        if extra:
+            raise ConfigError(f"scenario {name!r}: unknown entry keys {extra}")
+        out.append(Scenario(name=name, kind=entry.get("kind"),
+                            seed=entry.get("seed", 0),
+                            params=entry.get("params", {})))
     return out
 
 
@@ -251,24 +447,19 @@ def _fit_power(x, y):
 # per-kind runners
 
 def _run_epi(sc: Scenario):
-    p = sc.params
+    p = sc.typed
     rng = sc.rng()
-    qs = [int(q) for q in p.get("Q", [1, 2, 3])]
-    ratios = [int(r) for r in p.get("ratios", [2, 3, 4])]
-    amplitudes = [float(a) for a in p.get("amplitudes", [1e-3, 1e-2])]
-    nrandom = int(p.get("random", 0))
-    lip_max = float(p.get("lip_max", 0.1))
-    eps_target = float(p.get("eps_target", 1e-2))
 
     columns = ("Q", "n", "modes", "amplitude", "raw_excess",
                "optimal_excess", "cone_gap", "competitor_gap", "ratio",
                "verdict")
-    rows, verdicts = [], []
+    rows = []
     worst_ratio = 0.0
 
     def push(curve, amplitude):
         nonlocal worst_ratio
-        vd = epiperimetric_gap(curve, eps_target=eps_target, lip_max=lip_max)
+        vd = epiperimetric_gap(curve, eps_target=p.eps_target,
+                               lip_max=p.lip_max)
         series = curve.series
         active = [i for i in range(1, series.nmodes + 1)
                   if np.abs(series.alpha[i]).max() > 0
@@ -277,21 +468,20 @@ def _run_epi(sc: Scenario):
         rows.append((curve.Q, series.n, "+".join(str(i) for i in active),
                      amplitude, vd.raw_excess, vd.optimal_excess,
                      vd.cone_gap, vd.competitor_gap, vd.ratio, verdict))
-        verdicts.append(verdict)
         worst_ratio = max(worst_ratio, vd.ratio)
 
-    for Q in qs:
-        for ratio in ratios:
-            for amp in amplitudes:
+    for Q in p.Q:
+        for ratio in p.ratios:
+            for amp in p.amplitudes:
                 push(single_mode_curve(Q, ratio * Q, amp), amp)
-    for _ in range(nrandom):
-        curve = random_epi_curve(rng, lip_max=lip_max)
+    for _ in range(p.random):
+        curve = random_epi_curve(rng, lip_max=p.lip_max)
         amp = float(max(np.abs(curve.series.alpha).max(),
                         np.abs(curve.series.beta).max()))
         push(curve, amp)
 
     fitted = {"epsilon13": 1.0 - worst_ratio}
-    return columns, rows, verdicts, fitted, None
+    return columns, rows, fitted, None
 
 
 def _decay_radii(r_max: float, levels: int):
@@ -299,99 +489,60 @@ def _decay_radii(r_max: float, levels: int):
 
 
 def _run_decay(sc: Scenario):
-    p = sc.params
-    family = p.get("family", "extension")
-    constants = DecayConstants(epsilon12=float(p.get("epsilon12", 0.1)),
-                               alpha0=float(p.get("alpha0", 1.0)),
-                               cbar=float(p.get("cbar", 0.0)),
-                               eps=float(p.get("eps", 0.5)))
-    budget = float(p.get("budget", 10.0))
-    levels = int(p.get("levels", 8))
-    Q = int(p.get("Q", 1))
+    p = sc.typed
+    constants = p.constants()
+    if p.family == "extension":
+        surface = extension_surface(p.Q, p.mode, p.amplitude, rho=p.rho,
+                                    order=p.quad_order)
+        radii = _decay_radii(p.r_max, p.levels)
+        profile = mass_profile(surface, radii, p.Q)
+    else:
+        radii = _decay_radii(p.r0, p.levels)
+        profile = synthesize_decay_profile(constants, p.e0, p.r0, radii,
+                                           Q=p.Q)
+    report = decay_envelope(profile, constants, budget=p.budget)
+    verdict = "PASS" if report.passed else "FAIL"
+    exc = profile.excess()
 
     columns = ("r", "f", "e", "deviation", "envelope_C", "verdict")
-    rows, verdicts = [], []
-
-    if family == "extension":
-        mode = int(p.get("mode", 2 * Q))
-        amp = float(p.get("amplitude", 1e-2))
-        rho = float(p.get("rho", 1.0))
-        r_max = float(p.get("r_max", 0.5 * rho))
-        surface = extension_surface(Q, mode, amp, rho=rho,
-                                    order=p.get("quad_order"))
-        radii = _decay_radii(r_max, levels)
-        profile = mass_profile(surface, radii, Q)
-        report = decay_envelope(profile, constants, budget=budget)
-        verdict = "PASS" if report.passed else "FAIL"
-        exc = profile.excess()
-        for k, r in enumerate(radii):
-            dev = (deviation_integral(surface, radii[k - 1], r)
-                   if k > 0 else "")
-            rows.append((r, profile.values[k], exc[k], dev, report.c,
-                         verdict))
-            verdicts.append(verdict)
-        kfit, _ = _fit_power(radii, np.maximum(exc, 1e-300))
-        fitted = {"gamma0": 0.5 * kfit, "C": report.c}
-    elif family == "ode":
-        e0 = float(p.get("e0", 1e-2))
-        r0 = float(p.get("r0", 1.0))
-        radii = _decay_radii(r0, levels)
-        profile = synthesize_decay_profile(constants, e0, r0, radii, Q=Q)
-        report = decay_envelope(profile, constants, budget=budget)
-        verdict = "PASS" if report.passed else "FAIL"
-        exc = profile.excess()
-        for k, r in enumerate(radii):
-            rows.append((r, profile.values[k], exc[k], "", report.c,
-                         verdict))
-            verdicts.append(verdict)
-        kfit, _ = _fit_power(radii, np.maximum(exc, 1e-300))
-        fitted = {"gamma0": 0.5 * kfit, "C": report.c}
-    else:
-        raise ConfigError(f"decay family {family!r} not recognized")
-    return columns, rows, verdicts, fitted, None
+    rows = []
+    for k, r in enumerate(radii):
+        dev = (deviation_integral(surface, radii[k - 1], r)
+               if k > 0 and p.family == "extension" else "")
+        rows.append((r, profile.values[k], exc[k], dev, report.c, verdict))
+    kfit, _ = _fit_power(radii, np.maximum(exc, 1e-300))
+    fitted = {"gamma0": 0.5 * kfit, "C": report.c}
+    return columns, rows, fitted, None
 
 
 def _run_flat(sc: Scenario):
-    p = sc.params
-    Q = int(p.get("Q", 1))
-    mode = int(p.get("mode", 2 * Q))
-    amp = float(p.get("amplitude", 1e-2))
-    rho = float(p.get("rho", 1.0))
-    r_max = float(p.get("r_max", 0.5 * rho))
-    levels = int(p.get("levels", 6))
-    tnodes = int(p.get("tnodes", 12))
-    surface = extension_surface(Q, mode, amp, rho=rho,
-                                order=p.get("quad_order"))
+    p = sc.typed
+    surface = extension_surface(p.Q, p.mode, p.amplitude, rho=p.rho,
+                                order=p.quad_order)
 
     columns = ("r", "s", "bound", "filling", "residual", "verdict")
-    rows, verdicts = [], []
-    radii = _decay_radii(r_max, levels)
+    rows = []
+    radii = _decay_radii(p.r_max, p.levels)
     bounds = []
     for r in radii:
         s = 0.5 * r
-        est = radial_homotopy_filling(surface, s, r, tnodes=tnodes)
+        est = radial_homotopy_filling(surface, s, r, tnodes=p.tnodes)
         ok = np.isfinite(est.bound) and est.bound >= 0.0
         verdict = "PASS" if ok else "FAIL"
         rows.append((r, s, est.bound, est.filling_mass, est.residual_mass,
                      verdict))
-        verdicts.append(verdict)
         bounds.append(est.bound)
     kfit, cfit = _fit_power(radii, np.maximum(bounds, 1e-300))
     fitted = {"gamma0": kfit, "C": cfit}
-    return columns, rows, verdicts, fitted, None
+    return columns, rows, fitted, None
 
 
-def _calib_surface(p):
-    kind = p.get("surface", "disk")
-    radius = float(p.get("radius", 1.0))
-    qo = p.get("quad_order")
-    if qo is None:
-        order = (96, 192)
-    elif isinstance(qo, int):
-        order = (qo, 2 * qo)
-    else:
-        order = (int(qo[0]), int(qo[1]))
-    if kind == "disk":
+def _calib_surface(p: CalibParams):
+    radius = p.radius
+    order = (96, 192) if p.quad_order is None else p.quad_order
+    if isinstance(order, int):
+        order = (order, 2 * order)
+    if p.surface == "disk":
         from .currents import ParamSurface
 
         def chart(w, theta):
@@ -415,45 +566,35 @@ def _calib_surface(p):
 
         return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi),
                             jacobian=jac, order=order), 3
-    if kind == "equator":
-        return spherical_cap(radius, 0.0, np.pi, dim=4, order=order), 4
-    if kind == "sphere":
-        return spherical_cap(radius, 0.0, np.pi, dim=3, order=order), 3
-    raise ConfigError(f"calib surface {kind!r} not recognized")
+    dim = 4 if p.surface == "equator" else 3
+    return spherical_cap(radius, 0.0, np.pi, dim=dim, order=order), dim
 
 
 def _run_calib(sc: Scenario):
-    p = sc.params
+    p = sc.typed
     rng = sc.rng()
     surface, dim = _calib_surface(p)
-    omega = float(p.get("omega", 0.0))
-    nprobes = int(p.get("probes", 20))
-    eps_list = [float(e) for e in p.get("eps", [0.05])]
-    radius = float(p.get("radius", 1.0))
-    form_scale = float(p.get("form_scale", 1.0))
-    bump_power = int(p.get("bump_power", 5))
+    radius, omega = p.radius, p.omega
 
     columns = ("probe", "mass_T", "mass_T_plus_dS", "mass_S", "omega",
                "slack", "verdict")
-    rows, verdicts = [], []
+    rows = []
 
-    if form_scale != 1.0 or p.get("comass_check", False):
+    if p.form_scale != 1.0 or p.comass_check:
         base = solid_angle_form()
         form = TwoFormField(
-            matrix=lambda x: form_scale * base(x),
-            exterior=lambda x: form_scale * base.exterior(x))
+            matrix=lambda x: p.form_scale * base(x),
+            exterior=lambda x: p.form_scale * base.exterior(x))
         u = rng.standard_normal((32, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         worst, ok = comass_field_check(form, radius * u)
         if not ok:
             rows.append(("comass", worst, 0.0, 0.0, omega, 1.0 - worst,
                          "FAIL"))
-            verdicts.append("FAIL")
-            return columns, rows, verdicts, {}, None
+            return columns, rows, {}, None
 
-    kind = p.get("surface", "disk")
-    for k in range(nprobes):
-        if kind == "disk":
+    for k in range(p.probes):
+        if p.surface == "disk":
             c2 = rng.uniform(-0.45, 0.45, size=2)
             center = np.array([c2[0], c2[1], 0.0]) * radius
             rmax = radius * (0.93 - np.linalg.norm(c2))
@@ -468,23 +609,20 @@ def _run_calib(sc: Scenario):
             brad = float(rng.uniform(0.2, 0.6) * radius)
             direction = rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)
-        chi = bump_field(center, brad, direction, power=bump_power)
-        for eps in eps_list:
+        chi = bump_field(center, brad, direction, power=p.bump_power)
+        for eps in p.eps:
             probe = almost_minimality_probe(surface, omega, chi, [eps])[0]
             verdict = "PASS" if probe.passed else "FAIL"
             rows.append((k, probe.mass, probe.mass_deformed,
                          probe.mass_sweep, omega, probe.slack, verdict))
-            verdicts.append(verdict)
-    return columns, rows, verdicts, {}, None
+    return columns, rows, {}, None
 
 
 def _run_split(sc: Scenario):
-    p = sc.params
-    q_list = [int(q) for q in p.get("Q", [1, 1])]
-    width = float(p.get("width", 0.05))
-    curves = orthogonal_planes_instance(q_list)
+    p = sc.typed
+    curves = orthogonal_planes_instance(p.Q)
     planes = [c.plane() for c in curves]
-    result = split_current(curves, planes, width)
+    result = split_current(curves, planes, p.width)
     index = {id(c): k for k, c in enumerate(curves)}
     payload = {
         "clusters": [[index[id(c)] for c in g] for g in result.groups],
@@ -494,12 +632,10 @@ def _run_split(sc: Scenario):
         "verdict": "PASS" if result.passed else "FAIL",
     }
     columns = ("group", "multiplicity", "mass", "verdict")
-    rows, verdicts = [], []
-    for g, (mult, m) in enumerate(zip(result.multiplicities, result.masses)):
-        verdict = "PASS" if result.passed else "FAIL"
-        rows.append((g, mult, m, verdict))
-        verdicts.append(verdict)
-    return columns, rows, verdicts, {}, payload
+    verdict = payload["verdict"]
+    rows = [(g, mult, m, verdict) for g, (mult, m)
+            in enumerate(zip(result.multiplicities, result.masses))]
+    return columns, rows, {}, payload
 
 
 _RUNNERS = {"epi": _run_epi, "decay": _run_decay, "flat": _run_flat,
@@ -509,13 +645,11 @@ _RUNNERS = {"epi": _run_epi, "decay": _run_decay, "flat": _run_flat,
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Execute one scenario, wrapping module errors with its name."""
     try:
-        columns, rows, verdicts, fitted, payload = _RUNNERS[sc.kind](sc)
-    except ConfigError:
-        raise
+        columns, rows, fitted, payload = _RUNNERS[sc.kind](sc)
     except TclabError as err:
         raise ScenarioError(sc.name, str(err)) from err
     return ScenarioResult(name=sc.name, kind=sc.kind, columns=columns,
-                          rows=rows, verdicts=verdicts, fitted=fitted,
+                          rows=rows, fitted=fitted,
                           config_hash=sc.config_hash(), payload=payload)
 
 

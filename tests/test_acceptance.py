@@ -234,10 +234,10 @@ def test_09_orthogonal_planes_split_exactly():
 def test_10_runs_are_reproducible(tmp_path):
     config = {"scenarios": [
         {"name": "epi_tiny", "kind": "epi", "seed": 17,
-         "params": {"Q": [1], "mode_ratios": [2], "amplitudes": [1e-2],
+         "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-2],
                     "random": 3}},
         {"name": "split_tiny", "kind": "split", "seed": 18,
-         "params": {"Q_list": [1, 2], "width": 0.05}}]}
+         "params": {"Q": [1, 2], "width": 0.05}}]}
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(config))
     outs = []

@@ -22,7 +22,7 @@ def write_config(path, scenarios):
 
 
 SMALL_EPI = {"name": "epi_small", "kind": "epi", "seed": 7,
-             "params": {"Q": [1], "mode_ratios": [2],
+             "params": {"Q": [1], "ratios": [2],
                         "amplitudes": [1e-2], "random": 2}}
 
 
@@ -43,6 +43,18 @@ def test_load_config_happy_path():
     json.dumps({"scenarios": [
         {"name": "dup", "kind": "epi", "seed": 1},
         {"name": "dup", "kind": "epi", "seed": 2}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "decay",
+                               "params": {"levles": 2}}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "epi",
+                               "params": {"Q": "x"}}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "decay",
+                               "params": {"Q": 2, "mode": 2}}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "flat",
+                               "params": {"Q": 1, "mode": 1}}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "decay",
+                               "params": {"family": "ode", "mode": 3}}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "decay",
+                               "params": {"epsilon12": 2}}]}),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
@@ -61,7 +73,7 @@ def test_scenario_hash_ignores_nothing(tmp_path):
 
 def test_rerun_is_byte_identical():
     sc = Scenario(name="epi", kind="epi", seed=99,
-                  params={"Q": [1], "mode_ratios": [2],
+                  params={"Q": [1], "ratios": [2],
                           "amplitudes": [1e-2], "random": 3})
     first = render_csv(run_scenario(sc))
     second = render_csv(run_scenario(sc))
@@ -104,10 +116,10 @@ def test_random_epi_curves_stay_in_contract(seed):
 
 def test_summary_rows_follow_config_order():
     fast = Scenario(name="b", kind="epi", seed=1,
-                    params={"Q": [1], "mode_ratios": [2],
+                    params={"Q": [1], "ratios": [2],
                             "amplitudes": [1e-2], "random": 0})
     slow = Scenario(name="a", kind="epi", seed=2,
-                    params={"Q": [1], "mode_ratios": [3],
+                    params={"Q": [1], "ratios": [3],
                             "amplitudes": [1e-2], "random": 0})
     rows = summary_rows([run_scenario(fast), run_scenario(slow)])
     assert [r[0] for r in rows] == ["b", "a"]
@@ -167,13 +179,31 @@ def test_cli_seed_override_changes_hash(tmp_path):
 def test_cli_parallel_run_matches_serial(tmp_path):
     scens = [dict(SMALL_EPI),
              {"name": "split_demo", "kind": "split", "seed": 3,
-              "params": {"Q_list": [1, 1], "width": 0.05}}]
+              "params": {"Q": [1, 1], "width": 0.05}}]
     cfg = write_config(tmp_path / "cfg.json", scens)
     out1, out2 = tmp_path / "serial", tmp_path / "par"
     assert main(["run", cfg, "--out", str(out1), "--jobs", "1"]) == 0
     assert main(["run", cfg, "--out", str(out2), "--jobs", "2"]) == 0
     for name in ("epi_small.csv", "split_demo.json", "summary.csv"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+def test_cli_pure_tilt_mode_exits_two(tmp_path, capsys):
+    code = main(["decay", "--q", "2", "--mode", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_decay_mode_defaults_to_twice_q(tmp_path):
+    out = tmp_path / "out"
+    assert main(["decay", "--q", "2", "--levels", "2", "--out", str(out)]) == 0
+    rows = (out / "decay.csv").read_text().splitlines()
+    explicit = Scenario(name="decay", kind="decay", seed=0,
+                        params={"Q": 2, "mode": 4, "levels": 2})
+    want = render_csv(run_scenario(explicit)).splitlines()
+    assert len(rows) == 4  # header, two radii, hash trailer
+    assert rows[:-1] == want[:-1]
 
 
 def test_cli_epi_shortcut(tmp_path):
