@@ -362,31 +362,19 @@ class ParamSurface:
 
     # -- derived surfaces ---------------------------------------------------
 
-    def pushforward(self, phi, dphi=None, step=1e-6):
-        """Image surface under a C^1 map phi (optionally with jacobian)."""
+    def pushforward(self, phi, dphi):
+        """Image surface under a C^1 map phi with jacobian field dphi."""
         base = self
 
         def chart(U, V):
             return phi(base.points(U, V))
 
-        if dphi is not None:
-            def jac(U, V):
-                x = base.points(U, V)
-                xu, xv = base.partials(U, V)
-                D = np.asarray(dphi(x), dtype=float)
-                return (np.einsum("...ij,...j->...i", D, xu),
-                        np.einsum("...ij,...j->...i", D, xv))
-        else:
-            def jac(U, V):
-                x = base.points(U, V)
-                xu, xv = base.partials(U, V)
-                out = []
-                for t in (xu, xv):
-                    tn = np.linalg.norm(t, axis=-1, keepdims=True)
-                    tn = np.maximum(tn, 1e-300)
-                    h = step / tn
-                    out.append((phi(x + h * t) - phi(x - h * t)) / (2 * h))
-                return out[0], out[1]
+        def jac(U, V):
+            x = base.points(U, V)
+            xu, xv = base.partials(U, V)
+            D = np.asarray(dphi(x), dtype=float)
+            return (np.einsum("...ij,...j->...i", D, xu),
+                    np.einsum("...ij,...j->...i", D, xv))
 
         return ParamSurface(chart, self.domain, jacobian=jac,
                             multiplicity=self.multiplicity,
@@ -499,24 +487,6 @@ class RadialRestriction(ParamSurface):
         ulo, uhi = self._bounds(V)
         xu, xv = self.base.partials(ulo + U * (uhi - ulo), V)
         return xu * (uhi - ulo)[..., None], xv
-
-
-class SurfaceStack:
-    """Formal sum of chart surfaces, integrated piecewise."""
-
-    def __init__(self, pieces):
-        self.pieces = list(pieces)
-        if not self.pieces:
-            raise ValueError("empty surface stack")
-
-    def mass(self, check: bool = True, rtol: float = MASS_SELF_CHECK_TOL):
-        return sum(p.mass(check=check, rtol=rtol) for p in self.pieces)
-
-    def integrate_density(self, density=None, order=None) -> float:
-        return sum(p.integrate_density(density, order) for p in self.pieces)
-
-    def integrate_form(self, form, order=None) -> float:
-        return sum(p.integrate_form(form, order) for p in self.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +613,6 @@ def restrict_annulus(current, s: float, r: float):
     """Restriction to the annulus s <= |x| <= r about the origin."""
     if isinstance(current, ConeOverCurve):
         current = current.chart()
-    if isinstance(current, SurfaceStack):
-        pieces = []
-        for p in current.pieces:
-            try:
-                pieces.append(RadialRestriction(p, s, r))
-            except EmptyRestriction:
-                pass
-        if not pieces:
-            raise EmptyRestriction("annulus misses every piece")
-        return SurfaceStack(pieces)
     return RadialRestriction(current, s, r)
 
 

@@ -7,8 +7,8 @@ The excess of the cone over a winding curve against a plane tau is
 with |.| the mass norm on two-vectors.  Because cone tangents are constant
 along rays, E reduces to a single periodic integral in the curve parameter
 and the whole pipeline (optimal tilt, regraphing on a smaller cylinder,
-harmonic extension inside, cone annulus outside) stays one-dimensional
-except for the final surface masses.
+harmonic extension inside it) stays one-dimensional except for the final
+surface masses.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk of the working cylinder radius inside the optimal plane's cylinder;
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .currents import (SurfaceStack, ParamSurface, WindingCurve,
+from .currents import (ParamSurface, WindingCurve,
                        infinite_cone_cylinder_mass)
 from .errors import (LipschitzTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
@@ -32,7 +32,10 @@ from .geom import (Plane2, plane_from_spanning, standard_plane,
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
 GAP_FLOOR = 1e-13
+GRAD_TOL = 1e-8
 GRAD_REL = 1e-5
+PRE_EXCESS = 0.1
+CYL_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,19 +121,6 @@ def _fd_gradient(fn, v, h):
     return g
 
 
-def _fd_hessian(fn, v, h):
-    m = v.size
-    H = np.empty((m, m))
-    for i in range(m):
-        for j in range(i + 1):
-            vpp = v.copy(); vpm = v.copy(); vmp = v.copy(); vmm = v.copy()
-            vpp[[i, j]] += h; vmm[[i, j]] -= h
-            vpm[i] += h; vpm[j] -= h
-            vmp[i] -= h; vmp[j] += h
-            H[i, j] = H[j, i] = (fn(vpp) - fn(vpm) - fn(vmp) + fn(vmm)) / (4 * h * h)
-    return H
-
-
 def _one_sided_probe(fn, v, f0, steps=(1e-6, 1e-5)):
     """Most negative one-sided axis slope (f(v + t d) - f0) / t at v.
 
@@ -153,42 +143,14 @@ def _one_sided_probe(fn, v, f0, steps=(1e-6, 1e-5)):
     return worst
 
 
-def _newton_polish(fn, v, grad_tol, iters=60):
-    """Damped Newton descent with adaptive Levenberg regularization.
-
-    The tilt objective is only piecewise smooth in codimension two, so
-    the finite-difference Hessian can be indefinite; the damping term is
-    grown until a step is accepted and relaxed after successes.
-    """
-    lam = 1.0
-    for _ in range(iters):
-        g = _fd_gradient(fn, v, 1e-6)
-        if np.linalg.norm(g) < 0.3 * grad_tol:
-            break
-        H = _fd_hessian(fn, v, 1e-4)
-        base = max(float(np.max(np.abs(np.linalg.eigvalsh(H)))), 1e-12)
-        f0 = fn(v)
-        moved = False
-        for _ in range(40):
-            step = np.linalg.solve(H + lam * base * np.eye(v.size), -g)
-            if fn(v + step) < f0:
-                v = v + step
-                lam = max(lam / 3.0, 1e-8)
-                moved = True
-                break
-            lam *= 4.0
-        if not moved:
-            break
-    return v
-
-
-def optimal_plane(curve: WindingCurve, grad_tol: float = 1e-8,
-                  pre_excess: float = 0.1) -> ExcessReport:
+def optimal_plane(curve: WindingCurve) -> ExcessReport:
     """Tilt the reference plane to a certified minimum of the excess.
 
     The plane is parametrized by the 2n-dimensional graph tilt of the two
     spanning directions; minimization is BFGS on a central-difference
-    gradient with damped-Newton and Nelder-Mead fallbacks.
+    gradient, and a tilt that fails the certificate below raises
+    NoConvergence.  A reference-plane excess of PRE_EXCESS or more is
+    refused before the search starts.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
@@ -197,7 +159,7 @@ def optimal_plane(curve: WindingCurve, grad_tol: float = 1e-8,
     it vanishes is exactly the minimizer.  A gradient test alone cannot
     certify such a point, because central differences cancel across an
     even kink.  The certificate therefore has two parts: the central
-    finite-difference gradient must fall below max(grad_tol, GRAD_REL *
+    finite-difference gradient must fall below max(GRAD_TOL, GRAD_REL *
     raw excess), which pins down the smooth directions, and every
     one-sided axis slope at the returned tilt must be nonnegative to the
     same tolerance, which pins down the kinked ones.  The relative
@@ -207,7 +169,7 @@ def optimal_plane(curve: WindingCurve, grad_tol: float = 1e-8,
     n = curve.n
     pi0 = standard_plane(2 + n)
     raw = cylindrical_excess(curve, pi0)
-    if raw >= pre_excess:
+    if raw >= PRE_EXCESS:
         raise ValueError(
             f"excess {raw:.3f} against the reference plane is too large "
             "to start the tilt search")
@@ -223,26 +185,12 @@ def optimal_plane(curve: WindingCurve, grad_tol: float = 1e-8,
     def scaled(v):
         return objective(v) / scale
 
-    tol = max(grad_tol, GRAD_REL * raw)
-    v = np.zeros(2 * n)
+    tol = max(GRAD_TOL, GRAD_REL * raw)
     res = optimize.minimize(
-        scaled, v, jac=lambda x: _fd_gradient(scaled, x, 1e-6),
+        scaled, np.zeros(2 * n), jac=lambda x: _fd_gradient(scaled, x, 1e-6),
         method="BFGS", options={"gtol": 1e-12, "maxiter": 400})
     v = res.x
     gnorm = np.linalg.norm(_fd_gradient(objective, v, 1e-5))
-    if gnorm >= tol:
-        v = _newton_polish(objective, v, grad_tol)
-        gnorm = np.linalg.norm(_fd_gradient(objective, v, 1e-5))
-    if gnorm >= tol:
-        span = max(np.sqrt(max(objective(v), 0.0)), 1e-4)
-        simplex = np.vstack([v] + [v + span * e
-                                   for e in np.eye(2 * n)])
-        res = optimize.minimize(objective, v, method="Nelder-Mead",
-                                options={"xatol": 1e-13, "fatol": 1e-19,
-                                         "initial_simplex": simplex,
-                                         "maxiter": 6000, "maxfev": 6000})
-        v = _newton_polish(objective, res.x, grad_tol)
-        gnorm = np.linalg.norm(_fd_gradient(objective, v, 1e-5))
     if gnorm >= tol:
         raise NoConvergence(
             f"tilt search stalled with |grad| = {gnorm:.2e}")
@@ -314,105 +262,54 @@ def _trim_series(series: FourierSeries, tol: float = 1e-13) -> FourierSeries:
 
 @dataclass(frozen=True)
 class Competitor:
-    """Filling of a winding curve: harmonic extension plus a cone collar.
+    """Harmonic-extension filling inside the optimal plane's cylinder.
 
-    ``surface`` has boundary equal to the input curve; ``extension`` is
-    the inner harmonic-extension graph over ``plane`` up to cylinder
-    radius ``cylinder_radius`` and ``collar`` the piece of the original
-    cone between that cylinder and the curve (None when the curve already
-    sits on the cylinder).
+    ``extension`` is the harmonic-extension graph over the plane whose
+    boundary is the cone's trace on the cylinder of radius
+    ``cylinder_radius``.  Outside that cylinder the competitor agrees
+    with the cone, so only the inner pieces enter the gap comparison.
     """
 
-    surface: object
     extension: ParamSurface
-    collar: ParamSurface | None
-    plane: Plane2
-    inner_curve: WindingCurve
     cylinder_radius: float
 
 
-def build_competitor(curve: WindingCurve, plane: Plane2 | None = None,
-                     lip_max: float = 0.1, cyl_ratio: float = 0.5
-                     ) -> Competitor:
+def build_competitor(curve: WindingCurve, plane: Plane2,
+                     lip_max: float = 0.1) -> Competitor:
     """Build the epiperimetric competitor for the cone over the curve.
 
-    The curve must be a cylinder graph over the plane (NotGraph otherwise)
-    with regraphed profile Lipschitz below ``lip_max``.
+    The cone is regraphed on the cylinder of radius CYL_RATIO * rho around
+    the plane, which must be a cylinder graph strictly inside the curve
+    (NotGraph otherwise), with regraphed profile Lipschitz below
+    ``lip_max``.
     """
-    if plane is None:
-        plane = optimal_plane(curve).plane
-    rho2 = cyl_ratio * curve.rho
+    rho2 = CYL_RATIO * curve.rho
     inner = regraph_over_plane(curve, plane, rho2)
     lip = inner.series.lipschitz()
     if lip > lip_max:
         raise LipschitzTooLarge(
             f"regraphed profile Lipschitz {lip:.3f} > {lip_max}")
+    probe = np.arange(512) * (curve.period / 512)
+    proj = np.linalg.norm(curve.points(probe) @ plane.basis(), axis=-1)
+    if float(np.min(proj)) <= rho2:
+        raise NotGraph("inner cylinder reaches past the curve")
     F = plane.frame()
     ext = harmonic_extension(inner.series, rho2).pushforward(
         lambda x: x @ F.T, dphi=lambda x: np.broadcast_to(F, x.shape + F.shape[:1]))
-
-    B = plane.basis()
-
-    def t_inner(theta):
-        return rho2 / np.linalg.norm(curve.points(theta) @ B, axis=-1)
-
-    def dt_inner(theta):
-        p = curve.points(theta) @ B
-        dp = curve.velocities(theta) @ B
-        nrm = np.linalg.norm(p, axis=-1)
-        return -rho2 * np.sum(p * dp, axis=-1) / nrm ** 3
-
-    def collar_map(w, theta):
-        w, theta = np.broadcast_arrays(np.asarray(w, float),
-                                       np.asarray(theta, float))
-        t0 = t_inner(theta)
-        t = t0 + w * (1.0 - t0)
-        return t[..., None] * curve.points(theta)
-
-    def collar_jac(w, theta):
-        w, theta = np.broadcast_arrays(np.asarray(w, float),
-                                       np.asarray(theta, float))
-        z = curve.points(theta)
-        dz = curve.velocities(theta)
-        t0 = t_inner(theta)
-        dt0 = dt_inner(theta)
-        t = t0 + w * (1.0 - t0)
-        xw = (1.0 - t0)[..., None] * z
-        xt = (dt0 * (1.0 - w))[..., None] * z + t[..., None] * dz
-        return xw, xt
-
-    probe = np.arange(512) * (curve.period / 512)
-    if float(np.max(t_inner(probe))) >= 1.0:
-        raise NotGraph(
-            "inner cylinder reaches past the curve; lower cyl_ratio")
-    collar = ParamSurface(collar_map, (0.0, 1.0, 0.0, curve.period),
-                          jacobian=collar_jac,
-                          order=(16, max(64, 8 * curve.Q)))
-    surface = SurfaceStack([ext, collar])
-    return Competitor(surface=surface, extension=ext, collar=collar,
-                      plane=plane, inner_curve=inner,
-                      cylinder_radius=rho2)
+    return Competitor(extension=ext, cylinder_radius=rho2)
 
 
 def epiperimetric_gap(curve: WindingCurve, eps_target: float = 1e-2,
-                      plane: Plane2 | None = None, lip_max: float = 0.1,
-                      cyl_ratio: float = 0.5) -> EpiperimetricVerdict:
+                      lip_max: float = 0.1) -> EpiperimetricVerdict:
     """Compare the cone over the curve with its harmonic competitor.
 
     PASS means the competitor gap is at most (1 - eps_target) times the
     cone gap; a cone gap below the floor counts as already-flat and
     passes with ratio 0.
     """
-    if plane is None:
-        report = optimal_plane(curve)
-        plane = report.plane
-        raw, opt = report.raw_excess, report.excess
-    else:
-        raw = cylindrical_excess(curve, standard_plane(2 + curve.n))
-        opt = cylindrical_excess(curve, plane)
-
-    comp = build_competitor(curve, plane, lip_max=lip_max,
-                            cyl_ratio=cyl_ratio)
+    report = optimal_plane(curve)
+    plane = report.plane
+    comp = build_competitor(curve, plane, lip_max=lip_max)
     rho2 = comp.cylinder_radius
     ref = curve.Q * OMEGA2 * rho2 ** 2
     cone_gap = infinite_cone_cylinder_mass(curve, plane.basis(), rho2) - ref
@@ -427,7 +324,8 @@ def epiperimetric_gap(curve: WindingCurve, eps_target: float = 1e-2,
         plane=plane, cylinder_radius=rho2, cone_gap=float(cone_gap),
         competitor_gap=float(comp_gap), ratio=float(ratio),
         epsilon13=float(eps13), passed=bool(ratio <= 1.0 - eps_target),
-        raw_excess=float(raw), optimal_excess=float(opt))
+        raw_excess=float(report.raw_excess),
+        optimal_excess=float(report.excess))
 
 
 def mode_ratio(a: float) -> float:

@@ -164,10 +164,14 @@ def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
 #
 # One frozen dataclass per kind names every key its runner reads, with the
 # key's type, default and validity rules.  Building one from a config's
-# params rejects unknown keys and wrong types; the command line builds the
-# shortcut flags from the same fields, so each default lives only here.
+# params rejects unknown keys, wrong types and numbers out of range; the
+# command line builds the shortcut flags from the same fields, so each
+# default lives only here.
 
 def _key(default, help: str, **meta):
+    """Schema field; ``least`` (inclusive) or ``above`` (exclusive) bounds
+    every number the key holds, and ``family`` names the one decay family
+    that reads it."""
     return field(default=default, metadata={"help": help, **meta})
 
 
@@ -178,11 +182,14 @@ Order = int | tuple[int, int] | None
 class EpiParams:
     """cone vs competitor gap ratios"""
 
-    Q: tuple[int, ...] = _key((1, 2, 3), "winding numbers of the mode grid")
-    ratios: tuple[int, ...] = _key((2, 3, 4), "grid frequencies i/Q")
-    amplitudes: tuple[float, ...] = _key((1e-3, 1e-2), "grid amplitudes")
-    random: int = _key(0, "random multi-mode curves after the grid")
-    lip_max: float = _key(0.1, "Lipschitz budget of random curves")
+    Q: tuple[int, ...] = _key((1, 2, 3), "winding numbers of the mode grid",
+                              least=1)
+    ratios: tuple[int, ...] = _key((2, 3, 4), "grid frequencies i/Q; 1 is a "
+                                   "pure tilt", least=2)
+    amplitudes: tuple[float, ...] = _key((1e-3, 1e-2), "grid amplitudes",
+                                         above=0)
+    random: int = _key(0, "random multi-mode curves after the grid", least=0)
+    lip_max: float = _key(0.1, "Lipschitz budget of random curves", above=0)
     eps_target: float = _key(1e-2, "PASS needs ratio <= 1 - eps_target")
 
 
@@ -190,15 +197,18 @@ class EpiParams:
 class _ExtensionParams:
     """Single-mode harmonic extension surface read by decay and flat."""
 
-    Q: int = _key(1, "winding number")
+    Q: int = _key(1, "winding number", least=1)
     mode: int | None = _key(None, "profile frequency i, not Q; default 2Q",
-                            family="extension")
-    amplitude: float = _key(1e-2, "profile amplitude", family="extension")
-    rho: float = _key(1.0, "outer radius of the surface", family="extension")
+                            family="extension", least=1)
+    amplitude: float = _key(1e-2, "profile amplitude", family="extension",
+                            above=0)
+    rho: float = _key(1.0, "outer radius of the surface", family="extension",
+                      above=0)
     r_max: float | None = _key(None, "largest profile radius; default rho/2",
-                               family="extension")
+                               family="extension", above=0)
     quad_order: Order = _key(None, "Gauss-Legendre order: n (n by "
-                             "max(n, 8 mode)) or n,m", family="extension")
+                             "max(n, 8 mode)) or n,m", family="extension",
+                             least=1)
 
     def __post_init__(self):
         """Fill mode = 2Q and r_max = rho/2; refuse the pure-tilt mode."""
@@ -206,9 +216,6 @@ class _ExtensionParams:
             object.__setattr__(self, "mode", 2 * self.Q)
         if self.r_max is None:
             object.__setattr__(self, "r_max", 0.5 * self.rho)
-        if self.Q < 1 or self.mode < 1:
-            raise ConfigError(f"Q and mode must be positive, got {self.Q}, "
-                              f"{self.mode}")
         if self.mode == self.Q:
             raise ConfigError(f"mode {self.mode} equals Q: that profile is a "
                               "tilted plane whose excess is pure roundoff")
@@ -220,7 +227,7 @@ class DecayParams(_ExtensionParams):
 
     family: Literal["extension", "ode"] = _key(
         "extension", "harmonic extension surface or closed-form rate ODE")
-    levels: int = _key(8, "dyadic radii in the profile")
+    levels: int = _key(8, "dyadic radii in the profile", least=2)
     epsilon12: float = _key(0.1, "rate a = 2 / (1 - epsilon12)")
     alpha0: float = _key(1.0, "almost-minimality exponent")
     cbar: float = _key(0.0, "almost-minimality coefficient")
@@ -246,8 +253,9 @@ class DecayParams(_ExtensionParams):
 class FlatParams(_ExtensionParams):
     """radial homotopy flat-gap bounds"""
 
-    levels: int = _key(6, "dyadic radii r, each bounded against r/2")
-    tnodes: int = _key(12, "quadrature nodes along the homotopy")
+    levels: int = _key(6, "dyadic radii r, each bounded against r/2",
+                       least=2)
+    tnodes: int = _key(12, "quadrature nodes along the homotopy", least=1)
 
 
 @dataclass(frozen=True)
@@ -256,15 +264,15 @@ class CalibParams:
 
     surface: Literal["disk", "sphere", "equator"] = _key(
         "disk", "calibrated surface under test")
-    radius: float = _key(1.0, "surface radius")
+    radius: float = _key(1.0, "surface radius", above=0)
     omega: float = _key(0.0, "almost-minimality constant Omega")
-    probes: int = _key(20, "seeded bump fields")
-    eps: tuple[float, ...] = _key((0.05,), "sweep times per bump")
+    probes: int = _key(20, "seeded bump fields", least=1)
+    eps: tuple[float, ...] = _key((0.05,), "sweep times per bump", above=0)
     form_scale: float = _key(1.0, "scale of the calibrating form")
     comass_check: bool = _key(False, "check the form's comass at scale 1 too")
     bump_power: int = _key(5, "bump exponent (1 - |y|^2/R^2)^power")
     quad_order: Order = _key(None, "Gauss-Legendre order: n (n by 2n) or "
-                             "n,m; default 96,192")
+                             "n,m; default 96,192", least=1)
 
 
 @dataclass(frozen=True)
@@ -272,7 +280,7 @@ class SplitParams:
     """plane clustering decomposition"""
 
     Q: tuple[int, ...] = _key((1, 1), "winding numbers of flat circles in "
-                              "alternating orthogonal planes")
+                              "alternating orthogonal planes", least=1)
     width: float = _key(0.05, "tube width around each plane")
 
 
@@ -316,6 +324,17 @@ def _coerce(value, tp):
     raise ConfigError()
 
 
+def _broken_bound(value, meta) -> str | None:
+    """The bound of ``meta`` that a number in ``value`` breaks, if any."""
+    numbers = [x for x in (value if isinstance(value, tuple) else (value,))
+               if x is not None]
+    if "least" in meta and any(x < meta["least"] for x in numbers):
+        return f">= {meta['least']}"
+    if "above" in meta and any(x <= meta["above"] for x in numbers):
+        return f"> {meta['above']}"
+    return None
+
+
 def _parse_params(kind: str, params: dict):
     """Typed, validated parameters of one scenario kind."""
     schema = SCHEMAS.get(kind)
@@ -335,6 +354,9 @@ def _parse_params(kind: str, params: dict):
         except ConfigError:
             raise ConfigError(f"key {key!r} must be {_describe(hints[key])}"
                               f", got {value!r}") from None
+        bound = _broken_bound(values[key], known[key].metadata)
+        if bound:
+            raise ConfigError(f"key {key!r} must be {bound}, got {value!r}")
     family = values.get("family", getattr(schema, "family", None))
     for key in values:
         needs = known[key].metadata.get("family")

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tclab.calibration import spherical_cap
-from tclab.currents import (ConeOverCurve, ParamSurface, SurfaceStack,
-                            WindingCurve, annulus_mass, cone_mass,
-                            curve_mass, load_curve, normalize_to_sphere,
-                            save_curve)
+from tclab.currents import (ConeOverCurve, ParamSurface, WindingCurve,
+                            annulus_mass, cone_mass, curve_mass, load_curve,
+                            normalize_to_sphere, save_curve)
 from tclab.errors import EmptyRestriction
 from tclab.fourier import FourierSeries
 from tclab.geom import random_rotation
@@ -77,6 +76,8 @@ def test_annulus_restriction_area():
     disk = flat_disk(1.0)
     got = disk.restrict(0.3, 0.8).mass()
     assert abs(got - np.pi * (0.8 ** 2 - 0.3 ** 2)) < 1e-9
+    double = annulus_mass(flat_disk(1.0, multiplicity=2), 0.3, 0.8)
+    assert abs(double - 2.0 * got) < 1e-9
 
 
 def test_empty_restriction_raises():
@@ -89,14 +90,6 @@ def test_restriction_additivity():
     whole = disk.restrict(0.2, 0.9).mass()
     parts = disk.restrict(0.2, 0.55).mass() + disk.restrict(0.55, 0.9).mass()
     assert abs(whole - parts) < 1e-9
-
-
-def test_stack_mass_is_sum():
-    stack = SurfaceStack([flat_disk(1.0), flat_disk(0.5, multiplicity=2)])
-    assert abs(stack.mass() - (np.pi + 2 * np.pi * 0.25)) < 1e-9
-    got = annulus_mass(stack, 0.1, 0.4)
-    want = np.pi * (0.4 ** 2 - 0.1 ** 2) * 3
-    assert abs(got - want) < 1e-9
 
 
 def test_cone_mass_halves_spherical_link_length():

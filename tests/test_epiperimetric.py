@@ -13,12 +13,13 @@ radius 1 carrying a single profile mode i with amplitude c at a = i/Q:
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 from tclab.currents import WindingCurve
 from tclab.epiperimetric import (_one_sided_probe, cylindrical_excess,
                                  epiperimetric_gap, mode_ratio,
                                  optimal_plane, regraph_over_plane)
-from tclab.errors import NotGraph, SupportEscapesCylinder
+from tclab.errors import NoConvergence, NotGraph, SupportEscapesCylinder
 from tclab.fourier import FourierSeries
 from tclab.geom import plane_from_spanning, standard_plane
 from tclab.scenarios import random_epi_curve, single_mode_curve
@@ -81,6 +82,15 @@ def test_one_sided_probe_reads_descent_through_even_kink():
 
     worst = _one_sided_probe(f, np.zeros(2), 0.0)
     assert worst == pytest.approx(-1.0, abs=1e-4)
+
+
+def test_uncertified_tilt_raises(monkeypatch):
+    # a search that stops where it started leaves the mode-Q tilt in the
+    # excess, so the gradient test must refuse the untilted plane
+    monkeypatch.setattr("tclab.epiperimetric.optimize.minimize",
+                        lambda fun, x0, **kw: optimize.OptimizeResult(x=x0))
+    with pytest.raises(NoConvergence):
+        optimal_plane(single_mode_curve(1, 1, 1e-2))
 
 
 def test_huge_profile_escapes_cylinder():

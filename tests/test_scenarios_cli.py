@@ -55,6 +55,17 @@ def test_load_config_happy_path():
                                "params": {"family": "ode", "mode": 3}}]}),
     json.dumps({"scenarios": [{"name": "x", "kind": "decay",
                                "params": {"epsilon12": 2}}]}),
+    *(json.dumps({"scenarios": [{"name": "x", "kind": kind,
+                                 "params": params}]})
+      for kind, params in [
+          ("flat", {"levels": 1}), ("decay", {"levels": 0}),
+          ("calib", {"quad_order": 0}), ("flat", {"tnodes": 0}),
+          ("epi", {"random": -1}), ("calib", {"probes": 0}),
+          ("epi", {"amplitudes": [1e-2, 0]}), ("decay", {"amplitude": 0}),
+          ("flat", {"amplitude": 0}), ("calib", {"eps": [0]}),
+          ("epi", {"ratios": [1]}), ("epi", {"Q": [0]}),
+          ("split", {"Q": [0, 1]}), ("decay", {"rho": 0}),
+          ("flat", {"quad_order": [8, 0]})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
