@@ -1,11 +1,13 @@
 """Parametrized 2-currents: winding curves, chart surfaces and cones.
 
-Everything is a chart over a rectangle with a (possibly analytic) jacobian;
-masses and form integrals are tensor Gauss-Legendre sums with a doubling
+Everything is a chart over a rectangle with an analytic jacobian; masses
+and form integrals are tensor Gauss-Legendre sums with a doubling
 self-check, curve masses are periodic trapezoid sums.  Restriction to a
 ball or annulus clips the chart along |x| level sets, which requires the
 radius to be monotone along one chart axis (true for every cone, radial
-extension and polar graph built here).
+extension and polar graph built here).  The clip bounds come from one
+bracketed Newton solve per quadrature angle, on any such chart; no chart
+supplies its own radius solver.
 
 The winding-curve file format is JSON with fields Q, n, rho, orientation
 and exactly one of "samples" (M rows of n floats at uniform angles) or
@@ -20,12 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DegenerateCone, EmptyRestriction, FormUndefined,
-                     NonFinite, QuadratureNotConverged, Undersampled)
+                     NoConvergence, NonFinite, QuadratureNotConverged,
+                     Undersampled)
 from .fourier import FourierSeries, analyze
 from .quadrature import gauss_legendre, periodic_trapezoid
 
 SAMPLES_PER_WINDING_MODE = 16
 MASS_SELF_CHECK_TOL = 1e-6
+NEWTON_MAX_STEPS = 64
+NEWTON_ULPS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +251,18 @@ class ParamSurface:
     chart : callable (U, V) -> (..., d)
         Vectorized map; must broadcast U against V.
     domain : (u0, u1, v0, v1)
-    jacobian : callable or None
-        Returns (x_u, x_v); central finite differences when omitted.
+    jacobian : callable (U, V) -> (x_u, x_v)
+        The chart's partial derivatives, vectorized like ``chart``.
     multiplicity, orientation : int
     order : (int, int)
         Gauss-Legendre order per axis.
     radial_axis : 0 or None
         Declares |chart| strictly monotone along the u axis, enabling
         annulus restriction.
-    radius_solver : callable (c, V) -> U or None
-        Exact solver for |chart(U, V)| = c along u, if one is known.
     """
 
-    def __init__(self, chart, domain, jacobian=None, multiplicity=1,
-                 orientation=1, order=(32, 32), radial_axis=None,
-                 radius_solver=None, fd_step=1e-6):
+    def __init__(self, chart, domain, jacobian, multiplicity=1,
+                 orientation=1, order=(32, 32), radial_axis=None):
         self.chart = chart
         self.domain = tuple(float(t) for t in domain)
         self.jacobian = jacobian
@@ -268,8 +270,6 @@ class ParamSurface:
         self.orientation = int(orientation)
         self.order = (int(order[0]), int(order[1]))
         self.radial_axis = radial_axis
-        self.radius_solver = radius_solver
-        self.fd_step = float(fd_step)
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
         if self.orientation not in (-1, 1):
@@ -283,16 +283,8 @@ class ParamSurface:
                           np.asarray(V, dtype=float))
 
     def partials(self, U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        if self.jacobian is not None:
-            return self.jacobian(U, V)
-        u0, u1, v0, v1 = self.domain
-        hu = self.fd_step * (u1 - u0)
-        hv = self.fd_step * (v1 - v0)
-        xu = (self.chart(U + hu, V) - self.chart(U - hu, V)) / (2 * hu)
-        xv = (self.chart(U, V + hv) - self.chart(U, V - hv)) / (2 * hv)
-        return xu, xv
+        return self.jacobian(np.asarray(U, dtype=float),
+                             np.asarray(V, dtype=float))
 
     def _nodes(self, order):
         u0, u1, v0, v1 = self.domain
@@ -391,6 +383,11 @@ class RadialRestriction(ParamSurface):
     u = u_lo(v) + w * (u_hi(v) - u_lo(v)) whose jacobian in the area
     element is just u_hi(v) - u_lo(v); tangent directions come from the
     base chart, so no derivatives of the clip bounds are ever needed.
+
+    A quadrature frame solves the clip bounds once per distinct angle v,
+    with one bracketed Newton solve of |x(u, v)| = c per bound
+    (``_solve_radius``), then evaluates the base chart and its partials
+    once at the mapped nodes.
     """
 
     def __init__(self, base: ParamSurface, s: float, r: float):
@@ -406,14 +403,11 @@ class RadialRestriction(ParamSurface):
         self.inner = float(s)
         self.outer = float(r)
         u0, u1, v0, v1 = base.domain
-        self.order = base.order
-        self.domain = (0.0, 1.0, v0, v1)
-        self.multiplicity = base.multiplicity
-        self.orientation = base.orientation
-        self.radial_axis = 0
-        self.radius_solver = None
-        self.fd_step = base.fd_step
-        self.jacobian = None
+        super().__init__(self.points, (0.0, 1.0, v0, v1),
+                         jacobian=self.partials,
+                         multiplicity=base.multiplicity,
+                         orientation=base.orientation, order=base.order,
+                         radial_axis=0)
         if self.inner >= self.outer:
             raise EmptyRestriction("empty radius interval")
         probe = v0 + (v1 - v0) * (np.arange(64) + 0.5) / 64
@@ -428,44 +422,66 @@ class RadialRestriction(ParamSurface):
     def _radius(self, U, V):
         return np.linalg.norm(self.base.points(U, V), axis=-1)
 
-    def _solve_radius(self, c: float, V):
-        """u with |x(u, V)| = c, clipped to the chart's radial range."""
+    def _solve_radius(self, c, V, rlo, rhi):
+        """u with |x(u, V)| = c, clipped to the chart's radial range.
+
+        ``rlo`` and ``rhi`` are the radii at the ends u0, u1 of the radial
+        axis.  Where c lies strictly between them the root is bracketed:
+        the solve starts at the regula-falsi point, takes Newton steps
+        built from the base partials, bisects the bracket whenever a step
+        leaves it or is not finite, and stops once a step or the bracket
+        is a few ulps wide; |x| carries rounding of about one ulp, so the
+        root is not defined more finely than that.
+        """
         base = self.base
         u0, u1 = base.domain[0], base.domain[1]
-        V = np.asarray(V, dtype=float)
-        if base.radius_solver is not None:
-            u = np.asarray(base.radius_solver(c, V), dtype=float)
-            return np.clip(u, u0, u1)
-        lo = np.full(V.shape, u0)
-        hi = np.full(V.shape, u1)
-        rlo = self._radius(lo, V)
-        rhi = self._radius(hi, V)
-        out = np.where(rlo >= c, lo, np.where(rhi <= c, hi, np.nan))
-        need = np.isnan(out)
-        if np.any(need):
-            a = lo[need]
-            b = hi[need]
-            Vn = V[need]
-            for _ in range(52):
-                mid = 0.5 * (a + b)
-                below = self._radius(mid, Vn) < c
-                a = np.where(below, mid, a)
-                b = np.where(below, b, mid)
-            mid = 0.5 * (a + b)
-            # Newton polish with the base partials
-            for _ in range(3):
-                x = self.base.points(mid, Vn)
-                xu, _ = self.base.partials(mid, Vn)
-                rr = np.linalg.norm(x, axis=-1)
-                drr = np.sum(x * xu, axis=-1) / np.maximum(rr, 1e-300)
-                stepn = (rr - c) / np.where(np.abs(drr) < 1e-300, np.inf, drr)
-                mid = np.clip(mid - stepn, u0, u1)
-            out[need] = mid
+        out = np.where(rlo >= c, u0, u1)
+        live = np.flatnonzero((rlo < c) & (rhi > c))
+        a = np.full(live.size, u0)
+        b = np.full(live.size, u1)
+        fa = rlo[live] - c[live]
+        fb = rhi[live] - c[live]
+        u = (a * fb - b * fa) / (fb - fa)
+        c = c[live]
+        V = V[live]
+        for _ in range(NEWTON_MAX_STEPS):
+            if live.size == 0:
+                return out
+            x = base.points(u, V)
+            xu, _ = base.partials(u, V)
+            rr = np.linalg.norm(x, axis=-1)
+            f = rr - c
+            below = f < 0
+            a = np.where(below, u, a)
+            b = np.where(below, b, u)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = u - f * rr / np.sum(x * xu, axis=-1)
+            new = np.where(np.isfinite(new) & (new >= a) & (new <= b),
+                           new, 0.5 * (a + b))
+            done = (np.minimum(np.abs(new - u), b - a)
+                    <= NEWTON_ULPS * np.spacing(np.abs(new)))
+            out[live[done]] = new[done]
+            keep = ~done
+            live, u, a, b, c, V = (live[keep], new[keep], a[keep], b[keep],
+                                   c[keep], V[keep])
+        if live.size:
+            raise NoConvergence(
+                f"clip radius solve left {live.size} angles unconverged "
+                f"after {NEWTON_MAX_STEPS} steps")
         return out
 
     def _bounds(self, V):
-        ulo = self._solve_radius(self.inner, V)
-        uhi = self._solve_radius(self.outer, V)
+        """Clip bounds (u_lo, u_hi) at the angles V, solved together."""
+        V = np.asarray(V, dtype=float)
+        v = V.ravel()
+        n = v.size
+        u0, u1 = self.base.domain[0], self.base.domain[1]
+        both = np.tile(v, 2)
+        ends = self._radius(np.repeat([u0, u1], n), both)
+        u = self._solve_radius(np.repeat([self.inner, self.outer], n), both,
+                               np.tile(ends[:n], 2), np.tile(ends[n:], 2))
+        ulo = u[:n].reshape(V.shape)
+        uhi = u[n:].reshape(V.shape)
         return ulo, np.maximum(uhi, ulo)
 
     def points(self, U, V):
@@ -487,6 +503,17 @@ class RadialRestriction(ParamSurface):
         ulo, uhi = self._bounds(V)
         xu, xv = self.base.partials(ulo + U * (uhi - ulo), V)
         return xu * (uhi - ulo)[..., None], xv
+
+    def _frame(self, order):
+        """Quadrature frame with the clip bounds solved once per angle."""
+        U, V, W = self._nodes(order)
+        # the nodes run u-major, so the first order[1] are the distinct v
+        ulo, uhi = self._bounds(V[:order[1]])
+        width = np.tile(uhi - ulo, order[0])
+        Ub = np.tile(ulo, order[0]) + U * width
+        x = self.base.points(Ub, V)
+        xu, xv = self.base.partials(Ub, V)
+        return x, xu * width[:, None], xv, W
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +584,8 @@ class ConeOverCurve:
             dg = curve.velocities(TH)
             return g - vertex, np.asarray(T)[..., None] * dg
 
-        solver = None
-        if np.all(vertex == 0.0):
-            def solver(c, V):
-                return c / np.linalg.norm(curve.points(V), axis=-1)
-
         return ParamSurface(cmap, (0.0, self.t_out, 0.0, curve.period),
-                            jacobian=cjac, order=order, radial_axis=0,
-                            radius_solver=solver)
+                            jacobian=cjac, order=order, radial_axis=0)
 
 
 def cone_mass(cone: ConeOverCurve, rtol: float = 1e-9) -> float:

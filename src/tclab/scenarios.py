@@ -164,9 +164,9 @@ def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
 #
 # One frozen dataclass per kind names every key its runner reads, with the
 # key's type, default and validity rules.  Building one from a config's
-# params rejects unknown keys, wrong types and numbers out of range; the
-# command line builds the shortcut flags from the same fields, so each
-# default lives only here.
+# params rejects unknown keys, wrong types, numbers out of range and
+# parameter sets that would yield no verdict row; the command line builds
+# the shortcut flags from the same fields, so each default lives only here.
 
 def _key(default, help: str, **meta):
     """Schema field; ``least`` (inclusive) or ``above`` (exclusive) bounds
@@ -191,6 +191,12 @@ class EpiParams:
     random: int = _key(0, "random multi-mode curves after the grid", least=0)
     lip_max: float = _key(0.1, "Lipschitz budget of random curves", above=0)
     eps_target: float = _key(1e-2, "PASS needs ratio <= 1 - eps_target")
+
+    def __post_init__(self):
+        if self.random == 0 and not (self.Q and self.ratios
+                                     and self.amplitudes):
+            raise ConfigError("no curve to certify: the Q x ratios x "
+                              "amplitudes grid is empty and random is 0")
 
 
 @dataclass(frozen=True)
@@ -270,9 +276,14 @@ class CalibParams:
     eps: tuple[float, ...] = _key((0.05,), "sweep times per bump", above=0)
     form_scale: float = _key(1.0, "scale of the calibrating form")
     comass_check: bool = _key(False, "check the form's comass at scale 1 too")
-    bump_power: int = _key(5, "bump exponent (1 - |y|^2/R^2)^power")
+    bump_power: int = _key(5, "bump exponent (1 - |y|^2/R^2)^power",
+                           least=1)
     quad_order: Order = _key(None, "Gauss-Legendre order: n (n by 2n) or "
                              "n,m; default 96,192", least=1)
+
+    def __post_init__(self):
+        if not self.eps:
+            raise ConfigError("no probe to run: eps is empty")
 
 
 @dataclass(frozen=True)
@@ -281,7 +292,11 @@ class SplitParams:
 
     Q: tuple[int, ...] = _key((1, 1), "winding numbers of flat circles in "
                               "alternating orthogonal planes", least=1)
-    width: float = _key(0.05, "tube width around each plane")
+    width: float = _key(0.05, "tube width around each plane", above=0)
+
+    def __post_init__(self):
+        if not self.Q:
+            raise ConfigError("no circle to split: Q is empty")
 
 
 SCHEMAS = {"epi": EpiParams, "decay": DecayParams, "flat": FlatParams,

@@ -33,6 +33,17 @@ def verdict(ok: bool, label: str, detail: str) -> None:
     assert ok, line
 
 
+def fold(worst: float, value, pick=max) -> float:
+    """``pick(worst, value)`` for a value that must be finite.
+
+    A bare ``max(0.0, nan)`` is 0.0, so a NaN margin would vanish from the
+    worst case instead of failing the certificate.
+    """
+    value = float(value)
+    assert np.isfinite(value), f"non-finite value {value!r} in a worst case"
+    return pick(worst, value)
+
+
 def test_01_cone_mass_halves_link_length():
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -42,7 +53,7 @@ def test_01_cone_mass_halves_link_length():
         cone = ConeOverCurve(np.zeros(dim), link, 1.0)
         length = curve_mass(link)
         err = abs(cone_mass(cone) - 0.5 * length) / length
-        worst = max(worst, err)
+        worst = fold(worst, err)
     verdict(worst <= 1e-8, "01 cone mass vs link length",
             f"worst relative gap {worst:.3e} <= 1e-08 over 50 links")
 
@@ -54,14 +65,14 @@ def test_02_gap_ratios_match_and_stay_below_threshold():
         for ratio in (2, 3, 4):
             for amp in (1e-3, 1e-2):
                 v = epiperimetric_gap(single_mode_curve(Q, ratio * Q, amp))
-                worst_dev = max(worst_dev,
-                                abs(v.ratio - mode_ratio(float(ratio))))
-                min_eps13 = min(min_eps13, v.epsilon13)
+                worst_dev = fold(worst_dev,
+                                 abs(v.ratio - mode_ratio(float(ratio))))
+                min_eps13 = fold(min_eps13, v.epsilon13, min)
     rng = np.random.default_rng(2202)
     worst_random = 0.0
     for _ in range(200):
         v = epiperimetric_gap(random_epi_curve(rng))
-        worst_random = max(worst_random, v.ratio)
+        worst_random = fold(worst_random, v.ratio)
     ok = worst_dev <= 0.05 and min_eps13 >= 0.15 and worst_random <= 0.95
     verdict(ok, "02 epiperimetric gap ratios",
             f"grid |ratio - 2a/(1+a^2)| <= {worst_dev:.2e} (tol 0.05), "
@@ -74,7 +85,7 @@ def test_03_pure_mode_q_is_a_tilted_plane():
     for Q in (1, 2, 3):
         for eps in (1e-2, 1e-3):
             rep = optimal_plane(single_mode_curve(Q, Q, eps))
-            worst = max(worst, rep.excess / (10.0 * eps ** 4))
+            worst = fold(worst, rep.excess / (10.0 * eps ** 4))
     verdict(worst <= 1.0, "03 mode-Q absorption",
             f"max optimal excess / (10 eps^4) = {worst:.3e} <= 1")
 
@@ -134,7 +145,7 @@ def test_05_monotonicity_constant_is_uniform():
         series, Q = _random_graph_series(rng)
         surf = harmonic_extension(series, 1.0)
         report = check_almost_monotonicity(surf, radii, Q)
-        worst_c = max(worst_c, report.c02)
+        worst_c = fold(worst_c, report.c02)
         infeasible += len(report.infeasible)
     cone_dev = 0.0
     cone_gap = 0.0
@@ -145,9 +156,9 @@ def test_05_monotonicity_constant_is_uniform():
         cone = ConeOverCurve(np.zeros(dim), link, 1.0)
         excess = mass_profile(cone, radii, link.Q).excess()
         for j in range(radii.size - 1):
-            cone_dev = max(cone_dev,
-                           deviation_integral(cone, radii[j], radii[j + 1]))
-            cone_gap = max(cone_gap, abs(excess[j + 1] - excess[j]))
+            cone_dev = fold(cone_dev,
+                            deviation_integral(cone, radii[j], radii[j + 1]))
+            cone_gap = fold(cone_gap, abs(excess[j + 1] - excess[j]))
     ok = (worst_c <= 10.0 and infeasible == 0
           and cone_dev <= 1e-9 and cone_gap <= 1e-9)
     verdict(ok, "05 almost-monotonicity constant",
@@ -175,7 +186,7 @@ def test_06_decay_envelopes_close():
         ext_ok = ext_ok and env.passed and np.isfinite(env.c)
         k, _ = np.polyfit(np.log(prof.radii), np.log(prof.excess()), 1)
         want = 2.0 * (i / Q - 1.0)
-        worst_exp = max(worst_exp, abs(k - want) / want)
+        worst_exp = fold(worst_exp, abs(k - want) / want)
     ok = report.passed and ode_rel <= 0.05 and ext_ok and worst_exp <= 0.05
     verdict(ok, "06 excess decay envelopes",
             f"rate-equation C within {ode_rel:.2%} of closed form "

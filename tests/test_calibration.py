@@ -116,8 +116,15 @@ def test_flat_disk_probes_never_lose_mass():
         return np.stack([r * np.cos(v), r * np.sin(v),
                          np.zeros_like(r)], axis=-1)
 
+    def jac(u, v):
+        r = u
+        return (np.stack([np.cos(v), np.sin(v), np.zeros_like(r)], axis=-1),
+                np.stack([-r * np.sin(v), r * np.cos(v),
+                          np.zeros_like(r)], axis=-1))
+
     from tclab.currents import ParamSurface
-    disk = ParamSurface(chart, (0.0, 1.0, 0.0, 2 * np.pi), order=(64, 128))
+    disk = ParamSurface(chart, (0.0, 1.0, 0.0, 2 * np.pi), jacobian=jac,
+                        order=(64, 128))
     chi = bump_field([0.3, 0.0, 0.0], 0.25, [0.2, 0.1, 1.0])
     rows = almost_minimality_probe(disk, 0.0, chi, epsilons=[0.05, 0.02])
     assert all(row.passed and row.slack >= -1e-10 for row in rows)

@@ -4,7 +4,8 @@ Oracles: a Q-fold circle of radius rho has length 2 pi Q rho, a flat
 disk of radius R has area pi R^2, the round 2-sphere of radius R has
 area 4 pi R^2, and the annulus s < |x| < r in a flat disk has area
 pi (r^2 - s^2).  The cone over a curve on the unit sphere has mass
-equal to half the curve's length.
+equal to half the curve's length.  Annulus restrictions of curved charts
+are checked against a brute-force bisection of the clip bounds.
 """
 
 import numpy as np
@@ -14,11 +15,15 @@ from hypothesis import given, settings, strategies as st
 from tclab.calibration import spherical_cap
 from tclab.currents import (ConeOverCurve, ParamSurface, WindingCurve,
                             annulus_mass, cone_mass, curve_mass, load_curve,
-                            normalize_to_sphere, save_curve)
+                            normalize_to_sphere, restrict_annulus,
+                            save_curve)
 from tclab.errors import EmptyRestriction
-from tclab.fourier import FourierSeries
-from tclab.geom import random_rotation
-from tclab.scenarios import random_link_curve, single_mode_curve
+from tclab.fourier import FourierSeries, harmonic_extension
+from tclab.geom import random_rotation, standard_plane
+from tclab.monotonicity import deviation_integral
+from tclab.quadrature import gauss_legendre
+from tclab.scenarios import (extension_surface, random_link_curve,
+                             single_mode_curve, single_mode_series)
 
 
 def flat_disk(radius, multiplicity=1, order=(48, 96)):
@@ -37,9 +42,7 @@ def flat_disk(radius, multiplicity=1, order=(48, 96)):
 
     return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi),
                         jacobian=jac, multiplicity=multiplicity,
-                        order=order, radial_axis=0,
-                        radius_solver=lambda c, v: np.full_like(
-                            np.asarray(v, dtype=float), c / radius))
+                        order=order, radial_axis=0)
 
 
 def test_winding_circle_length():
@@ -118,3 +121,98 @@ def test_curve_roundtrip_through_file(tmp_path):
     theta = np.linspace(0.0, curve.period, 40)
     assert back.Q == curve.Q and back.rho == curve.rho
     assert np.allclose(back.points(theta), curve.points(theta), atol=1e-15)
+
+
+def bisected_integral(surface, s, r, density=None, order=None):
+    """Annulus integral with clip bounds found by plain bisection.
+
+    Each bound is bisected on |chart| until the bracket stops shrinking,
+    at every Gauss node in v; the u nodes are then mapped into the
+    clipped interval and the area element carries its width.
+    """
+    u0, u1, v0, v1 = surface.domain
+    order = order or surface.order
+    w, ww = gauss_legendre(order[0], 0.0, 1.0)
+    v, wv = gauss_legendre(order[1], v0, v1)
+
+    def bound(c):
+        lo = np.full(v.shape, u0)
+        hi = np.full(v.shape, u1)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            below = np.linalg.norm(surface.points(mid, v), axis=-1) < c
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return hi if c > 0 else np.full(v.shape, u0)
+
+    ulo, uhi = bound(s), bound(r)
+    U = ulo + w[:, None] * (uhi - ulo)
+    V = np.broadcast_to(v, U.shape)
+    x = surface.points(U, V)
+    xu, xv = surface.partials(U, V)
+    E = np.sum(xu * xu, axis=-1)
+    G = np.sum(xv * xv, axis=-1)
+    F = np.sum(xu * xv, axis=-1)
+    vals = np.sqrt(E * G - F * F) * (uhi - ulo)
+    if density is not None:
+        vals = vals * density(x, xu, xv)
+    return surface.multiplicity * float(np.sum(np.outer(ww, wv) * vals))
+
+
+def _restricted_case(case):
+    """Chart and ambient dimension; phases and an off-sphere link make the
+    clip bounds vary with the angle."""
+    if case[0] == "ext":
+        Q, mode, amp = case[1:]
+        series = single_mode_series(Q, mode, amp, phase=0.7)
+        return harmonic_extension(series, 1.0), 3
+    link = random_link_curve(np.random.default_rng(case[1]))
+    return ConeOverCurve(np.zeros(link.dim), link, 1.0).chart(), link.dim
+
+
+def _plane_deviation(x, xu, xv):
+    perp = x.copy()
+    perp[..., :2] = 0.0
+    return np.sum(perp * perp, axis=-1) / np.sum(x * x, axis=-1) ** 2
+
+
+RESTRICTED = [("ext", 1, 2, 1e-2), ("ext", 2, 6, 1e-2), ("ext", 3, 7, 5e-3),
+              ("cone", 4)]
+
+
+@pytest.mark.parametrize("case", RESTRICTED, ids=lambda c: "-".join(
+    map(str, c)))
+def test_restricted_integrals_match_bisection(case):
+    surf, dim = _restricted_case(case)
+    plane = standard_plane(dim)
+    for s, r in ((0.0, 0.05), (0.0, 0.3), (0.02, 0.04), (0.1, 0.35)):
+        fine = (2 * surf.order[0], 2 * surf.order[1])
+        want = bisected_integral(surf, s, r, order=fine)
+        assert abs(annulus_mass(surf, s, r) - want) <= 1e-14 * want
+        region = restrict_annulus(surf, s, r)
+        want = bisected_integral(surf, s, r)
+        assert abs(region.integrate_density() - want) <= 1e-14 * want
+        if s > 0:
+            want = bisected_integral(surf, s, r, density=_plane_deviation)
+            got = deviation_integral(surf, s, r, perp_against=plane)
+            assert abs(got - want) <= 1e-14 * want
+
+
+def test_annulus_mass_solves_clip_bounds_once_per_angle():
+    surf = extension_surface(2, 6, 1e-2)
+    seen = [0]
+
+    def counted(fn):
+        def wrapped(U, V):
+            seen[0] += np.broadcast(U, V).size
+            return fn(U, V)
+        return wrapped
+
+    wrapped = ParamSurface(counted(surf.chart), surf.domain,
+                           jacobian=counted(surf.jacobian), order=surf.order,
+                           radial_axis=0)
+    n0, n1 = surf.order
+    nodes = n0 * n1 + 4 * n0 * n1  # the rule and its doubled self-check
+    mass = annulus_mass(wrapped, 0.0, 0.3)
+    assert mass == annulus_mass(surf, 0.0, 0.3)
+    assert seen[0] <= 4 * nodes

@@ -65,7 +65,10 @@ def test_load_config_happy_path():
           ("flat", {"amplitude": 0}), ("calib", {"eps": [0]}),
           ("epi", {"ratios": [1]}), ("epi", {"Q": [0]}),
           ("split", {"Q": [0, 1]}), ("decay", {"rho": 0}),
-          ("flat", {"quad_order": [8, 0]})]),
+          ("flat", {"quad_order": [8, 0]}), ("epi", {"ratios": []}),
+          ("epi", {"Q": [], "random": 0}), ("calib", {"eps": []}),
+          ("split", {"Q": []}), ("calib", {"bump_power": 0}),
+          ("split", {"width": 0})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
