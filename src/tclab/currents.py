@@ -7,7 +7,9 @@ ball or annulus clips the chart along |x| level sets, which requires the
 radius to be monotone along one chart axis (true for every cone, radial
 extension and polar graph built here).  The clip bounds come from one
 bracketed Newton solve per quadrature angle, on any such chart; no chart
-supplies its own radius solver.
+supplies its own radius solver.  A harmonic extension (GridSurface)
+evaluates its frame on the open axis grid, and a pushforward maps its
+base's frame, so neither evaluates a chart point twice.
 
 The winding-curve file format is JSON with fields Q, n, rho, orientation
 and exactly one of "samples" (M rows of n floats at uniform angles) or
@@ -286,10 +288,15 @@ class ParamSurface:
         return self.jacobian(np.asarray(U, dtype=float),
                              np.asarray(V, dtype=float))
 
-    def _nodes(self, order):
+    def _axes(self, order):
+        """Gauss nodes and weights along each chart axis."""
         u0, u1, v0, v1 = self.domain
         xu, wu = gauss_legendre(order[0], u0, u1)
         xv, wv = gauss_legendre(order[1], v0, v1)
+        return xu, wu, xv, wv
+
+    def _nodes(self, order):
+        xu, wu, xv, wv = self._axes(order)
         U, V = np.meshgrid(xu, xv, indexing="ij")
         W = np.outer(wu, wv)
         return U.ravel(), V.ravel(), W.ravel()
@@ -356,24 +363,61 @@ class ParamSurface:
 
     def pushforward(self, phi, dphi):
         """Image surface under a C^1 map phi with jacobian field dphi."""
-        base = self
-
-        def chart(U, V):
-            return phi(base.points(U, V))
-
-        def jac(U, V):
-            x = base.points(U, V)
-            xu, xv = base.partials(U, V)
-            D = np.asarray(dphi(x), dtype=float)
-            return (np.einsum("...ij,...j->...i", D, xu),
-                    np.einsum("...ij,...j->...i", D, xv))
-
-        return ParamSurface(chart, self.domain, jacobian=jac,
-                            multiplicity=self.multiplicity,
-                            orientation=self.orientation, order=self.order)
+        return Pushforward(self, phi, dphi)
 
     def restrict(self, s: float, r: float):
         return RadialRestriction(self, s, r)
+
+
+class GridSurface(ParamSurface):
+    """Chart surface whose chart and jacobian accept an open grid.
+
+    ``chart(U[:, None], V[None, :])`` must be the chart on the full tensor
+    grid.  The quadrature frame evaluates it that way: still once per
+    node, but a chart that factors over the axes (powers of u, trig of v)
+    computes each factor once per axis node.
+    """
+
+    def _frame(self, order):
+        xu, wu, xv, wv = self._axes(order)
+        U, V = xu[:, None], xv[None, :]
+        x = self.points(U, V)
+        pu, pv = self.partials(U, V)
+        d = x.shape[-1]
+        return (x.reshape(-1, d), pu.reshape(-1, d), pv.reshape(-1, d),
+                np.outer(wu, wv).ravel())
+
+
+class Pushforward(ParamSurface):
+    """Image of a surface under a C^1 map phi with jacobian field dphi.
+
+    Its quadrature frame maps the base surface's frame (x to phi(x),
+    partials to dphi(x) @ partials), so the base chart is evaluated once
+    per node and a base with its own frame keeps it.
+    """
+
+    def __init__(self, base: ParamSurface, phi, dphi):
+        self.base = base
+        self.phi = phi
+        self.dphi = dphi
+        super().__init__(self._chart, base.domain, jacobian=self._jacobian,
+                         multiplicity=base.multiplicity,
+                         orientation=base.orientation, order=base.order)
+
+    def _push(self, x, xu, xv):
+        D = np.asarray(self.dphi(x), dtype=float)
+        return (np.einsum("...ij,...j->...i", D, xu),
+                np.einsum("...ij,...j->...i", D, xv))
+
+    def _chart(self, U, V):
+        return self.phi(self.base.points(U, V))
+
+    def _jacobian(self, U, V):
+        return self._push(self.base.points(U, V), *self.base.partials(U, V))
+
+    def _frame(self, order):
+        x, xu, xv, W = self.base._frame(order)
+        return (self.phi(x), *self._push(x, xu, xv), W)
 
 
 class RadialRestriction(ParamSurface):

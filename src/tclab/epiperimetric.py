@@ -8,7 +8,10 @@ with |.| the mass norm on two-vectors.  Because cone tangents are constant
 along rays, E reduces to a single periodic integral in the curve parameter
 and the whole pipeline (optimal tilt, regraphing on a smaller cylinder,
 harmonic extension inside it) stays one-dimensional except for the final
-surface masses.
+surface masses.  The plane-independent part of that integral (trace
+points, wedge speeds, unit tangents) is built once per curve and sample
+count; each tilt the search tries costs one projection, one escape test
+and one batch of mass norms.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk of the working cylinder radius inside the optimal plane's cylinder;
@@ -23,8 +26,8 @@ from scipy import optimize
 
 from .currents import (ParamSurface, WindingCurve,
                        infinite_cone_cylinder_mass)
-from .errors import (LipschitzTooLarge, NoConvergence, NotGraph,
-                     SupportEscapesCylinder)
+from .errors import (ExcessTooLarge, LipschitzTooLarge, NoConvergence,
+                     NotGraph, SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, plane_from_spanning, standard_plane,
                    twovector_mass_norm, unit_tangent_matrix, wedge_matrix)
@@ -68,13 +71,26 @@ class EpiperimetricVerdict:
 
 
 def _cone_tangent_data(curve: WindingCurve, m: int):
-    theta = np.arange(m) * (curve.period / m)
-    z = curve.points(theta)
-    dz = curve.velocities(theta)
-    W = wedge_matrix(z, dz)
-    wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
-    tangent = curve.orientation * unit_tangent_matrix(z, dz)
-    return theta, z, wedge, tangent
+    """Plane-independent cone data at m uniform angles, built once.
+
+    Returns the trace points z, their norms |z|, the wedge speeds
+    |z ^ z'| and the unit tangent two-vectors.  WindingCurve is immutable, so
+    the arrays are memoized on the instance per sample count (read-only,
+    since every tilt of the search shares them).
+    """
+    memo = vars(curve).setdefault("_cone_tangent_memo", {})
+    if m not in memo:
+        theta = np.arange(m) * (curve.period / m)
+        z = curve.points(theta)
+        dz = curve.velocities(theta)
+        W = wedge_matrix(z, dz)
+        wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
+        tangent = curve.orientation * unit_tangent_matrix(z, dz)
+        data = (z, np.linalg.norm(z, axis=-1), wedge, tangent)
+        for arr in data:
+            arr.flags.writeable = False
+        memo[m] = data
+    return memo[m]
 
 
 def cylindrical_excess(curve: WindingCurve, plane: Plane2,
@@ -85,10 +101,10 @@ def cylindrical_excess(curve: WindingCurve, plane: Plane2,
     only outside the ball of radius 2.
     """
     m = nsamples or curve.M
-    theta, z, wedge, tangent = _cone_tangent_data(curve, m)
+    z, znorm, wedge, tangent = _cone_tangent_data(curve, m)
     B = plane.basis()
     proj = np.linalg.norm(z @ B, axis=-1)
-    ratio = np.linalg.norm(z, axis=-1) / np.maximum(proj, 1e-300)
+    ratio = znorm / np.maximum(proj, 1e-300)
     worst = float(np.max(ratio))
     if worst > ESCAPE_FACTOR:
         raise SupportEscapesCylinder(
@@ -150,7 +166,7 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     spanning directions; minimization is BFGS on a central-difference
     gradient, and a tilt that fails the certificate below raises
     NoConvergence.  A reference-plane excess of PRE_EXCESS or more is
-    refused before the search starts.
+    refused with ExcessTooLarge before the search starts.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
@@ -170,7 +186,7 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     pi0 = standard_plane(2 + n)
     raw = cylindrical_excess(curve, pi0)
     if raw >= PRE_EXCESS:
-        raise ValueError(
+        raise ExcessTooLarge(
             f"excess {raw:.3f} against the reference plane is too large "
             "to start the tilt search")
 

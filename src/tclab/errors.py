@@ -49,6 +49,10 @@ class SupportEscapesCylinder(TclabError):
     """The cone over the curve leaves the safety cylinder of the plane."""
 
 
+class ExcessTooLarge(TclabError):
+    """The cone is too far from the reference plane to start a tilt search."""
+
+
 class NoConvergence(TclabError):
     """An iterative solve stopped without meeting its stationarity target."""
 

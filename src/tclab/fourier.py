@@ -170,8 +170,13 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     r^(i/Q)); the substitution makes every mode polynomial in w.  The
     constant term is kept constant in r.  Boundary trace at w = 1 equals
     the profile exactly.
+
+    Chart and jacobian broadcast w against theta without expanding them
+    first, so on the open quadrature grid w[:, None], theta[None, :] the
+    trig factors cost one evaluation per angle and mode and the powers one
+    per radius and mode.
     """
-    from .currents import ParamSurface
+    from .currents import GridSurface
 
     if r_out <= 0:
         raise ValueError("r_out must be positive")
@@ -189,19 +194,19 @@ def harmonic_extension(series: FourierSeries, r_out: float,
         return (rad * np.cos(ph)) @ alpha[1:] + (rad * np.sin(ph)) @ beta + alpha[0]
 
     def chart(w, theta):
-        w, theta = np.broadcast_arrays(np.asarray(w, dtype=float),
-                                       np.asarray(theta, dtype=float))
+        w = np.asarray(w, dtype=float)
+        theta = np.asarray(theta, dtype=float)
         r = r_out * w ** Q
-        out = np.empty(np.broadcast(w, theta).shape + (2 + n,))
+        out = np.empty(np.broadcast_shapes(w.shape, theta.shape) + (2 + n,))
         out[..., 0] = r * np.cos(theta)
         out[..., 1] = r * np.sin(theta)
         out[..., 2:] = r_out * gval(w, theta)
         return out
 
     def jac(w, theta):
-        w, theta = np.broadcast_arrays(np.asarray(w, dtype=float),
-                                       np.asarray(theta, dtype=float))
-        shape = w.shape
+        w = np.asarray(w, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        shape = np.broadcast_shapes(w.shape, theta.shape)
         r = r_out * w ** Q
         dr = r_out * Q * w ** (Q - 1)
         ph = theta[..., None] * (freqs / Q)
@@ -223,6 +228,6 @@ def harmonic_extension(series: FourierSeries, r_out: float,
 
     if order is None:
         order = (32, max(32, 8 * max(series.max_active_frequency(1e-14), 1)))
-    return ParamSurface(
+    return GridSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
         order=order, radial_axis=0)

@@ -14,6 +14,17 @@ Norm conventions fixed here and used everywhere else:
 * the mass norm of a two-vector is the sum of its spectral pair values,
   i.e. half the nuclear norm of the matrix.  Tangent-minus-plane distances
   |T - tau| are measured in this norm.
+
+In dimension d <= 4 (codimension at most two, every family built here) a
+two-vector has at most two spectral pair values s1, s2, with
+|A|^2 = 1/2 sum A_ij^2 = s1^2 + s2^2 and Pfaffian
+Pf A = a01 a23 - a02 a13 + a03 a12 = +-s1 s2, so the mass norm has the
+closed form sqrt(|A|^2 + 2 |Pf A|) (Pf is absent for d = 2, 3, where every
+two-vector is simple).  The |Pf| term is where the norm fails to be
+smooth: it switches on at a linear rate as a two-vector leaves the simple
+ones, which is the kink the two-part tilt certificate in
+``epiperimetric`` is built for.  From d = 5 on the norm is computed from a
+singular value decomposition.
 """
 
 from dataclasses import dataclass
@@ -176,12 +187,20 @@ def unit_tangent_matrix(u, v) -> np.ndarray:
 def twovector_mass_norm(A) -> np.ndarray:
     """Mass norm of a two-vector given as an antisymmetric matrix.
 
-    Equals the sum of the spectral pair values (half the nuclear norm).
+    Equals the sum of the spectral pair values (half the nuclear norm):
+    sqrt(|A|^2 + 2 |Pf A|) for d <= 4, singular values for d >= 5.
     Broadcasts over leading axes.
     """
     A = np.asarray(A, dtype=float)
-    s = np.linalg.svd(A, compute_uv=False)
-    return 0.5 * np.sum(s, axis=-1)
+    d = A.shape[-1]
+    if d > 4:
+        return 0.5 * np.sum(np.linalg.svd(A, compute_uv=False), axis=-1)
+    sq = 0.5 * np.sum(A * A, axis=(-2, -1))
+    if d == 4:
+        pf = (A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3]
+              + A[..., 0, 3] * A[..., 1, 2])
+        sq = sq + 2.0 * np.abs(pf)
+    return np.sqrt(sq)
 
 
 def twovector_euclid_norm(A) -> np.ndarray:

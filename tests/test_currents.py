@@ -216,3 +216,27 @@ def test_annulus_mass_solves_clip_bounds_once_per_angle():
     mass = annulus_mass(wrapped, 0.0, 0.3)
     assert mass == annulus_mass(surf, 0.0, 0.3)
     assert seen[0] <= 4 * nodes
+
+
+def rotated_extension():
+    rng = np.random.default_rng(17)
+    series = FourierSeries(2, 2, 1e-3 * rng.standard_normal((9, 2)),
+                           1e-3 * rng.standard_normal((8, 2)))
+    ext = harmonic_extension(series, 0.5)
+    R = random_rotation(4, rng)
+    moved = ext.pushforward(lambda x: x @ R.T,
+                            dphi=lambda x: np.broadcast_to(R, x.shape + (4,)))
+    return ext, moved
+
+
+def test_open_grid_frames_match_flat_node_charts():
+    for surf in rotated_extension():
+        order = surf.order
+        U, V, W = surf._nodes(order)
+        x, xu, xv, Wf = surf._frame(order)
+        assert np.array_equal(Wf, W)
+        want_u, want_v = surf.jacobian(U, V)
+        for got, want in ((x, surf.chart(U, V)), (xu, want_u),
+                          (xv, want_v)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))

@@ -15,11 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from tclab.currents import WindingCurve
-from tclab.epiperimetric import (_one_sided_probe, cylindrical_excess,
-                                 epiperimetric_gap, mode_ratio,
-                                 optimal_plane, regraph_over_plane)
-from tclab.errors import NoConvergence, NotGraph, SupportEscapesCylinder
+import tclab.epiperimetric as epi
+from tclab.currents import ParamSurface, WindingCurve
+from tclab.epiperimetric import (_one_sided_probe, build_competitor,
+                                 cylindrical_excess, epiperimetric_gap,
+                                 mode_ratio, optimal_plane,
+                                 regraph_over_plane)
+from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
+                          SupportEscapesCylinder)
 from tclab.fourier import FourierSeries
 from tclab.geom import plane_from_spanning, standard_plane
 from tclab.scenarios import random_epi_curve, single_mode_curve
@@ -91,6 +94,55 @@ def test_uncertified_tilt_raises(monkeypatch):
                         lambda fun, x0, **kw: optimize.OptimizeResult(x=x0))
     with pytest.raises(NoConvergence):
         optimal_plane(single_mode_curve(1, 1, 1e-2))
+
+
+def test_tilt_search_builds_cone_data_once(monkeypatch):
+    builds, evals = [0], [0]
+    tangent, excess = epi.unit_tangent_matrix, epi.cylindrical_excess
+
+    def counted_tangent(*args):
+        builds[0] += 1
+        return tangent(*args)
+
+    def counted_excess(*args, **kwargs):
+        evals[0] += 1
+        return excess(*args, **kwargs)
+
+    monkeypatch.setattr(epi, "unit_tangent_matrix", counted_tangent)
+    monkeypatch.setattr(epi, "cylindrical_excess", counted_excess)
+    # a tilt mode plus a mode-3 bump, so the search has to move
+    alpha = np.array([[0.0], [1e-2], [0.0], [5e-3]])
+    curve = WindingCurve.from_fourier(FourierSeries(1, 1, alpha,
+                                                    np.zeros((3, 1))))
+    rep = optimal_plane(curve)
+    assert rep.excess < rep.raw_excess
+    assert evals[0] > 20
+    assert builds[0] == 1
+
+
+def test_competitor_mass_evaluates_each_node_once(monkeypatch):
+    curve = single_mode_curve(2, 6, 1e-2)
+    ext = build_competitor(curve, standard_plane(3)).extension
+    seen = [0]
+
+    def counted(fn):
+        def wrapped(self, U, V):
+            seen[0] += np.broadcast(np.asarray(U), np.asarray(V)).size
+            return fn(self, U, V)
+        return wrapped
+
+    for name in ("points", "partials"):
+        monkeypatch.setattr(ParamSurface, name,
+                            counted(getattr(ParamSurface, name)))
+    n0, n1 = ext.order
+    nodes = n0 * n1 + 4 * n0 * n1  # the rule and its doubled self-check
+    ext.mass()
+    assert seen[0] <= 2 * nodes
+
+
+def test_over_large_excess_is_a_lab_error():
+    with pytest.raises(ExcessTooLarge):
+        optimal_plane(single_mode_curve(1, 2, 0.5))
 
 
 def test_huge_profile_escapes_cylinder():

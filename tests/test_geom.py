@@ -14,7 +14,7 @@ from tclab.geom import (Plane2, plane_from_spanning, standard_plane,
                         complete_frame, split, plane_distance, comass2,
                         wedge_matrix, twovector_mass_norm,
                         twovector_euclid_norm, random_rotation, rotate_plane,
-                        check_antisymmetric)
+                        check_antisymmetric, unit_tangent_matrix)
 
 
 def vec(draw, dim, lo=-3.0, hi=3.0):
@@ -105,6 +105,52 @@ def test_mass_below_euclid_for_non_simple_twovector():
     A[1, 0] = A[3, 2] = -1.0
     assert abs(twovector_mass_norm(A) - 2.0) < 1e-12
     assert abs(twovector_euclid_norm(A) - np.sqrt(2.0)) < 1e-12
+
+
+def singular_value_mass(A):
+    return 0.5 * np.sum(np.linalg.svd(A, compute_uv=False), axis=-1)
+
+
+def mass_norm_batches(d, rng, m=400):
+    M = rng.standard_normal((m, d, d))
+    u = rng.standard_normal((m, d))
+    v = rng.standard_normal((m, d))
+    T = unit_tangent_matrix(u, v)
+    batches = {
+        "antisymmetric": M - np.swapaxes(M, -1, -2),
+        "simple": wedge_matrix(u, v),
+        "tangent minus plane": T - unit_tangent_matrix(
+            rng.standard_normal(d), rng.standard_normal(d)),
+        "nearby tangents": unit_tangent_matrix(
+            u + 1e-6 * rng.standard_normal((m, d)), v) - T,
+    }
+    if d == 4:
+        # in R^4, Pf = 0 exactly on simple two-vectors; a sum of wedges
+        # sharing a factor has every entry nonzero and makes the
+        # Pfaffian's three products cancel
+        w = rng.standard_normal((m, 4))
+        batches["zero pfaffian"] = wedge_matrix(u, v) + wedge_matrix(u, w)
+    return batches
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_closed_form_mass_norm_matches_singular_values(d):
+    rng = np.random.default_rng(40 + d)
+    for name, A in mass_norm_batches(d, rng).items():
+        got = twovector_mass_norm(A)
+        want = singular_value_mass(A)
+        err = np.abs(got - want)
+        assert np.all(err <= 2e-15 * want), (name, float(np.max(err / want)))
+
+
+def test_mass_norm_in_five_dimensions_is_singular_value_sum():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((50, 5, 5))
+    A = M - np.swapaxes(M, -1, -2)
+    assert np.array_equal(twovector_mass_norm(A), singular_value_mass(A))
+    B = np.zeros((5, 5))
+    B[0, 1], B[2, 3] = 1.0, 2.0
+    assert abs(twovector_mass_norm(B - B.T) - 3.0) < 1e-14
 
 
 def test_comass_of_simple_covector_is_one():

@@ -180,6 +180,28 @@ def test_cli_comass_violation_exits_one(tmp_path):
     assert "comass" in text and "FAIL" in text
 
 
+def test_cli_over_large_excess_errors_one_scenario(tmp_path, capsys):
+    # amplitude 0.5 puts the reference-plane excess past the tilt search's
+    # gate; that scenario is reported as errored and the others still write
+    cfg = write_config(tmp_path / "cfg.json", [
+        {"name": "too_steep", "kind": "epi", "seed": 1,
+         "params": {"Q": [1], "ratios": [2], "amplitudes": [0.5],
+                    "random": 0}},
+        {"name": "fine", "kind": "epi", "seed": 1,
+         "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-2],
+                    "random": 0}}])
+    out = tmp_path / "out"
+    code = main(["run", cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "too large to start the tilt search" in err
+    assert "errored scenarios: too_steep" in err
+    assert "PASS" in (out / "fine.csv").read_text()
+    assert not (out / "too_steep.csv").exists()
+    summary = (out / "summary.csv").read_text()
+    assert "fine" in summary and "too_steep" not in summary
+
+
 def test_cli_seed_override_changes_hash(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", [SMALL_EPI])
     out1, out2 = tmp_path / "a", tmp_path / "b"
