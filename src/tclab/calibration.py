@@ -2,9 +2,10 @@
 
 A two-form field with comass at most one calibrates a surface when its
 action equals the area element everywhere; the calibration defect (mass
-minus form action) measures the failure.  For calibrated or nearly
-calibrated surfaces the first variation along a compactly supported
-vector field chi has an explicit right-hand side, either
+minus form action) measures the failure.  Every form carries its analytic
+exterior derivative.  For calibrated or nearly calibrated surfaces the
+first variation along a compactly supported vector field chi has an
+explicit right-hand side, either
 
     (b)  T(d omega restricted by chi)      for a semicalibration omega,
     (c)  integral of 2 |x|^{-2} x . chi    for cross-sections of spheres,
@@ -16,6 +17,17 @@ differences at two steps with Richardson extrapolation.
 Almost-minimality probes exercise the defining inequality itself: the
 competitor T + boundary(S) built from a short homotopy sweep S must not
 undercut M(T) by more than Omega M(S).
+
+Both work on the flow x -> x + t chi(x) of a TestVectorField, which
+vanishes outside its ball, so the flowed surface and the sweep differ from
+T only at the quadrature nodes inside that ball.  The surface's quadrature
+frame and mass are built once per surface; each field evaluates chi and
+its jacobian D at its support nodes only and keeps the dot products of
+chi, x_u, x_v, D x_u and D x_v there.  Every step and sweep time then
+follows by polynomials in t: the area change |x_u' ^ x_v'|^2 -
+|x_u ^ x_v|^2 is a quartic, and a mass change integrates it over
+(A' + A), so no two order-one masses are subtracted; the sweep's volume
+element is the closed-form 3x3 Gram determinant of (chi, x_u', x_v').
 """
 
 from dataclasses import dataclass
@@ -27,7 +39,6 @@ from .errors import FormUndefined, NotSemicalibrated
 from .quadrature import gauss_legendre
 
 DEFECT_TOL = 1e-8
-FORM_CONSISTENCY_TOL = 1e-6
 
 
 def _levi_civita3():
@@ -43,59 +54,34 @@ LEVI3 = _levi_civita3()
 
 @dataclass(frozen=True)
 class TwoFormField:
-    """A two-form on ambient space with (possibly numeric) exterior
-    derivative.
+    """A two-form on ambient space with its exterior derivative.
 
-    ``matrix`` maps positions (..., d) to antisymmetric matrices; the
-    optional ``exterior`` maps positions to the fully antisymmetric
-    (..., d, d, d) tensor of the exterior derivative.  When ``exterior``
-    is None it is produced by central differences of ``matrix``.
+    ``matrix`` maps positions (..., d) to antisymmetric matrices
+    (..., d, d); ``exterior`` maps positions to the fully antisymmetric
+    (..., d, d, d) tensor of the exterior derivative.
     """
 
     matrix: object
-    exterior: object = None
-    fd_step: float = 1e-5
+    exterior: object
 
     def __call__(self, x):
         return self.matrix(x)
-
-    def fd_exterior(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
-        h = self.fd_step
-        rows = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            rows.append((self.matrix(x + e) - self.matrix(x - e)) / (2 * h))
-        D = np.stack(rows, axis=-3)
-        return D + np.moveaxis(D, -1, -3) + np.moveaxis(D, -3, -1)
-
-    def three_form(self, x):
-        if self.exterior is not None:
-            return self.exterior(x)
-        return self.fd_exterior(x)
 
     def comass_at(self, x):
         """Largest singular value of the form matrix at each point."""
         A = np.asarray(self.matrix(x), dtype=float)
         return np.linalg.svd(A, compute_uv=False)[..., 0]
 
-    def check_consistency(self, x, tol: float = FORM_CONSISTENCY_TOL):
-        """Sup difference between analytic and finite-difference
-        exterior derivatives at the given points."""
-        if self.exterior is None:
-            return 0.0
-        gap = float(np.max(np.abs(self.exterior(x) - self.fd_exterior(x))))
-        if gap > tol:
-            raise FormUndefined(
-                f"exterior derivative mismatch {gap:.2e} exceeds {tol:.0e}")
-        return gap
-
 
 @dataclass(frozen=True)
 class TestVectorField:
-    """Compactly supported vector field with jacobian for flows."""
+    """Compactly supported vector field with jacobian for flows.
+
+    ``func`` maps positions (..., d) to vectors (..., d) and ``jac`` to
+    their jacobians (..., d, d).  Both must vanish wherever
+    |x - center| >= radius: mass changes and sweeps are evaluated only at
+    the quadrature nodes inside that ball.
+    """
 
     func: object
     jac: object
@@ -205,20 +191,8 @@ class FirstVariationReport:
 
 
 def _mass_derivative(surface, chi, h: float) -> float:
-    out = []
-    for sign in (1.0, -1.0):
-        t = sign * h
-
-        def phi(x, t=t):
-            return x + t * chi.func(x)
-
-        def dphi(x, t=t):
-            D = np.asarray(chi.jac(x), dtype=float)
-            eye = np.eye(D.shape[-1])
-            return eye + t * D
-
-        out.append(surface.pushforward(phi, dphi=dphi).mass(check=False))
-    return (out[0] - out[1]) / (2 * h)
+    """Central difference (M(h) - M(-h)) / 2h of the mass along chi's flow."""
+    return _flow(surface, chi).mass_change(-h, h) / (2 * h)
 
 
 def first_variation_pair(surface, law, chi: TestVectorField,
@@ -239,7 +213,7 @@ def first_variation_pair(surface, law, chi: TestVectorField,
                 f"calibration defect {defect:.2e} too large for the "
                 "first-variation identity")
         rhs = surface.integrate_form(
-            interior_product(law.three_form, chi.func))
+            interior_product(law.exterior, chi.func))
     elif isinstance(law, SphereLaw):
         def density(x, xu, xv):
             return 2.0 * np.sum(x * chi.func(x), axis=-1) \
@@ -274,28 +248,126 @@ class ProbeResult:
     passed: bool
 
 
+def _base_frame(surface):
+    """Quadrature frame, area element and mass of the surface, built once.
+
+    Returns (x, x_u, x_v, W, A, mass) at the surface's quadrature order.
+    Every probe and flow on the surface reads the same frame, so it is
+    memoized on the instance per order, as read-only arrays.
+    """
+    memo = vars(surface).setdefault("_calib_frame_memo", {})
+    order = surface.order
+    if order not in memo:
+        x, xu, xv, W = surface._frame(order)
+        data = (x, xu, xv, W, surface._area_element(xu, xv))
+        for arr in data:
+            arr.flags.writeable = False
+        memo[order] = data + (surface.mass(check=False),)
+    return memo[order]
+
+
+# indices into _Flow.gram: chi, x_u, x_v, a = D x_u, b = D x_v
+_C, _U, _V, _A, _B = range(5)
+
+
+@dataclass(frozen=True)
+class _Flow:
+    """The flow x -> x + t chi(x) at the quadrature nodes inside chi's ball.
+
+    ``gram[i, j]`` holds the dot products of the i-th and j-th of chi,
+    x_u, x_v, a = D x_u and b = D x_v (D the jacobian of chi) at the kept
+    nodes; ``weight`` and ``area`` are their quadrature weights and
+    |x_u ^ x_v|.  The flowed tangents are x_u + t a and x_v + t b, so
+    every quantity at time t is a polynomial in t over these products.
+    ``growth`` holds the coefficients k1..k4 of
+    |x_u(t) ^ x_v(t)|^2 - |x_u ^ x_v|^2 = k1 t + k2 t^2 + k3 t^3 + k4 t^4.
+    """
+
+    weight: np.ndarray
+    area: np.ndarray
+    gram: np.ndarray
+    growth: np.ndarray
+    multiplicity: int
+
+    def area_change(self, s, t):
+        """|x_u ^ x_v|^2 at time t minus at time s, written as (t - s)
+        times a polynomial so that no order-one terms cancel."""
+        k1, k2, k3, k4 = self.growth
+        return (t - s) * (k1 + k2 * (t + s) + k3 * (t * t + t * s + s * s)
+                          + k4 * (t + s) * (t * t + s * s))
+
+    def mass_change(self, s, t) -> float:
+        """M(phi_t T) - M(phi_s T) for phi_t = id + t chi, integrated as
+        (A_t^2 - A_s^2) / (A_t + A_s) with A_t the flowed area element."""
+        A2 = self.area * self.area
+        At = np.sqrt(np.maximum(A2 + self.area_change(0.0, t), 0.0))
+        As = np.sqrt(np.maximum(A2 + self.area_change(0.0, s), 0.0))
+        num = self.area_change(s, t)
+        den = At + As
+        vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return self.multiplicity * float(np.sum(self.weight * vals))
+
+    def sweep(self, tn, tw) -> float:
+        """Integral over the times tn (weights tw) and the surface of
+        |chi ^ x_u(t) ^ x_v(t)|, the closed-form 3x3 Gram determinant."""
+        g = self.gram
+        t = np.asarray(tn, dtype=float)[:, None]
+        uu = g[_U, _U] + t * (2.0 * g[_U, _A] + t * g[_A, _A])
+        vv = g[_V, _V] + t * (2.0 * g[_V, _B] + t * g[_B, _B])
+        uv = g[_U, _V] + t * (g[_U, _B] + g[_A, _V] + t * g[_A, _B])
+        cu = g[_C, _U] + t * g[_C, _A]
+        cv = g[_C, _V] + t * g[_C, _B]
+        det = (g[_C, _C] * (uu * vv - uv * uv) - cu * cu * vv
+               + 2.0 * cu * cv * uv - cv * cv * uu)
+        vol = np.sqrt(np.maximum(det, 0.0))
+        per_time = np.sum(self.weight * vol, axis=-1)
+        return self.multiplicity * float(np.sum(tw * per_time))
+
+
+def _flow(surface, chi: TestVectorField) -> _Flow:
+    """chi's flow on the surface's frame, restricted to chi's ball.
+
+    chi and its jacobian are evaluated only at the nodes with
+    |x - center|^2 < radius^2, where alone they may be nonzero.  The
+    result is memoized on chi per surface, so every step, sweep length and
+    time node of one bump reuses the same products.
+    """
+    memo = vars(chi).setdefault("_flow_memo", {})
+    key = (surface, surface.order)
+    if key not in memo:
+        x, xu, xv, W, A, _ = _base_frame(surface)
+        y = x - np.asarray(chi.center, dtype=float)
+        keep = np.flatnonzero(np.sum(y * y, axis=-1)
+                              < float(chi.radius) ** 2)
+        x, xu, xv = x[keep], xu[keep], xv[keep]
+        D = np.asarray(chi.jac(x), dtype=float)
+        c = np.asarray(chi.func(x), dtype=float)
+        a = np.einsum("nij,nj->ni", D, xu)
+        b = np.einsum("nij,nj->ni", D, xv)
+        # coordinate-major (5, d, n), so each product runs along the nodes
+        vecs = np.stack([v.T for v in (c, xu, xv, a, b)])
+        g = np.einsum("idn,jdn->ijn", vecs, vecs)
+        E, F, G = g[_U, _U], g[_U, _V], g[_V, _V]
+        ua, vb, ub, av = g[_U, _A], g[_V, _B], g[_U, _B], g[_A, _V]
+        aa, bb, ab = g[_A, _A], g[_B, _B], g[_A, _B]
+        # |P + t Q1 + t^2 Q2|^2 - |P|^2 with P = x_u ^ x_v,
+        # Q1 = a ^ x_v + x_u ^ b and Q2 = a ^ b
+        growth = np.stack((
+            2.0 * (ua * G - av * F + E * vb - F * ub),
+            aa * G - av * av + E * bb - ub * ub
+            + 2.0 * (2.0 * ua * vb - ab * F - ub * av),
+            2.0 * (aa * vb - ab * av + ua * bb - ub * ab),
+            aa * bb - ab * ab))
+        memo[key] = _Flow(W[keep], A[keep], g, growth, surface.multiplicity)
+    return memo[key]
+
+
 def sweep_mass(surface, chi: TestVectorField, eps: float,
                tnodes: int = 8) -> float:
     """Mass of the 3-current swept by flowing the surface along chi
     for time eps."""
     tn, tw = gauss_legendre(tnodes, 0.0, eps)
-    u, v, w = surface._nodes(surface.order)
-    x = surface.points(u, v)
-    xu, xv = surface.partials(u, v)
-    c = chi.func(x)
-    D = np.asarray(chi.jac(x), dtype=float)
-    total = 0.0
-    for t, wt in zip(tn, tw):
-        a = c
-        b = xu + t * np.einsum("...ij,...j->...i", D, xu)
-        e = xv + t * np.einsum("...ij,...j->...i", D, xv)
-        G = np.empty(x.shape[:-1] + (3, 3))
-        for i, p in enumerate((a, b, e)):
-            for j, q in enumerate((a, b, e)):
-                G[..., i, j] = np.sum(p * q, axis=-1)
-        vol = np.sqrt(np.maximum(np.linalg.det(G), 0.0))
-        total += wt * float(np.sum(w * vol))
-    return total * surface.multiplicity
+    return _flow(surface, chi).sweep(tn, tw)
 
 
 def almost_minimality_probe(surface, omega: float, chi: TestVectorField,
@@ -304,23 +376,19 @@ def almost_minimality_probe(surface, omega: float, chi: TestVectorField,
 
     The sweep S flows the surface along chi for time eps, so that
     T + boundary S is the pushforward of T by id + eps chi (up to the
-    side walls already counted in S).  Slack below -1e-8 fails.
+    side walls already counted in S).  The slack Omega M(S) + M(T +
+    boundary S) - M(T) integrates the mass change over chi's support, so
+    no two masses are subtracted; slack below -1e-8 fails.
     """
-    mass0 = surface.mass(check=False)
+    mass0 = _base_frame(surface)[-1]
+    flow = _flow(surface, chi)
     rows = []
     for eps in epsilons:
-        def phi(x, t=eps):
-            return x + t * chi.func(x)
-
-        def dphi(x, t=eps):
-            D = np.asarray(chi.jac(x), dtype=float)
-            return np.eye(D.shape[-1]) + t * D
-
-        deformed = surface.pushforward(phi, dphi=dphi).mass(check=False)
+        gain = flow.mass_change(0.0, eps)
         swept = sweep_mass(surface, chi, eps)
-        slack = omega * swept + deformed - mass0
+        slack = omega * swept + gain
         rows.append(ProbeResult(eps=float(eps), mass=float(mass0),
-                                mass_deformed=float(deformed),
+                                mass_deformed=float(mass0 + gain),
                                 mass_sweep=float(swept),
                                 slack=float(slack),
                                 passed=bool(slack >= -1e-8)))
@@ -348,48 +416,6 @@ def solid_angle_form() -> TwoFormField:
         if np.any(r < 1e-12):
             raise FormUndefined("solid-angle form is singular at 0")
         return (2.0 / r)[..., None, None, None] * LEVI3
-
-    return TwoFormField(matrix=matrix, exterior=exterior)
-
-
-def _smoothstep(s):
-    t = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-def _smoothstep_deriv(s):
-    t = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    return -2.0 * 30.0 * t * t * (t - 1.0) ** 2
-
-
-def extend_form(plane, tube_radius: float) -> TwoFormField:
-    """Extend the area form of a plane off itself with a C^2 cutoff in
-    the normal distance.
-
-    Constant (and calibrating) inside half the tube radius, zero outside
-    the tube; because the plane form already annihilates normal
-    directions, the extension differs from the constant form only
-    through the cutoff factor.
-    """
-    A0 = plane.wedge_matrix()
-    proj = plane.projector()
-
-    def matrix(x):
-        x = np.asarray(x, dtype=float)
-        perp = x - x @ proj
-        s = np.linalg.norm(perp, axis=-1) / tube_radius
-        return _smoothstep(s)[..., None, None] * A0
-
-    def exterior(x):
-        x = np.asarray(x, dtype=float)
-        perp = x - x @ proj
-        dist = np.linalg.norm(perp, axis=-1)
-        s = dist / tube_radius
-        safe = np.maximum(dist, 1e-300)
-        grad = _smoothstep_deriv(s)[..., None] * perp \
-            / (tube_radius * safe[..., None])
-        D = grad[..., :, None, None] * A0
-        return D + np.moveaxis(D, -1, -3) + np.moveaxis(D, -3, -1)
 
     return TwoFormField(matrix=matrix, exterior=exterior)
 

@@ -647,8 +647,7 @@ def _run_calib(sc: Scenario):
             direction = rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)
         chi = bump_field(center, brad, direction, power=p.bump_power)
-        for eps in p.eps:
-            probe = almost_minimality_probe(surface, omega, chi, [eps])[0]
+        for probe in almost_minimality_probe(surface, omega, chi, p.eps):
             verdict = "PASS" if probe.passed else "FAIL"
             rows.append((k, probe.mass, probe.mass_deformed,
                          probe.mass_sweep, omega, probe.slack, verdict))

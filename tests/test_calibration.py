@@ -9,13 +9,14 @@ sphere's first-variation law carries the factor 2/R.
 import numpy as np
 import pytest
 
-from tclab.calibration import (SphereLaw, almost_minimality_probe,
-                               bump_field, calibration_defect,
-                               comass_field_check, extend_form,
+from tclab.calibration import (SphereLaw, _mass_derivative,
+                               almost_minimality_probe, bump_field,
+                               calibration_defect, comass_field_check,
                                first_variation_pair, solid_angle_form,
                                spherical_cap, sweep_mass)
+from tclab.currents import ParamSurface
 from tclab.errors import FormUndefined, NotSemicalibrated
-from tclab.geom import standard_plane
+from tclab.quadrature import gauss_legendre
 
 
 def random_points(m=40, seed=0, scale=2.0, dim=3):
@@ -32,8 +33,17 @@ def test_solid_angle_has_unit_comass():
 
 
 def test_solid_angle_exterior_matches_finite_differences():
-    gap = solid_angle_form().check_consistency(random_points(20, seed=3))
-    assert gap < 1e-7
+    form = solid_angle_form()
+    x = random_points(20, seed=3)
+    h = 1e-5
+    rows = []
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        rows.append((form.matrix(x + e) - form.matrix(x - e)) / (2 * h))
+    D = np.stack(rows, axis=-3)
+    fd = D + np.moveaxis(D, -1, -3) + np.moveaxis(D, -3, -1)
+    assert float(np.max(np.abs(form.exterior(x) - fd))) < 1e-7
 
 
 def test_solid_angle_is_singular_at_origin():
@@ -95,44 +105,39 @@ def test_scaled_form_is_not_semicalibrating():
         first_variation_pair(cap, scaled, chi)
 
 
-def test_extend_form_restricts_to_plane_area_form():
-    plane = standard_plane(3)
-    form = extend_form(plane, 0.5)
-    on_plane = np.array([[0.3, -0.7, 0.0], [1.4, 0.2, 0.0]])
-    assert np.allclose(form.matrix(on_plane), plane.wedge_matrix())
-    far = np.array([[0.0, 0.0, 0.9]])
-    assert np.allclose(form.matrix(far), 0.0)
-    worst, ok = comass_field_check(form, random_points(60, seed=4))
-    assert ok and worst <= 1.0 + 1e-12
-    off = np.array([[0.2, 0.1, 0.31], [0.4, -0.3, 0.42]])
-    assert form.check_consistency(off, tol=1e-5) < 1e-5
+def flat_disk(order=(64, 128), count=None):
+    """Polar chart of the unit disk in the plane z = 0 of R^3; ``count``,
+    a one-element list, adds up the chart and jacobian points evaluated."""
+    def chart(u, v):
+        if count is not None:
+            count[0] += np.broadcast(u, v).size
+        return np.stack(np.broadcast_arrays(u * np.cos(v), u * np.sin(v),
+                                            0.0 * u), axis=-1)
+
+    def jac(u, v):
+        if count is not None:
+            count[0] += np.broadcast(u, v).size
+        z = 0.0 * u * v
+        return (np.stack(np.broadcast_arrays(np.cos(v), np.sin(v), z),
+                         axis=-1),
+                np.stack(np.broadcast_arrays(-u * np.sin(v), u * np.cos(v),
+                                             z), axis=-1))
+
+    return ParamSurface(chart, (0.0, 1.0, 0.0, 2 * np.pi), jacobian=jac,
+                        order=order)
 
 
 def test_flat_disk_probes_never_lose_mass():
-    plane = standard_plane(3)
-
-    def chart(u, v):
-        r = u
-        return np.stack([r * np.cos(v), r * np.sin(v),
-                         np.zeros_like(r)], axis=-1)
-
-    def jac(u, v):
-        r = u
-        return (np.stack([np.cos(v), np.sin(v), np.zeros_like(r)], axis=-1),
-                np.stack([-r * np.sin(v), r * np.cos(v),
-                          np.zeros_like(r)], axis=-1))
-
-    from tclab.currents import ParamSurface
-    disk = ParamSurface(chart, (0.0, 1.0, 0.0, 2 * np.pi), jacobian=jac,
-                        order=(64, 128))
+    disk = flat_disk()
     chi = bump_field([0.3, 0.0, 0.0], 0.25, [0.2, 0.1, 1.0])
     rows = almost_minimality_probe(disk, 0.0, chi, epsilons=[0.05, 0.02])
     assert all(row.passed and row.slack >= -1e-10 for row in rows)
     assert all(row.mass_sweep > 0.0 for row in rows)
 
 
-def test_shrinking_sphere_fails_without_volume_credit():
-    sphere = spherical_cap(1.0, 0.0, np.pi, order=(64, 128))
+def inward_field():
+    """chi(x) = -x everywhere: the flow shrinks spheres about the origin."""
+    from tclab.calibration import TestVectorField
 
     def func(x):
         return -np.asarray(x, dtype=float)
@@ -141,10 +146,105 @@ def test_shrinking_sphere_fails_without_volume_credit():
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(-np.eye(3), x.shape[:-1] + (3, 3))
 
-    from tclab.calibration import TestVectorField
-    inward = TestVectorField(func=func, jac=jac, center=np.zeros(3),
-                             radius=np.inf)
+    return TestVectorField(func=func, jac=jac, center=np.zeros(3),
+                           radius=np.inf)
+
+
+def test_shrinking_sphere_fails_without_volume_credit():
+    sphere = spherical_cap(1.0, 0.0, np.pi, order=(64, 128))
+    inward = inward_field()
     rows = almost_minimality_probe(sphere, 0.0, inward, epsilons=[0.05])
     assert not rows[0].passed
     good = almost_minimality_probe(sphere, 3.0, inward, epsilons=[0.05])
     assert good[0].passed
+
+
+# full-grid references: the flowed surface's mass minus the surface's, and
+# the sweep's 3x3 Gram determinant by np.linalg.det at every node
+
+def _flowed_mass(surface, chi, t):
+    def phi(x):
+        return x + t * chi.func(x)
+
+    def dphi(x):
+        D = np.asarray(chi.jac(x), dtype=float)
+        return np.eye(D.shape[-1]) + t * D
+
+    return surface.pushforward(phi, dphi=dphi).mass(check=False)
+
+
+def _full_grid_sweep(surface, chi, eps, tnodes=8):
+    tn, tw = gauss_legendre(tnodes, 0.0, eps)
+    x, xu, xv, w = surface._frame(surface.order)
+    c = chi.func(x)
+    D = np.asarray(chi.jac(x), dtype=float)
+    total = 0.0
+    for t, wt in zip(tn, tw):
+        b = xu + t * np.einsum("...ij,...j->...i", D, xu)
+        e = xv + t * np.einsum("...ij,...j->...i", D, xv)
+        G = np.empty(x.shape[:-1] + (3, 3))
+        for i, p in enumerate((c, b, e)):
+            for j, q in enumerate((c, b, e)):
+                G[..., i, j] = np.sum(p * q, axis=-1)
+        vol = np.sqrt(np.maximum(np.linalg.det(G), 0.0))
+        total += wt * float(np.sum(w * vol))
+    return total * surface.multiplicity
+
+
+@pytest.mark.parametrize("case", ["disk", "equator", "inward"])
+def test_support_probes_match_full_grid(case):
+    rng = np.random.default_rng(7)
+    if case == "disk":
+        surface = flat_disk(order=(96, 192))
+        direction = rng.standard_normal(3)
+        chi = bump_field([0.2, -0.25, 0.0], 0.4, direction
+                         / np.linalg.norm(direction), power=10)
+        omega, epsilons = 0.0, (0.05, 0.01)
+    elif case == "equator":
+        surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=(96, 192))
+        u = rng.standard_normal(3)
+        center = np.append(u / np.linalg.norm(u), 0.0)
+        direction = rng.standard_normal(4)
+        chi = bump_field(center, 0.5, direction / np.linalg.norm(direction),
+                         power=10)
+        omega, epsilons = 3.0, (0.05, 0.01)
+    else:
+        surface = spherical_cap(1.0, 0.0, np.pi, order=(64, 128))
+        chi = inward_field()
+        omega, epsilons = 3.0, (0.05,)
+    mass0 = surface.mass(check=False)
+    rows = almost_minimality_probe(surface, omega, chi, epsilons)
+    for row, eps in zip(rows, epsilons):
+        swept = _full_grid_sweep(surface, chi, eps)
+        deformed = _flowed_mass(surface, chi, eps)
+        assert row.mass == mass0
+        assert abs(row.mass_sweep - swept) <= 1e-9 * swept
+        assert abs(row.slack - (omega * swept + deformed - mass0)) <= 1e-14
+        assert abs(row.mass_deformed - deformed) <= 1e-14
+        assert sweep_mass(surface, chi, eps) == row.mass_sweep
+    h = 1e-2
+    step = (_flowed_mass(surface, chi, h)
+            - _flowed_mass(surface, chi, -h)) / (2 * h)
+    assert abs(_mass_derivative(surface, chi, h) - step) <= 1e-12
+
+
+def test_probes_evaluate_the_chart_once_per_surface():
+    counts = []
+    for probes in (1, 5):
+        count = [0]
+        disk = flat_disk(count=count)
+        for k in range(probes):
+            chi = bump_field([0.1 * k, 0.2, 0.0], 0.3, [0.3, -0.2, 1.0])
+            almost_minimality_probe(disk, 0.0, chi, epsilons=[0.05, 0.02])
+        counts.append(count[0])
+    assert 0 < counts[1] <= counts[0]
+
+
+def test_bump_that_misses_the_surface_changes_nothing():
+    disk = flat_disk()
+    chi = bump_field([0.2, 0.1, 0.8], 0.5, [0.0, 0.0, 1.0])
+    row, = almost_minimality_probe(disk, 2.0, chi, epsilons=[0.05])
+    assert row.mass_sweep == 0.0
+    assert row.slack == 0.0
+    assert row.mass_deformed == row.mass == disk.mass(check=False)
+    assert row.passed
