@@ -152,6 +152,22 @@ class WindingCurve:
         out[..., 2:] = self.series.derivative(theta)
         return self.rho * out
 
+    def jet(self, theta):
+        """(points, velocities) at the given angles from one trig table."""
+        theta = np.asarray(theta, dtype=float)
+        f, df = self.series.jet(theta)
+        c = np.cos(theta)
+        s = np.sin(theta)
+        x = np.empty(theta.shape + (self.dim,))
+        dx = np.empty(theta.shape + (self.dim,))
+        x[..., 0] = c
+        x[..., 1] = s
+        x[..., 2:] = f
+        dx[..., 0] = -s
+        dx[..., 1] = c
+        dx[..., 2:] = df
+        return self.rho * x, self.rho * dx
+
     def lipschitz(self) -> float:
         """Max finite-difference quotient of the profile over adjacent nodes."""
         d = np.diff(self.samples, axis=0, append=self.samples[:1])

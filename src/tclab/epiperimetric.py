@@ -26,8 +26,8 @@ from scipy import optimize
 
 from .currents import (ParamSurface, WindingCurve,
                        infinite_cone_cylinder_mass)
-from .errors import (ExcessTooLarge, LipschitzTooLarge, NoConvergence,
-                     NotGraph, SupportEscapesCylinder)
+from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
+                     SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, plane_from_spanning, standard_plane,
                    twovector_mass_norm, unit_tangent_matrix, wedge_matrix)
@@ -39,6 +39,7 @@ GRAD_TOL = 1e-8
 GRAD_REL = 1e-5
 PRE_EXCESS = 0.1
 CYL_RATIO = 0.5
+REGRAPH_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -70,38 +71,36 @@ class EpiperimetricVerdict:
     optimal_excess: float
 
 
-def _cone_tangent_data(curve: WindingCurve, m: int):
-    """Plane-independent cone data at m uniform angles, built once.
+def _cone_tangent_data(curve: WindingCurve):
+    """Plane-independent cone data at the curve's M sample angles, built once.
 
     Returns the trace points z, their norms |z|, the wedge speeds
     |z ^ z'| and the unit tangent two-vectors.  WindingCurve is immutable, so
-    the arrays are memoized on the instance per sample count (read-only,
-    since every tilt of the search shares them).
+    the arrays are memoized on the instance (read-only, since every tilt of
+    the search shares them).
     """
-    memo = vars(curve).setdefault("_cone_tangent_memo", {})
-    if m not in memo:
-        theta = np.arange(m) * (curve.period / m)
-        z = curve.points(theta)
-        dz = curve.velocities(theta)
+    data = vars(curve).get("_cone_tangent_data")
+    if data is None:
+        theta = np.arange(curve.M) * (curve.period / curve.M)
+        z, dz = curve.jet(theta)
         W = wedge_matrix(z, dz)
         wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
         tangent = curve.orientation * unit_tangent_matrix(z, dz)
         data = (z, np.linalg.norm(z, axis=-1), wedge, tangent)
         for arr in data:
             arr.flags.writeable = False
-        memo[m] = data
-    return memo[m]
+        vars(curve)["_cone_tangent_data"] = data
+    return data
 
 
-def cylindrical_excess(curve: WindingCurve, plane: Plane2,
-                       nsamples: int | None = None) -> float:
+def cylindrical_excess(curve: WindingCurve, plane: Plane2) -> float:
     """Excess of the infinite cone over the curve in the plane's unit cylinder.
 
-    Raises SupportEscapesCylinder when a cone ray meets the cylinder wall
-    only outside the ball of radius 2.
+    The periodic integral runs over the curve's M sample angles.  Raises
+    SupportEscapesCylinder when a cone ray meets the cylinder wall only
+    outside the ball of radius 2.
     """
-    m = nsamples or curve.M
-    z, znorm, wedge, tangent = _cone_tangent_data(curve, m)
+    z, znorm, wedge, tangent = _cone_tangent_data(curve)
     B = plane.basis()
     proj = np.linalg.norm(z @ B, axis=-1)
     ratio = znorm / np.maximum(proj, 1e-300)
@@ -112,7 +111,7 @@ def cylindrical_excess(curve: WindingCurve, plane: Plane2,
     diff = tangent - plane.wedge_matrix()
     dist2 = twovector_mass_norm(diff) ** 2
     vals = dist2 * wedge / proj ** 2
-    return 0.25 * float(np.sum(vals)) * (curve.period / m)
+    return 0.25 * float(np.sum(vals)) * (curve.period / curve.M)
 
 
 def _tilt_plane(v: np.ndarray, n: int) -> Plane2:
@@ -221,23 +220,26 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
                         raw_excess=float(raw))
 
 
-def regraph_over_plane(curve: WindingCurve, plane: Plane2, new_rho: float,
-                       nsamples: int | None = None) -> WindingCurve:
+def regraph_over_plane(curve: WindingCurve, plane: Plane2,
+                       new_rho: float) -> WindingCurve:
     """Rewrite the cone over the curve as a winding curve on a new cylinder.
 
     Intersects the (infinite) cone with the cylinder of radius ``new_rho``
-    around the plane and resamples the trace at uniform cylinder angles,
-    expressed in the plane's frame.  Raises NotGraph when the cylinder
-    angle fails to advance monotonically.
+    around the plane and resamples the trace at the curve's M uniform
+    cylinder angles, expressed in the plane's frame.  Raises NotGraph when
+    the cylinder angle fails to advance monotonically.
+
+    The resampling is a Newton solve for the curve angle of each cylinder
+    angle; it stops once no step exceeds a few ulps of the period (one or
+    two passes on every curve tried) and gives up after REGRAPH_PASSES.
     """
-    m = nsamples or curve.M
+    m = curve.M
     F = plane.frame()
 
-    def frame_coords(theta):
-        return curve.points(theta) @ F, curve.velocities(theta) @ F
-
     def angle_data(theta):
-        y, dy = frame_coords(theta)
+        x, dx = curve.jet(theta)
+        y = x @ F
+        dy = dx @ F
         u = y[..., :2]
         du = dy[..., :2]
         r2 = np.sum(u * u, axis=-1)
@@ -247,7 +249,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2, new_rho: float,
         dphi = (u[..., 0] * du[..., 1] - u[..., 1] * du[..., 0]) / r2
         return phi, dphi, y, u, r2
 
-    probe = np.arange(4 * curve.M) * (curve.period / (4 * curve.M))
+    probe = np.arange(4 * m) * (curve.period / (4 * m))
     _, dphi, _, u, r2 = angle_data(probe)
     if np.min(r2) <= (0.2 * curve.rho) ** 2 or np.min(dphi) <= 0:
         raise NotGraph(
@@ -255,9 +257,13 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2, new_rho: float,
 
     target = np.arange(m) * (curve.period / m)
     theta = target.copy()
-    for _ in range(12):
+    step_tol = 4.0 * np.finfo(float).eps * curve.period
+    for _ in range(REGRAPH_PASSES):
         phi, dphi, _, _, _ = angle_data(theta)
-        theta = theta - (phi - target) / dphi
+        step = (phi - target) / dphi
+        theta = theta - step
+        if float(np.max(np.abs(step))) <= step_tol:
+            break
     phi, _, y, u, r2 = angle_data(theta)
     if float(np.max(np.abs(phi - target))) > 1e-10:
         raise NoConvergence("cylinder-angle resampling did not converge")
@@ -297,20 +303,17 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     The cone is regraphed on the cylinder of radius CYL_RATIO * rho around
     the plane, which must be a cylinder graph strictly inside the curve
     (NotGraph otherwise), with regraphed profile Lipschitz below
-    ``lip_max``.
+    ``lip_max`` (LipschitzTooLarge from the harmonic extension otherwise).
     """
     rho2 = CYL_RATIO * curve.rho
     inner = regraph_over_plane(curve, plane, rho2)
-    lip = inner.series.lipschitz()
-    if lip > lip_max:
-        raise LipschitzTooLarge(
-            f"regraphed profile Lipschitz {lip:.3f} > {lip_max}")
+    disk = harmonic_extension(inner.series, rho2, lip_max=lip_max)
     probe = np.arange(512) * (curve.period / 512)
     proj = np.linalg.norm(curve.points(probe) @ plane.basis(), axis=-1)
     if float(np.min(proj)) <= rho2:
         raise NotGraph("inner cylinder reaches past the curve")
     F = plane.frame()
-    ext = harmonic_extension(inner.series, rho2).pushforward(
+    ext = disk.pushforward(
         lambda x: x @ F.T, dphi=lambda x: np.broadcast_to(F, x.shape + F.shape[:1]))
     return Competitor(extension=ext, cylinder_radius=rho2)
 

@@ -61,13 +61,10 @@ class FourierSeries:
 
     def max_active_frequency(self, tol: float = 0.0) -> int:
         """Largest i whose coefficient pair is (strictly) above tol."""
-        N = self.nmodes
-        for i in range(N, 0, -1):
-            a = np.max(np.abs(self.alpha[i]))
-            b = np.max(np.abs(self.beta[i - 1]))
-            if max(a, b) > tol:
-                return i
-        return 0
+        peak = np.maximum(np.abs(self.alpha[1:]).max(axis=1, initial=0.0),
+                          np.abs(self.beta).max(axis=1, initial=0.0))
+        active = np.flatnonzero(peak > tol)
+        return int(active[-1]) + 1 if active.size else 0
 
     def _phases(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -85,6 +82,20 @@ class FourierSeries:
         ph = self._phases(theta)
         w = np.arange(1, self.nmodes + 1) / self.Q
         return (-np.sin(ph) * w) @ self.alpha[1:] + (np.cos(ph) * w) @ self.beta
+
+    def jet(self, theta):
+        """Evaluate (f, f') at the given angles from one trig table.
+
+        Same arithmetic as ``synthesize`` and ``derivative``, so the
+        results agree with theirs bit for bit.
+        """
+        ph = self._phases(theta)
+        c = np.cos(ph)
+        s = np.sin(ph)
+        w = np.arange(1, self.nmodes + 1) / self.Q
+        f = c @ self.alpha[1:] + s @ self.beta + self.alpha[0]
+        df = (-s * w) @ self.alpha[1:] + (c * w) @ self.beta
+        return f, df
 
     def lipschitz(self, samples: int = 0) -> float:
         """Max |f'| on a dense uniform grid (spectral derivative)."""
@@ -130,37 +141,6 @@ def analyze(samples, Q: int, nmodes: int | None = None,
     return FourierSeries(Q=Q, n=n, alpha=alpha, beta=beta)
 
 
-def project_modeq(series: FourierSeries) -> FourierSeries:
-    """Keep only the frequency-Q part, the one a plane tilt absorbs."""
-    alpha = np.zeros_like(series.alpha)
-    beta = np.zeros_like(series.beta)
-    if series.nmodes >= series.Q:
-        alpha[series.Q] = series.alpha[series.Q]
-        beta[series.Q - 1] = series.beta[series.Q - 1]
-    return FourierSeries(series.Q, series.n, alpha, beta)
-
-
-def drop_modeq(series: FourierSeries) -> FourierSeries:
-    """Complement of project_modeq: everything except frequency Q."""
-    alpha = series.alpha.copy()
-    beta = series.beta.copy()
-    if series.nmodes >= series.Q:
-        alpha[series.Q] = 0.0
-        beta[series.Q - 1] = 0.0
-    return FourierSeries(series.Q, series.n, alpha, beta)
-
-
-def sobolev_norm(series: FourierSeries):
-    """Return (L2 norm, W12 norm) computed from the coefficients."""
-    twopiq = series.period
-    a2 = np.sum(series.alpha[1:] ** 2, axis=1)
-    b2 = np.sum(series.beta ** 2, axis=1)
-    l2sq = twopiq * (np.sum(series.alpha[0] ** 2) + 0.5 * np.sum(a2 + b2))
-    w = (np.arange(1, series.nmodes + 1) / series.Q) ** 2
-    d2sq = twopiq * 0.5 * np.sum(w * (a2 + b2))
-    return float(np.sqrt(l2sq)), float(np.sqrt(l2sq + d2sq))
-
-
 def harmonic_extension(series: FourierSeries, r_out: float,
                        lip_max: float = 0.5, order=None):
     """Surface filling the winding curve of this profile at radius r_out.
@@ -203,27 +183,31 @@ def harmonic_extension(series: FourierSeries, r_out: float,
         out[..., 2:] = r_out * gval(w, theta)
         return out
 
+    # w^i = w * w^(i-1), so both partials come from the two products
+    # w^(i-1) cos and w^(i-1) sin against stacked coefficient blocks:
+    # [dg/dw | (dg/dtheta) / w] = (w^(i-1) cos) @ cos_coef
+    #                             + (w^(i-1) sin) @ sin_coef
+    wfreq = freqs / Q
+    cos_coef = np.hstack([freqs[:, None] * alpha[1:], wfreq[:, None] * beta])
+    sin_coef = np.hstack([freqs[:, None] * beta, -wfreq[:, None] * alpha[1:]])
+
     def jac(w, theta):
         w = np.asarray(w, dtype=float)
         theta = np.asarray(theta, dtype=float)
         shape = np.broadcast_shapes(w.shape, theta.shape)
         r = r_out * w ** Q
         dr = r_out * Q * w ** (Q - 1)
-        ph = theta[..., None] * (freqs / Q)
-        radp = freqs * w[..., None] ** (freqs - 1)
-        dg_dw = (radp * np.cos(ph)) @ alpha[1:] + (radp * np.sin(ph)) @ beta
-        rad = w[..., None] ** freqs
-        wfreq = freqs / Q
-        dg_dth = (-rad * np.sin(ph) * wfreq) @ alpha[1:] \
-            + (rad * np.cos(ph) * wfreq) @ beta
+        ph = theta[..., None] * wfreq
+        wpow = w[..., None] ** (freqs - 1)
+        dg = (wpow * np.cos(ph)) @ cos_coef + (wpow * np.sin(ph)) @ sin_coef
         xu = np.empty(shape + (2 + n,))
         xv = np.empty(shape + (2 + n,))
         xu[..., 0] = dr * np.cos(theta)
         xu[..., 1] = dr * np.sin(theta)
-        xu[..., 2:] = r_out * dg_dw
+        xu[..., 2:] = r_out * dg[..., :n]
         xv[..., 0] = -r * np.sin(theta)
         xv[..., 1] = r * np.cos(theta)
-        xv[..., 2:] = r_out * dg_dth
+        xv[..., 2:] = r_out * w[..., None] * dg[..., n:]
         return xu, xv
 
     if order is None:

@@ -27,6 +27,7 @@ ones, which is the kink the two-part tilt certificate in
 singular value decomposition.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ def _as_vec(x):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError("expected a 1-d coordinate array")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite coordinates")
     return v
 
@@ -85,13 +86,16 @@ def plane_from_spanning(u, v) -> Plane2:
     """Plane spanned (and oriented) by two independent vectors."""
     u = _as_vec(u)
     v = _as_vec(v)
-    nu = np.linalg.norm(u)
+    # sqrt(x @ x) is what np.linalg.norm computes for a 1-d array, bit for
+    # bit, without its dispatch cost (the tilt search builds a plane per
+    # objective evaluation)
+    nu = math.sqrt(u @ u)
     if nu < 1e-14:
         raise ValueError("degenerate spanning pair")
     e1 = u / nu
     w = v - (v @ e1) * e1
-    nw = np.linalg.norm(w)
-    if nw < 1e-14 * max(1.0, np.linalg.norm(v)):
+    nw = math.sqrt(w @ w)
+    if nw < 1e-14 * max(1.0, math.sqrt(v @ v)):
         raise ValueError("degenerate spanning pair")
     return Plane2(e1, w / nw)
 

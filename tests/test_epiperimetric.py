@@ -23,7 +23,7 @@ from tclab.epiperimetric import (_one_sided_probe, build_competitor,
                                  regraph_over_plane)
 from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           SupportEscapesCylinder)
-from tclab.fourier import FourierSeries
+from tclab.fourier import FourierSeries, analyze
 from tclab.geom import plane_from_spanning, standard_plane
 from tclab.scenarios import random_epi_curve, single_mode_curve
 
@@ -164,6 +164,74 @@ def test_regraph_smaller_cylinder_stays_on_cone():
     pts = back.points(np.linspace(0.0, back.period, 64))
     radii = np.linalg.norm(pts[:, :2], axis=1)
     assert np.allclose(radii, 0.5, atol=1e-12)
+
+
+def _regraph_cases():
+    """(curve, plane) pairs: each Q with a tilt mode and a higher mode,
+    against the reference plane and against a tilted one."""
+    cases = []
+    for Q, n in ((1, 1), (2, 2), (3, 1)):
+        alpha = np.zeros((2 * Q + 2, n))
+        beta = np.zeros((2 * Q + 1, n))
+        alpha[Q, 0] = 1e-2
+        beta[2 * Q, n - 1] = 4e-3
+        alpha[2 * Q + 1, 0] = -2e-3
+        curve = WindingCurve.from_fourier(FourierSeries(Q, n, alpha, beta))
+        tilt = np.linspace(-2e-2, 3e-2, 2 * n)
+        cases.append((curve, standard_plane(2 + n)))
+        cases.append((curve, epi._tilt_plane(tilt, n)))
+    return cases
+
+
+def _reference_regraph_series(curve, plane, new_rho):
+    """The regraph with a fixed 12 Newton passes and separate point and
+    velocity syntheses."""
+    F = plane.frame()
+
+    def angle_data(theta):
+        y = curve.points(theta) @ F
+        dy = curve.velocities(theta) @ F
+        u, du = y[..., :2], dy[..., :2]
+        r2 = np.sum(u * u, axis=-1)
+        psi = np.arctan2(u[..., 1], u[..., 0]) - np.mod(theta, 2 * np.pi)
+        psi = np.mod(psi + np.pi, 2 * np.pi) - np.pi
+        dphi = (u[..., 0] * du[..., 1] - u[..., 1] * du[..., 0]) / r2
+        return theta + psi, dphi, y, r2
+
+    target = np.arange(curve.M) * (curve.period / curve.M)
+    theta = target.copy()
+    for _ in range(12):
+        phi, dphi, _, _ = angle_data(theta)
+        theta = theta - (phi - target) / dphi
+    _, _, y, r2 = angle_data(theta)
+    prof = (new_rho / np.sqrt(r2))[:, None] * y[..., 2:] / new_rho
+    return epi._trim_series(analyze(prof, curve.Q, tail_tol=1.0))
+
+
+def test_regraph_matches_twelve_pass_reference():
+    for curve, plane in _regraph_cases():
+        got = regraph_over_plane(curve, plane, 0.5).series
+        want = _reference_regraph_series(curve, plane, 0.5)
+        assert got.alpha.shape == want.alpha.shape
+        assert np.all(np.abs(got.alpha - want.alpha) <= 1e-14)
+        assert np.all(np.abs(got.beta - want.beta) <= 1e-14)
+
+
+def test_regraph_newton_stops_at_convergence(monkeypatch):
+    sizes = []
+    jet = WindingCurve.jet
+
+    def counted(self, theta):
+        sizes.append(np.size(theta))
+        return jet(self, theta)
+
+    monkeypatch.setattr(WindingCurve, "jet", counted)
+    for curve, plane in _regraph_cases():
+        sizes.clear()
+        regraph_over_plane(curve, plane, 0.5)
+        # one probe at 4M angles, the Newton passes, one final evaluation
+        assert sizes[0] == 4 * curve.M
+        assert 1 <= len(sizes) - 2 <= 4
 
 
 def test_regraph_rejects_orthogonal_plane():
