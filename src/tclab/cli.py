@@ -160,6 +160,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "run":
             with open(args.config) as fh:
                 text = fh.read()

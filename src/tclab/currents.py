@@ -10,14 +10,8 @@ bracketed Newton solve per quadrature angle, on any such chart; no chart
 supplies its own radius solver.  A harmonic extension (GridSurface)
 evaluates its frame on the open axis grid, and a pushforward maps its
 base's frame, so neither evaluates a chart point twice.
-
-The winding-curve file format is JSON with fields Q, n, rho, orientation
-and exactly one of "samples" (M rows of n floats at uniform angles) or
-"fourier" ({"alpha": rows, "beta": rows}).  Floats survive a round trip
-bit-exactly because json writes shortest round-trip representations.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,7 +73,6 @@ class WindingCurve:
     samples: np.ndarray
     series: FourierSeries
     orientation: int = 1
-    source: str = "samples"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -107,7 +100,7 @@ class WindingCurve:
             samples = samples[:, None]
         series = analyze(samples, Q, nmodes=nmodes)
         return cls(Q=Q, n=samples.shape[1], rho=rho, samples=samples,
-                   series=series, orientation=orientation, source="samples")
+                   series=series, orientation=orientation)
 
     @classmethod
     def from_fourier(cls, series: FourierSeries, rho: float = 1.0,
@@ -119,7 +112,7 @@ class WindingCurve:
         theta = np.arange(nsamples) * (series.period / nsamples)
         return cls(Q=series.Q, n=series.n, rho=rho,
                    samples=series.synthesize(theta), series=series,
-                   orientation=orientation, source="fourier")
+                   orientation=orientation)
 
     @property
     def M(self) -> int:
@@ -211,51 +204,6 @@ def curve_mass(curve, rtol: float = 1e-9) -> float:
         return v
 
     return float(periodic_trapezoid(speed, base.period, base.nsamples, rtol))
-
-
-# ---------------------------------------------------------------------------
-# curve spec files
-
-def curve_to_spec(curve: WindingCurve) -> dict:
-    spec = {"Q": curve.Q, "n": curve.n, "rho": curve.rho,
-            "orientation": curve.orientation}
-    if curve.source == "fourier":
-        spec["fourier"] = {"alpha": curve.series.alpha.tolist(),
-                           "beta": curve.series.beta.tolist()}
-    else:
-        spec["samples"] = curve.samples.tolist()
-    return spec
-
-
-def curve_from_spec(spec: dict) -> WindingCurve:
-    try:
-        Q = int(spec["Q"])
-        n = int(spec["n"])
-        rho = float(spec["rho"])
-        orientation = int(spec["orientation"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad curve spec: {exc}") from exc
-    if "fourier" in spec:
-        alpha = np.asarray(spec["fourier"]["alpha"], dtype=float)
-        beta = np.asarray(spec["fourier"]["beta"], dtype=float)
-        series = FourierSeries(Q=Q, n=n, alpha=alpha, beta=beta)
-        return WindingCurve.from_fourier(series, rho=rho,
-                                         orientation=orientation)
-    if "samples" in spec:
-        samples = np.asarray(spec["samples"], dtype=float)
-        return WindingCurve.from_samples(samples, Q, rho=rho,
-                                         orientation=orientation)
-    raise ValueError("curve spec needs either 'samples' or 'fourier'")
-
-
-def save_curve(path, curve: WindingCurve) -> None:
-    with open(path, "w") as fh:
-        json.dump(curve_to_spec(curve), fh)
-
-
-def load_curve(path) -> WindingCurve:
-    with open(path) as fh:
-        return curve_from_spec(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +328,6 @@ class ParamSurface:
     def pushforward(self, phi, dphi):
         """Image surface under a C^1 map phi with jacobian field dphi."""
         return Pushforward(self, phi, dphi)
-
-    def restrict(self, s: float, r: float):
-        return RadialRestriction(self, s, r)
 
 
 class GridSurface(ParamSurface):

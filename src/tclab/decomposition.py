@@ -3,27 +3,18 @@
 A union of winding curves near several planes is grouped by assigning
 every sample point to the plane whose tube (normal distance below a
 fixed width) contains it.  The grouping is only meaningful while the
-tubes stay disjoint over the sampled region; the radius where two tubes
-must start overlapping is a function of the smallest principal angle
-between the planes.
-
-Irreducibility of one group is decided by connectivity of the sampled
-support away from the vertex, with a spacing-refinement loop so that a
-coarse sample cannot fake a connection.
+tubes stay disjoint over the sampled region, so a sample inside two
+tubes is an error, not a tie to break.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .currents import WindingCurve, curve_mass
 from .errors import MassLeak, TubesOverlap
 from .geom import ORTHO_TOL, Plane2
 
-VERTEX_BALL = 1e-6
-LINK_FACTOR = 4.0
 MASS_LEAK_TOL = 1e-9
 
 
@@ -62,31 +53,6 @@ class EmbeddedCurve:
 
     def mass(self) -> float:
         return curve_mass(self.curve.space_curve())
-
-
-def principal_angles(p: Plane2, q: Plane2) -> np.ndarray:
-    """Principal angles between two planes, ascending, in [0, pi/2]."""
-    s = np.linalg.svd(p.basis().T @ q.basis(), compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))[::-1]
-
-
-def tube_overlap_radius(planes, width: float) -> float:
-    """Radius beyond which two tubes of the given width stay disjoint.
-
-    A point within width of two planes satisfies
-    |x| <= width (1 + 2 / sin(phi_min)) with phi_min the smallest
-    positive principal angle of the worst pair, so outside that radius
-    the tubes cannot meet.
-    """
-    worst = 0.0
-    for i in range(len(planes)):
-        for j in range(i + 1, len(planes)):
-            ang = principal_angles(planes[i], planes[j])
-            pos = ang[ang > 1e-9]
-            if pos.size == 0:
-                return np.inf
-            worst = max(worst, width * (1.0 + 2.0 / np.sin(pos[-1])))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -173,73 +139,3 @@ def split_current(curves, planes, width: float) -> SplitResult:
                        masses=group_mass, total_mass=total,
                        cluster=cluster, passed=not unassigned,
                        unassigned_curves=unassigned)
-
-
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    """Connectivity verdict for a family of curves near one plane."""
-
-    reducible: bool
-    components: int
-    witness: list
-    spacing: float
-    refinements: int
-
-
-def _component_labels(points, owners, ncurves, spacing):
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(LINK_FACTOR * spacing, output_type="ndarray")
-    m = points.shape[0]
-    data = np.ones(pairs.shape[0])
-    adj = sparse.coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(m, m))
-    ncomp, labels = sparse.csgraph.connected_components(
-        adj, directed=False)
-    curve_label = np.full(ncurves, -1, dtype=int)
-    for idx in range(ncurves):
-        mine = labels[owners == idx]
-        curve_label[idx] = mine[0] if mine.size else -1
-    merged = {}
-    for idx in range(ncurves):
-        merged.setdefault(curve_label[idx], []).append(idx)
-    return list(merged.values())
-
-
-def irreducibility_check(curves, oversample: int = 1,
-                         max_refinements: int = 3) -> IrreducibilityReport:
-    """Decide whether the union of curves is connected away from 0.
-
-    Sample points closer than LINK_FACTOR times the sample spacing are
-    linked; a single connected component is re-tested at half spacing
-    before an irreducible verdict, since refining can only break
-    spurious links.  The witness lists curve indices per component.
-    """
-    factor = max(int(oversample), 1)
-    refinements = 0
-    while True:
-        pts = []
-        owners = []
-        spacing = 0.0
-        for idx, c in enumerate(curves):
-            m = c.curve.M * factor
-            theta = np.arange(m) * (c.curve.period / m)
-            p = c.points(theta)
-            keep = np.linalg.norm(p, axis=-1) > VERTEX_BALL
-            pts.append(p[keep])
-            owners.append(np.full(int(np.sum(keep)), idx))
-            gaps = np.linalg.norm(np.diff(np.vstack([p, p[:1]]), axis=0),
-                                  axis=-1)
-            spacing = max(spacing, float(np.max(gaps)))
-        witness = _component_labels(np.concatenate(pts, axis=0),
-                                    np.concatenate(owners), len(curves),
-                                    spacing)
-        if len(witness) > 1:
-            return IrreducibilityReport(reducible=True,
-                                        components=len(witness),
-                                        witness=witness, spacing=spacing,
-                                        refinements=refinements)
-        if refinements >= max_refinements:
-            return IrreducibilityReport(reducible=False, components=1,
-                                        witness=witness, spacing=spacing,
-                                        refinements=refinements)
-        factor *= 2
-        refinements += 1

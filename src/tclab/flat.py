@@ -1,26 +1,15 @@
-"""Upper bounds for flat distances via explicit fillings.
+"""Upper bounds for flat distances via the radial homotopy.
 
-Every estimate here is one-sided: a concrete homotopy surface (or its
-cone) whose mass dominates the flat distance between two currents.  The
-three constructions are the affine homotopy between two closed curves,
-the radial-projection sweep between two ball scales of one surface, and
-the cone-versus-disk comparison obtained by coning an affine homotopy
-off the origin.
+Every estimate here is one-sided: a concrete homotopy whose mass
+dominates the flat distance between two currents.  The construction is
+the radial-projection sweep between two ball scales of one surface.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
-
-from .currents import ParamSurface, WindingCurve
 from .errors import VertexTooClose
-from .fourier import FourierSeries
-from .geom import Plane2, standard_plane
 from .monotonicity import VERTEX_RADIUS, radial_projection_mass
-from .quadrature import gauss_legendre, periodic_trapezoid
-
-DEGENERATE_FRACTION = 0.01
+from .quadrature import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -34,124 +23,6 @@ class FlatEstimate:
     filling_mass: float
     residual_mass: float
     bound: float
-    degenerate: bool = False
-
-
-def phase_align(curve0, curve1, coarse: int = 512) -> float:
-    """Parameter shift of curve1 minimizing the mean-square gap to curve0.
-
-    Scanned on a coarse grid and polished with a bounded scalar search;
-    returns the shift, not the aligned curve.
-    """
-    period = curve0.period
-    if abs(curve1.period - period) > 1e-12:
-        raise ValueError("curves must share the same period")
-    theta = np.arange(coarse) * (period / coarse)
-    p0 = curve0.points(theta)
-
-    def cost(shift):
-        return float(np.mean(np.sum(
-            (curve1.points(theta + shift) - p0) ** 2, axis=-1)))
-
-    shifts = np.arange(coarse) * (period / coarse)
-    costs = [cost(s) for s in shifts]
-    k = int(np.argmin(costs))
-    lo = shifts[k] - period / coarse
-    hi = shifts[k] + period / coarse
-    res = optimize.minimize_scalar(cost, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-12})
-    return float(res.x)
-
-
-def _homotopy_chart(curve0, curve1, shift):
-    def chart(t, theta):
-        t, theta = np.broadcast_arrays(np.asarray(t, float),
-                                       np.asarray(theta, float))
-        a = curve0.points(theta)
-        b = curve1.points(theta + shift)
-        return a + t[..., None] * (b - a)
-
-    def jac(t, theta):
-        t, theta = np.broadcast_arrays(np.asarray(t, float),
-                                       np.asarray(theta, float))
-        a = curve0.points(theta)
-        b = curve1.points(theta + shift)
-        da = curve0.velocities(theta)
-        db = curve1.velocities(theta + shift)
-        xt = b - a
-        xth = da + t[..., None] * (db - da)
-        return xt, xth
-
-    return chart, jac
-
-
-def _sweep_integrals(curve0, curve1, shift, with_cone: bool,
-                     tnodes: int = 24, rtol: float = 1e-7):
-    """Area of the affine homotopy sheet, optionally with its cone volume.
-
-    The sheet carries absolute-value kinks along loci where the two
-    curves touch, so the angular direction uses the doubling trapezoid
-    rule while the affine direction keeps Gauss-Legendre.  Returns
-    (area, cone_volume, degenerate_fraction).
-    """
-    tn, tw = gauss_legendre(tnodes, 0.0, 1.0)
-    stats = {"min": np.inf, "max": 0.0, "low": 0, "n": 0}
-
-    def line(theta):
-        a = curve0.points(theta)
-        b = curve1.points(theta + shift)
-        da = curve0.velocities(theta)
-        db = curve1.velocities(theta + shift)
-        xt = (b - a)[None, :, :]
-        x = a[None, :, :] + tn[:, None, None] * xt
-        xth = da[None, :, :] + tn[:, None, None] * (db - da)[None, :, :]
-        ee = np.sum(xt * xt, axis=-1)
-        gg = np.sum(xth * xth, axis=-1)
-        ff = np.sum(xt * xth, axis=-1)
-        area = np.sqrt(np.maximum(ee * gg - ff * ff, 0.0))
-        stats["max"] = max(stats["max"], float(np.max(area)))
-        stats["low"] += int(np.sum(area < 1e-9 * max(stats["max"], 1e-300)))
-        stats["n"] += area.size
-        out = [np.sum(tw[:, None] * area, axis=0)]
-        if with_cone:
-            G = np.empty(x.shape[:-1] + (3, 3))
-            for i, p in enumerate((x, xt * np.ones_like(x), xth)):
-                for j, q in enumerate((x, xt * np.ones_like(x), xth)):
-                    G[..., i, j] = np.sum(p * q, axis=-1)
-            vol = np.sqrt(np.maximum(np.linalg.det(G), 0.0))
-            out.append(np.sum(tw[:, None] * vol, axis=0))
-        return np.stack(out, axis=-1)
-
-    vals = periodic_trapezoid(line, curve0.period, 512, rtol=rtol,
-                              max_doublings=7)
-    frac = stats["low"] / max(stats["n"], 1)
-    area = float(vals[0])
-    cone = float(vals[1]) if with_cone else 0.0
-    return area, cone, frac
-
-
-def affine_homotopy_filling(curve0, curve1, align: bool = True):
-    """Filling of curve1 - curve0 by the straight-line homotopy.
-
-    Returns the estimate and the homotopy surface.  The degenerate flag
-    is set when more than one percent of the quadrature nodes carry a
-    near-vanishing area element, which happens when the sheets cross or
-    coincide.
-    """
-    if abs(curve0.period - curve1.period) > 1e-12:
-        raise ValueError("curves must share the same period")
-    shift = phase_align(curve0, curve1) if align else 0.0
-    chart, jac = _homotopy_chart(curve0, curve1, shift)
-    surf = ParamSurface(chart, (0.0, 1.0, 0.0, curve0.period),
-                        jacobian=jac,
-                        order=(24, max(128, 24 * int(round(curve0.period
-                                                           / np.pi)))))
-    filling, _, frac = _sweep_integrals(curve0, curve1, shift,
-                                        with_cone=False)
-    est = FlatEstimate(filling_mass=filling, residual_mass=0.0,
-                       bound=filling,
-                       degenerate=bool(frac > DEGENERATE_FRACTION))
-    return est, surf
 
 
 def radial_homotopy_filling(current, s: float, r: float,
@@ -171,44 +42,6 @@ def radial_homotopy_filling(current, s: float, r: float,
     nodes, weights = gauss_legendre(tnodes, 0.0, 1.0)
     total = 0.0
     for t, w in zip(nodes, weights):
-        rpm = radial_projection_mass(current, s * t, r * t)
-        total += w * t * t * rpm.value
+        total += w * t * t * radial_projection_mass(current, s * t, r * t)
     return FlatEstimate(filling_mass=float(total), residual_mass=0.0,
                         bound=float(total))
-
-
-def cone_difference_bound(curve: WindingCurve, plane: Plane2 | None = None,
-                          align: bool = True) -> FlatEstimate:
-    """Flat bound between the cone over the curve and the flat Q-disk.
-
-    The difference of the two boundary circles is filled by an affine
-    homotopy A; then cone(curve) - Q disk = A - boundary(cone over A) up
-    to orientation, so M(A) is the residual term and M(cone over A) a
-    filling term whose volume is one third of the swept moment.
-    """
-    if plane is None:
-        plane = standard_plane(curve.dim)
-    F = plane.frame()
-    Q, n = curve.Q, curve.n
-    flat = WindingCurve.from_fourier(
-        FourierSeries(Q, n, np.zeros((1, n)), np.zeros((0, n))),
-        rho=curve.rho, orientation=curve.orientation)
-
-    class _Framed:
-        period = flat.period
-
-        @staticmethod
-        def points(theta):
-            return flat.points(theta) @ F.T
-
-        @staticmethod
-        def velocities(theta):
-            return flat.velocities(theta) @ F.T
-
-    shift = phase_align(_Framed, curve) if align else 0.0
-    area, cone_vol, frac = _sweep_integrals(_Framed, curve, shift,
-                                            with_cone=True)
-    cone_vol /= 3.0
-    return FlatEstimate(filling_mass=cone_vol, residual_mass=area,
-                        bound=cone_vol + area,
-                        degenerate=bool(frac > DEGENERATE_FRACTION))

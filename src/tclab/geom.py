@@ -6,14 +6,14 @@ wedge u ^ v corresponds to outer(u, v) - outer(v, u).
 
 Norm conventions fixed here and used everywhere else:
 
-* ``plane_distance`` is the spectral (operator) norm of the difference of
-  the orthogonal projectors.
-* ``comass2`` of a two-covector is its largest singular value, which for
-  antisymmetric matrices equals the maximum of v @ A @ w over orthonormal
-  pairs (v, w).
 * the mass norm of a two-vector is the sum of its spectral pair values,
   i.e. half the nuclear norm of the matrix.  Tangent-minus-plane distances
   |T - tau| are measured in this norm.
+* the Euclidean norm of a two-vector is sqrt(1/2 sum A_ij^2); it agrees
+  with the mass norm on simple two-vectors.
+* the comass of a two-covector (``calibration.TwoFormField.comass_at``)
+  is its largest singular value, which for antisymmetric matrices equals
+  the maximum of v @ A @ w over orthonormal pairs (v, w).
 
 In dimension d <= 4 (codimension at most two, every family built here) a
 two-vector has at most two spectral pair values s1, s2, with
@@ -95,8 +95,14 @@ def plane_from_spanning(u, v) -> Plane2:
     e1 = u / nu
     w = v - (v @ e1) * e1
     nw = math.sqrt(w @ w)
-    if nw < 1e-14 * max(1.0, math.sqrt(v @ v)):
+    nv = math.sqrt(v @ v)
+    if nw < 1e-14 * max(1.0, nv):
         raise ValueError("degenerate spanning pair")
+    if nw < nv / math.sqrt(2.0):
+        # the subtraction cancelled, leaving w a rounding error of about
+        # eps |v| along e1; one more pass removes it ("twice is enough")
+        w = w - (w @ e1) * e1
+        nw = math.sqrt(w @ w)
     return Plane2(e1, w / nw)
 
 
@@ -131,45 +137,6 @@ def complete_frame(basis: np.ndarray) -> np.ndarray:
     if len(cols) != dim:
         raise ValueError("failed to complete frame")
     return np.stack(cols, axis=1)
-
-
-def split(x, plane: Plane2):
-    """Decompose x into (parallel, perpendicular) parts for the plane.
-
-    Broadcasts over leading axes of x.
-    """
-    x = np.asarray(x, dtype=float)
-    B = plane.basis()
-    par = (x @ B) @ B.T
-    return par, x - par
-
-
-def plane_distance(p: Plane2, q: Plane2) -> float:
-    """Operator-norm distance between the two orthogonal projectors."""
-    if p.dim != q.dim:
-        raise ValueError("planes live in different ambient dimensions")
-    return float(np.linalg.norm(p.projector() - q.projector(), 2))
-
-
-def check_antisymmetric(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite matrix entries")
-    if np.max(np.abs(A + A.T)) > 1e-9 * max(1.0, np.max(np.abs(A))):
-        raise ValueError("matrix is not antisymmetric")
-    return 0.5 * (A - A.T)
-
-
-def comass2(A) -> float:
-    """Comass of a two-covector: max of A(v, w) over orthonormal pairs.
-
-    For an antisymmetric matrix this equals the largest singular value;
-    the maximizing pair can be read off the corresponding spectral block.
-    """
-    A = check_antisymmetric(A)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def wedge_matrix(u, v) -> np.ndarray:
@@ -222,6 +189,3 @@ def random_rotation(dim: int, rng) -> np.ndarray:
         Qm[:, 0] = -Qm[:, 0]
     return Qm
 
-
-def rotate_plane(plane: Plane2, R: np.ndarray) -> Plane2:
-    return Plane2(R @ plane.e1, R @ plane.e2)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .currents import annulus_mass, integrate_density, restrict_annulus
 from .errors import EmptyRestriction, VertexTooClose
-from .geom import Plane2
 
 OMEGA2 = np.pi
 VERTEX_RADIUS = 1e-6
@@ -83,44 +82,31 @@ def mass_profile(current, radii, Q: int) -> MassProfile:
     return MassProfile(radii=np.asarray(radii, float), values=values, Q=Q)
 
 
-def _perp_density(perp_against):
-    if perp_against == "tangent":
-        def density(x, xu, xv):
-            e = np.sum(xu * xu, axis=-1)
-            f = np.sum(xu * xv, axis=-1)
-            g = np.sum(xv * xv, axis=-1)
-            pu = np.sum(xu * x, axis=-1)
-            pv = np.sum(xv * x, axis=-1)
-            det = e * g - f * f
-            ca = (g * pu - f * pv) / det
-            cb = (e * pv - f * pu) / det
-            perp = x - ca[..., None] * xu - cb[..., None] * xv
-            return np.sum(perp * perp, axis=-1), np.sum(x * x, axis=-1)
-    elif isinstance(perp_against, Plane2):
-        proj = perp_against.projector()
-
-        def density(x, xu, xv):
-            perp = x - x @ proj
-            return np.sum(perp * perp, axis=-1), np.sum(x * x, axis=-1)
-    else:
-        raise TypeError("perp_against must be 'tangent' or a Plane2")
-    return density
+def _tangent_perp(x, xu, xv):
+    """|x_perp|^2 against the tangent plane spanned by xu, xv, and |x|^2."""
+    e = np.sum(xu * xu, axis=-1)
+    f = np.sum(xu * xv, axis=-1)
+    g = np.sum(xv * xv, axis=-1)
+    pu = np.sum(xu * x, axis=-1)
+    pv = np.sum(xv * x, axis=-1)
+    det = e * g - f * f
+    ca = (g * pu - f * pv) / det
+    cb = (e * pv - f * pu) / det
+    perp = x - ca[..., None] * xu - cb[..., None] * xv
+    return np.sum(perp * perp, axis=-1), np.sum(x * x, axis=-1)
 
 
-def deviation_integral(current, s: float, r: float,
-                       perp_against="tangent") -> float:
+def deviation_integral(current, s: float, r: float) -> float:
     """Integral of |x_perp|^2 / |x|^4 over the annulus between s and r.
 
-    Normal components are taken against the surface tangent plane by
-    default, or against a fixed reference plane.
+    Normal components are taken against the surface tangent plane.
     """
     if s < VERTEX_RADIUS:
         raise VertexTooClose(
             f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
-    base = _perp_density(perp_against)
 
     def density(x, xu, xv):
-        p2, x2 = base(x, xu, xv)
+        p2, x2 = _tangent_perp(x, xu, xv)
         return p2 / x2 ** 2
 
     try:
@@ -130,46 +116,21 @@ def deviation_integral(current, s: float, r: float,
     return integrate_density(region, density)
 
 
-@dataclass(frozen=True)
-class RadialBound:
-    """Mass of the radial projection with its Cauchy-Schwarz factors."""
-
-    value: float
-    i1: float
-    i2: float
-
-    @property
-    def product(self) -> float:
-        return self.i1 * self.i2
-
-
-def radial_projection_mass(current, s: float, r: float) -> RadialBound:
-    """Integral of |x_perp| / |x|^3 over an annulus, with the two
-    square-integral factors that dominate it."""
+def radial_projection_mass(current, s: float, r: float) -> float:
+    """Integral of |x_perp| / |x|^3 over the annulus between s and r."""
     if s < VERTEX_RADIUS:
         raise VertexTooClose(
             f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
-    base = _perp_density("tangent")
 
-    def dens_value(x, xu, xv):
-        p2, x2 = base(x, xu, xv)
+    def density(x, xu, xv):
+        p2, x2 = _tangent_perp(x, xu, xv)
         return np.sqrt(p2) / x2 ** 1.5
-
-    def dens_i1(x, xu, xv):
-        p2, x2 = base(x, xu, xv)
-        return p2 / x2 ** 2
-
-    def dens_i2(x, xu, xv):
-        return 1.0 / np.sum(x * x, axis=-1)
 
     try:
         region = restrict_annulus(current, s, r)
     except EmptyRestriction:
-        return RadialBound(0.0, 0.0, 0.0)
-    value = integrate_density(region, dens_value)
-    i1 = np.sqrt(integrate_density(region, dens_i1))
-    i2 = np.sqrt(integrate_density(region, dens_i2))
-    return RadialBound(value=value, i1=i1, i2=i2)
+        return 0.0
+    return integrate_density(region, density)
 
 
 @dataclass(frozen=True)

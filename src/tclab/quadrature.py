@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
+MAX_DOUBLINGS = 6
+
 
 @lru_cache(maxsize=128)
 def _gl_cached(order: int):
@@ -25,18 +27,18 @@ def gauss_legendre(order: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
-def periodic_trapezoid(fn, period: float, nodes: int, rtol: float = 1e-10,
-                       max_doublings: int = 6):
+def periodic_trapezoid(fn, period: float, nodes: int, rtol: float = 1e-10):
     """Integrate a smooth periodic vector-valued function over one period.
 
-    Doubles the node count until two successive levels agree to ``rtol``
-    relative; returns the finer value.  ``fn`` must accept an array of
-    angles and return values whose leading axis matches it.
+    Doubles the node count, at most MAX_DOUBLINGS times, until two
+    successive levels agree to ``rtol`` relative; returns the finer value.
+    ``fn`` must accept an array of angles and return values whose leading
+    axis matches it.
     """
     m = int(nodes)
     theta = np.arange(m) * (period / m)
     val = np.sum(fn(theta), axis=0) * (period / m)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         m *= 2
         theta = np.arange(m) * (period / m)
         new = np.sum(fn(theta), axis=0) * (period / m)

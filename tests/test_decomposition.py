@@ -1,59 +1,17 @@
 """Plane clustering and splitting tests.
 
-The overlap-radius oracle is elementary: a point within distance w of
-two planes meeting at smallest positive principal angle phi satisfies
-|x| <= w (1 + 2 / sin phi), so orthogonal planes give exactly 3w.
+Oracles: a Q-circle of radius 1 has length 2 pi Q, and a point near
+both of two orthogonal planes lies in both tubes.
 """
 
 import numpy as np
 import pytest
 
-from tclab.currents import WindingCurve
 from tclab.decomposition import (EmbeddedCurve, cluster_by_planes,
-                                 irreducibility_check, principal_angles,
-                                 split_current, tube_overlap_radius)
+                                 split_current)
 from tclab.errors import TubesOverlap
-from tclab.fourier import FourierSeries
 from tclab.geom import Plane2
-from tclab.scenarios import orthogonal_planes_instance, single_mode_curve
-
-
-def embedded_circle(Q, rho, cols, D=4):
-    series = FourierSeries(Q=Q, n=1, alpha=np.zeros((1, 1)),
-                           beta=np.zeros((0, 1)))
-    curve = WindingCurve.from_fourier(series, rho=rho)
-    return EmbeddedCurve(curve=curve, frame=np.eye(D)[:, cols])
-
-
-def test_principal_angles_of_orthogonal_planes():
-    e = np.eye(4)
-    p = Plane2(e1=e[0], e2=e[1])
-    q = Plane2(e1=e[2], e2=e[3])
-    assert np.allclose(principal_angles(p, q), [np.pi / 2, np.pi / 2])
-
-
-def test_principal_angles_of_identical_planes():
-    e = np.eye(4)
-    p = Plane2(e1=e[0], e2=e[1])
-    assert np.allclose(principal_angles(p, p), [0.0, 0.0])
-
-
-def test_overlap_radius_oracle():
-    e = np.eye(4)
-    p = Plane2(e1=e[0], e2=e[1])
-    q = Plane2(e1=e[2], e2=e[3])
-    w = 0.05
-    assert tube_overlap_radius([p, q], w) == pytest.approx(3.0 * w)
-    phi = 0.4
-    tilted = Plane2(e1=np.cos(phi) * e[0] + np.sin(phi) * e[2], e2=e[1])
-    want = w * (1.0 + 2.0 / np.sin(phi))
-    assert tube_overlap_radius([p, tilted], w) == pytest.approx(want)
-
-
-def test_identical_planes_never_separate():
-    e = np.eye(4)
-    p = Plane2(e1=e[0], e2=e[1])
-    assert tube_overlap_radius([p, p], 0.1) == np.inf
+from tclab.scenarios import orthogonal_planes_instance
 
 
 def test_cluster_assigns_points_to_their_tube():
@@ -114,24 +72,3 @@ def test_split_reports_stray_curve():
     assert not result.passed
     assert len(result.unassigned_curves) == 1
 
-
-def test_disjoint_circles_are_reducible():
-    near = embedded_circle(1, 1.0, [0, 1, 2])
-    far_series = FourierSeries(Q=1, n=1, alpha=np.array([[0.5]]),
-                               beta=np.zeros((0, 1)))
-    lifted = EmbeddedCurve(
-        curve=WindingCurve.from_fourier(far_series, rho=1.0),
-        frame=np.eye(4)[:, [0, 1, 2]])
-    report = irreducibility_check([near, lifted])
-    assert report.reducible
-    assert report.components == 2
-    assert sorted(map(sorted, report.witness)) == [[0], [1]]
-
-
-def test_touching_double_circle_is_irreducible():
-    # a Q = 2 curve crossing its own plane links into one component
-    double = EmbeddedCurve(curve=single_mode_curve(2, 1, 0.05),
-                           frame=np.eye(4)[:, [0, 1, 2]])
-    report = irreducibility_check([double])
-    assert not report.reducible
-    assert report.components == 1

@@ -1,81 +1,18 @@
 """Flat-distance estimate tests.
 
-Hand oracles: the straight-line homotopy between concentric Q-circles
-of radii r0, r1 sweeps the annulus Q times, mass pi Q |r0^2 - r1^2|.
-For a unit circle with one small mode-2 wiggle of amplitude c, the
-residual sheet between curve and circle has area with the integral of
-|c cos(2 theta)|, which is 4c, and the cone over that sheet picks up a
-moment arm of one, so its volume is a third of the area.
+Hand oracle: a single mode i over Q = 1 with a = i / Q = 2 makes the
+radial sweep bound homogeneous of degree a - 1 = 1, so halving both
+radii halves the bound.
 """
 
-import numpy as np
 import pytest
 
-from tclab.currents import WindingCurve
 from tclab.errors import VertexTooClose
-from tclab.flat import (affine_homotopy_filling, cone_difference_bound,
-                        phase_align, radial_homotopy_filling)
-from tclab.fourier import FourierSeries
-from tclab.scenarios import extension_surface, single_mode_curve
-
-
-def flat_circle(Q, rho):
-    series = FourierSeries(Q=Q, n=1, alpha=np.zeros((1, 1)),
-                           beta=np.zeros((0, 1)))
-    return WindingCurve.from_fourier(series, rho=rho)
-
-
-class ShiftedView:
-    """The same curve traversed with a fixed parameter offset."""
-
-    def __init__(self, curve, delta):
-        self.curve = curve
-        self.delta = delta
-        self.period = curve.period
-
-    def points(self, theta):
-        return self.curve.points(np.asarray(theta) - self.delta)
-
-    def velocities(self, theta):
-        return self.curve.velocities(np.asarray(theta) - self.delta)
-
-
-@pytest.mark.parametrize("Q,r0,r1", [(1, 1.0, 0.6), (3, 1.2, 0.9)])
-def test_concentric_circles_fill_the_annulus(Q, r0, r1):
-    est, surf = affine_homotopy_filling(flat_circle(Q, r0),
-                                        flat_circle(Q, r1))
-    want = np.pi * Q * abs(r0 ** 2 - r1 ** 2)
-    assert est.bound == pytest.approx(want, rel=1e-12)
-    assert not est.degenerate
-    assert est.residual_mass == 0.0
-    assert surf.mass() == pytest.approx(want, rel=1e-9)
-
-
-def test_phase_align_recovers_parameter_shift():
-    base = single_mode_curve(2, 3, 0.05)
-    delta = 1.234
-    shift = phase_align(base, ShiftedView(base, delta))
-    assert shift == pytest.approx(delta, abs=1e-7)
-
-
-def test_phase_align_requires_matching_periods():
-    with pytest.raises(ValueError):
-        phase_align(flat_circle(1, 1.0), flat_circle(2, 1.0))
-
-
-def test_cone_difference_terms_for_small_wiggle():
-    c = 1e-3
-    est = cone_difference_bound(single_mode_curve(1, 2, c))
-    assert est.residual_mass == pytest.approx(4.0 * c, rel=1e-4)
-    assert est.filling_mass == pytest.approx(est.residual_mass / 3.0,
-                                             rel=1e-3)
-    assert est.bound == est.filling_mass + est.residual_mass
-    assert not est.degenerate
+from tclab.flat import radial_homotopy_filling
+from tclab.scenarios import extension_surface
 
 
 def test_radial_filling_scales_like_radius():
-    # single mode i = 2 over Q = 1 gives a = 2, so the sweep bound is
-    # homogeneous of degree a - 1 = 1 under radius halving
     surf = extension_surface(1, 2, 1e-2)
     bounds = [radial_homotopy_filling(surf, 0.1 / 2 ** k, 0.2 / 2 ** k).bound
               for k in range(3)]

@@ -16,7 +16,8 @@ approaches A (1 - (s/r)^eps) -> A on a deep radius ladder.
 import numpy as np
 import pytest
 
-from tclab.currents import ConeOverCurve, annulus_mass, normalize_to_sphere
+from tclab.currents import (ConeOverCurve, RadialRestriction, annulus_mass,
+                            normalize_to_sphere, restrict_annulus)
 from tclab.errors import VertexTooClose
 from tclab.monotonicity import (DecayConstants, check_almost_monotonicity,
                                 decay_envelope, deviation_integral,
@@ -58,8 +59,27 @@ def test_deviation_rejects_vertex_ball():
 
 
 def test_radial_projection_obeys_cauchy_schwarz():
-    rb = radial_projection_mass(extension_surface(2, 5, 5e-3), 0.3, 0.6)
-    assert 0.0 < rb.value <= rb.product * (1.0 + 1e-12)
+    # |x_perp| / |x|^3 = (|x_perp| / |x|^2) (1 / |x|), so the mass is at
+    # most the deviation integral's root times that of the 1/|x|^2 mass
+    surf = extension_surface(2, 5, 5e-3)
+    value = radial_projection_mass(surf, 0.3, 0.6)
+    i1_sq = deviation_integral(surf, 0.3, 0.6)
+    i2_sq = restrict_annulus(surf, 0.3, 0.6).integrate_density(
+        lambda x, xu, xv: 1.0 / np.sum(x * x, axis=-1))
+    assert 0.0 < value <= np.sqrt(i1_sq * i2_sq) * (1.0 + 1e-12)
+
+
+def test_radial_projection_builds_one_frame(monkeypatch):
+    frames = []
+    build = RadialRestriction._frame
+
+    def counted(self, order):
+        frames.append(order)
+        return build(self, order)
+
+    monkeypatch.setattr(RadialRestriction, "_frame", counted)
+    radial_projection_mass(extension_surface(2, 5, 5e-3), 0.3, 0.6)
+    assert len(frames) == 1
 
 
 def test_graph_surface_passes_monotonicity_with_tiny_constant():

@@ -231,6 +231,18 @@ def test_cli_pure_tilt_mode_exits_two(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "empty.json", [])
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert main(["decay", "--levels", "2", "--out", str(out),
+                 "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: --jobs must be at least 1") == 2
+    assert not out.exists()
+
+
 def test_cli_decay_mode_defaults_to_twice_q(tmp_path):
     out = tmp_path / "out"
     assert main(["decay", "--q", "2", "--levels", "2", "--out", str(out)]) == 0
