@@ -1,7 +1,9 @@
 """Plane clustering and splitting tests.
 
 Oracles: a Q-circle of radius 1 has length 2 pi Q, and a point near
-both of two orthogonal planes lies in both tubes.
+both of two orthogonal planes lies in both tubes.  Two planes meeting at
+angle phi along a common line have tubes of width w that overlap on
+their bisector out to distance w / sin(phi / 2) from that line.
 """
 
 import numpy as np
@@ -40,12 +42,51 @@ def test_cluster_order_is_equivariant():
     assert np.array_equal(a, 1 - b)
 
 
+def test_cluster_distances_are_normal_distances():
+    e = np.eye(4)
+    planes = [Plane2(e1=e[0], e2=e[1]), Plane2(e1=e[2], e2=e[3])]
+    pts = np.array([[3.0, -1.0, 0.03, 0.04],
+                    [0.5, 0.0, 2.0, 1.0]])
+    cluster = cluster_by_planes(pts, planes, width=0.1)
+    assert list(cluster.assignment) == [0, -1]
+    assert cluster.distances == pytest.approx([0.05, 0.5], rel=1e-14)
+
+
+def test_overlap_radius_oracle():
+    e = np.eye(4)
+    w, phi = 0.05, 0.4
+    p = Plane2(e1=e[0], e2=e[1])
+    tilted = Plane2(e1=np.cos(phi) * e[0] + np.sin(phi) * e[2], e2=e[1])
+    bisector = np.cos(phi / 2) * e[0] + np.sin(phi / 2) * e[2]
+    reach = w / np.sin(phi / 2)
+    with pytest.raises(TubesOverlap):
+        cluster_by_planes([0.99 * reach * bisector], [p, tilted], w)
+    beyond = cluster_by_planes([1.01 * reach * bisector], [p, tilted], w)
+    assert list(beyond.assignment) == [-1]
+
+
+def test_identical_planes_never_separate():
+    e = np.eye(4)
+    p = Plane2(e1=e[0], e2=e[1])
+    for radius in (1.0, 1e3):
+        with pytest.raises(TubesOverlap):
+            cluster_by_planes([[radius, 0.0, 0.01, 0.0]], [p, p], 0.1)
+
+
 def test_cluster_rejects_overlapping_tubes():
     e = np.eye(4)
     planes = [Plane2(e1=e[0], e2=e[1]), Plane2(e1=e[2], e2=e[3])]
     pts = np.array([[0.01, 0.0, 0.02, 0.0]])  # near both planes
     with pytest.raises(TubesOverlap):
         cluster_by_planes(pts, planes, width=0.05)
+
+
+@pytest.mark.parametrize("cols", [[0, 1], [0, 1, 1]],
+                         ids=["too few columns", "repeated column"])
+def test_embedded_curve_rejects_bad_frame(cols):
+    curve = orthogonal_planes_instance()[0].curve
+    with pytest.raises(ValueError):
+        EmbeddedCurve(curve=curve, frame=np.eye(4)[:, cols])
 
 
 def test_split_two_orthogonal_circles():

@@ -1,15 +1,22 @@
 """Flat-distance estimate tests.
 
-Hand oracle: a single mode i over Q = 1 with a = i / Q = 2 makes the
+Hand oracles: a single mode i over Q = 1 with a = i / Q = 2 makes the
 radial sweep bound homogeneous of degree a - 1 = 1, so halving both
-radii halves the bound.
+radii halves the bound.  For that surface with amplitude c the normal
+part of the position is c (a - 1) r^a |cos(2 theta)| to first order in
+c, the integral of |cos(2 theta)| over a turn is 4, so the radial
+projection mass of the annulus (s, r) is 4 c (r - s) and the sweep
+bound, its t^3-weighted integral over t in (0, 1), is c (r - s).  A cone
+is invariant under the radial sweep, so its bound vanishes.
 """
 
+import numpy as np
 import pytest
 
+from tclab.currents import ConeOverCurve
 from tclab.errors import VertexTooClose
 from tclab.flat import radial_homotopy_filling
-from tclab.scenarios import extension_surface
+from tclab.scenarios import extension_surface, random_link_curve
 
 
 def test_radial_filling_scales_like_radius():
@@ -18,6 +25,37 @@ def test_radial_filling_scales_like_radius():
               for k in range(3)]
     for big, small in zip(bounds, bounds[1:]):
         assert small == pytest.approx(big / 2.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("s,r", [(0.1, 0.5), (0.2, 0.9)])
+def test_radial_filling_of_small_wiggle(s, r):
+    # the angular order resolves the kinks of |cos(2 theta)|; the
+    # first-order oracle is exact up to O(c^2)
+    c = 1e-3
+    est = radial_homotopy_filling(
+        extension_surface(1, 2, c, order=(48, 256)), s, r)
+    assert est.bound == pytest.approx(c * (r - s), rel=1e-4)
+    assert est.residual_mass == 0.0
+    assert est.bound == est.filling_mass
+
+
+def test_radial_filling_is_linear_in_small_amplitude():
+    a, b = (radial_homotopy_filling(extension_surface(1, 2, c), 0.1, 0.5)
+            for c in (1e-3, 2e-3))
+    assert b.bound == pytest.approx(2.0 * a.bound, rel=1e-5)
+
+
+@pytest.mark.parametrize("Q", [1, 3])
+def test_flat_disk_has_zero_radial_filling(Q):
+    est = radial_homotopy_filling(extension_surface(Q, 2 * Q, 0.0), 0.1, 0.5)
+    assert 0.0 <= est.bound < 1e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cone_has_zero_radial_filling(seed):
+    link = random_link_curve(np.random.default_rng(seed))
+    cone = ConeOverCurve(np.zeros(link.dim), link, 1.0).chart()
+    assert 0.0 <= radial_homotopy_filling(cone, 0.1, 0.5).bound < 1e-14
 
 
 def test_radial_filling_rejects_vertex_ball():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tclab.calibration import TwoFormField
-from tclab.geom import (plane_from_spanning, standard_plane, complete_frame,
-                        wedge_matrix, twovector_mass_norm,
+from tclab.geom import (Plane2, plane_from_spanning, standard_plane,
+                        complete_frame, wedge_matrix, twovector_mass_norm,
                         twovector_euclid_norm, random_rotation,
                         unit_tangent_matrix)
 
@@ -58,11 +58,57 @@ def test_projection_is_idempotent(uv):
     assert np.allclose(P @ P, P, atol=1e-12)
 
 
+def test_split_reassembles():
+    # the projector splits a point into its in-plane part and a normal
+    # part orthogonal to both basis vectors
+    p = plane_from_spanning([1.0, 2.0, 0.0, 1.0, 0.0],
+                            [0.0, 1.0, 1.0, 0.0, -1.0])
+    x = np.arange(5.0)
+    y = p.projector() @ x
+    z = x - y
+    assert np.allclose(y + z, x)
+    assert np.allclose(p.projector() @ z, 0.0, atol=1e-14)
+    assert abs(z @ p.e1) < 1e-14 and abs(z @ p.e2) < 1e-14
+
+
+INVALID_BASES = {
+    "not orthonormal": ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]),
+    "dimension two": ([1.0, 0.0], [0.0, 1.0]),
+    "mismatched dimensions": ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),
+    "non-finite": ([1.0, 0.0, np.nan], [0.0, 1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_BASES))
+def test_plane_rejects_invalid_basis(case):
+    e1, e2 = INVALID_BASES[case]
+    with pytest.raises(ValueError):
+        Plane2(e1=np.array(e1), e2=np.array(e2))
+
+
+def test_plane_frame_starts_with_its_basis():
+    p = plane_from_spanning([1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0])
+    F = p.frame()
+    assert np.allclose(F.T @ F, np.eye(4), atol=1e-12)
+    assert np.array_equal(F[:, 0], p.e1) and np.array_equal(F[:, 1], p.e2)
+
+
 def test_complete_frame_is_orthogonal():
     basis = plane_from_spanning([1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0])
     F = complete_frame(np.stack([basis.e1, basis.e2], axis=1))
     assert F.shape == (4, 4)
     assert np.allclose(F.T @ F, np.eye(4), atol=1e-12)
+
+
+def test_plane_distance_zero_on_itself_and_positive_otherwise():
+    # |T - tau| in the mass norm: zero on the plane itself, and for a
+    # plane tilted by angle phi inside span(e1, e3) it is 2 sin(phi / 2)
+    p = standard_plane(3)
+    phi = 0.1
+    q = plane_from_spanning([np.cos(phi), 0.0, np.sin(phi)], [0.0, 1.0, 0.0])
+    assert twovector_mass_norm(p.wedge_matrix() - p.wedge_matrix()) == 0.0
+    got = twovector_mass_norm(q.wedge_matrix() - p.wedge_matrix())
+    assert abs(got - 2.0 * np.sin(phi / 2.0)) < 1e-14
 
 
 def test_wedge_mass_norm_is_parallelogram_area():
@@ -176,3 +222,11 @@ def test_random_rotation_is_orthogonal(seed):
     assert np.allclose(R.T @ R, np.eye(4), atol=1e-12)
     assert np.linalg.det(R) > 0
 
+
+def test_rotate_plane_preserves_orthonormality():
+    R = random_rotation(3, np.random.default_rng(7))
+    p = standard_plane(3)
+    q = Plane2(e1=R @ p.e1, e2=R @ p.e2)
+    assert abs(np.dot(q.e1, q.e2)) < 1e-12
+    assert abs(np.linalg.norm(q.e1) - 1) < 1e-12
+    assert np.allclose(q.projector(), R @ p.projector() @ R.T, atol=1e-12)

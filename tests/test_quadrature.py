@@ -1,0 +1,53 @@
+"""Quadrature rule tests.
+
+Oracles: n-point Gauss-Legendre integrates polynomials of degree 2n - 1
+exactly, and over one period the trapezoid rule on m nodes integrates
+exp(cos theta) to 2 pi I0(1) with an error that falls faster than any
+power of m.
+"""
+
+import numpy as np
+import pytest
+
+from tclab.quadrature import MAX_DOUBLINGS, gauss_legendre, periodic_trapezoid
+
+# 2 pi I0(1), I0 the modified Bessel function of the first kind
+TWO_PI_I0_1 = 2.0 * np.pi * 1.2660658777520082
+
+
+@pytest.mark.parametrize("order", [1, 3, 8])
+def test_gauss_legendre_is_exact_to_degree_2n_minus_1(order):
+    a, b = -0.5, 2.0
+    x, w = gauss_legendre(order, a, b)
+    deg = 2 * order - 1
+    want = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
+    assert np.sum(w * x ** deg) == pytest.approx(want, rel=1e-13)
+    assert np.sum(w) == pytest.approx(b - a, rel=1e-14)
+
+
+def test_gauss_legendre_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        gauss_legendre(0, 0.0, 1.0)
+
+
+def test_periodic_trapezoid_converges_on_smooth_data():
+    def fn(theta):
+        return np.stack([np.exp(np.cos(theta)), np.cos(theta) ** 2], axis=-1)
+
+    got = periodic_trapezoid(fn, 2.0 * np.pi, 4, rtol=1e-13)
+    assert got.shape == (2,)
+    assert got[0] == pytest.approx(TWO_PI_I0_1, rel=1e-14)
+    assert got[1] == pytest.approx(np.pi, rel=1e-14)
+
+
+def test_periodic_trapezoid_stops_after_max_doublings():
+    sizes = []
+
+    def unresolved(theta):
+        # values that grow with the node count never settle
+        sizes.append(theta.size)
+        return np.full(theta.size, float(theta.size))
+
+    got = periodic_trapezoid(unresolved, 2.0 * np.pi, 4)
+    assert got == 2.0 * np.pi * sizes[-1]
+    assert sizes == [4 * 2 ** k for k in range(MAX_DOUBLINGS + 1)]
