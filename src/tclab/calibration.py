@@ -123,16 +123,16 @@ def bump_field(center, radius: float, direction,
     return TestVectorField(func=func, jac=jac, center=center, radius=radius)
 
 
-def comass_field_check(form: TwoFormField, points, tol: float = 1e-9):
-    """Largest comass over the sample points; fails above 1 + tol."""
+def comass_field_check(form: TwoFormField, points):
+    """Largest comass over the sample points; fails above 1 + 1e-9."""
     vals = form.comass_at(points)
     worst = float(np.max(vals))
-    return worst, bool(worst <= 1.0 + tol)
+    return worst, bool(worst <= 1.0 + 1e-9)
 
 
-def calibration_defect(surface, form: TwoFormField, order=None) -> float:
+def calibration_defect(surface, form: TwoFormField) -> float:
     """Mass minus form action; zero exactly when the form calibrates."""
-    action = surface.integrate_form(form, order=order)
+    action = surface.integrate_form(form)
     return surface.mass(check=False) - action
 
 
@@ -421,27 +421,25 @@ def solid_angle_form() -> TwoFormField:
 
 
 def spherical_cap(radius: float, phi_min: float, phi_max: float,
-                  dim: int = 3, order=(48, 96),
-                  orientation: int = 1) -> ParamSurface:
+                  dim: int = 3, order=(48, 96)) -> ParamSurface:
     """Latitude band phi in (phi_min, phi_max) of the sphere |x| = radius,
     embedded in R^dim with trailing coordinates zero."""
     if dim < 3:
         raise ValueError("need ambient dimension at least 3")
 
     def chart(phi, lam):
-        phi, lam = np.broadcast_arrays(np.asarray(phi, float),
-                                       np.asarray(lam, float))
-        out = np.zeros(phi.shape + (dim,))
+        phi, lam = np.asarray(phi, float), np.asarray(lam, float)
+        out = np.zeros(np.broadcast_shapes(phi.shape, lam.shape) + (dim,))
         out[..., 0] = radius * np.sin(phi) * np.cos(lam)
         out[..., 1] = radius * np.sin(phi) * np.sin(lam)
         out[..., 2] = radius * np.cos(phi)
         return out
 
     def jacobian(phi, lam):
-        phi, lam = np.broadcast_arrays(np.asarray(phi, float),
-                                       np.asarray(lam, float))
-        xp = np.zeros(phi.shape + (dim,))
-        xl = np.zeros(phi.shape + (dim,))
+        phi, lam = np.asarray(phi, float), np.asarray(lam, float)
+        shape = np.broadcast_shapes(phi.shape, lam.shape) + (dim,)
+        xp = np.zeros(shape)
+        xl = np.zeros(shape)
         xp[..., 0] = radius * np.cos(phi) * np.cos(lam)
         xp[..., 1] = radius * np.cos(phi) * np.sin(lam)
         xp[..., 2] = -radius * np.sin(phi)
@@ -450,5 +448,4 @@ def spherical_cap(radius: float, phi_min: float, phi_max: float,
         return xp, xl
 
     return ParamSurface(chart, (phi_min, phi_max, 0.0, 2 * np.pi),
-                        jacobian=jacobian, order=order,
-                        orientation=orientation)
+                        jacobian=jacobian, order=order)

@@ -1,15 +1,19 @@
-"""Parametrized 2-currents: winding curves, chart surfaces and cones.
+"""Parametrized 2-currents: closed curves, chart surfaces and cones.
 
-Everything is a chart over a rectangle with an analytic jacobian; masses
+A curve is anything with ``Q``, ``orientation``, ``rho``, ``M``,
+``period``, ``points`` and ``velocities`` (a SpaceCurve or a
+WindingCurve); its length and cone masses are periodic trapezoid sums.
+A surface is a chart over a rectangle with an analytic jacobian; masses
 and form integrals are tensor Gauss-Legendre sums with a doubling
-self-check, curve masses are periodic trapezoid sums.  Restriction to a
+self-check.  ``ParamSurface._frame`` is the one quadrature frame builder:
+it evaluates the chart once on the open axis grid, so a chart that
+factors over the axes (powers of u, trig of v) computes each factor once
+per axis node.  A pushforward maps its base's frame.  Restriction to a
 ball or annulus clips the chart along |x| level sets, which requires the
 radius to be monotone along one chart axis (true for every cone, radial
 extension and polar graph built here).  The clip bounds come from one
 bracketed Newton solve per quadrature angle, on any such chart; no chart
-supplies its own radius solver.  A harmonic extension (GridSurface)
-evaluates its frame on the open axis grid, and a pushforward maps its
-base's frame, so neither evaluates a chart point twice.
+supplies its own radius solver.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import (DegenerateCone, EmptyRestriction, FormUndefined,
                      NoConvergence, NonFinite, QuadratureNotConverged,
                      Undersampled)
-from .fourier import FourierSeries, analyze
+from .fourier import FourierSeries
 from .quadrature import gauss_legendre, periodic_trapezoid
 
 SAMPLES_PER_WINDING_MODE = 16
@@ -36,16 +40,17 @@ NEWTON_ULPS = 4
 class SpaceCurve:
     """Closed parametrized curve theta -> gamma(theta) on [0, period).
 
-    ``scale`` records the geometric size (sphere or cylinder radius) so
-    cones over the curve know where the curve sits relative to the vertex.
+    ``rho`` records the geometric size (sphere or cylinder radius) and
+    ``M`` the base sample count of periodic sums over the curve, the
+    names a WindingCurve gives the same data.
     """
 
     gamma: Callable
     dgamma: Callable
     Q: int
     orientation: int = 1
-    scale: float = 1.0
-    nsamples: int = 256
+    rho: float = 1.0
+    M: int = 256
 
     @property
     def period(self) -> float:
@@ -63,7 +68,7 @@ class WindingCurve:
     """Closed curve winding Q times around a cylinder of radius rho.
 
     The trace is theta -> rho * (cos theta, sin theta, f(theta)) for
-    theta in [0, 2*pi*Q), with the profile f stored both as uniform
+    theta in [0, 2*pi*Q), with the profile f stored both as M uniform
     samples and as its Fourier series.
     """
 
@@ -93,23 +98,12 @@ class WindingCurve:
         object.__setattr__(self, "samples", samples)
 
     @classmethod
-    def from_samples(cls, samples, Q: int, rho: float = 1.0,
-                     orientation: int = 1, nmodes: int | None = None):
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        series = analyze(samples, Q, nmodes=nmodes)
-        return cls(Q=Q, n=samples.shape[1], rho=rho, samples=samples,
-                   series=series, orientation=orientation)
-
-    @classmethod
     def from_fourier(cls, series: FourierSeries, rho: float = 1.0,
-                     orientation: int = 1, nsamples: int | None = None):
+                     orientation: int = 1):
         fa = max(series.max_active_frequency(1e-12), 1)
-        if nsamples is None:
-            nsamples = max(256, SAMPLES_PER_WINDING_MODE * series.Q * fa,
-                           2 * series.nmodes + 2)
-        theta = np.arange(nsamples) * (series.period / nsamples)
+        m = max(256, SAMPLES_PER_WINDING_MODE * series.Q * fa,
+                2 * series.nmodes + 2)
+        theta = np.arange(m) * (series.period / m)
         return cls(Q=series.Q, n=series.n, rho=rho,
                    samples=series.synthesize(theta), series=series,
                    orientation=orientation)
@@ -126,15 +120,12 @@ class WindingCurve:
     def period(self) -> float:
         return 2.0 * np.pi * self.Q
 
-    def profile(self, theta):
-        return self.series.synthesize(theta)
-
     def points(self, theta):
         theta = np.asarray(theta, dtype=float)
         out = np.empty(theta.shape + (self.dim,))
         out[..., 0] = np.cos(theta)
         out[..., 1] = np.sin(theta)
-        out[..., 2:] = self.profile(theta)
+        out[..., 2:] = self.series.synthesize(theta)
         return self.rho * out
 
     def velocities(self, theta):
@@ -161,49 +152,36 @@ class WindingCurve:
         dx[..., 2:] = df
         return self.rho * x, self.rho * dx
 
-    def lipschitz(self) -> float:
-        """Max finite-difference quotient of the profile over adjacent nodes."""
-        d = np.diff(self.samples, axis=0, append=self.samples[:1])
-        step = self.period / self.M
-        return float(np.max(np.linalg.norm(d, axis=1))) / step
-
-    def space_curve(self) -> SpaceCurve:
-        return SpaceCurve(self.points, self.velocities, self.Q,
-                          self.orientation, scale=self.rho,
-                          nsamples=self.M)
-
 
 def normalize_to_sphere(curve, radius: float = 1.0) -> SpaceCurve:
     """Radially project a curve onto the sphere of the given radius."""
-    base = curve.space_curve() if isinstance(curve, WindingCurve) else curve
 
     def gamma(theta):
-        g = base.points(theta)
+        g = curve.points(theta)
         return radius * g / np.linalg.norm(g, axis=-1, keepdims=True)
 
     def dgamma(theta):
-        g = base.points(theta)
-        dg = base.velocities(theta)
+        g = curve.points(theta)
+        dg = curve.velocities(theta)
         r2 = np.sum(g * g, axis=-1, keepdims=True)
         rad = np.sqrt(r2)
         return radius * (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
                          / (rad * r2))
 
-    return SpaceCurve(gamma, dgamma, base.Q, base.orientation,
-                      scale=radius, nsamples=base.nsamples)
+    return SpaceCurve(gamma, dgamma, curve.Q, curve.orientation,
+                      rho=radius, M=curve.M)
 
 
-def curve_mass(curve, rtol: float = 1e-9) -> float:
+def curve_mass(curve) -> float:
     """Length of the curve counted with its winding multiplicity."""
-    base = curve.space_curve() if isinstance(curve, WindingCurve) else curve
 
     def speed(theta):
-        v = np.linalg.norm(base.velocities(theta), axis=-1)
+        v = np.linalg.norm(curve.velocities(theta), axis=-1)
         if not np.all(np.isfinite(v)):
             raise NonFinite("non-finite curve velocity")
         return v
 
-    return float(periodic_trapezoid(speed, base.period, base.nsamples, rtol))
+    return float(periodic_trapezoid(speed, curve.period, curve.M, 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +193,15 @@ class ParamSurface:
     Parameters
     ----------
     chart : callable (U, V) -> (..., d)
-        Vectorized map; must broadcast U against V.
+        Vectorized map that broadcasts U against V.  The quadrature frame
+        calls it once on the open grid ``U[:, None], V[None, :]``; the
+        result may be any array that broadcasts to the full
+        (order[0], order[1], d) grid, so an output constant along one
+        axis can keep that axis at length 1.
     domain : (u0, u1, v0, v1)
     jacobian : callable (U, V) -> (x_u, x_v)
-        The chart's partial derivatives, vectorized like ``chart``.
+        The chart's partial derivatives, under the same contract as
+        ``chart``.
     multiplicity, orientation : int
     order : (int, int)
         Gauss-Legendre order per axis.
@@ -255,22 +238,23 @@ class ParamSurface:
     def _axes(self, order):
         """Gauss nodes and weights along each chart axis."""
         u0, u1, v0, v1 = self.domain
-        xu, wu = gauss_legendre(order[0], u0, u1)
-        xv, wv = gauss_legendre(order[1], v0, v1)
-        return xu, wu, xv, wv
-
-    def _nodes(self, order):
-        xu, wu, xv, wv = self._axes(order)
-        U, V = np.meshgrid(xu, xv, indexing="ij")
-        W = np.outer(wu, wv)
-        return U.ravel(), V.ravel(), W.ravel()
+        u, wu = gauss_legendre(order[0], u0, u1)
+        v, wv = gauss_legendre(order[1], v0, v1)
+        return u, wu, v, wv
 
     def _frame(self, order):
-        """Quadrature nodes with positions, partials, weights."""
-        U, V, W = self._nodes(order)
-        x = self.points(U, V)
-        xu, xv = self.partials(U, V)
-        return x, xu, xv, W
+        """Positions, partials and weights at the quadrature nodes, u-major.
+
+        The chart and jacobian are evaluated once on the open axis grid
+        and each output is broadcast to the full grid before flattening.
+        """
+        u, wu, v, wv = self._axes(order)
+        U, V = u[:, None], v[None, :]
+        out = (self.points(U, V), *self.partials(U, V))
+        d = out[0].shape[-1]
+        grid = (u.size, v.size, d)
+        x, xu, xv = (np.broadcast_to(a, grid).reshape(-1, d) for a in out)
+        return x, xu, xv, np.outer(wu, wv).ravel()
 
     @staticmethod
     def _area_element(xu, xv):
@@ -294,27 +278,26 @@ class ParamSurface:
             raise NonFinite("non-finite integrand on the chart")
         return self.multiplicity * float(np.sum(W * vals))
 
-    def mass(self, check: bool = True, rtol: float = MASS_SELF_CHECK_TOL):
+    def mass(self, check: bool = True):
         coarse = self.integrate_density()
         if not check:
             return coarse
         fine = self.integrate_density(
             order=(2 * self.order[0], 2 * self.order[1]))
         scale = max(abs(fine), 1e-300)
-        if abs(fine - coarse) > rtol * scale:
+        if abs(fine - coarse) > MASS_SELF_CHECK_TOL * scale:
             raise QuadratureNotConverged(
                 f"mass moved {abs(fine - coarse):.3e} "
                 f"({abs(fine - coarse) / scale:.3e} rel) when doubling the rule")
         return fine
 
-    def integrate_form(self, form, order=None) -> float:
+    def integrate_form(self, form) -> float:
         """Signed action of a two-form field: sum of form(x)(x_u, x_v).
 
         ``form`` maps batched positions (..., d) to antisymmetric matrices
         (..., d, d).
         """
-        order = order or self.order
-        x, xu, xv, W = self._frame(order)
+        x, xu, xv, W = self._frame(self.order)
         A = np.asarray(form(x), dtype=float)
         if A.shape != x.shape + (x.shape[-1],):
             raise FormUndefined("form field returned a bad shape")
@@ -328,25 +311,6 @@ class ParamSurface:
     def pushforward(self, phi, dphi):
         """Image surface under a C^1 map phi with jacobian field dphi."""
         return Pushforward(self, phi, dphi)
-
-
-class GridSurface(ParamSurface):
-    """Chart surface whose chart and jacobian accept an open grid.
-
-    ``chart(U[:, None], V[None, :])`` must be the chart on the full tensor
-    grid.  The quadrature frame evaluates it that way: still once per
-    node, but a chart that factors over the axes (powers of u, trig of v)
-    computes each factor once per axis node.
-    """
-
-    def _frame(self, order):
-        xu, wu, xv, wv = self._axes(order)
-        U, V = xu[:, None], xv[None, :]
-        x = self.points(U, V)
-        pu, pv = self.partials(U, V)
-        d = x.shape[-1]
-        return (x.reshape(-1, d), pu.reshape(-1, d), pv.reshape(-1, d),
-                np.outer(wu, wv).ravel())
 
 
 class Pushforward(ParamSurface):
@@ -511,14 +475,16 @@ class RadialRestriction(ParamSurface):
 
     def _frame(self, order):
         """Quadrature frame with the clip bounds solved once per angle."""
-        U, V, W = self._nodes(order)
-        # the nodes run u-major, so the first order[1] are the distinct v
-        ulo, uhi = self._bounds(V[:order[1]])
-        width = np.tile(uhi - ulo, order[0])
-        Ub = np.tile(ulo, order[0]) + U * width
+        u, wu, v, wv = self._axes(order)
+        ulo, uhi = self._bounds(v)
+        width = uhi - ulo
+        # mapped nodes, u-major like every frame
+        Ub = (ulo + u[:, None] * width).ravel()
+        V = np.tile(v, u.size)
         x = self.base.points(Ub, V)
         xu, xv = self.base.partials(Ub, V)
-        return x, xu * width[:, None], xv, W
+        return x, xu * np.tile(width, u.size)[:, None], xv, \
+            np.outer(wu, wv).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -529,111 +495,80 @@ class ConeOverCurve:
     """Cone with the given vertex over a closed curve.
 
     The chart is (t, theta) -> vertex + t * (gamma(theta) - vertex) for
-    t in (0, t_out] with t_out = outer_radius / link.scale, so
-    outer_radius = link.scale reaches exactly the curve.
+    t in (0, 1], so the cone reaches exactly the curve.
     """
 
     vertex: np.ndarray
     link: object
-    outer_radius: float = 0.0
 
     def __post_init__(self):
-        base = (self.link.space_curve() if isinstance(self.link, WindingCurve)
-                else self.link)
-        v = np.asarray(self.vertex, dtype=float)
-        object.__setattr__(self, "vertex", v)
-        object.__setattr__(self, "_curve", base)
-        r = self.outer_radius if self.outer_radius > 0 else base.scale
-        object.__setattr__(self, "outer_radius", float(r))
-
-    @property
-    def curve(self) -> SpaceCurve:
-        return self._curve
-
-    @property
-    def t_out(self) -> float:
-        return self.outer_radius / self.curve.scale
+        object.__setattr__(self, "vertex",
+                           np.asarray(self.vertex, dtype=float))
 
     def wedge_speed(self, theta):
         """|(gamma - vertex) ^ gamma'| at the given angles."""
-        g = self.curve.points(theta) - self.vertex
-        dg = self.curve.velocities(theta)
-        g2 = np.sum(g * g, axis=-1)
-        dg2 = np.sum(dg * dg, axis=-1)
-        cross = np.sum(g * dg, axis=-1)
-        return np.sqrt(np.maximum(g2 * dg2 - cross * cross, 0.0))
+        return ParamSurface._area_element(
+            self.link.points(theta) - self.vertex,
+            self.link.velocities(theta))
 
-    def check_nondegenerate(self, tol: float = 1e-10):
-        m = self.curve.nsamples
-        theta = np.arange(m) * (self.curve.period / m)
-        g = self.curve.points(theta) - self.vertex
-        dg = self.curve.velocities(theta)
+    def check_nondegenerate(self):
+        m = self.link.M
+        theta = np.arange(m) * (self.link.period / m)
+        g = self.link.points(theta) - self.vertex
+        dg = self.link.velocities(theta)
         wedge = self.wedge_speed(theta)
         scale = np.linalg.norm(g, axis=-1) * np.linalg.norm(dg, axis=-1)
-        bad = wedge <= tol * np.maximum(scale, 1e-300)
+        bad = wedge <= 1e-10 * np.maximum(scale, 1e-300)
         if np.mean(bad) > 0.01:
             raise DegenerateCone(
                 "link direction and velocity are parallel on "
                 f"{100 * np.mean(bad):.1f}% of the samples")
 
-    def chart(self, order=(32, 64)) -> ParamSurface:
-        curve = self.curve
+    def chart(self) -> ParamSurface:
+        link = self.link
         vertex = self.vertex
 
         def cmap(T, TH):
-            g = curve.points(TH)
+            g = link.points(TH)
             return vertex + np.asarray(T)[..., None] * (g - vertex)
 
         def cjac(T, TH):
-            g = curve.points(TH)
-            dg = curve.velocities(TH)
+            g = link.points(TH)
+            dg = link.velocities(TH)
             return g - vertex, np.asarray(T)[..., None] * dg
 
-        return ParamSurface(cmap, (0.0, self.t_out, 0.0, curve.period),
-                            jacobian=cjac, order=order, radial_axis=0)
+        return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
+                            jacobian=cjac, order=(32, 64), radial_axis=0)
 
 
-def cone_mass(cone: ConeOverCurve, rtol: float = 1e-9) -> float:
-    """Mass of the cone, (t_out^2 / 2) * integral of the wedge speed."""
+def cone_mass(cone: ConeOverCurve) -> float:
+    """Mass of the cone, half the integral of the wedge speed."""
     cone.check_nondegenerate()
-    val = periodic_trapezoid(cone.wedge_speed, cone.curve.period,
-                             cone.curve.nsamples, rtol)
-    return 0.5 * cone.t_out ** 2 * float(val)
+    val = periodic_trapezoid(cone.wedge_speed, cone.link.period,
+                             cone.link.M, 1e-9)
+    return 0.5 * float(val)
 
 
 def infinite_cone_cylinder_mass(curve, plane_basis: np.ndarray,
-                                radius: float, nsamples: int | None = None
-                                ) -> float:
+                                radius: float) -> float:
     """Mass of the infinite cone over the curve inside a plane's cylinder.
 
     ``plane_basis`` is a d x 2 orthonormal column pair; the cylinder is
     {|B^T x| <= radius}.  Rays are cut at t = radius / |B^T gamma| so the
     integral is closed in t.
     """
-    base = curve.space_curve() if isinstance(curve, WindingCurve) else curve
 
     def integrand(theta):
-        g = base.points(theta)
-        dg = base.velocities(theta)
-        g2 = np.sum(g * g, axis=-1)
-        dg2 = np.sum(dg * dg, axis=-1)
-        cross = np.sum(g * dg, axis=-1)
-        wedge = np.sqrt(np.maximum(g2 * dg2 - cross * cross, 0.0))
+        g = curve.points(theta)
+        wedge = ParamSurface._area_element(g, curve.velocities(theta))
         proj = np.linalg.norm(g @ plane_basis, axis=-1)
         return wedge * (radius / proj) ** 2
 
-    m = nsamples or base.nsamples
-    return 0.5 * float(periodic_trapezoid(integrand, base.period, m))
+    return 0.5 * float(periodic_trapezoid(integrand, curve.period, curve.M))
 
 
 # ---------------------------------------------------------------------------
 # module-level operation names
-
-def integrate_density(surface, density, order=None) -> float:
-    if isinstance(surface, ConeOverCurve):
-        surface = surface.chart()
-    return surface.integrate_density(density, order=order)
-
 
 def restrict_annulus(current, s: float, r: float):
     """Restriction to the annulus s <= |x| <= r about the origin."""
@@ -642,9 +577,9 @@ def restrict_annulus(current, s: float, r: float):
     return RadialRestriction(current, s, r)
 
 
-def annulus_mass(current, s: float, r: float, check: bool = True) -> float:
+def annulus_mass(current, s: float, r: float) -> float:
     """Mass of the annulus restriction; zero when the slab is empty."""
     try:
-        return restrict_annulus(current, s, r).mass(check=check)
+        return restrict_annulus(current, s, r).mass()
     except EmptyRestriction:
         return 0.0

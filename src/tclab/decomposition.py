@@ -45,14 +45,13 @@ class EmbeddedCurve:
     def plane(self) -> Plane2:
         return Plane2(e1=self.frame[:, 0].copy(), e2=self.frame[:, 1].copy())
 
-    def points(self, theta=None) -> np.ndarray:
-        if theta is None:
-            theta = np.arange(self.curve.M) \
-                * (self.curve.period / self.curve.M)
+    def points(self) -> np.ndarray:
+        """The curve's M samples in ambient space."""
+        theta = np.arange(self.curve.M) * (self.curve.period / self.curve.M)
         return self.curve.points(theta) @ self.frame.T
 
     def mass(self) -> float:
-        return curve_mass(self.curve.space_curve())
+        return curve_mass(self.curve)
 
 
 @dataclass(frozen=True)

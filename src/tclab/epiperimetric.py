@@ -275,8 +275,8 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
                                      orientation=curve.orientation)
 
 
-def _trim_series(series: FourierSeries, tol: float = 1e-13) -> FourierSeries:
-    keep = series.max_active_frequency(tol)
+def _trim_series(series: FourierSeries) -> FourierSeries:
+    keep = series.max_active_frequency(1e-13)
     return FourierSeries(series.Q, series.n,
                          series.alpha[:keep + 1].copy(),
                          series.beta[:keep].copy())

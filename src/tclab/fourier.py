@@ -97,9 +97,9 @@ class FourierSeries:
         df = (-s * w) @ self.alpha[1:] + (c * w) @ self.beta
         return f, df
 
-    def lipschitz(self, samples: int = 0) -> float:
+    def lipschitz(self) -> float:
         """Max |f'| on a dense uniform grid (spectral derivative)."""
-        m = samples or max(64, 16 * self.Q * max(self.max_active_frequency(), 1))
+        m = max(64, 16 * self.Q * max(self.max_active_frequency(), 1))
         theta = np.arange(m) * (self.period / m)
         return float(np.max(np.linalg.norm(self.derivative(theta), axis=-1)))
 
@@ -156,7 +156,7 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     trig factors cost one evaluation per angle and mode and the powers one
     per radius and mode.
     """
-    from .currents import GridSurface
+    from .currents import ParamSurface
 
     if r_out <= 0:
         raise ValueError("r_out must be positive")
@@ -212,6 +212,6 @@ def harmonic_extension(series: FourierSeries, r_out: float,
 
     if order is None:
         order = (32, max(32, 8 * max(series.max_active_frequency(1e-14), 1)))
-    return GridSurface(
+    return ParamSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
         order=order, radial_axis=0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import annulus_mass, integrate_density, restrict_annulus
+from .currents import annulus_mass, restrict_annulus
 from .errors import EmptyRestriction, VertexTooClose
 
 OMEGA2 = np.pi
@@ -113,7 +113,7 @@ def deviation_integral(current, s: float, r: float) -> float:
         region = restrict_annulus(current, s, r)
     except EmptyRestriction:
         return 0.0
-    return integrate_density(region, density)
+    return region.integrate_density(density)
 
 
 def radial_projection_mass(current, s: float, r: float) -> float:
@@ -130,7 +130,7 @@ def radial_projection_mass(current, s: float, r: float) -> float:
         region = restrict_annulus(current, s, r)
     except EmptyRestriction:
         return 0.0
-    return integrate_density(region, density)
+    return region.integrate_density(density)
 
 
 @dataclass(frozen=True)

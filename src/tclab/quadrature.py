@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import QuadratureNotConverged
+
 MAX_DOUBLINGS = 6
 
 
@@ -31,9 +33,10 @@ def periodic_trapezoid(fn, period: float, nodes: int, rtol: float = 1e-10):
     """Integrate a smooth periodic vector-valued function over one period.
 
     Doubles the node count, at most MAX_DOUBLINGS times, until two
-    successive levels agree to ``rtol`` relative; returns the finer value.
-    ``fn`` must accept an array of angles and return values whose leading
-    axis matches it.
+    successive levels agree to ``rtol`` relative; returns the finer value
+    and raises QuadratureNotConverged if no pair of levels agrees.  ``fn``
+    must accept an array of angles and return values whose leading axis
+    matches it.
     """
     m = int(nodes)
     theta = np.arange(m) * (period / m)
@@ -46,4 +49,6 @@ def periodic_trapezoid(fn, period: float, nodes: int, rtol: float = 1e-10):
         if np.all(np.abs(new - val) <= rtol * scale):
             return new
         val = new
-    return val
+    raise QuadratureNotConverged(
+        f"periodic trapezoid still moving after {MAX_DOUBLINGS} doublings "
+        f"({m} nodes)")

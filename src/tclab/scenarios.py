@@ -45,31 +45,26 @@ EXCESS_CAP = 0.05
 # ---------------------------------------------------------------------------
 # curve families
 
-def single_mode_series(Q: int, mode: int, amplitude: float, n: int = 1,
-                       phase: float = 0.0, direction: int = 0) -> FourierSeries:
-    """Profile made of one cosine mode of the given size in one direction."""
-    alpha = np.zeros((mode + 1, n))
-    beta = np.zeros((mode, n))
-    alpha[mode, direction] = amplitude * np.cos(phase)
-    beta[mode - 1, direction] = amplitude * np.sin(phase)
-    return FourierSeries(Q=Q, n=n, alpha=alpha, beta=beta)
+def single_mode_series(Q: int, mode: int, amplitude: float,
+                       phase: float = 0.0) -> FourierSeries:
+    """One-dimensional profile made of one cosine mode of the given size."""
+    alpha = np.zeros((mode + 1, 1))
+    beta = np.zeros((mode, 1))
+    alpha[mode, 0] = amplitude * np.cos(phase)
+    beta[mode - 1, 0] = amplitude * np.sin(phase)
+    return FourierSeries(Q=Q, n=1, alpha=alpha, beta=beta)
 
 
-def single_mode_curve(Q: int, mode: int, amplitude: float, n: int = 1,
-                      rho: float = 1.0, phase: float = 0.0,
-                      direction: int = 0) -> WindingCurve:
-    """Winding curve whose profile is one cosine mode of the given size."""
-    series = single_mode_series(Q, mode, amplitude, n=n, phase=phase,
-                                direction=direction)
-    return WindingCurve.from_fourier(series, rho=rho)
+def single_mode_curve(Q: int, mode: int, amplitude: float) -> WindingCurve:
+    """Unit-radius winding curve whose profile is one cosine mode."""
+    return WindingCurve.from_fourier(single_mode_series(Q, mode, amplitude))
 
 
-def random_link_curve(rng: np.random.Generator, qmax: int = 3,
-                      nmax: int = 3, max_mode: int = 6) -> WindingCurve:
+def random_link_curve(rng: np.random.Generator) -> WindingCurve:
     """Band-limited random winding curve for cone and length checks."""
-    Q = int(rng.integers(1, qmax + 1))
-    n = int(rng.integers(1, nmax + 1))
-    nmodes = int(rng.integers(1, max_mode + 1))
+    Q = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 4))
+    nmodes = int(rng.integers(1, 7))
     alpha = np.zeros((nmodes + 1, n))
     beta = np.zeros((nmodes, n))
     decay = 1.0 / (1.0 + np.arange(1, nmodes + 1)) ** 2
@@ -80,7 +75,7 @@ def random_link_curve(rng: np.random.Generator, qmax: int = 3,
     return WindingCurve.from_fourier(series, rho=1.0)
 
 
-def allowed_random_modes(Q: int, max_mode_factor: int = 5) -> list:
+def allowed_random_modes(Q: int) -> list:
     """Profile frequencies whose linear gap ratio stays below the cap.
 
     Frequencies with i/Q near 1 have ratios above 0.95 and cannot
@@ -88,7 +83,7 @@ def allowed_random_modes(Q: int, max_mode_factor: int = 5) -> list:
     not a genuine perturbation.  Both are excluded.
     """
     pool = []
-    for i in range(1, max_mode_factor * Q + 1):
+    for i in range(1, 5 * Q + 1):
         if i == Q:
             continue
         if mode_ratio(i / Q) <= RANDOM_RATIO_CAP:
@@ -96,7 +91,7 @@ def allowed_random_modes(Q: int, max_mode_factor: int = 5) -> list:
     return pool
 
 
-def random_epi_curve(rng: np.random.Generator, qmax: int = 3,
+def random_epi_curve(rng: np.random.Generator,
                      lip_max: float = 0.1) -> WindingCurve:
     """Random multi-mode curve in the certified convergence regime.
 
@@ -104,7 +99,7 @@ def random_epi_curve(rng: np.random.Generator, qmax: int = 3,
     linear ratio cap, and the profile is rescaled to the requested
     Lipschitz budget.
     """
-    Q = int(rng.integers(1, qmax + 1))
+    Q = int(rng.integers(1, 4))
     n = int(rng.integers(1, 3))
     pool = allowed_random_modes(Q)
     k = int(rng.integers(2, min(4, len(pool)) + 1))
@@ -138,9 +133,9 @@ def random_epi_curve(rng: np.random.Generator, qmax: int = 3,
 
 
 def extension_surface(Q: int, mode: int, amplitude: float, rho: float = 1.0,
-                      n: int = 1, order=None):
+                      order=None):
     """Graph surface extending a single-mode curve into the disk."""
-    series = single_mode_series(Q, mode, amplitude, n=n)
+    series = single_mode_series(Q, mode, amplitude)
     if isinstance(order, int):
         order = (order, max(order, 8 * mode))
     return harmonic_extension(series, r_out=rho, order=order)
@@ -583,18 +578,19 @@ def _calib_surface(p: CalibParams):
         from .currents import ParamSurface
 
         def chart(w, theta):
-            w, theta = np.broadcast_arrays(np.asarray(w, dtype=float),
-                                           np.asarray(theta, dtype=float))
-            out = np.zeros(w.shape + (3,))
+            w = np.asarray(w, dtype=float)
+            theta = np.asarray(theta, dtype=float)
+            out = np.zeros(np.broadcast_shapes(w.shape, theta.shape) + (3,))
             out[..., 0] = radius * w * np.cos(theta)
             out[..., 1] = radius * w * np.sin(theta)
             return out
 
         def jac(w, theta):
-            w, theta = np.broadcast_arrays(np.asarray(w, dtype=float),
-                                           np.asarray(theta, dtype=float))
-            xu = np.zeros(w.shape + (3,))
-            xv = np.zeros(w.shape + (3,))
+            w = np.asarray(w, dtype=float)
+            theta = np.asarray(theta, dtype=float)
+            shape = np.broadcast_shapes(w.shape, theta.shape) + (3,)
+            xu = np.zeros(shape)
+            xv = np.zeros(shape)
             xu[..., 0] = radius * np.cos(theta)
             xu[..., 1] = radius * np.sin(theta)
             xv[..., 0] = -radius * w * np.sin(theta)

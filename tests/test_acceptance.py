@@ -50,7 +50,7 @@ def test_01_cone_mass_halves_link_length():
     for _ in range(50):
         link = normalize_to_sphere(random_link_curve(rng))
         dim = link.points(np.zeros(1)).shape[-1]
-        cone = ConeOverCurve(np.zeros(dim), link, 1.0)
+        cone = ConeOverCurve(np.zeros(dim), link)
         length = curve_mass(link)
         err = abs(cone_mass(cone) - 0.5 * length) / length
         worst = fold(worst, err)
@@ -153,7 +153,7 @@ def test_05_monotonicity_constant_is_uniform():
         link = normalize_to_sphere(random_link_curve(
             np.random.default_rng(seed)))
         dim = link.points(np.zeros(1)).shape[-1]
-        cone = ConeOverCurve(np.zeros(dim), link, 1.0)
+        cone = ConeOverCurve(np.zeros(dim), link)
         excess = mass_profile(cone, radii, link.Q).excess()
         for j in range(radii.size - 1):
             cone_dev = fold(cone_dev,

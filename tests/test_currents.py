@@ -21,17 +21,20 @@ from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.geom import random_rotation
 from tclab.monotonicity import _tangent_perp, deviation_integral
 from tclab.quadrature import gauss_legendre
-from tclab.scenarios import (extension_surface, random_link_curve,
+from tclab.scenarios import (CalibParams, _calib_surface,
+                             extension_surface, random_link_curve,
                              single_mode_series)
 
 
 def flat_disk(radius, multiplicity=1, order=(48, 96)):
     def chart(u, v):
+        u, v = np.broadcast_arrays(u, v)
         r = radius * u
         return np.stack([r * np.cos(v), r * np.sin(v),
                          np.zeros_like(r)], axis=-1)
 
     def jac(u, v):
+        u, v = np.broadcast_arrays(u, v)
         r = radius * u
         du = np.stack([radius * np.cos(v), radius * np.sin(v),
                        np.zeros_like(r)], axis=-1)
@@ -98,8 +101,7 @@ def test_restriction_additivity():
 def test_cone_mass_halves_spherical_link_length():
     rng = np.random.default_rng(11)
     link = normalize_to_sphere(random_link_curve(rng))
-    cone = ConeOverCurve(np.zeros(link.points(np.zeros(1)).shape[-1]),
-                         link, 1.0)
+    cone = ConeOverCurve(np.zeros(link.points(np.zeros(1)).shape[-1]), link)
     assert abs(cone_mass(cone) - 0.5 * curve_mass(link)) < 1e-10
 
 
@@ -157,7 +159,7 @@ def _restricted_case(case):
         series = single_mode_series(Q, mode, amp, phase=0.7)
         return harmonic_extension(series, 1.0)
     link = random_link_curve(np.random.default_rng(case[1]))
-    return ConeOverCurve(np.zeros(link.dim), link, 1.0).chart()
+    return ConeOverCurve(np.zeros(link.dim), link).chart()
 
 
 def _tangent_deviation(x, xu, xv):
@@ -224,14 +226,43 @@ def rotated_extension():
     return ext, moved
 
 
+def flat_nodes(surf, order):
+    """The quadrature nodes and weights as flat u-major arrays."""
+    u, wu, v, wv = surf._axes(order)
+    return (np.repeat(u, v.size), np.tile(v, u.size),
+            np.outer(wu, wv).ravel())
+
+
+def frame_and_node_charts(surf):
+    """The open-grid frame next to the chart evaluated node by node."""
+    U, V, W = flat_nodes(surf, surf.order)
+    x, xu, xv, Wf = surf._frame(surf.order)
+    assert np.array_equal(Wf, W)
+    want_u, want_v = surf.jacobian(U, V)
+    return (x, surf.chart(U, V)), (xu, want_u), (xv, want_v)
+
+
 def test_open_grid_frames_match_flat_node_charts():
+    # matrix products over the modes may round differently by batch shape
     for surf in rotated_extension():
-        order = surf.order
-        U, V, W = surf._nodes(order)
-        x, xu, xv, Wf = surf._frame(order)
-        assert np.array_equal(Wf, W)
-        want_u, want_v = surf.jacobian(U, V)
-        for got, want in ((x, surf.chart(U, V)), (xu, want_u),
-                          (xv, want_v)):
+        for got, want in frame_and_node_charts(surf):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def elementwise_charts():
+    calib_disk, _ = _calib_surface(CalibParams(surface="disk",
+                                               quad_order=(12, 24)))
+    curve = random_link_curve(np.random.default_rng(4))
+    link = normalize_to_sphere(curve)
+    return {"cone": ConeOverCurve(np.zeros(curve.dim), link).chart(),
+            "cap": spherical_cap(1.3, 0.2, 2.9, dim=4, order=(12, 24)),
+            "calib-disk": calib_disk}
+
+
+@pytest.mark.parametrize("name", ["cone", "cap", "calib-disk"])
+def test_elementwise_chart_frames_equal_node_charts_bitwise(name):
+    surf = elementwise_charts()[name]
+    for got, want in frame_and_node_charts(surf):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

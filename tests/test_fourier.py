@@ -161,10 +161,10 @@ def test_extension_partials_match_per_mode_reference(n):
     beta = rng.standard_normal((N, n)) * decay[1:]
     series = FourierSeries(Q, n, alpha, beta)
     surf = harmonic_extension(series, r_out=0.7)
-    xu, wu, xv, wv = surf._axes(surf.order)
-    U, V, _ = surf._nodes(surf.order)
-    # the open quadrature grid and the same nodes flattened
-    for w, theta in ((xu[:, None], xv[None, :]), (U, V)):
+    u, _, v, _ = surf._axes(surf.order)
+    # the open quadrature grid and the same nodes flattened, u-major
+    for w, theta in ((u[:, None], v[None, :]),
+                     (np.repeat(u, v.size), np.tile(v, u.size))):
         got = surf.jacobian(w, theta)
         want = _reference_extension_partials(series, 0.7, w, theta)
         for g, ref in zip(got, want):

@@ -117,7 +117,7 @@ def test_allowed_modes_exclude_flat_and_slow():
 @settings(max_examples=20, deadline=None)
 def test_random_epi_curves_stay_in_contract(seed):
     curve = random_epi_curve(np.random.default_rng(seed))
-    assert curve.lipschitz() <= 0.1 + 1e-12
+    assert curve.series.lipschitz() <= 0.1 + 1e-12
     assert 1 <= curve.Q <= 3
     series = curve.series
     for i in range(1, series.nmodes + 1):
