@@ -1,8 +1,8 @@
 """Parametrized 2-currents: closed curves, chart surfaces and cones.
 
-A curve is anything with ``Q``, ``orientation``, ``rho``, ``M``,
-``period``, ``points`` and ``velocities`` (a SpaceCurve or a
-WindingCurve); its length and cone masses are periodic trapezoid sums.
+A curve is anything with ``Q``, ``orientation``, ``M``, ``period``,
+``points`` and ``velocities`` (a SpaceCurve or a WindingCurve); its
+length and cone masses are periodic trapezoid sums.
 A surface is a chart over a rectangle with an analytic jacobian; masses
 and form integrals are tensor Gauss-Legendre sums with a doubling
 self-check.  ``ParamSurface._frame`` is the one quadrature frame builder:
@@ -40,16 +40,14 @@ NEWTON_ULPS = 4
 class SpaceCurve:
     """Closed parametrized curve theta -> gamma(theta) on [0, period).
 
-    ``rho`` records the geometric size (sphere or cylinder radius) and
-    ``M`` the base sample count of periodic sums over the curve, the
-    names a WindingCurve gives the same data.
+    ``M`` is the base sample count of periodic sums over the curve, the
+    name a WindingCurve gives the same data.
     """
 
     gamma: Callable
     dgamma: Callable
     Q: int
     orientation: int = 1
-    rho: float = 1.0
     M: int = 256
 
     @property
@@ -153,23 +151,22 @@ class WindingCurve:
         return self.rho * x, self.rho * dx
 
 
-def normalize_to_sphere(curve, radius: float = 1.0) -> SpaceCurve:
-    """Radially project a curve onto the sphere of the given radius."""
+def normalize_to_sphere(curve) -> SpaceCurve:
+    """Radially project a curve onto the unit sphere."""
 
     def gamma(theta):
         g = curve.points(theta)
-        return radius * g / np.linalg.norm(g, axis=-1, keepdims=True)
+        return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
     def dgamma(theta):
         g = curve.points(theta)
         dg = curve.velocities(theta)
         r2 = np.sum(g * g, axis=-1, keepdims=True)
         rad = np.sqrt(r2)
-        return radius * (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
-                         / (rad * r2))
+        return (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
+                / (rad * r2))
 
-    return SpaceCurve(gamma, dgamma, curve.Q, curve.orientation,
-                      rho=radius, M=curve.M)
+    return SpaceCurve(gamma, dgamma, curve.Q, curve.orientation, M=curve.M)
 
 
 def curve_mass(curve) -> float:
@@ -549,7 +546,7 @@ def cone_mass(cone: ConeOverCurve) -> float:
     return 0.5 * float(val)
 
 
-def infinite_cone_cylinder_mass(curve, plane_basis: np.ndarray,
+def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
                                 radius: float) -> float:
     """Mass of the infinite cone over the curve inside a plane's cylinder.
 
@@ -559,8 +556,8 @@ def infinite_cone_cylinder_mass(curve, plane_basis: np.ndarray,
     """
 
     def integrand(theta):
-        g = curve.points(theta)
-        wedge = ParamSurface._area_element(g, curve.velocities(theta))
+        g, dg = curve.jet(theta)
+        wedge = ParamSurface._area_element(g, dg)
         proj = np.linalg.norm(g @ plane_basis, axis=-1)
         return wedge * (radius / proj) ** 2
 

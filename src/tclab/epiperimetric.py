@@ -10,8 +10,10 @@ and the whole pipeline (optimal tilt, regraphing on a smaller cylinder,
 harmonic extension inside it) stays one-dimensional except for the final
 surface masses.  The plane-independent part of that integral (trace
 points, wedge speeds, unit tangents) is built once per curve and sample
-count; each tilt the search tries costs one projection, one escape test
-and one batch of mass norms.
+count.  The excess kernel takes a whole stack of tilted planes, so a BFGS
+step with its finite-difference gradient, and the final certificate with
+all its one-sided probes, each cost one projection, one escape test and
+one batch of mass norms.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk of the working cylinder radius inside the optimal plane's cylinder;
@@ -29,8 +31,8 @@ from .currents import (ParamSurface, WindingCurve,
 from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
-from .geom import (Plane2, plane_from_spanning, standard_plane,
-                   twovector_mass_norm, unit_tangent_matrix, wedge_matrix)
+from .geom import (ORTHO_TOL, Plane2, standard_plane, twovector_mass_norm,
+                   unit_tangent_matrix, wedge_matrix)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
@@ -93,69 +95,123 @@ def _cone_tangent_data(curve: WindingCurve):
     return data
 
 
-def cylindrical_excess(curve: WindingCurve, plane: Plane2) -> float:
-    """Excess of the infinite cone over the curve in the plane's unit cylinder.
+def cylindrical_excess(curve: WindingCurve, plane):
+    """Excess of the infinite cone over the curve in a plane's unit cylinder.
 
-    The periodic integral runs over the curve's M sample angles.  Raises
-    SupportEscapesCylinder when a cone ray meets the cylinder wall only
-    outside the ball of radius 2.
+    The periodic integral runs over the curve's M sample angles.  A cone
+    ray escapes when it meets the cylinder wall only outside the ball of
+    radius 2.  ``plane`` is a Plane2, whose excess comes back as a float
+    (SupportEscapesCylinder on escape), or a (K, d, 2) stack of orthonormal
+    bases, which gives the K excesses and the boolean mask of escaping
+    rows, whose excess is NaN.
     """
+    single = isinstance(plane, Plane2)
+    B = plane.basis()[None] if single else plane
     z, znorm, wedge, tangent = _cone_tangent_data(curve)
-    B = plane.basis()
     proj = np.linalg.norm(z @ B, axis=-1)
-    ratio = znorm / np.maximum(proj, 1e-300)
-    worst = float(np.max(ratio))
-    if worst > ESCAPE_FACTOR:
+    worst = np.max(znorm / np.maximum(proj, 1e-300), axis=-1)
+    escaped = worst > ESCAPE_FACTOR
+    if single and escaped[0]:
         raise SupportEscapesCylinder(
-            f"cone ray exits the cylinder at |x| = {worst:.3f} > 2")
-    diff = tangent - plane.wedge_matrix()
+            f"cone ray exits the cylinder at |x| = {worst[0]:.3f} > 2")
+    keep = ~escaped
+    B, proj = B[keep], proj[keep]
+    diff = tangent - wedge_matrix(B[..., 0], B[..., 1])[:, None]
     dist2 = twovector_mass_norm(diff) ** 2
     vals = dist2 * wedge / proj ** 2
-    return 0.25 * float(np.sum(vals)) * (curve.period / curve.M)
+    excess = np.full(escaped.shape, np.nan)
+    excess[keep] = 0.25 * np.sum(vals, axis=-1) * (curve.period / curve.M)
+    if single:
+        return float(excess[0])
+    return excess, escaped
+
+
+def _tilt_bases(V: np.ndarray, n: int) -> np.ndarray:
+    """(K, 2 + n, 2) orthonormal bases of the planes spanned by K tilts.
+
+    Row k of V tilts the spanning pair e_0 + (0, 0, V[k, :n]) and
+    e_1 + (0, 0, V[k, n:]).  Every row goes through the Gram-Schmidt of
+    geom.plane_from_spanning, with its degeneracy checks, its second pass
+    for nearly parallel pairs and Plane2's orthonormality check.
+    """
+    V = np.asarray(V, dtype=float)
+    if n < 1 or V.ndim != 2 or V.shape[1] != 2 * n:
+        raise ValueError("expected a (K, 2n) stack of tilts with n >= 1")
+    if not np.isfinite(V).all():
+        raise ValueError("non-finite coordinates")
+    u = np.zeros((V.shape[0], 2 + n))
+    v = np.zeros_like(u)
+    u[:, 0] = 1.0
+    v[:, 1] = 1.0
+    u[:, 2:] = V[:, :n]
+    v[:, 2:] = V[:, n:]
+
+    def dot(a, b):
+        return (a * b).sum(axis=-1, keepdims=True)
+
+    nu = np.sqrt(dot(u, u))
+    if (nu < 1e-14).any():
+        raise ValueError("degenerate spanning pair")
+    e1 = u / nu
+    w = v - dot(v, e1) * e1
+    nw = np.sqrt(dot(w, w))
+    nv = np.sqrt(dot(v, v))
+    if (nw < 1e-14 * np.maximum(1.0, nv)).any():
+        raise ValueError("degenerate spanning pair")
+    # "twice is enough": rows whose subtraction cancelled take a second pass
+    again = (nw < nv / np.sqrt(2.0))[:, 0]
+    if again.any():
+        w[again] -= dot(w[again], e1[again]) * e1[again]
+        nw[again] = np.sqrt(dot(w[again], w[again]))
+    e2 = w / nw
+    gram = np.hstack([dot(e1, e1) - 1.0, dot(e2, e2) - 1.0, dot(e1, e2)])
+    if (np.abs(gram) > ORTHO_TOL).any():
+        raise ValueError("basis is not orthonormal to 1e-12")
+    return np.stack([e1, e2], axis=-1)
+
+
+def _tilt_objective(curve: WindingCurve, V: np.ndarray) -> np.ndarray:
+    """Excess of each tilt in the stack V, one cylindrical_excess call.
+
+    A tilt whose cone escapes the cylinder scores 1e6 + |v|^2 instead,
+    which the search descends away from.
+    """
+    vals, escaped = cylindrical_excess(curve, _tilt_bases(V, curve.n))
+    return np.where(escaped, 1e6 + np.sum(V * V, axis=-1), vals)
 
 
 def _tilt_plane(v: np.ndarray, n: int) -> Plane2:
-    d = 2 + n
-    b1 = np.zeros(d)
-    b2 = np.zeros(d)
-    b1[0] = 1.0
-    b2[1] = 1.0
-    b1[2:] = v[:n]
-    b2[2:] = v[n:]
-    return plane_from_spanning(b1, b2)
+    B = _tilt_bases(v[None], n)[0]
+    return Plane2(B[:, 0], B[:, 1])
 
 
-def _fd_gradient(fn, v, h):
-    g = np.empty_like(v)
-    for k in range(v.size):
-        vp = v.copy()
-        vm = v.copy()
-        vp[k] += h
-        vm[k] -= h
-        g[k] = (fn(vp) - fn(vm)) / (2 * h)
-    return g
+def _stencil(v: np.ndarray, steps) -> np.ndarray:
+    """Rows v, then v + t e_k and v - t e_k for k = 0.. for each step t."""
+    E = np.eye(v.size)
+    return np.vstack([v[None]] + [v + (s * t) * E
+                                  for t in steps for s in (1.0, -1.0)])
 
 
-def _one_sided_probe(fn, v, f0, steps=(1e-6, 1e-5)):
-    """Most negative one-sided axis slope (f(v + t d) - f0) / t at v.
+def _certificate(excesses, v: np.ndarray):
+    """Value, central-gradient norm and steepest one-sided slope at v.
 
-    An even kink cancels out of central differences, so a point where
-    the objective descends at |t| rate on both sides of some axis reads
-    as a zero gradient.  Probing each side separately recovers the true
-    subdifferential picture: every slope nonnegative means v is a
-    minimum of the piecewise-smooth objective, a negative slope is a
-    descent direction the smooth optimizers failed to follow.
+    ``excesses`` maps a stack of tilts to their objective values and is
+    called once, on v and its axis neighbours at steps 1e-5 and 1e-6.  The
+    gradient is the 1e-5 central quotient.  The slope is the most negative
+    (f(v +- t e_k) - f(v)) / t over both steps: an even kink cancels out
+    of central differences, so a point where the objective descends at
+    |t| rate on both sides of some axis reads as a zero gradient, while
+    the one-sided slopes recover it.  Every slope nonnegative means v is a
+    minimum of the piecewise-smooth objective; a negative slope is a
+    descent direction BFGS failed to follow.
     """
     m = v.size
-    worst = np.inf
-    for k in range(m):
-        d = np.zeros(m)
-        d[k] = 1.0
-        for t in steps:
-            for s in (1.0, -1.0):
-                slope = (fn(v + (s * t) * d) - f0) / t
-                worst = min(worst, float(slope))
-    return worst
+    f = excesses(_stencil(v, (1e-5, 1e-6)))
+    f0 = f[0]
+    side = f[1:].reshape(2, 2, m)
+    gnorm = np.linalg.norm((side[0, 0] - side[0, 1]) / (2 * 1e-5))
+    slopes = (side - f0) / np.array([1e-5, 1e-6])[:, None, None]
+    return float(f0), float(gnorm), float(np.min(slopes))
 
 
 def optimal_plane(curve: WindingCurve) -> ExcessReport:
@@ -165,7 +221,9 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     spanning directions; minimization is BFGS on a central-difference
     gradient, and a tilt that fails the certificate below raises
     NoConvergence.  A reference-plane excess of PRE_EXCESS or more is
-    refused with ExcessTooLarge before the search starts.
+    refused with ExcessTooLarge before the search starts.  Each BFGS
+    evaluation stacks the tilt with its 4n gradient neighbours, and the
+    certificate its 8n, so each costs one cylindrical_excess call.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
@@ -189,28 +247,23 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
             f"excess {raw:.3f} against the reference plane is too large "
             "to start the tilt search")
 
-    def objective(v):
-        try:
-            return cylindrical_excess(curve, _tilt_plane(v, n))
-        except SupportEscapesCylinder:
-            return 1e6 + float(np.sum(v * v))
-
     scale = max(raw, 1e-16)
+    m = 2 * n
 
-    def scaled(v):
-        return objective(v) / scale
+    def scaled(x):
+        f = _tilt_objective(curve, _stencil(x, (1e-6,))) / scale
+        return f[0], (f[1:m + 1] - f[m + 1:]) / (2 * 1e-6)
 
     tol = max(GRAD_TOL, GRAD_REL * raw)
     res = optimize.minimize(
-        scaled, np.zeros(2 * n), jac=lambda x: _fd_gradient(scaled, x, 1e-6),
+        scaled, np.zeros(m), jac=True,
         method="BFGS", options={"gtol": 1e-12, "maxiter": 400})
     v = res.x
-    gnorm = np.linalg.norm(_fd_gradient(objective, v, 1e-5))
+    fval, gnorm, descent = _certificate(
+        lambda V: _tilt_objective(curve, V), v)
     if gnorm >= tol:
         raise NoConvergence(
             f"tilt search stalled with |grad| = {gnorm:.2e}")
-    fval = objective(v)
-    descent = _one_sided_probe(objective, v, fval)
     if descent < -tol:
         raise NoConvergence(
             f"one-sided slope {descent:.2e} still descends at the "

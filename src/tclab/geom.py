@@ -87,8 +87,8 @@ def plane_from_spanning(u, v) -> Plane2:
     u = _as_vec(u)
     v = _as_vec(v)
     # sqrt(x @ x) is what np.linalg.norm computes for a 1-d array, bit for
-    # bit, without its dispatch cost (the tilt search builds a plane per
-    # objective evaluation)
+    # bit, without its dispatch cost; epiperimetric._tilt_bases runs this
+    # same Gram-Schmidt on whole stacks of tilted pairs
     nu = math.sqrt(u @ u)
     if nu < 1e-14:
         raise ValueError("degenerate spanning pair")

@@ -17,14 +17,14 @@ from scipy import optimize
 
 import tclab.epiperimetric as epi
 from tclab.currents import ParamSurface, WindingCurve
-from tclab.epiperimetric import (_one_sided_probe, build_competitor,
+from tclab.epiperimetric import (_certificate, build_competitor,
                                  cylindrical_excess, epiperimetric_gap,
                                  mode_ratio, optimal_plane,
                                  regraph_over_plane)
 from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           SupportEscapesCylinder)
 from tclab.fourier import FourierSeries, analyze
-from tclab.geom import plane_from_spanning, standard_plane
+from tclab.geom import Plane2, plane_from_spanning, standard_plane
 from tclab.scenarios import random_epi_curve, single_mode_curve
 
 
@@ -80,10 +80,10 @@ def test_mixture_certifies_at_conical_minimum():
 def test_one_sided_probe_reads_descent_through_even_kink():
     # an even downward kink cancels out of central differences; the
     # probe must report the one-sided descent that gradient methods miss
-    def f(v):
-        return -abs(v[0]) + v[0] ** 2 + v[1] ** 2
+    def f(V):
+        return -np.abs(V[:, 0]) + V[:, 0] ** 2 + V[:, 1] ** 2
 
-    worst = _one_sided_probe(f, np.zeros(2), 0.0)
+    _, _, worst = _certificate(f, np.zeros(2))
     assert worst == pytest.approx(-1.0, abs=1e-4)
 
 
@@ -104,9 +104,9 @@ def test_tilt_search_builds_cone_data_once(monkeypatch):
         builds[0] += 1
         return tangent(*args)
 
-    def counted_excess(*args, **kwargs):
-        evals[0] += 1
-        return excess(*args, **kwargs)
+    def counted_excess(curve, plane):
+        evals[0] += 1 if isinstance(plane, Plane2) else len(plane)
+        return excess(curve, plane)
 
     monkeypatch.setattr(epi, "unit_tangent_matrix", counted_tangent)
     monkeypatch.setattr(epi, "cylindrical_excess", counted_excess)
@@ -148,6 +148,37 @@ def test_over_large_excess_is_a_lab_error():
 def test_huge_profile_escapes_cylinder():
     with pytest.raises(SupportEscapesCylinder):
         cylindrical_excess(single_mode_curve(1, 2, 3.0), standard_plane(3))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tilt_stack_matches_each_plane(n):
+    # each row of a stacked call is the excess of its own Plane2, and a
+    # tilt steep enough to let cone rays escape is flagged in its row
+    # alone, where the single-plane call raises
+    rng = np.random.default_rng(7 + n)
+    alpha = np.zeros((4, n))
+    alpha[1, 0] = 1e-2
+    alpha[3, n - 1] = 5e-3
+    curve = WindingCurve.from_fourier(FourierSeries(1, n, alpha,
+                                                    np.zeros((3, n))))
+    V = np.vstack([np.zeros(2 * n), 3e-2 * rng.standard_normal((4, 2 * n)),
+                   np.full(2 * n, 10.0)])
+    bases = epi._tilt_bases(V, n)
+    vals, escaped = cylindrical_excess(curve, bases)
+    assert escaped.tolist() == [False] * 5 + [True]
+    for k in range(6):
+        # the steep last row also takes the second Gram-Schmidt pass
+        plane = plane_from_spanning(np.concatenate([[1.0, 0.0], V[k, :n]]),
+                                    np.concatenate([[0.0, 1.0], V[k, n:]]))
+        assert np.allclose(bases[k], plane.basis(), rtol=0.0, atol=1e-15)
+        if k < 5:
+            ref = cylindrical_excess(curve, plane)
+            assert vals[k] == pytest.approx(ref, rel=1e-14, abs=0.0)
+    with pytest.raises(SupportEscapesCylinder):
+        cylindrical_excess(curve, Plane2(bases[5, :, 0], bases[5, :, 1]))
+    objective = epi._tilt_objective(curve, V)
+    assert np.array_equal(objective[:5], vals[:5])
+    assert objective[5] == 1e6 + np.sum(V[5] ** 2)
 
 
 def test_regraph_identity_roundtrip():
