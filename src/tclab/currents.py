@@ -8,12 +8,11 @@ and form integrals are tensor Gauss-Legendre sums with a doubling
 self-check.  ``ParamSurface._frame`` is the one quadrature frame builder:
 it evaluates the chart once on the open axis grid, so a chart that
 factors over the axes (powers of u, trig of v) computes each factor once
-per axis node.  A pushforward maps its base's frame.  Restriction to a
-ball or annulus clips the chart along |x| level sets, which requires the
-radius to be monotone along one chart axis (true for every cone, radial
-extension and polar graph built here).  The clip bounds come from one
-bracketed Newton solve per quadrature angle, on any such chart; no chart
-supplies its own radius solver.
+per axis node.  Restriction to a ball or annulus clips the chart along
+|x| level sets, which requires the radius to be monotone along one chart
+axis (true for every cone, radial extension and polar graph built here).
+The clip bounds come from one bracketed Newton solve per quadrature
+angle, on any such chart; no chart supplies its own radius solver.
 """
 
 from dataclasses import dataclass
@@ -302,44 +301,6 @@ class ParamSurface:
         if not np.all(np.isfinite(vals)):
             raise FormUndefined("form field produced non-finite values")
         return self.orientation * self.multiplicity * float(np.sum(W * vals))
-
-    # -- derived surfaces ---------------------------------------------------
-
-    def pushforward(self, phi, dphi):
-        """Image surface under a C^1 map phi with jacobian field dphi."""
-        return Pushforward(self, phi, dphi)
-
-
-class Pushforward(ParamSurface):
-    """Image of a surface under a C^1 map phi with jacobian field dphi.
-
-    Its quadrature frame maps the base surface's frame (x to phi(x),
-    partials to dphi(x) @ partials), so the base chart is evaluated once
-    per node and a base with its own frame keeps it.
-    """
-
-    def __init__(self, base: ParamSurface, phi, dphi):
-        self.base = base
-        self.phi = phi
-        self.dphi = dphi
-        super().__init__(self._chart, base.domain, jacobian=self._jacobian,
-                         multiplicity=base.multiplicity,
-                         orientation=base.orientation, order=base.order)
-
-    def _push(self, x, xu, xv):
-        D = np.asarray(self.dphi(x), dtype=float)
-        return (np.einsum("...ij,...j->...i", D, xu),
-                np.einsum("...ij,...j->...i", D, xv))
-
-    def _chart(self, U, V):
-        return self.phi(self.base.points(U, V))
-
-    def _jacobian(self, U, V):
-        return self._push(self.base.points(U, V), *self.base.partials(U, V))
-
-    def _frame(self, order):
-        x, xu, xv, W = self.base._frame(order)
-        return (self.phi(x), *self._push(x, xu, xv), W)
 
 
 class RadialRestriction(ParamSurface):

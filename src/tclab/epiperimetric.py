@@ -31,8 +31,8 @@ from .currents import (ParamSurface, WindingCurve,
 from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
-from .geom import (ORTHO_TOL, Plane2, standard_plane, twovector_mass_norm,
-                   unit_tangent_matrix, wedge_matrix)
+from .geom import (Plane2, orthonormal_pairs, standard_plane,
+                   twovector_mass_norm, unit_tangent_matrix, wedge_matrix)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
@@ -130,44 +130,18 @@ def _tilt_bases(V: np.ndarray, n: int) -> np.ndarray:
     """(K, 2 + n, 2) orthonormal bases of the planes spanned by K tilts.
 
     Row k of V tilts the spanning pair e_0 + (0, 0, V[k, :n]) and
-    e_1 + (0, 0, V[k, n:]).  Every row goes through the Gram-Schmidt of
-    geom.plane_from_spanning, with its degeneracy checks, its second pass
-    for nearly parallel pairs and Plane2's orthonormality check.
+    e_1 + (0, 0, V[k, n:]); geom.orthonormal_pairs orthonormalizes them.
     """
     V = np.asarray(V, dtype=float)
     if n < 1 or V.ndim != 2 or V.shape[1] != 2 * n:
         raise ValueError("expected a (K, 2n) stack of tilts with n >= 1")
-    if not np.isfinite(V).all():
-        raise ValueError("non-finite coordinates")
     u = np.zeros((V.shape[0], 2 + n))
     v = np.zeros_like(u)
     u[:, 0] = 1.0
     v[:, 1] = 1.0
     u[:, 2:] = V[:, :n]
     v[:, 2:] = V[:, n:]
-
-    def dot(a, b):
-        return (a * b).sum(axis=-1, keepdims=True)
-
-    nu = np.sqrt(dot(u, u))
-    if (nu < 1e-14).any():
-        raise ValueError("degenerate spanning pair")
-    e1 = u / nu
-    w = v - dot(v, e1) * e1
-    nw = np.sqrt(dot(w, w))
-    nv = np.sqrt(dot(v, v))
-    if (nw < 1e-14 * np.maximum(1.0, nv)).any():
-        raise ValueError("degenerate spanning pair")
-    # "twice is enough": rows whose subtraction cancelled take a second pass
-    again = (nw < nv / np.sqrt(2.0))[:, 0]
-    if again.any():
-        w[again] -= dot(w[again], e1[again]) * e1[again]
-        nw[again] = np.sqrt(dot(w[again], w[again]))
-    e2 = w / nw
-    gram = np.hstack([dot(e1, e1) - 1.0, dot(e2, e2) - 1.0, dot(e1, e2)])
-    if (np.abs(gram) > ORTHO_TOL).any():
-        raise ValueError("basis is not orthonormal to 1e-12")
-    return np.stack([e1, e2], axis=-1)
+    return orthonormal_pairs(u, v)
 
 
 def _tilt_objective(curve: WindingCurve, V: np.ndarray) -> np.ndarray:
@@ -341,8 +315,12 @@ class Competitor:
 
     ``extension`` is the harmonic-extension graph over the plane whose
     boundary is the cone's trace on the cylinder of radius
-    ``cylinder_radius``.  Outside that cylinder the competitor agrees
-    with the cone, so only the inner pieces enter the gap comparison.
+    ``cylinder_radius``.  It is written in the coordinates of
+    ``plane.frame()``: the first two span the plane and the rest are
+    normal to it.  Those differ from the ambient coordinates by a rigid
+    motion, which leaves the mass, the one quantity the gap reads,
+    unchanged.  Outside that cylinder the competitor agrees with the
+    cone, so only the inner pieces enter the gap comparison.
     """
 
     extension: ParamSurface
@@ -365,10 +343,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     proj = np.linalg.norm(curve.points(probe) @ plane.basis(), axis=-1)
     if float(np.min(proj)) <= rho2:
         raise NotGraph("inner cylinder reaches past the curve")
-    F = plane.frame()
-    ext = disk.pushforward(
-        lambda x: x @ F.T, dphi=lambda x: np.broadcast_to(F, x.shape + F.shape[:1]))
-    return Competitor(extension=ext, cylinder_radius=rho2)
+    return Competitor(extension=disk, cylinder_radius=rho2)
 
 
 def epiperimetric_gap(curve: WindingCurve, eps_target: float = 1e-2,

@@ -27,7 +27,6 @@ ones, which is the kink the two-part tilt certificate in
 singular value decomposition.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,28 +81,51 @@ class Plane2:
         return complete_frame(self.basis())
 
 
-def plane_from_spanning(u, v) -> Plane2:
-    """Plane spanned (and oriented) by two independent vectors."""
-    u = _as_vec(u)
-    v = _as_vec(v)
-    # sqrt(x @ x) is what np.linalg.norm computes for a 1-d array, bit for
-    # bit, without its dispatch cost; epiperimetric._tilt_bases runs this
-    # same Gram-Schmidt on whole stacks of tilted pairs
-    nu = math.sqrt(u @ u)
-    if nu < 1e-14:
+def orthonormal_pairs(u, v) -> np.ndarray:
+    """(K, d, 2) orthonormal bases of the planes spanned by K vector pairs.
+
+    Row k is Gram-Schmidt on (u[k], v[k]): e1 = u/|u| and e2 is the unit
+    part of v normal to e1, so e2 @ v > 0.  A pair whose subtraction
+    cancels (nearly parallel u and v) takes a second pass.  Raises
+    ValueError on non-finite input, a degenerate pair, or a result that is
+    not orthonormal to ORTHO_TOL.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.ndim != 2 or u.shape != v.shape:
+        raise ValueError("expected two (K, d) stacks of vectors")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("non-finite coordinates")
+
+    def dot(a, b):
+        return (a * b).sum(axis=-1, keepdims=True)
+
+    nu = np.sqrt(dot(u, u))
+    if (nu < 1e-14).any():
         raise ValueError("degenerate spanning pair")
     e1 = u / nu
-    w = v - (v @ e1) * e1
-    nw = math.sqrt(w @ w)
-    nv = math.sqrt(v @ v)
-    if nw < 1e-14 * max(1.0, nv):
+    w = v - dot(v, e1) * e1
+    nw = np.sqrt(dot(w, w))
+    nv = np.sqrt(dot(v, v))
+    if (nw < 1e-14 * np.maximum(1.0, nv)).any():
         raise ValueError("degenerate spanning pair")
-    if nw < nv / math.sqrt(2.0):
-        # the subtraction cancelled, leaving w a rounding error of about
-        # eps |v| along e1; one more pass removes it ("twice is enough")
-        w = w - (w @ e1) * e1
-        nw = math.sqrt(w @ w)
-    return Plane2(e1, w / nw)
+    # the subtraction cancelled, leaving w a rounding error of about
+    # eps |v| along e1; one more pass removes it ("twice is enough")
+    again = (nw < nv / np.sqrt(2.0))[:, 0]
+    if again.any():
+        w[again] -= dot(w[again], e1[again]) * e1[again]
+        nw[again] = np.sqrt(dot(w[again], w[again]))
+    e2 = w / nw
+    gram = np.hstack([dot(e1, e1) - 1.0, dot(e2, e2) - 1.0, dot(e1, e2)])
+    if (np.abs(gram) > ORTHO_TOL).any():
+        raise ValueError("basis is not orthonormal to 1e-12")
+    return np.stack([e1, e2], axis=-1)
+
+
+def plane_from_spanning(u, v) -> Plane2:
+    """Plane spanned (and oriented) by two independent vectors."""
+    B = orthonormal_pairs(_as_vec(u)[None], _as_vec(v)[None])[0]
+    return Plane2(B[:, 0], B[:, 1])
 
 
 def standard_plane(dim: int) -> Plane2:

@@ -212,11 +212,15 @@ class _ExtensionParams:
                              least=1)
 
     def __post_init__(self):
-        """Fill mode = 2Q and r_max = rho/2; refuse the pure-tilt mode."""
+        """Fill mode = 2Q and r_max = rho/2; refuse the pure-tilt mode and
+        radii past the surface's edge."""
         if self.mode is None:
             object.__setattr__(self, "mode", 2 * self.Q)
         if self.r_max is None:
             object.__setattr__(self, "r_max", 0.5 * self.rho)
+        if self.r_max > self.rho:
+            raise ConfigError(f"r_max {self.r_max} exceeds rho {self.rho}: "
+                              "those radii lie past the surface's edge")
         if self.mode == self.Q:
             raise ConfigError(f"mode {self.mode} equals Q: that profile is a "
                               "tilted plane whose excess is pure roundoff")

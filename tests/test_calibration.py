@@ -18,6 +18,8 @@ from tclab.currents import ParamSurface
 from tclab.errors import FormUndefined, NotSemicalibrated
 from tclab.quadrature import gauss_legendre
 
+from oracles import mapped_mass
+
 
 def random_points(m=40, seed=0, scale=2.0, dim=3):
     rng = np.random.default_rng(seed)
@@ -163,14 +165,11 @@ def test_shrinking_sphere_fails_without_volume_credit():
 # the sweep's 3x3 Gram determinant by np.linalg.det at every node
 
 def _flowed_mass(surface, chi, t):
-    def phi(x):
-        return x + t * chi.func(x)
-
     def dphi(x):
         D = np.asarray(chi.jac(x), dtype=float)
         return np.eye(D.shape[-1]) + t * D
 
-    return surface.pushforward(phi, dphi=dphi).mass(check=False)
+    return mapped_mass(surface, dphi)
 
 
 def _full_grid_sweep(surface, chi, eps, tnodes=8):

@@ -27,6 +27,8 @@ from tclab.fourier import FourierSeries, analyze
 from tclab.geom import Plane2, plane_from_spanning, standard_plane
 from tclab.scenarios import random_epi_curve, single_mode_curve
 
+from oracles import check_orthonormal_pairs, mapped_mass
+
 
 @pytest.mark.parametrize("Q,i,c", [(1, 2, 1e-2), (2, 3, 5e-3),
                                    (3, 4, 1e-2), (1, 3, 2e-2)])
@@ -120,9 +122,36 @@ def test_tilt_search_builds_cone_data_once(monkeypatch):
     assert builds[0] == 1
 
 
-def test_competitor_mass_evaluates_each_node_once(monkeypatch):
-    curve = single_mode_curve(2, 6, 1e-2)
-    ext = build_competitor(curve, standard_plane(3)).extension
+def _competitor_cases():
+    """(curve, plane): a mode-6 curve over the reference plane in R^3, and
+    a codimension-2 curve over a plane tilted in both normal directions."""
+    alpha = np.zeros((7, 2))
+    beta = np.zeros((6, 2))
+    alpha[6, 0] = 1e-2
+    beta[2, 1] = 5e-3
+    tilted = WindingCurve.from_fourier(FourierSeries(2, 2, alpha, beta))
+    return [(single_mode_curve(2, 6, 1e-2), standard_plane(3)),
+            (tilted, epi._tilt_plane(np.array([2e-2, -1e-2, 1e-2, 3e-2]),
+                                     2))]
+
+
+def test_competitor_mass_is_the_ambient_mass():
+    # the competitor is the disk graph in the plane's frame coordinates;
+    # mapped into ambient coordinates by that rigid frame it keeps the
+    # mass the gap reads
+    curve, plane = _competitor_cases()[1]
+    disk = build_competitor(curve, plane).extension
+    F = plane.frame()
+    want = mapped_mass(disk,
+                       lambda y: np.broadcast_to(F, y.shape + F.shape[:1]),
+                       (2 * disk.order[0], 2 * disk.order[1]))
+    assert abs(disk.mass() - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["reference", "tilted"])
+def test_competitor_mass_evaluates_each_node_once(monkeypatch, case):
+    curve, plane = _competitor_cases()[case]
+    ext = build_competitor(curve, plane).extension
     seen = [0]
 
     def counted(fn):
@@ -164,16 +193,16 @@ def test_tilt_stack_matches_each_plane(n):
     V = np.vstack([np.zeros(2 * n), 3e-2 * rng.standard_normal((4, 2 * n)),
                    np.full(2 * n, 10.0)])
     bases = epi._tilt_bases(V, n)
+    # row k spans e_0 + (0, 0, V[k, :n]) and e_1 + (0, 0, V[k, n:]); the
+    # steep last row also takes the second Gram-Schmidt pass
+    u = np.hstack([np.tile([1.0, 0.0], (6, 1)), V[:, :n]])
+    v = np.hstack([np.tile([0.0, 1.0], (6, 1)), V[:, n:]])
+    check_orthonormal_pairs(bases, u, v)
     vals, escaped = cylindrical_excess(curve, bases)
     assert escaped.tolist() == [False] * 5 + [True]
-    for k in range(6):
-        # the steep last row also takes the second Gram-Schmidt pass
-        plane = plane_from_spanning(np.concatenate([[1.0, 0.0], V[k, :n]]),
-                                    np.concatenate([[0.0, 1.0], V[k, n:]]))
-        assert np.allclose(bases[k], plane.basis(), rtol=0.0, atol=1e-15)
-        if k < 5:
-            ref = cylindrical_excess(curve, plane)
-            assert vals[k] == pytest.approx(ref, rel=1e-14, abs=0.0)
+    for k in range(5):
+        ref = cylindrical_excess(curve, plane_from_spanning(u[k], v[k]))
+        assert vals[k] == pytest.approx(ref, rel=1e-14, abs=0.0)
     with pytest.raises(SupportEscapesCylinder):
         cylindrical_excess(curve, Plane2(bases[5, :, 0], bases[5, :, 1]))
     objective = epi._tilt_objective(curve, V)

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tclab.calibration import TwoFormField
-from tclab.geom import (Plane2, plane_from_spanning, standard_plane,
-                        complete_frame, wedge_matrix, twovector_mass_norm,
-                        twovector_euclid_norm, random_rotation,
-                        unit_tangent_matrix)
+from tclab.geom import (Plane2, orthonormal_pairs, plane_from_spanning,
+                        standard_plane, complete_frame, wedge_matrix,
+                        twovector_mass_norm, twovector_euclid_norm,
+                        random_rotation, unit_tangent_matrix)
+
+from oracles import check_orthonormal_pairs
 
 
 def vec(draw, dim, lo=-3.0, hi=3.0):
@@ -46,8 +48,13 @@ def test_plane_from_spanning_rejects_parallel():
         plane_from_spanning([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
 
 
+# nearly parallel: a single Gram-Schmidt pass leaves e1 @ e2 near 1e-11,
+# past ORTHO_TOL, so this pair needs the second pass
+NEAR_PARALLEL = ([5.24292436e-05, 2.0, 0.0], [0.0, 1.0, 0.0])
+
+
 @given(two_vectors(dim=3))
-@example((np.array([5.24292436e-05, 2.0, 0.0]), np.array([0.0, 1.0, 0.0])))
+@example(tuple(np.array(w) for w in NEAR_PARALLEL))
 @settings(max_examples=25, deadline=None)
 def test_projection_is_idempotent(uv):
     u, v = uv
@@ -56,6 +63,34 @@ def test_projection_is_idempotent(uv):
     p = plane_from_spanning(u, v)
     P = p.projector()
     assert np.allclose(P @ P, P, atol=1e-12)
+
+
+def test_orthonormal_pairs_meet_gram_schmidt_properties():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((6, 3))
+    v = rng.standard_normal((6, 3))
+    u[2], v[2] = NEAR_PARALLEL
+    u[4], v[4] = [1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]
+    B = orthonormal_pairs(u, v)
+    assert B.shape == (6, 3, 2)
+    check_orthonormal_pairs(B, u, v)
+
+
+DEGENERATE_ROWS = {
+    "parallel": ([1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]),
+    "zero u": ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    "zero v": ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    "non-finite": ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_ROWS))
+def test_orthonormal_pairs_reject_a_degenerate_row(case):
+    u = np.array([NEAR_PARALLEL[0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    v = np.array([NEAR_PARALLEL[1], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    u[1], v[1] = DEGENERATE_ROWS[case]
+    with pytest.raises(ValueError):
+        orthonormal_pairs(u, v)
 
 
 def test_split_reassembles():

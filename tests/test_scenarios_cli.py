@@ -68,7 +68,8 @@ def test_load_config_happy_path():
           ("flat", {"quad_order": [8, 0]}), ("epi", {"ratios": []}),
           ("epi", {"Q": [], "random": 0}), ("calib", {"eps": []}),
           ("split", {"Q": []}), ("calib", {"bump_power": 0}),
-          ("split", {"width": 0})]),
+          ("split", {"width": 0}), ("decay", {"r_max": 3}),
+          ("flat", {"r_max": 3})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):

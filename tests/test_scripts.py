@@ -3,6 +3,8 @@
 import os
 import runpy
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
 
@@ -19,3 +21,32 @@ def test_mode_sweep_reports_out_of_regime_points(capsys):
     assert rows[-1].split()[:2] == ["1", "3"]
     assert "out of regime: LipschitzTooLarge" in rows[-1]
     assert all("out of regime" not in row for row in rows[:2])
+
+
+def _write_artifacts(root, ratio, verdict):
+    root.mkdir()
+    (root / "epi.csv").write_text(
+        "Q,modes,ratio,verdict\n"
+        f"1,2+3,0.5,PASS\n2,4,{ratio},{verdict}\n# config_hash=abc\n")
+    (root / "split.json").write_text(
+        '{"masses": [1.0, 2.0], "verdict": "PASS"}\n')
+
+
+def test_artifact_drift_reports_column_moves_and_verdicts(tmp_path, capsys):
+    drift = runpy.run_path(os.path.join(SCRIPTS, "artifact_drift.py"))
+    _write_artifacts(tmp_path / "old", 0.25, "PASS")
+    _write_artifacts(tmp_path / "new", 0.25 * (1 + 1e-12), "PASS")
+    _write_artifacts(tmp_path / "flip", 0.25, "FAIL")
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    assert drift["main"]([old, new]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "epi.csv: verdicts match"
+    moves = dict(line.split() for line in lines[1:3])
+    assert moves["Q"] == "0"
+    assert float(moves["ratio"]) == pytest.approx(1e-12, rel=1e-3)
+    # "modes" is a text column that did not change, so it is not listed
+    assert "modes" not in moves
+    assert lines[3] == "split.json: verdicts match"
+    assert lines[4].split() == ["masses", "0"]
+    assert drift["main"]([old, str(tmp_path / "flip")]) == 1
+    assert "epi.csv: verdicts DIFFER" in capsys.readouterr().out
