@@ -15,14 +15,13 @@ The clip bounds come from one bracketed Newton solve per quadrature
 angle, on any such chart; no chart supplies its own radius solver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import (DegenerateCone, EmptyRestriction, FormUndefined,
-                     NoConvergence, NonFinite, QuadratureNotConverged,
-                     Undersampled)
+                     NoConvergence, NonFinite, QuadratureNotConverged)
 from .fourier import FourierSeries
 from .quadrature import gauss_legendre, periodic_trapezoid
 
@@ -46,8 +45,8 @@ class SpaceCurve:
     gamma: Callable
     dgamma: Callable
     Q: int
+    M: int
     orientation: int = 1
-    M: int = 256
 
     @property
     def period(self) -> float:
@@ -65,49 +64,36 @@ class WindingCurve:
     """Closed curve winding Q times around a cylinder of radius rho.
 
     The trace is theta -> rho * (cos theta, sin theta, f(theta)) for
-    theta in [0, 2*pi*Q), with the profile f stored both as M uniform
-    samples and as its Fourier series.
+    theta in [0, 2*pi*Q), where the profile f is the Fourier series; Q,
+    n and the period are the series'.  ``M``, the base sample count of
+    periodic sums over the curve, is fixed at construction: at least 256,
+    SAMPLES_PER_WINDING_MODE per period of the top active frequency over
+    the Q windings, and 2N + 2 for the N stored modes.
     """
 
-    Q: int
-    n: int
-    rho: float
-    samples: np.ndarray
     series: FourierSeries
+    rho: float = 1.0
     orientation: int = 1
+    M: int = field(init=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != self.n:
-            raise ValueError("samples must have shape (M, n)")
-        if not np.all(np.isfinite(samples)):
-            raise NonFinite("non-finite curve samples")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.orientation not in (-1, 1):
             raise ValueError("orientation must be +1 or -1")
-        need = SAMPLES_PER_WINDING_MODE * self.Q * max(
-            self.series.max_active_frequency(1e-12), 1)
-        if samples.shape[0] < need:
-            raise Undersampled(
-                f"{samples.shape[0]} samples < {need} required for the "
-                "active frequency content")
-        object.__setattr__(self, "samples", samples)
-
-    @classmethod
-    def from_fourier(cls, series: FourierSeries, rho: float = 1.0,
-                     orientation: int = 1):
+        series = self.series
         fa = max(series.max_active_frequency(1e-12), 1)
-        m = max(256, SAMPLES_PER_WINDING_MODE * series.Q * fa,
-                2 * series.nmodes + 2)
-        theta = np.arange(m) * (series.period / m)
-        return cls(Q=series.Q, n=series.n, rho=rho,
-                   samples=series.synthesize(theta), series=series,
-                   orientation=orientation)
+        object.__setattr__(self, "M", max(
+            256, SAMPLES_PER_WINDING_MODE * series.Q * fa,
+            2 * series.nmodes + 2))
 
     @property
-    def M(self) -> int:
-        return self.samples.shape[0]
+    def Q(self) -> int:
+        return self.series.Q
+
+    @property
+    def n(self) -> int:
+        return self.series.n
 
     @property
     def dim(self) -> int:
@@ -115,23 +101,13 @@ class WindingCurve:
 
     @property
     def period(self) -> float:
-        return 2.0 * np.pi * self.Q
+        return self.series.period
 
     def points(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty(theta.shape + (self.dim,))
-        out[..., 0] = np.cos(theta)
-        out[..., 1] = np.sin(theta)
-        out[..., 2:] = self.series.synthesize(theta)
-        return self.rho * out
+        return self.jet(theta)[0]
 
     def velocities(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty(theta.shape + (self.dim,))
-        out[..., 0] = -np.sin(theta)
-        out[..., 1] = np.cos(theta)
-        out[..., 2:] = self.series.derivative(theta)
-        return self.rho * out
+        return self.jet(theta)[1]
 
     def jet(self, theta):
         """(points, velocities) at the given angles from one trig table."""
@@ -165,7 +141,7 @@ def normalize_to_sphere(curve) -> SpaceCurve:
         return (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
                 / (rad * r2))
 
-    return SpaceCurve(gamma, dgamma, curve.Q, curve.orientation, M=curve.M)
+    return SpaceCurve(gamma, dgamma, curve.Q, curve.M, curve.orientation)
 
 
 def curve_mass(curve) -> float:
@@ -450,31 +426,26 @@ class RadialRestriction(ParamSurface):
 
 @dataclass(frozen=True)
 class ConeOverCurve:
-    """Cone with the given vertex over a closed curve.
+    """Cone with vertex at the origin over a closed curve, its link.
 
-    The chart is (t, theta) -> vertex + t * (gamma(theta) - vertex) for
-    t in (0, 1], so the cone reaches exactly the curve.
+    The chart is (t, theta) -> t * gamma(theta) for t in (0, 1], so the
+    cone reaches exactly the curve.  Annulus restrictions and the
+    monotonicity integrals measure radii from the origin, the vertex.
     """
 
-    vertex: np.ndarray
     link: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex",
-                           np.asarray(self.vertex, dtype=float))
-
     def wedge_speed(self, theta):
-        """|(gamma - vertex) ^ gamma'| at the given angles."""
-        return ParamSurface._area_element(
-            self.link.points(theta) - self.vertex,
-            self.link.velocities(theta))
+        """|gamma ^ gamma'| at the given angles."""
+        return ParamSurface._area_element(self.link.points(theta),
+                                          self.link.velocities(theta))
 
     def check_nondegenerate(self):
         m = self.link.M
         theta = np.arange(m) * (self.link.period / m)
-        g = self.link.points(theta) - self.vertex
+        g = self.link.points(theta)
         dg = self.link.velocities(theta)
-        wedge = self.wedge_speed(theta)
+        wedge = ParamSurface._area_element(g, dg)
         scale = np.linalg.norm(g, axis=-1) * np.linalg.norm(dg, axis=-1)
         bad = wedge <= 1e-10 * np.maximum(scale, 1e-300)
         if np.mean(bad) > 0.01:
@@ -482,21 +453,20 @@ class ConeOverCurve:
                 "link direction and velocity are parallel on "
                 f"{100 * np.mean(bad):.1f}% of the samples")
 
-    def chart(self) -> ParamSurface:
+    def chart(self, order=(32, 64)) -> ParamSurface:
+        """The cone's chart over (0, 1] x [0, period) at the given
+        Gauss-Legendre order."""
         link = self.link
-        vertex = self.vertex
 
         def cmap(T, TH):
-            g = link.points(TH)
-            return vertex + np.asarray(T)[..., None] * (g - vertex)
+            return np.asarray(T)[..., None] * link.points(TH)
 
         def cjac(T, TH):
-            g = link.points(TH)
-            dg = link.velocities(TH)
-            return g - vertex, np.asarray(T)[..., None] * dg
+            T = np.asarray(T)[..., None]
+            return link.points(TH), T * link.velocities(TH)
 
         return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
-                            jacobian=cjac, order=(32, 64), radial_axis=0)
+                            jacobian=cjac, order=order, radial_axis=0)
 
 
 def cone_mass(cone: ConeOverCurve) -> float:

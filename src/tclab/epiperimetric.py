@@ -298,8 +298,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
     prof = t[:, None] * y[..., 2:] / new_rho
     series = analyze(prof, curve.Q, tail_tol=1.0)
     series = _trim_series(series)
-    return WindingCurve.from_fourier(series, rho=new_rho,
-                                     orientation=curve.orientation)
+    return WindingCurve(series, rho=new_rho, orientation=curve.orientation)
 
 
 def _trim_series(series: FourierSeries) -> FourierSeries:

@@ -66,33 +66,18 @@ class FourierSeries:
         active = np.flatnonzero(peak > tol)
         return int(active[-1]) + 1 if active.size else 0
 
-    def _phases(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        i = np.arange(1, self.nmodes + 1)
-        return theta[..., None] * (i / self.Q)
-
-    def synthesize(self, theta) -> np.ndarray:
-        """Evaluate f at the given angles; output shape theta.shape + (n,)."""
-        ph = self._phases(theta)
-        out = np.cos(ph) @ self.alpha[1:] + np.sin(ph) @ self.beta
-        return out + self.alpha[0]
-
-    def derivative(self, theta) -> np.ndarray:
-        """Evaluate f' at the given angles."""
-        ph = self._phases(theta)
-        w = np.arange(1, self.nmodes + 1) / self.Q
-        return (-np.sin(ph) * w) @ self.alpha[1:] + (np.cos(ph) * w) @ self.beta
-
     def jet(self, theta):
         """Evaluate (f, f') at the given angles from one trig table.
 
-        Same arithmetic as ``synthesize`` and ``derivative``, so the
-        results agree with theirs bit for bit.
+        The one evaluator of the profile: each output has shape
+        theta.shape + (n,), f from the cos/sin sums of the module
+        docstring and f' from the same table with mode i weighted by i/Q.
         """
-        ph = self._phases(theta)
+        theta = np.asarray(theta, dtype=float)
+        w = np.arange(1, self.nmodes + 1) / self.Q
+        ph = theta[..., None] * w
         c = np.cos(ph)
         s = np.sin(ph)
-        w = np.arange(1, self.nmodes + 1) / self.Q
         f = c @ self.alpha[1:] + s @ self.beta + self.alpha[0]
         df = (-s * w) @ self.alpha[1:] + (c * w) @ self.beta
         return f, df
@@ -101,7 +86,7 @@ class FourierSeries:
         """Max |f'| on a dense uniform grid (spectral derivative)."""
         m = max(64, 16 * self.Q * max(self.max_active_frequency(), 1))
         theta = np.arange(m) * (self.period / m)
-        return float(np.max(np.linalg.norm(self.derivative(theta), axis=-1)))
+        return float(np.max(np.linalg.norm(self.jet(theta)[1], axis=-1)))
 
 
 def analyze(samples, Q: int, nmodes: int | None = None,

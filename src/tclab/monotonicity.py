@@ -96,41 +96,43 @@ def _tangent_perp(x, xu, xv):
     return np.sum(perp * perp, axis=-1), np.sum(x * x, axis=-1)
 
 
+def _annulus_integral(current, s: float, r: float, density) -> float:
+    """Integral of density(x, xu, xv) over the annulus between s and r.
+
+    The inner radius must clear the vertex ball; an annulus that misses
+    the current integrates to 0.
+    """
+    if s < VERTEX_RADIUS:
+        raise VertexTooClose(
+            f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
+    try:
+        region = restrict_annulus(current, s, r)
+    except EmptyRestriction:
+        return 0.0
+    return region.integrate_density(density)
+
+
 def deviation_integral(current, s: float, r: float) -> float:
     """Integral of |x_perp|^2 / |x|^4 over the annulus between s and r.
 
     Normal components are taken against the surface tangent plane.
     """
-    if s < VERTEX_RADIUS:
-        raise VertexTooClose(
-            f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
 
     def density(x, xu, xv):
         p2, x2 = _tangent_perp(x, xu, xv)
         return p2 / x2 ** 2
 
-    try:
-        region = restrict_annulus(current, s, r)
-    except EmptyRestriction:
-        return 0.0
-    return region.integrate_density(density)
+    return _annulus_integral(current, s, r, density)
 
 
 def radial_projection_mass(current, s: float, r: float) -> float:
     """Integral of |x_perp| / |x|^3 over the annulus between s and r."""
-    if s < VERTEX_RADIUS:
-        raise VertexTooClose(
-            f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
 
     def density(x, xu, xv):
         p2, x2 = _tangent_perp(x, xu, xv)
         return np.sqrt(p2) / x2 ** 1.5
 
-    try:
-        region = restrict_annulus(current, s, r)
-    except EmptyRestriction:
-        return 0.0
-    return region.integrate_density(density)
+    return _annulus_integral(current, s, r, density)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ScenarioError, TclabError
 from .fourier import FourierSeries, harmonic_extension
-from .currents import WindingCurve
+from .currents import ConeOverCurve, WindingCurve
 from .epiperimetric import epiperimetric_gap, mode_ratio
 from .monotonicity import (DecayConstants, mass_profile, deviation_integral,
                            synthesize_decay_profile, decay_envelope)
@@ -57,7 +57,7 @@ def single_mode_series(Q: int, mode: int, amplitude: float,
 
 def single_mode_curve(Q: int, mode: int, amplitude: float) -> WindingCurve:
     """Unit-radius winding curve whose profile is one cosine mode."""
-    return WindingCurve.from_fourier(single_mode_series(Q, mode, amplitude))
+    return WindingCurve(single_mode_series(Q, mode, amplitude))
 
 
 def random_link_curve(rng: np.random.Generator) -> WindingCurve:
@@ -72,7 +72,7 @@ def random_link_curve(rng: np.random.Generator) -> WindingCurve:
     beta[:] = rng.standard_normal((nmodes, n)) * decay[:, None]
     scale = 0.25 / max(1.0, np.abs(alpha).max() + np.abs(beta).max())
     series = FourierSeries(Q=Q, n=n, alpha=alpha * scale, beta=beta * scale)
-    return WindingCurve.from_fourier(series, rho=1.0)
+    return WindingCurve(series)
 
 
 def allowed_random_modes(Q: int) -> list:
@@ -129,7 +129,7 @@ def random_epi_curve(rng: np.random.Generator,
     if e2 > EXCESS_CAP:
         scale *= np.sqrt(EXCESS_CAP / e2)
     series = FourierSeries(Q=Q, n=n, alpha=alpha * scale, beta=beta * scale)
-    return WindingCurve.from_fourier(series, rho=1.0)
+    return WindingCurve(series)
 
 
 def extension_surface(Q: int, mode: int, amplitude: float, rho: float = 1.0,
@@ -141,16 +141,21 @@ def extension_surface(Q: int, mode: int, amplitude: float, rho: float = 1.0,
     return harmonic_extension(series, r_out=rho, order=order)
 
 
+def flat_circle(Q: int, rho: float) -> WindingCurve:
+    """Q-fold circle of radius rho: the winding curve of the zero profile."""
+    zero = FourierSeries(Q=Q, n=1, alpha=np.zeros((1, 1)),
+                         beta=np.zeros((0, 1)))
+    return WindingCurve(zero, rho=rho)
+
+
 def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
     """Flat circles in the two orthogonal coordinate planes of R^4."""
     eye = np.eye(4)
     frames = [eye[:, [0, 1, 2]], eye[:, [2, 3, 0]]]
     curves = []
     for k, Q in enumerate(Q_list):
-        series = FourierSeries(Q=int(Q), n=1, alpha=np.zeros((1, 1)),
-                               beta=np.zeros((0, 1)))
-        curve = WindingCurve.from_fourier(series, rho=rho)
-        curves.append(EmbeddedCurve(curve=curve, frame=frames[k % 2]))
+        curves.append(EmbeddedCurve(curve=flat_circle(int(Q), rho),
+                                    frame=frames[k % 2]))
     return curves
 
 
@@ -579,30 +584,7 @@ def _calib_surface(p: CalibParams):
     if isinstance(order, int):
         order = (order, 2 * order)
     if p.surface == "disk":
-        from .currents import ParamSurface
-
-        def chart(w, theta):
-            w = np.asarray(w, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            out = np.zeros(np.broadcast_shapes(w.shape, theta.shape) + (3,))
-            out[..., 0] = radius * w * np.cos(theta)
-            out[..., 1] = radius * w * np.sin(theta)
-            return out
-
-        def jac(w, theta):
-            w = np.asarray(w, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            shape = np.broadcast_shapes(w.shape, theta.shape) + (3,)
-            xu = np.zeros(shape)
-            xv = np.zeros(shape)
-            xu[..., 0] = radius * np.cos(theta)
-            xu[..., 1] = radius * np.sin(theta)
-            xv[..., 0] = -radius * w * np.sin(theta)
-            xv[..., 1] = radius * w * np.cos(theta)
-            return xu, xv
-
-        return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi),
-                            jacobian=jac, order=order), 3
+        return ConeOverCurve(flat_circle(1, radius)).chart(order=order), 3
     dim = 4 if p.surface == "equator" else 3
     return spherical_cap(radius, 0.0, np.pi, dim=dim, order=order), dim
 

@@ -6,6 +6,9 @@ the chart is evaluated once per node.  Tests use it as the reference for
 masses the library computes without moving the surface: the competitor
 in plane coordinates, and the first-variation sweep along id + t chi.
 
+``polar_disk`` is the flat disk written out as an explicit polar chart,
+the reference for the cone over a flat circle.
+
 ``check_orthonormal_pairs`` checks a stack of plane bases against the
 defining properties of Gram-Schmidt on its spanning pairs, not against
 another Gram-Schmidt.
@@ -28,6 +31,36 @@ def mapped_mass(surface, dphi, order=None):
     area = ParamSurface._area_element(np.einsum("...ij,...j->...i", D, xu),
                                       np.einsum("...ij,...j->...i", D, xv))
     return surface.multiplicity * float(np.sum(W * area))
+
+
+def polar_disk(radius, order=(48, 96), multiplicity=1):
+    """Disk of the given radius in the plane z = 0 of R^3.
+
+    The chart is (w, theta) -> (R w cos theta, R w sin theta, 0) with its
+    partials written out by hand.  It multiplies (R w) cos theta where the
+    cone over the circle of radius R multiplies w (R cos theta), so the
+    two frames agree bit for bit only at R = 1.
+    """
+
+    def chart(w, theta):
+        out = np.zeros(np.broadcast_shapes(w.shape, theta.shape) + (3,))
+        out[..., 0] = radius * w * np.cos(theta)
+        out[..., 1] = radius * w * np.sin(theta)
+        return out
+
+    def jac(w, theta):
+        shape = np.broadcast_shapes(w.shape, theta.shape) + (3,)
+        xu = np.zeros(shape)
+        xv = np.zeros(shape)
+        xu[..., 0] = radius * np.cos(theta)
+        xu[..., 1] = radius * np.sin(theta)
+        xv[..., 0] = -radius * w * np.sin(theta)
+        xv[..., 1] = radius * w * np.cos(theta)
+        return xu, xv
+
+    return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
+                        multiplicity=multiplicity, order=order,
+                        radial_axis=0)
 
 
 def check_orthonormal_pairs(B, u, v, tol=1e-15):

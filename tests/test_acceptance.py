@@ -49,8 +49,7 @@ def test_01_cone_mass_halves_link_length():
     worst = 0.0
     for _ in range(50):
         link = normalize_to_sphere(random_link_curve(rng))
-        dim = link.points(np.zeros(1)).shape[-1]
-        cone = ConeOverCurve(np.zeros(dim), link)
+        cone = ConeOverCurve(link)
         length = curve_mass(link)
         err = abs(cone_mass(cone) - 0.5 * length) / length
         worst = fold(worst, err)
@@ -152,8 +151,7 @@ def test_05_monotonicity_constant_is_uniform():
     for seed in (1, 2, 3):
         link = normalize_to_sphere(random_link_curve(
             np.random.default_rng(seed)))
-        dim = link.points(np.zeros(1)).shape[-1]
-        cone = ConeOverCurve(np.zeros(dim), link)
+        cone = ConeOverCurve(link)
         excess = mass_profile(cone, radii, link.Q).excess()
         for j in range(radii.size - 1):
             cone_dev = fold(cone_dev,

@@ -8,6 +8,8 @@ equal to half the curve's length.  Annulus restrictions of curved charts
 are checked against a brute-force bisection of the clip bounds.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,42 +24,72 @@ from tclab.geom import random_rotation
 from tclab.monotonicity import _tangent_perp, deviation_integral
 from tclab.quadrature import gauss_legendre
 from tclab.scenarios import (CalibParams, _calib_surface,
-                             extension_surface, random_link_curve,
-                             single_mode_series)
+                             extension_surface, flat_circle,
+                             random_link_curve, single_mode_series)
 
-from oracles import mapped_mass
-
-
-def flat_disk(radius, multiplicity=1, order=(48, 96)):
-    def chart(u, v):
-        u, v = np.broadcast_arrays(u, v)
-        r = radius * u
-        return np.stack([r * np.cos(v), r * np.sin(v),
-                         np.zeros_like(r)], axis=-1)
-
-    def jac(u, v):
-        u, v = np.broadcast_arrays(u, v)
-        r = radius * u
-        du = np.stack([radius * np.cos(v), radius * np.sin(v),
-                       np.zeros_like(r)], axis=-1)
-        dv = np.stack([-r * np.sin(v), r * np.cos(v),
-                       np.zeros_like(r)], axis=-1)
-        return du, dv
-
-    return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi),
-                        jacobian=jac, multiplicity=multiplicity,
-                        order=order, radial_axis=0)
+from oracles import mapped_mass, polar_disk
 
 
 def test_winding_circle_length():
-    zero = FourierSeries(Q=3, n=1, alpha=np.zeros((1, 1)),
-                         beta=np.zeros((0, 1)))
-    curve = WindingCurve.from_fourier(zero, rho=1.7)
+    curve = flat_circle(3, 1.7)
     assert abs(curve_mass(curve) - 2.0 * np.pi * 3 * 1.7) < 1e-10
 
 
+def _series_with(Q, N, top, value=1e-3):
+    """Series with N stored modes whose coefficient at frequency top
+    (0 for none) is the given value."""
+    alpha = np.zeros((N + 1, 2))
+    if top:
+        alpha[top, 1] = value
+    return FourierSeries(Q, 2, alpha, np.zeros((N, 2)))
+
+
+@pytest.mark.parametrize("Q, N, top, value, M", [
+    (1, 0, 0, 0.0, 256),          # the floor
+    (3, 8, 8, 1e-3, 384),         # 16 Q per top active frequency
+    (2, 12, 9, 1e-12, 256),       # a coefficient at 1e-12 is not active
+    (2, 12, 9, 2e-12, 288),       # one above it is
+    (1, 300, 2, 1e-3, 602),       # 2N + 2 for the stored modes
+])
+def test_winding_curve_samples_follow_the_series(Q, N, top, value, M):
+    series = _series_with(Q, N, top, value)
+    curve = WindingCurve(series, rho=0.8)
+    assert curve.M == M
+    assert (curve.Q, curve.n, curve.dim) == (Q, 2, 4)
+    assert curve.period == series.period
+    assert [f.name for f in fields(WindingCurve) if f.init] \
+        == ["series", "rho", "orientation"]
+
+
+def test_winding_points_and_velocities_are_the_jet():
+    curve = random_link_curve(np.random.default_rng(5))
+    theta = np.linspace(-1.0, curve.period + 1.0, 41).reshape(41, 1)
+    x, dx = curve.jet(theta)
+    assert x.shape == dx.shape == (41, 1, curve.dim)
+    assert np.array_equal(curve.points(theta), x)
+    assert np.array_equal(curve.velocities(theta), dx)
+
+
+@pytest.mark.parametrize("order", [(12, 24), (96, 192)])
+def test_cone_over_unit_circle_is_the_polar_disk_bitwise(order):
+    cone, _ = _calib_surface(CalibParams(surface="disk", quad_order=order))
+    for got, want in zip(cone._frame(order),
+                         polar_disk(1.0, order=order)._frame(order)):
+        assert np.array_equal(got, want)
+
+
+def test_cone_over_circle_matches_the_polar_disk():
+    R, order = 1.7, (48, 96)
+    cone, _ = _calib_surface(CalibParams(surface="disk", radius=R,
+                                         quad_order=order))
+    for got, want in zip(cone._frame(order),
+                         polar_disk(R, order=order)._frame(order)):
+        assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+    assert abs(cone.mass() - np.pi * R ** 2) < 1e-12
+
+
 def test_flat_disk_area():
-    assert abs(flat_disk(2.5).mass() - np.pi * 2.5 ** 2) < 1e-9
+    assert abs(polar_disk(2.5).mass() - np.pi * 2.5 ** 2) < 1e-9
 
 
 def test_round_sphere_area():
@@ -66,12 +98,12 @@ def test_round_sphere_area():
 
 
 def test_multiplicity_scales_mass():
-    assert abs(flat_disk(1.0, multiplicity=3).mass()
+    assert abs(polar_disk(1.0, multiplicity=3).mass()
                - 3.0 * np.pi) < 1e-9
 
 
 def test_pushforward_by_isometry_preserves_mass():
-    disk = flat_disk(1.2)
+    disk = polar_disk(1.2)
     R = random_rotation(3, np.random.default_rng(7))
     fine = (2 * disk.order[0], 2 * disk.order[1])
     moved = mapped_mass(disk, lambda x: np.broadcast_to(R, (len(x), 3, 3)),
@@ -80,20 +112,20 @@ def test_pushforward_by_isometry_preserves_mass():
 
 
 def test_annulus_restriction_area():
-    disk = flat_disk(1.0)
+    disk = polar_disk(1.0)
     got = restrict_annulus(disk, 0.3, 0.8).mass()
     assert abs(got - np.pi * (0.8 ** 2 - 0.3 ** 2)) < 1e-9
-    double = annulus_mass(flat_disk(1.0, multiplicity=2), 0.3, 0.8)
+    double = annulus_mass(polar_disk(1.0, multiplicity=2), 0.3, 0.8)
     assert abs(double - 2.0 * got) < 1e-9
 
 
 def test_empty_restriction_raises():
     with pytest.raises(EmptyRestriction):
-        restrict_annulus(flat_disk(1.0), 1.5, 2.0)
+        restrict_annulus(polar_disk(1.0), 1.5, 2.0)
 
 
 def test_restriction_additivity():
-    disk = flat_disk(1.0)
+    disk = polar_disk(1.0)
     whole = restrict_annulus(disk, 0.2, 0.9).mass()
     parts = (restrict_annulus(disk, 0.2, 0.55).mass()
              + restrict_annulus(disk, 0.55, 0.9).mass())
@@ -103,17 +135,14 @@ def test_restriction_additivity():
 def test_cone_mass_halves_spherical_link_length():
     rng = np.random.default_rng(11)
     link = normalize_to_sphere(random_link_curve(rng))
-    cone = ConeOverCurve(np.zeros(link.points(np.zeros(1)).shape[-1]), link)
+    cone = ConeOverCurve(link)
     assert abs(cone_mass(cone) - 0.5 * curve_mass(link)) < 1e-10
 
 
 @given(st.integers(1, 3), st.floats(0.5, 2.0))
 @settings(max_examples=10, deadline=None)
 def test_cone_over_flat_circle_is_disk(Q, rho):
-    zero = FourierSeries(Q=Q, n=1, alpha=np.zeros((1, 1)),
-                         beta=np.zeros((0, 1)))
-    curve = WindingCurve.from_fourier(zero, rho=rho)
-    cone = ConeOverCurve(np.zeros(3), curve)
+    cone = ConeOverCurve(flat_circle(Q, rho))
     assert abs(cone_mass(cone) - Q * np.pi * rho ** 2) < 1e-9
 
 
@@ -161,7 +190,7 @@ def _restricted_case(case):
         series = single_mode_series(Q, mode, amp, phase=0.7)
         return harmonic_extension(series, 1.0)
     link = random_link_curve(np.random.default_rng(case[1]))
-    return ConeOverCurve(np.zeros(link.dim), link).chart()
+    return ConeOverCurve(link).chart()
 
 
 def _tangent_deviation(x, xu, xv):
@@ -252,7 +281,7 @@ def elementwise_charts():
                                                quad_order=(12, 24)))
     curve = random_link_curve(np.random.default_rng(4))
     link = normalize_to_sphere(curve)
-    return {"cone": ConeOverCurve(np.zeros(curve.dim), link).chart(),
+    return {"cone": ConeOverCurve(link).chart(),
             "cap": spherical_cap(1.3, 0.2, 2.9, dim=4, order=(12, 24)),
             "calib-disk": calib_disk}
 

@@ -70,8 +70,7 @@ def test_mixture_certifies_at_conical_minimum():
     alpha[2, 0] = 0.02
     alpha[3, 1] = 0.015
     beta[0, 1] = 0.01
-    curve = WindingCurve.from_fourier(FourierSeries(Q=2, n=2, alpha=alpha,
-                                                    beta=beta))
+    curve = WindingCurve(FourierSeries(Q=2, n=2, alpha=alpha, beta=beta))
     rep = optimal_plane(curve)
     pred = 0.25 * np.pi * 2 * (0.015 ** 2 * (1 + 1.5 ** 2)
                                + 0.01 ** 2 * (1 + 0.5 ** 2))
@@ -114,8 +113,7 @@ def test_tilt_search_builds_cone_data_once(monkeypatch):
     monkeypatch.setattr(epi, "cylindrical_excess", counted_excess)
     # a tilt mode plus a mode-3 bump, so the search has to move
     alpha = np.array([[0.0], [1e-2], [0.0], [5e-3]])
-    curve = WindingCurve.from_fourier(FourierSeries(1, 1, alpha,
-                                                    np.zeros((3, 1))))
+    curve = WindingCurve(FourierSeries(1, 1, alpha, np.zeros((3, 1))))
     rep = optimal_plane(curve)
     assert rep.excess < rep.raw_excess
     assert evals[0] > 20
@@ -129,7 +127,7 @@ def _competitor_cases():
     beta = np.zeros((6, 2))
     alpha[6, 0] = 1e-2
     beta[2, 1] = 5e-3
-    tilted = WindingCurve.from_fourier(FourierSeries(2, 2, alpha, beta))
+    tilted = WindingCurve(FourierSeries(2, 2, alpha, beta))
     return [(single_mode_curve(2, 6, 1e-2), standard_plane(3)),
             (tilted, epi._tilt_plane(np.array([2e-2, -1e-2, 1e-2, 3e-2]),
                                      2))]
@@ -188,8 +186,7 @@ def test_tilt_stack_matches_each_plane(n):
     alpha = np.zeros((4, n))
     alpha[1, 0] = 1e-2
     alpha[3, n - 1] = 5e-3
-    curve = WindingCurve.from_fourier(FourierSeries(1, n, alpha,
-                                                    np.zeros((3, n))))
+    curve = WindingCurve(FourierSeries(1, n, alpha, np.zeros((3, n))))
     V = np.vstack([np.zeros(2 * n), 3e-2 * rng.standard_normal((4, 2 * n)),
                    np.full(2 * n, 10.0)])
     bases = epi._tilt_bases(V, n)
@@ -236,7 +233,7 @@ def _regraph_cases():
         alpha[Q, 0] = 1e-2
         beta[2 * Q, n - 1] = 4e-3
         alpha[2 * Q + 1, 0] = -2e-3
-        curve = WindingCurve.from_fourier(FourierSeries(Q, n, alpha, beta))
+        curve = WindingCurve(FourierSeries(Q, n, alpha, beta))
         tilt = np.linspace(-2e-2, 3e-2, 2 * n)
         cases.append((curve, standard_plane(2 + n)))
         cases.append((curve, epi._tilt_plane(tilt, n)))

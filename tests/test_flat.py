@@ -54,7 +54,7 @@ def test_flat_disk_has_zero_radial_filling(Q):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cone_has_zero_radial_filling(seed):
     link = random_link_curve(np.random.default_rng(seed))
-    cone = ConeOverCurve(np.zeros(link.dim), link).chart()
+    cone = ConeOverCurve(link).chart()
     assert 0.0 <= radial_homotopy_filling(cone, 0.1, 0.5).bound < 1e-14
 
 

@@ -45,7 +45,7 @@ def test_deviation_equals_pi_times_excess_gap():
 
 def test_cone_has_zero_deviation_and_flat_excess():
     link = normalize_to_sphere(random_link_curve(np.random.default_rng(3)))
-    cone = ConeOverCurve(np.zeros(link.points(np.zeros(1)).shape[-1]), link)
+    cone = ConeOverCurve(link)
     assert deviation_integral(cone, 0.25, 0.5) < 1e-20
     excess = mass_profile(cone, [0.25, 0.5, 1.0], 1).excess()
     assert np.ptp(excess) < 1e-12
