@@ -1,8 +1,9 @@
 """Parametrized 2-currents: closed curves, chart surfaces and cones.
 
 A curve is anything with ``Q``, ``orientation``, ``M``, ``period``,
-``points`` and ``velocities`` (a SpaceCurve or a WindingCurve); its
-length and cone masses are periodic trapezoid sums.
+``points``, ``velocities`` and ``jet``, which returns the points and
+velocities together (a SpaceCurve or a WindingCurve); its length and
+cone masses are periodic trapezoid sums.
 A surface is a chart over a rectangle with an analytic jacobian; masses
 and form integrals are tensor Gauss-Legendre sums with a doubling
 self-check.  ``ParamSurface._frame`` is the one quadrature frame builder:
@@ -57,6 +58,10 @@ class SpaceCurve:
 
     def velocities(self, theta):
         return self.dgamma(np.asarray(theta, dtype=float))
+
+    def jet(self, theta):
+        """(points, velocities) at the given angles."""
+        return self.points(theta), self.velocities(theta)
 
 
 @dataclass(frozen=True)
@@ -462,8 +467,8 @@ class ConeOverCurve:
             return np.asarray(T)[..., None] * link.points(TH)
 
         def cjac(T, TH):
-            T = np.asarray(T)[..., None]
-            return link.points(TH), T * link.velocities(TH)
+            g, dg = link.jet(TH)
+            return g, np.asarray(T)[..., None] * dg
 
         return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
                             jacobian=cjac, order=order, radial_axis=0)

@@ -10,10 +10,11 @@ and the whole pipeline (optimal tilt, regraphing on a smaller cylinder,
 harmonic extension inside it) stays one-dimensional except for the final
 surface masses.  The plane-independent part of that integral (trace
 points, wedge speeds, unit tangents) is built once per curve and sample
-count.  The excess kernel takes a whole stack of tilted planes, so a BFGS
-step with its finite-difference gradient, and the final certificate with
-all its one-sided probes, each cost one projection, one escape test and
-one batch of mass norms.
+count.  The excess kernel takes a whole stack of tilted planes, so each
+step of the quasi-Newton tilt search with its finite-difference gradient,
+its starting Hessian, its backtracking ladder and the final certificate
+with all its one-sided probes each cost one projection, one escape test
+and one batch of mass norms.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk of the working cylinder radius inside the optimal plane's cylinder;
@@ -24,7 +25,6 @@ tilted) curve makes both gaps vanish and the ratio is defined as 0.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .currents import (ParamSurface, WindingCurve,
                        infinite_cone_cylinder_mass)
@@ -42,6 +42,11 @@ GRAD_REL = 1e-5
 PRE_EXCESS = 0.1
 CYL_RATIO = 0.5
 REGRAPH_PASSES = 12
+GRAD_STEP = 1e-6
+HESS_STEP = 1e-4
+ARMIJO = 1e-4
+LADDER = 2.0 ** -np.arange(1, 25)
+SEARCH_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,91 @@ def _stencil(v: np.ndarray, steps) -> np.ndarray:
                                   for t in steps for s in (1.0, -1.0)])
 
 
+def _value_gradient(objective, v: np.ndarray):
+    """Value and GRAD_STEP central gradient at v from one stencil call."""
+    m = v.size
+    f = objective(_stencil(v, (GRAD_STEP,)))
+    return f[0], (f[1:m + 1] - f[m + 1:]) / (2 * GRAD_STEP)
+
+
+def _inverse_hessian(objective, v: np.ndarray) -> np.ndarray:
+    """Inverse of the HESS_STEP central-difference Hessian at v.
+
+    One call on v, v +- h e_i and v + h (+-e_i +- e_j) for i < j, that is
+    1 + 2m + 2m(m - 1) rows.  A Hessian that is not positive definite
+    raises NoConvergence.
+    """
+    m, h = v.size, HESS_STEP
+    E = h * np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    f = objective(v + np.vstack([np.zeros((1, m)), E, -E,
+                                 E[i] + E[j], E[i] - E[j],
+                                 E[j] - E[i], -E[i] - E[j]]))
+    H = np.diag((f[1:m + 1] - 2.0 * f[0] + f[m + 1:2 * m + 1]) / h ** 2)
+    pp, pm, mp, mm = f[2 * m + 1:].reshape(4, -1)
+    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4 * h * h)
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        raise NoConvergence(
+            "tilt objective is not convex at the reference plane") from None
+    Li = np.linalg.solve(L, np.eye(m))
+    return Li.T @ Li
+
+
+def _quasi_newton(objective, m: int) -> np.ndarray:
+    """Quasi-Newton minimizer of the objective over R^m from the origin.
+
+    The objective maps a stack of points to their values.  The search
+    stops at the origin when its gradient is at most 1e-12 in every
+    component; otherwise the first inverse Hessian comes from
+    _inverse_hessian and every step is one stencil call at x + p, with
+    p = -H^-1 g.  A full step that fails the Armijo test is backtracked
+    on the ladder x + 2^-k p (k = 1..24) in one call, and the first rung
+    that passes gets one more stencil call; each accepted step updates
+    H^-1 by BFGS.  The search ends once a step lowers the value by no
+    more than four ulps, or once the Newton decrement g H^-1 g falls that
+    low either before a failed full step or after a full step whose drop
+    the quadratic model predicted to 1% (or when no rung passes, or after
+    SEARCH_STEPS steps); the certificate judges the point it returns.
+    """
+    x = np.zeros(m)
+    f, g = _value_gradient(objective, x)
+    if np.max(np.abs(g)) <= 1e-12:
+        return x
+    Hi = _inverse_hessian(objective, x)
+    roundoff = 4.0 * np.finfo(float).eps
+    for _ in range(SEARCH_STEPS):
+        p = -Hi @ g
+        slope = float(g @ p)
+        fn, gn = _value_gradient(objective, x + p)
+        step = p
+        if not fn <= f + ARMIJO * slope:
+            if -slope <= roundoff * abs(f):
+                break
+            fl = objective(x + LADDER[:, None] * p)
+            ok = np.flatnonzero(fl <= f + ARMIJO * LADDER * slope)
+            if ok.size == 0:
+                break
+            step = LADDER[ok[0]] * p
+            fn, gn = _value_gradient(objective, x + step)
+        y = gn - g
+        sy = float(step @ y)
+        if sy > 0:
+            A = np.eye(m) - np.outer(step, y) / sy
+            Hi = A @ Hi @ A.T + np.outer(step, step) / sy
+        x = x + step
+        drop, f, g = f - fn, fn, gn
+        if np.max(np.abs(g)) <= 1e-12 or drop <= roundoff * abs(f):
+            break
+        # a full step whose drop the quadratic model predicted to 1% makes
+        # the model trusted: stop once it promises less than roundoff
+        if (step is p and abs(drop + 0.5 * slope) <= 0.01 * drop
+                and float(g @ Hi @ g) <= roundoff * abs(f)):
+            break
+    return x
+
+
 def _certificate(excesses, v: np.ndarray):
     """Value, central-gradient norm and steepest one-sided slope at v.
 
@@ -177,7 +267,7 @@ def _certificate(excesses, v: np.ndarray):
     |t| rate on both sides of some axis reads as a zero gradient, while
     the one-sided slopes recover it.  Every slope nonnegative means v is a
     minimum of the piecewise-smooth objective; a negative slope is a
-    descent direction BFGS failed to follow.
+    descent direction the quasi-Newton search failed to follow.
     """
     m = v.size
     f = excesses(_stencil(v, (1e-5, 1e-6)))
@@ -192,26 +282,31 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     """Tilt the reference plane to a certified minimum of the excess.
 
     The plane is parametrized by the 2n-dimensional graph tilt of the two
-    spanning directions; minimization is BFGS on a central-difference
-    gradient, and a tilt that fails the certificate below raises
-    NoConvergence.  A reference-plane excess of PRE_EXCESS or more is
-    refused with ExcessTooLarge before the search starts.  Each BFGS
-    evaluation stacks the tilt with its 4n gradient neighbours, and the
-    certificate its 8n, so each costs one cylindrical_excess call.
+    spanning directions; minimization is the quasi-Newton search of
+    _quasi_newton on the excess scaled by its reference-plane value,
+    with central-difference gradients, and a tilt that fails the
+    certificate below raises NoConvergence.  A reference-plane excess of
+    PRE_EXCESS or more is refused with ExcessTooLarge before the search
+    starts.  Each search step stacks the tilt with its 4n gradient
+    neighbours, the starting Hessian its 1 + 4n + 4n(2n - 1) stencil
+    rows, and the certificate its 8n neighbours, so each costs one
+    cylindrical_excess call.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
     generically sit at kink vertices: tilting out of the cone's tangent
     alignment switches the Pfaffian on at |t| rate, and the vertex where
-    it vanishes is exactly the minimizer.  A gradient test alone cannot
-    certify such a point, because central differences cancel across an
-    even kink.  The certificate therefore has two parts: the central
-    finite-difference gradient must fall below max(GRAD_TOL, GRAD_REL *
-    raw excess), which pins down the smooth directions, and every
-    one-sided axis slope at the returned tilt must be nonnegative to the
-    same tolerance, which pins down the kinked ones.  The relative
-    gradient floor matters for stiff profiles whose curvature turns
-    roundoff-level tilt error into gradient units.
+    it vanishes is exactly the minimizer.  The search still converges
+    there, since its gradient quotients see the kink smoothed over the
+    gradient step, but a gradient test alone cannot certify such a
+    point, because central differences cancel across an even kink.  The
+    certificate therefore has two parts: the central finite-difference
+    gradient must fall below max(GRAD_TOL, GRAD_REL * raw excess), which
+    pins down the smooth directions, and every one-sided axis slope at
+    the returned tilt must be nonnegative to the same tolerance, which
+    pins down the kinked ones.  The relative gradient floor matters for
+    stiff profiles whose curvature turns roundoff-level tilt error into
+    gradient units.
     """
     n = curve.n
     pi0 = standard_plane(2 + n)
@@ -222,17 +317,8 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
             "to start the tilt search")
 
     scale = max(raw, 1e-16)
-    m = 2 * n
-
-    def scaled(x):
-        f = _tilt_objective(curve, _stencil(x, (1e-6,))) / scale
-        return f[0], (f[1:m + 1] - f[m + 1:]) / (2 * 1e-6)
-
     tol = max(GRAD_TOL, GRAD_REL * raw)
-    res = optimize.minimize(
-        scaled, np.zeros(m), jac=True,
-        method="BFGS", options={"gtol": 1e-12, "maxiter": 400})
-    v = res.x
+    v = _quasi_newton(lambda V: _tilt_objective(curve, V) / scale, 2 * n)
     fval, gnorm, descent = _certificate(
         lambda V: _tilt_objective(curve, V), v)
     if gnorm >= tol:

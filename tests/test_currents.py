@@ -78,6 +78,31 @@ def test_cone_over_unit_circle_is_the_polar_disk_bitwise(order):
         assert np.array_equal(got, want)
 
 
+def test_cone_frame_evaluates_the_link_jet_once_per_chart_call(
+        monkeypatch):
+    # the chart and its jacobian each take one series jet; the frame is
+    # bitwise the one built from the link's points and velocities apart
+    order = (96, 192)
+    link = flat_circle(1, 1.0)
+    cone = ConeOverCurve(link).chart(order=order)
+    u, _, v, _ = cone._axes(order)
+    U, V = u[:, None, None], v[None, :]
+    want = (U * link.points(V), link.points(V), U * link.velocities(V))
+    jets = [0]
+    jet = FourierSeries.jet
+
+    def counted(self, theta):
+        jets[0] += 1
+        return jet(self, theta)
+
+    monkeypatch.setattr(FourierSeries, "jet", counted)
+    got = cone._frame(order)[:3]
+    assert jets[0] == 2
+    for g, w in zip(got, want):
+        assert np.array_equal(
+            g, np.broadcast_to(w, (u.size, v.size, 3)).reshape(-1, 3))
+
+
 def test_cone_over_circle_matches_the_polar_disk():
     R, order = 1.7, (48, 96)
     cone, _ = _calib_surface(CalibParams(surface="disk", radius=R,

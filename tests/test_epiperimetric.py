@@ -60,18 +60,21 @@ def test_gap_ratio_matches_linearization(Q, i):
     assert verdict.epsilon13 == pytest.approx(1.0 - verdict.ratio)
 
 
-def test_mixture_certifies_at_conical_minimum():
-    # the mass norm's Pfaffian term kinks the tilt objective, so the
-    # minimizer is a conical vertex; the tilt still absorbs the mode-Q
-    # component exactly and the certified excess is the quadratic model
-    # of the two leftover modes
+def _mixture_curve():
     alpha = np.zeros((4, 2))
     beta = np.zeros((3, 2))
     alpha[2, 0] = 0.02
     alpha[3, 1] = 0.015
     beta[0, 1] = 0.01
-    curve = WindingCurve(FourierSeries(Q=2, n=2, alpha=alpha, beta=beta))
-    rep = optimal_plane(curve)
+    return WindingCurve(FourierSeries(Q=2, n=2, alpha=alpha, beta=beta))
+
+
+def test_mixture_certifies_at_conical_minimum():
+    # the mass norm's Pfaffian term kinks the tilt objective, so the
+    # minimizer is a conical vertex; the tilt still absorbs the mode-Q
+    # component exactly and the certified excess is the quadratic model
+    # of the two leftover modes
+    rep = optimal_plane(_mixture_curve())
     pred = 0.25 * np.pi * 2 * (0.015 ** 2 * (1 + 1.5 ** 2)
                                + 0.01 ** 2 * (1 + 0.5 ** 2))
     assert rep.excess == pytest.approx(pred, rel=1e-2)
@@ -91,10 +94,55 @@ def test_one_sided_probe_reads_descent_through_even_kink():
 def test_uncertified_tilt_raises(monkeypatch):
     # a search that stops where it started leaves the mode-Q tilt in the
     # excess, so the gradient test must refuse the untilted plane
-    monkeypatch.setattr("tclab.epiperimetric.optimize.minimize",
-                        lambda fun, x0, **kw: optimize.OptimizeResult(x=x0))
+    monkeypatch.setattr(epi, "_quasi_newton",
+                        lambda objective, m: np.zeros(m))
     with pytest.raises(NoConvergence):
         optimal_plane(single_mode_curve(1, 1, 1e-2))
+
+
+def _bfgs_reference_excess(curve):
+    """Excess at scipy's BFGS minimizer of the same scaled tilt objective,
+    with the same gradient stencil and gtol, as the search reference."""
+    m = 2 * curve.n
+    raw = cylindrical_excess(curve, standard_plane(2 + curve.n))
+    scale = max(raw, 1e-16)
+
+    def scaled(x):
+        f = epi._tilt_objective(curve, epi._stencil(x, (1e-6,))) / scale
+        return f[0], (f[1:m + 1] - f[m + 1:]) / (2 * 1e-6)
+
+    res = optimize.minimize(scaled, np.zeros(m), jac=True, method="BFGS",
+                            options={"gtol": 1e-12, "maxiter": 400})
+    return float(epi._tilt_objective(curve, res.x[None])[0])
+
+
+@pytest.mark.parametrize("case", ["mixture"] + list(range(20)))
+def test_search_matches_bfgs_reference(monkeypatch, case):
+    # the kinked codimension-2 mixture and 20 seeded smooth draws: the
+    # search certifies at the excess BFGS reaches, and each smooth search
+    # stops within four kernel calls
+    calls = []
+    search = epi._quasi_newton
+
+    def counted(objective, m):
+        def count(V):
+            calls.append(len(V))
+            return objective(V)
+        return search(count, m)
+
+    monkeypatch.setattr(epi, "_quasi_newton", counted)
+    if case == "mixture":
+        curve = _mixture_curve()
+    else:
+        curve = random_epi_curve(np.random.default_rng(case))
+    rep = optimal_plane(curve)
+    ref = _bfgs_reference_excess(curve)
+    assert abs(rep.excess - ref) <= 1e-12 * ref
+    # both searches end within roundoff of the same minimum, so "not
+    # above" holds up to a few ulps of the excess
+    assert rep.excess <= ref * (1 + 8 * np.finfo(float).eps)
+    if case != "mixture":
+        assert 1 <= len(calls) <= 4
 
 
 def test_tilt_search_builds_cone_data_once(monkeypatch):

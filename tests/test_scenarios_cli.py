@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,3 +265,23 @@ def test_cli_epi_shortcut(tmp_path):
     files = os.listdir(out)
     assert "summary.csv" in files
     assert any(f.endswith(".csv") and f != "summary.csv" for f in files)
+
+
+def test_cli_imports_and_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable, the package
+    # still loads and an epi shortcut still certifies its curve
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import tclab.cli\n"
+            "sys.exit(tclab.cli.main(['epi', '--q', '1', '--ratios', '2',"
+            " '--amplitudes', '1e-3']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in (tmp_path / "out" / "epi.csv").read_text()
