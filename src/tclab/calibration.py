@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import ParamSurface
-from .errors import FormUndefined, NonFinite, NotSemicalibrated
+from .errors import FormUndefined, NotSemicalibrated
 from .quadrature import gauss_legendre
 
 DEFECT_TOL = 1e-8
@@ -259,14 +259,10 @@ def _base_frame(surface):
     order = surface.order
     if order not in memo:
         x, xu, xv, W = surface._frame(order)
-        A = surface._area_element(xu, xv)
-        if not np.all(np.isfinite(A)):
-            raise NonFinite("non-finite integrand on the chart")
-        data = (x, xu, xv, W, A)
+        data = (x, xu, xv, W, surface._area_element(xu, xv))
         for arr in data:
             arr.flags.writeable = False
-        # surface.mass(check=False) without building the frame again
-        memo[order] = data + (surface.multiplicity * float(np.sum(W * A)),)
+        memo[order] = data + (surface.mass(check=False),)
     return memo[order]
 
 

@@ -215,8 +215,7 @@ def _quasi_newton(objective, m: int) -> np.ndarray:
     that passes gets one more stencil call; each accepted step updates
     H^-1 by BFGS.  The search ends once a step lowers the value by no
     more than four ulps, or once the Newton decrement g H^-1 g falls that
-    low either before a failed full step or after a full step whose drop
-    the quadratic model predicted to 1% (or when no rung passes, or after
+    low before a failed full step (or when no rung passes, or after
     SEARCH_STEPS steps); the certificate judges the point it returns.
     """
     x = np.zeros(m)
@@ -247,11 +246,6 @@ def _quasi_newton(objective, m: int) -> np.ndarray:
         x = x + step
         drop, f, g = f - fn, fn, gn
         if np.max(np.abs(g)) <= 1e-12 or drop <= roundoff * abs(f):
-            break
-        # a full step whose drop the quadratic model predicted to 1% makes
-        # the model trusted: stop once it promises less than roundoff
-        if (step is p and abs(drop + 0.5 * slope) <= 0.01 * drop
-                and float(g @ Hi @ g) <= roundoff * abs(f)):
             break
     return x
 

@@ -9,15 +9,14 @@ sphere's first-variation law carries the factor 2/R.
 import numpy as np
 import pytest
 
-from tclab.calibration import (SphereLaw, _base_frame, _mass_derivative,
+from tclab.calibration import (SphereLaw, _mass_derivative,
                                almost_minimality_probe, bump_field,
                                calibration_defect, comass_field_check,
                                first_variation_pair, solid_angle_form,
                                spherical_cap, sweep_mass)
-from tclab.currents import ConeOverCurve, ParamSurface
+from tclab.currents import ParamSurface
 from tclab.errors import FormUndefined, NotSemicalibrated
 from tclab.quadrature import gauss_legendre
-from tclab.scenarios import flat_circle
 
 from oracles import mapped_mass
 
@@ -238,22 +237,6 @@ def test_probes_evaluate_the_chart_once_per_surface():
             almost_minimality_probe(disk, 0.0, chi, epsilons=[0.05, 0.02])
         counts.append(count[0])
     assert 0 < counts[1] <= counts[0]
-
-
-def test_base_frame_builds_the_frame_once(monkeypatch):
-    frames = []
-    build = ParamSurface._frame
-
-    def counted(self, order):
-        frames.append(order)
-        return build(self, order)
-
-    disk = ConeOverCurve(flat_circle(1, 1.0)).chart(order=(96, 192))
-    monkeypatch.setattr(ParamSurface, "_frame", counted)
-    *_, mass = _base_frame(disk)
-    assert frames == [(96, 192)]
-    monkeypatch.undo()
-    assert mass == disk.mass(check=False)
 
 
 def test_bump_that_misses_the_surface_changes_nothing():

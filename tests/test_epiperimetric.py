@@ -100,6 +100,22 @@ def test_uncertified_tilt_raises(monkeypatch):
         optimal_plane(single_mode_curve(1, 1, 1e-2))
 
 
+def test_indefinite_start_hessian_raises():
+    # a saddle along the second axis: the stencil Hessian has a negative
+    # eigenvalue, so there is no first inverse Hessian to start from
+    def saddle(V):
+        return V[:, 0] + V[:, 0] ** 2 - V[:, 1] ** 2
+
+    with pytest.raises(NoConvergence, match="not convex"):
+        epi._inverse_hessian(saddle, np.zeros(2))
+    with pytest.raises(NoConvergence, match="not convex"):
+        epi._quasi_newton(saddle, 2)
+    # the same stencil inverts a convex quadratic's Hessian diag(2, 8)
+    Hi = epi._inverse_hessian(lambda V: V[:, 0] ** 2 + 4 * V[:, 1] ** 2,
+                              np.zeros(2))
+    assert np.allclose(Hi, np.diag([0.5, 0.125]), rtol=1e-6, atol=1e-9)
+
+
 def _bfgs_reference_excess(curve):
     """Excess at scipy's BFGS minimizer of the same scaled tilt objective,
     with the same gradient stencil and gtol, as the search reference."""
