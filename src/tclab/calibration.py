@@ -123,13 +123,6 @@ def bump_field(center, radius: float, direction,
     return TestVectorField(func=func, jac=jac, center=center, radius=radius)
 
 
-def comass_field_check(form: TwoFormField, points):
-    """Largest comass over the sample points; fails above 1 + 1e-9."""
-    vals = form.comass_at(points)
-    worst = float(np.max(vals))
-    return worst, bool(worst <= 1.0 + 1e-9)
-
-
 def calibration_defect(surface, form: TwoFormField) -> float:
     """Mass minus form action; zero exactly when the form calibrates."""
     action = surface.integrate_form(form)

@@ -25,31 +25,26 @@ from .scenarios import (SCHEMAS, Scenario, load_config, run_scenario,
                         summary_rows, SUMMARY_COLUMNS)
 
 
+def _number(text: str):
+    """One number, kept an int when it reads as one."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _numbers(text: str) -> list:
-    """Comma-separated numbers, each kept an int when it reads as one."""
-    out = []
-    for tok in filter(None, text.split(",")):
-        try:
-            out.append(int(tok))
-        except ValueError:
-            out.append(float(tok))
-    return out
-
-
-def _number_or_list(text: str):
-    values = _numbers(text)
-    return values[0] if len(values) == 1 else values
+    """Comma-separated numbers."""
+    return [_number(tok) for tok in filter(None, text.split(","))]
 
 
 def _flag_spec(tp) -> dict:
     """argparse keywords for a schema field; the schema checks the value."""
     if get_origin(tp) is Literal:
         return {"choices": get_args(tp)}
-    if tp is bool:
-        return {"action": "store_true"}
     if get_origin(tp) is tuple:
         return {"type": _numbers, "metavar": "X[,X...]"}
-    return {"type": _number_or_list}
+    return {"type": _number}
 
 
 def _add_kind(subs, kind: str, schema) -> None:

@@ -114,6 +114,8 @@ def split_current(curves, planes, width: float) -> SplitResult:
     the underlying clustering when tubes intersect the samples.
     """
     groups = [[] for _ in planes]
+    group_mass = [0.0] * len(planes)
+    unassigned_mass = 0.0
     unassigned = []
     masses = [c.mass() for c in curves]
     all_points = np.concatenate([c.points() for c in curves], axis=0)
@@ -125,12 +127,12 @@ def split_current(curves, planes, width: float) -> SplitResult:
         offset += k
         if labels.size == 1 and labels[0] >= 0:
             groups[int(labels[0])].append(c)
+            group_mass[int(labels[0])] += m
         else:
             unassigned.append(c)
-    group_mass = [float(sum(c.mass() for c in g)) for g in groups]
+            unassigned_mass += m
     total = float(sum(masses))
-    leak = abs(total - sum(group_mass)
-               - sum(c.mass() for c in unassigned))
+    leak = abs(total - sum(group_mass) - unassigned_mass)
     if leak > MASS_LEAK_TOL * max(total, 1.0):
         raise MassLeak(f"split lost mass {leak:.3e}")
     mult = [int(sum(c.curve.Q for c in g)) for g in groups]

@@ -37,6 +37,7 @@ from .geom import (Plane2, orthonormal_pairs, standard_plane,
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
 GAP_FLOOR = 1e-13
+EPS_TARGET = 1e-2
 GRAD_TOL = 1e-8
 GRAD_REL = 1e-5
 PRE_EXCESS = 0.1
@@ -334,7 +335,9 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
     Intersects the (infinite) cone with the cylinder of radius ``new_rho``
     around the plane and resamples the trace at the curve's M uniform
     cylinder angles, expressed in the plane's frame.  Raises NotGraph when
-    the cylinder angle fails to advance monotonically.
+    the cylinder angle fails to advance monotonically, and Undersampled
+    when the kept Fourier modes miss more than TAIL_TOL of the regraphed
+    profile's L2 mass.
 
     The resampling is a Newton solve for the curve angle of each cylinder
     angle; it stops once no step exceeds a few ulps of the period (one or
@@ -376,7 +379,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
         raise NoConvergence("cylinder-angle resampling did not converge")
     t = new_rho / np.sqrt(r2)
     prof = t[:, None] * y[..., 2:] / new_rho
-    series = analyze(prof, curve.Q, tail_tol=1.0)
+    series = analyze(prof, curve.Q)
     series = _trim_series(series)
     return WindingCurve(series, rho=new_rho, orientation=curve.orientation)
 
@@ -425,11 +428,11 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     return Competitor(extension=disk, cylinder_radius=rho2)
 
 
-def epiperimetric_gap(curve: WindingCurve, eps_target: float = 1e-2,
+def epiperimetric_gap(curve: WindingCurve,
                       lip_max: float = 0.1) -> EpiperimetricVerdict:
     """Compare the cone over the curve with its harmonic competitor.
 
-    PASS means the competitor gap is at most (1 - eps_target) times the
+    PASS means the competitor gap is at most (1 - EPS_TARGET) times the
     cone gap; a cone gap below the floor counts as already-flat and
     passes with ratio 0.
     """
@@ -449,7 +452,7 @@ def epiperimetric_gap(curve: WindingCurve, eps_target: float = 1e-2,
     return EpiperimetricVerdict(
         plane=plane, cylinder_radius=rho2, cone_gap=float(cone_gap),
         competitor_gap=float(comp_gap), ratio=float(ratio),
-        epsilon13=float(eps13), passed=bool(ratio <= 1.0 - eps_target),
+        epsilon13=float(eps13), passed=bool(ratio <= 1.0 - EPS_TARGET),
         raw_excess=float(report.raw_excess),
         optimal_excess=float(report.excess))
 

@@ -34,7 +34,7 @@ class FormUndefined(TclabError):
 
 
 class Undersampled(TclabError):
-    """Too few samples for the requested number of Fourier modes."""
+    """Too few samples or modes to resolve a profile's Fourier series."""
 
 
 class LipschitzTooLarge(TclabError):

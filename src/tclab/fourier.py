@@ -89,14 +89,12 @@ class FourierSeries:
         return float(np.max(np.linalg.norm(self.jet(theta)[1], axis=-1)))
 
 
-def analyze(samples, Q: int, nmodes: int | None = None,
-            tail_tol: float = TAIL_TOL) -> FourierSeries:
+def analyze(samples, Q: int, nmodes: int | None = None) -> FourierSeries:
     """Fit a FourierSeries to M uniform samples on [0, 2*pi*Q).
 
     Exact (to roundoff) for band-limited input with M >= 2N + 2.  Raises
-    Undersampled if M cannot support the requested mode count and
-    ValueError if the discarded tail carries more than ``tail_tol`` of the
-    total L2 mass.
+    Undersampled if M cannot support the requested mode count or if the
+    discarded tail carries more than TAIL_TOL of the total L2 mass.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -120,9 +118,9 @@ def analyze(samples, Q: int, nmodes: int | None = None,
     # discarded tail, measured against Parseval on the discrete transform
     total = np.sum(np.abs(c[0]) ** 2) + 0.5 * np.sum(np.abs(c[1:]) ** 2) * 4
     tail = 4 * 0.5 * np.sum(np.abs(c[nmodes + 1:]) ** 2) if kmax > nmodes else 0.0
-    if total > 0 and tail > tail_tol * total:
-        raise ValueError(
-            f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} of total {total:.3e}")
+    if total > 0 and tail > TAIL_TOL * total:
+        raise Undersampled(
+            f"truncation tail {tail:.3e} exceeds {TAIL_TOL:.1e} of total {total:.3e}")
     return FourierSeries(Q=Q, n=n, alpha=alpha, beta=beta)
 
 

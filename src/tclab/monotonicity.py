@@ -23,6 +23,8 @@ from .errors import EmptyRestriction, VertexTooClose
 
 OMEGA2 = np.pi
 VERTEX_RADIUS = 1e-6
+# largest fitted constant (almost-monotonicity C02, envelope C) that passes
+BUDGET = 10.0
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,11 @@ class MonotonicityReport:
     passed: bool
     worst_pair: tuple
     alpha0: float
-    budget: float
     infeasible: list = field(default_factory=list)
 
 
-def check_almost_monotonicity(current, radii, Q: int, alpha0: float = 1.0,
-                              budget: float = 10.0) -> MonotonicityReport:
+def check_almost_monotonicity(current, radii, Q: int,
+                              alpha0: float = 1.0) -> MonotonicityReport:
     """Fit the smallest C with dev(s, r) <= C (e(r) - e(s) + r^alpha0).
 
     Deviations are accumulated over consecutive slabs, so the cost is one
@@ -175,10 +176,10 @@ def check_almost_monotonicity(current, radii, Q: int, alpha0: float = 1.0,
             if cand > c02:
                 c02 = cand
                 worst = (float(rr[i]), float(rr[j]))
-    passed = (not infeasible) and c02 <= budget
+    passed = (not infeasible) and c02 <= BUDGET
     return MonotonicityReport(c02=float(c02), passed=passed,
                               worst_pair=worst, alpha0=alpha0,
-                              budget=budget, infeasible=infeasible)
+                              infeasible=infeasible)
 
 
 def synthesize_decay_profile(constants: DecayConstants, e0: float,
@@ -209,11 +210,10 @@ class EnvelopeReport:
     exponent: float
     passed: bool
     worst_pair: tuple
-    budget: float
 
 
-def decay_envelope(profile: MassProfile, constants: DecayConstants,
-                   budget: float = 10.0) -> EnvelopeReport:
+def decay_envelope(profile: MassProfile,
+                   constants: DecayConstants) -> EnvelopeReport:
     """Fit the least C with e(s) <= (s/r)^(a-2) e(r) + C s^(a-2) r^eps
     over all scale pairs of the profile."""
     e = profile.excess()
@@ -230,5 +230,5 @@ def decay_envelope(profile: MassProfile, constants: DecayConstants,
             if need > c:
                 c = float(need)
                 worst = (float(s), float(r))
-    return EnvelopeReport(c=c, exponent=a - 2.0, passed=c <= budget,
-                          worst_pair=worst, budget=budget)
+    return EnvelopeReport(c=c, exponent=a - 2.0, passed=c <= BUDGET,
+                          worst_pair=worst)

@@ -29,9 +29,7 @@ from .epiperimetric import epiperimetric_gap, mode_ratio
 from .monotonicity import (DecayConstants, mass_profile, deviation_integral,
                            synthesize_decay_profile, decay_envelope)
 from .flat import radial_homotopy_filling
-from .calibration import (solid_angle_form, TwoFormField, bump_field,
-                          comass_field_check, almost_minimality_probe,
-                          spherical_cap)
+from .calibration import bump_field, almost_minimality_probe, spherical_cap
 from .decomposition import EmbeddedCurve, split_current
 
 # Single-mode linear theory predicts a gap ratio of 2a/(1+a^2) for a
@@ -40,6 +38,10 @@ from .decomposition import EmbeddedCurve, split_current
 # excludes the band where the linear ratio already exceeds this cap.
 RANDOM_RATIO_CAP = 0.93
 EXCESS_CAP = 0.05
+# decay and flat profiles start at half the extension disk's unit radius
+EXTENSION_R_MAX = 0.5
+# Gauss-Legendre order of the calib surfaces, the unit disk and sphere
+CALIB_ORDER = (96, 192)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +134,9 @@ def random_epi_curve(rng: np.random.Generator,
     return WindingCurve(series)
 
 
-def extension_surface(Q: int, mode: int, amplitude: float, rho: float = 1.0,
-                      order=None):
-    """Graph surface extending a single-mode curve into the disk."""
-    series = single_mode_series(Q, mode, amplitude)
-    if isinstance(order, int):
-        order = (order, max(order, 8 * mode))
-    return harmonic_extension(series, r_out=rho, order=order)
+def extension_surface(Q: int, mode: int, amplitude: float):
+    """Graph surface extending a single-mode curve into the unit disk."""
+    return harmonic_extension(single_mode_series(Q, mode, amplitude), 1.0)
 
 
 def flat_circle(Q: int, rho: float) -> WindingCurve:
@@ -167,15 +165,16 @@ def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
 # params rejects unknown keys, wrong types, numbers out of range and
 # parameter sets that would yield no verdict row; the command line builds
 # the shortcut flags from the same fields, so each default lives only here.
+# A value that no config varies is a constant instead of a key
+# (EXTENSION_R_MAX, CALIB_ORDER, the epi pass margin, the decay budget);
+# a test checks that configs/desk.json or a benchmark workload sets every
+# key, so knobs no run turns do not build up.
 
 def _key(default, help: str, **meta):
     """Schema field; ``least`` (inclusive) or ``above`` (exclusive) bounds
     every number the key holds, and ``family`` names the one decay family
     that reads it."""
     return field(default=default, metadata={"help": help, **meta})
-
-
-Order = int | tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ class EpiParams:
                                          above=0)
     random: int = _key(0, "random multi-mode curves after the grid", least=0)
     lip_max: float = _key(0.1, "Lipschitz budget of random curves", above=0)
-    eps_target: float = _key(1e-2, "PASS needs ratio <= 1 - eps_target")
 
     def __post_init__(self):
         if self.random == 0 and not (self.Q and self.ratios
@@ -201,31 +199,19 @@ class EpiParams:
 
 @dataclass(frozen=True)
 class _ExtensionParams:
-    """Single-mode harmonic extension surface read by decay and flat."""
+    """Single-mode harmonic extension of the unit disk, read by decay and
+    flat; profile radii start at EXTENSION_R_MAX."""
 
     Q: int = _key(1, "winding number", least=1)
     mode: int | None = _key(None, "profile frequency i, not Q; default 2Q",
                             family="extension", least=1)
     amplitude: float = _key(1e-2, "profile amplitude", family="extension",
                             above=0)
-    rho: float = _key(1.0, "outer radius of the surface", family="extension",
-                      above=0)
-    r_max: float | None = _key(None, "largest profile radius; default rho/2",
-                               family="extension", above=0)
-    quad_order: Order = _key(None, "Gauss-Legendre order: n (n by "
-                             "max(n, 8 mode)) or n,m", family="extension",
-                             least=1)
 
     def __post_init__(self):
-        """Fill mode = 2Q and r_max = rho/2; refuse the pure-tilt mode and
-        radii past the surface's edge."""
+        """Fill mode = 2Q; refuse the pure-tilt mode."""
         if self.mode is None:
             object.__setattr__(self, "mode", 2 * self.Q)
-        if self.r_max is None:
-            object.__setattr__(self, "r_max", 0.5 * self.rho)
-        if self.r_max > self.rho:
-            raise ConfigError(f"r_max {self.r_max} exceeds rho {self.rho}: "
-                              "those radii lie past the surface's edge")
         if self.mode == self.Q:
             raise ConfigError(f"mode {self.mode} equals Q: that profile is a "
                               "tilted plane whose excess is pure roundoff")
@@ -242,7 +228,6 @@ class DecayParams(_ExtensionParams):
     alpha0: float = _key(1.0, "almost-minimality exponent")
     cbar: float = _key(0.0, "almost-minimality coefficient")
     eps: float = _key(0.5, "drift exponent of the envelope")
-    budget: float = _key(10.0, "largest envelope constant C that passes")
     e0: float = _key(1e-2, "excess at radius r0", family="ode")
     r0: float = _key(1.0, "largest profile radius", family="ode")
 
@@ -272,18 +257,13 @@ class FlatParams(_ExtensionParams):
 class CalibParams:
     """mass comparison probes"""
 
-    surface: Literal["disk", "sphere", "equator"] = _key(
-        "disk", "calibrated surface under test")
-    radius: float = _key(1.0, "surface radius", above=0)
+    surface: Literal["disk", "equator"] = _key(
+        "disk", "calibrated unit surface under test")
     omega: float = _key(0.0, "almost-minimality constant Omega")
     probes: int = _key(20, "seeded bump fields", least=1)
     eps: tuple[float, ...] = _key((0.05,), "sweep times per bump", above=0)
-    form_scale: float = _key(1.0, "scale of the calibrating form")
-    comass_check: bool = _key(False, "check the form's comass at scale 1 too")
     bump_power: int = _key(5, "bump exponent (1 - |y|^2/R^2)^power",
                            least=1)
-    quad_order: Order = _key(None, "Gauss-Legendre order: n (n by 2n) or "
-                             "n,m; default 96,192", least=1)
 
     def __post_init__(self):
         if not self.eps:
@@ -307,7 +287,7 @@ SCHEMAS = {"epi": EpiParams, "decay": DecayParams, "flat": FlatParams,
            "calib": CalibParams, "split": SplitParams}
 
 _NAMES = {int: "integer", float: "finite number", str: "string",
-          bool: "boolean", type(None): "null"}
+          type(None): "null"}
 
 
 def _describe(tp) -> str:
@@ -317,8 +297,7 @@ def _describe(tp) -> str:
     if origin in (Union, UnionType):
         return " or ".join(map(_describe, args))
     if origin is tuple:
-        count = "" if args[-1] is Ellipsis else f"{len(args)} "
-        return f"list of {count}{_describe(args[0])}s"
+        return f"list of {_describe(args[0])}s"
     return _NAMES[tp]
 
 
@@ -333,9 +312,7 @@ def _coerce(value, tp):
             with contextlib.suppress(ConfigError):
                 return _coerce(value, alt)
     if origin is tuple and isinstance(value, (list, tuple)):
-        types = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(types) == len(value):
-            return tuple(map(_coerce, value, types))
+        return tuple(_coerce(x, args[0]) for x in value)
     if tp is float and type(value) in (int, float) and math.isfinite(value):
         return float(value)
     if type(value) is tp:
@@ -499,8 +476,7 @@ def _run_epi(sc: Scenario):
 
     def push(curve, amplitude):
         nonlocal worst_ratio
-        vd = epiperimetric_gap(curve, eps_target=p.eps_target,
-                               lip_max=p.lip_max)
+        vd = epiperimetric_gap(curve, lip_max=p.lip_max)
         series = curve.series
         active = [i for i in range(1, series.nmodes + 1)
                   if np.abs(series.alpha[i]).max() > 0
@@ -533,15 +509,14 @@ def _run_decay(sc: Scenario):
     p = sc.typed
     constants = p.constants()
     if p.family == "extension":
-        surface = extension_surface(p.Q, p.mode, p.amplitude, rho=p.rho,
-                                    order=p.quad_order)
-        radii = _decay_radii(p.r_max, p.levels)
+        surface = extension_surface(p.Q, p.mode, p.amplitude)
+        radii = _decay_radii(EXTENSION_R_MAX, p.levels)
         profile = mass_profile(surface, radii, p.Q)
     else:
         radii = _decay_radii(p.r0, p.levels)
         profile = synthesize_decay_profile(constants, p.e0, p.r0, radii,
                                            Q=p.Q)
-    report = decay_envelope(profile, constants, budget=p.budget)
+    report = decay_envelope(profile, constants)
     verdict = "PASS" if report.passed else "FAIL"
     exc = profile.excess()
 
@@ -558,12 +533,11 @@ def _run_decay(sc: Scenario):
 
 def _run_flat(sc: Scenario):
     p = sc.typed
-    surface = extension_surface(p.Q, p.mode, p.amplitude, rho=p.rho,
-                                order=p.quad_order)
+    surface = extension_surface(p.Q, p.mode, p.amplitude)
 
     columns = ("r", "s", "bound", "filling", "residual", "verdict")
     rows = []
-    radii = _decay_radii(p.r_max, p.levels)
+    radii = _decay_radii(EXTENSION_R_MAX, p.levels)
     bounds = []
     for r in radii:
         s = 0.5 * r
@@ -578,61 +552,36 @@ def _run_flat(sc: Scenario):
     return columns, rows, fitted, None
 
 
-def _calib_surface(p: CalibParams):
-    radius = p.radius
-    order = (96, 192) if p.quad_order is None else p.quad_order
-    if isinstance(order, int):
-        order = (order, 2 * order)
-    if p.surface == "disk":
-        return ConeOverCurve(flat_circle(1, radius)).chart(order=order), 3
-    dim = 4 if p.surface == "equator" else 3
-    return spherical_cap(radius, 0.0, np.pi, dim=dim, order=order), dim
-
-
 def _run_calib(sc: Scenario):
     p = sc.typed
     rng = sc.rng()
-    surface, dim = _calib_surface(p)
-    radius, omega = p.radius, p.omega
+    if p.surface == "disk":
+        surface = ConeOverCurve(flat_circle(1, 1.0)).chart(order=CALIB_ORDER)
+    else:
+        surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=CALIB_ORDER)
 
     columns = ("probe", "mass_T", "mass_T_plus_dS", "mass_S", "omega",
                "slack", "verdict")
     rows = []
-
-    if p.form_scale != 1.0 or p.comass_check:
-        base = solid_angle_form()
-        form = TwoFormField(
-            matrix=lambda x: p.form_scale * base(x),
-            exterior=lambda x: p.form_scale * base.exterior(x))
-        u = rng.standard_normal((32, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        worst, ok = comass_field_check(form, radius * u)
-        if not ok:
-            rows.append(("comass", worst, 0.0, 0.0, omega, 1.0 - worst,
-                         "FAIL"))
-            return columns, rows, {}, None
-
     for k in range(p.probes):
         if p.surface == "disk":
             c2 = rng.uniform(-0.45, 0.45, size=2)
-            center = np.array([c2[0], c2[1], 0.0]) * radius
-            rmax = radius * (0.93 - np.linalg.norm(c2))
-            brad = float(rng.uniform(0.15 * radius,
-                                     min(0.45 * radius, rmax)))
+            center = np.array([c2[0], c2[1], 0.0])
+            rmax = 0.93 - np.linalg.norm(c2)
+            brad = float(rng.uniform(0.15, min(0.45, rmax)))
             direction = rng.standard_normal(3)
         else:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
-            center = np.zeros(dim)
-            center[:3] = radius * u
-            brad = float(rng.uniform(0.2, 0.6) * radius)
-            direction = rng.standard_normal(dim)
+            center = np.append(u, 0.0)
+            brad = float(rng.uniform(0.2, 0.6))
+            direction = rng.standard_normal(4)
         direction /= np.linalg.norm(direction)
         chi = bump_field(center, brad, direction, power=p.bump_power)
-        for probe in almost_minimality_probe(surface, omega, chi, p.eps):
+        for probe in almost_minimality_probe(surface, p.omega, chi, p.eps):
             verdict = "PASS" if probe.passed else "FAIL"
             rows.append((k, probe.mass, probe.mass_deformed,
-                         probe.mass_sweep, omega, probe.slack, verdict))
+                         probe.mass_sweep, p.omega, probe.slack, verdict))
     return columns, rows, {}, None
 
 

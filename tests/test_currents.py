@@ -23,8 +23,7 @@ from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.geom import random_rotation
 from tclab.monotonicity import _tangent_perp, deviation_integral
 from tclab.quadrature import gauss_legendre
-from tclab.scenarios import (CalibParams, _calib_surface,
-                             extension_surface, flat_circle,
+from tclab.scenarios import (extension_surface, flat_circle,
                              random_link_curve, single_mode_series)
 
 from oracles import mapped_mass, polar_disk
@@ -72,7 +71,7 @@ def test_winding_points_and_velocities_are_the_jet():
 
 @pytest.mark.parametrize("order", [(12, 24), (96, 192)])
 def test_cone_over_unit_circle_is_the_polar_disk_bitwise(order):
-    cone, _ = _calib_surface(CalibParams(surface="disk", quad_order=order))
+    cone = ConeOverCurve(flat_circle(1, 1.0)).chart(order=order)
     for got, want in zip(cone._frame(order),
                          polar_disk(1.0, order=order)._frame(order)):
         assert np.array_equal(got, want)
@@ -105,8 +104,7 @@ def test_cone_frame_evaluates_the_link_jet_once_per_chart_call(
 
 def test_cone_over_circle_matches_the_polar_disk():
     R, order = 1.7, (48, 96)
-    cone, _ = _calib_surface(CalibParams(surface="disk", radius=R,
-                                         quad_order=order))
+    cone = ConeOverCurve(flat_circle(1, R)).chart(order=order)
     for got, want in zip(cone._frame(order),
                          polar_disk(R, order=order)._frame(order)):
         assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
@@ -302,8 +300,7 @@ def test_open_grid_frames_match_flat_node_charts():
 
 
 def elementwise_charts():
-    calib_disk, _ = _calib_surface(CalibParams(surface="disk",
-                                               quad_order=(12, 24)))
+    calib_disk = ConeOverCurve(flat_circle(1, 1.0)).chart(order=(12, 24))
     curve = random_link_curve(np.random.default_rng(4))
     link = normalize_to_sphere(curve)
     return {"cone": ConeOverCurve(link).chart(),

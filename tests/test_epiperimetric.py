@@ -22,10 +22,12 @@ from tclab.epiperimetric import (_certificate, build_competitor,
                                  mode_ratio, optimal_plane,
                                  regraph_over_plane)
 from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
-                          SupportEscapesCylinder)
+                          ScenarioError, SupportEscapesCylinder,
+                          Undersampled)
 from tclab.fourier import FourierSeries, analyze
 from tclab.geom import Plane2, plane_from_spanning, standard_plane
-from tclab.scenarios import random_epi_curve, single_mode_curve
+from tclab.scenarios import (Scenario, random_epi_curve, run_scenario,
+                             single_mode_curve)
 
 from oracles import check_orthonormal_pairs, mapped_mass
 
@@ -287,6 +289,19 @@ def test_regraph_smaller_cylinder_stays_on_cone():
     assert np.allclose(radii, 0.5, atol=1e-12)
 
 
+def test_regraph_refuses_a_profile_past_the_kept_modes():
+    # analyze keeps 64 Q modes, so a mode-100 profile regraphed onto its
+    # own cylinder lies wholly in the discarded tail; a scenario reports
+    # that as its own error
+    curve = single_mode_curve(1, 100, 1e-4)
+    with pytest.raises(Undersampled, match="truncation tail"):
+        regraph_over_plane(curve, standard_plane(3), curve.rho)
+    sc = Scenario(name="high", kind="epi", seed=0,
+                  params={"Q": [1], "ratios": [100], "amplitudes": [1e-4]})
+    with pytest.raises(ScenarioError, match="truncation tail"):
+        run_scenario(sc)
+
+
 def _regraph_cases():
     """(curve, plane) pairs: each Q with a tilt mode and a higher mode,
     against the reference plane and against a tilted one."""
@@ -326,7 +341,7 @@ def _reference_regraph_series(curve, plane, new_rho):
         theta = theta - (phi - target) / dphi
     _, _, y, r2 = angle_data(theta)
     prof = (new_rho / np.sqrt(r2))[:, None] * y[..., 2:] / new_rho
-    return epi._trim_series(analyze(prof, curve.Q, tail_tol=1.0))
+    return epi._trim_series(analyze(prof, curve.Q))
 
 
 def test_regraph_matches_twelve_pass_reference():

@@ -16,7 +16,9 @@ import pytest
 from tclab.currents import ConeOverCurve
 from tclab.errors import VertexTooClose
 from tclab.flat import radial_homotopy_filling
-from tclab.scenarios import extension_surface, random_link_curve
+from tclab.fourier import harmonic_extension
+from tclab.scenarios import (extension_surface, random_link_curve,
+                             single_mode_series)
 
 
 def test_radial_filling_scales_like_radius():
@@ -32,8 +34,9 @@ def test_radial_filling_of_small_wiggle(s, r):
     # the angular order resolves the kinks of |cos(2 theta)|; the
     # first-order oracle is exact up to O(c^2)
     c = 1e-3
-    est = radial_homotopy_filling(
-        extension_surface(1, 2, c, order=(48, 256)), s, r)
+    surf = harmonic_extension(single_mode_series(1, 2, c), 1.0,
+                              order=(48, 256))
+    est = radial_homotopy_filling(surf, s, r)
     assert est.bound == pytest.approx(c * (r - s), rel=1e-4)
     assert est.residual_mass == 0.0
     assert est.bound == est.filling_mass

@@ -30,7 +30,7 @@ from tclab.scenarios import extension_surface, random_link_curve
 def test_ball_excess_follows_power_law(R):
     Q, i, c = 2, 5, 5e-3
     a = i / Q
-    surf = extension_surface(Q, i, c, rho=1.0)
+    surf = extension_surface(Q, i, c)
     e = annulus_mass(surf, 0.0, R) / (np.pi * R * R) - Q
     pred = 0.5 * Q * (a - 1.0) * c * c * R ** (2.0 * (a - 1.0))
     assert e == pytest.approx(pred, rel=1e-4)

@@ -1,9 +1,13 @@
 """Scenario loading, artifact format and CLI exit-code tests."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -12,10 +16,13 @@ from hypothesis import given, settings, strategies as st
 from tclab.cli import main
 from tclab.epiperimetric import mode_ratio
 from tclab.errors import ConfigError
-from tclab.scenarios import (RANDOM_RATIO_CAP, Scenario,
+from tclab.scenarios import (RANDOM_RATIO_CAP, SCHEMAS, Scenario,
                              allowed_random_modes, load_config,
                              random_epi_curve, render_csv, run_scenario,
                              summary_rows)
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, scenarios):
@@ -71,11 +78,48 @@ def test_load_config_happy_path():
           ("epi", {"Q": [], "random": 0}), ("calib", {"eps": []}),
           ("split", {"Q": []}), ("calib", {"bump_power": 0}),
           ("split", {"width": 0}), ("decay", {"r_max": 3}),
-          ("flat", {"r_max": 3})]),
+          ("flat", {"r_max": 3}), ("epi", {"eps_target": 1e-2}),
+          ("decay", {"budget": 10.0}), ("calib", {"form_scale": 1.0}),
+          ("calib", {"comass_check": False}), ("calib", {"radius": 1.0}),
+          ("calib", {"surface": "sphere"})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
         load_config(payload)
+
+
+def _run_configs():
+    """configs/desk.json and benchmark pass configs: the anchor and two
+    seeded passes of every workload, for two run seeds."""
+    path = REPO / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [json.loads((REPO / "configs" / "desk.json").read_text())]
+    configs += [workloads.pass_config(w, seed, index)
+                for w in workloads.WORKLOADS for seed in (1, 2)
+                for index in (0, 1, 2)]
+    return configs
+
+
+def test_every_schema_key_and_choice_is_set_by_a_run():
+    # a key or choice that no run sets is a knob nothing turns: it belongs
+    # in a constant, not in the schema
+    used = {(sc["kind"], key, value if isinstance(value, str) else None)
+            for config in _run_configs() for sc in config["scenarios"]
+            for key, value in sc["params"].items()}
+    keys = {(kind, key) for kind, key, _ in used}
+    unset = []
+    for kind, schema in SCHEMAS.items():
+        hints = get_type_hints(schema)
+        for f in fields(schema):
+            if (kind, f.name) not in keys:
+                unset.append(f"{kind}.{f.name}")
+            elif get_origin(hints[f.name]) is Literal:
+                unset += [f"{kind}.{f.name}={choice}"
+                          for choice in get_args(hints[f.name])
+                          if (kind, f.name, choice) not in used]
+    assert unset == []
 
 
 def test_scenario_hash_ignores_nothing(tmp_path):
@@ -171,16 +215,15 @@ def test_cli_writes_artifacts_and_passes(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
-def test_cli_comass_violation_exits_one(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", [
-        {"name": "bad_form", "kind": "calib", "seed": 5,
-         "params": {"surface": "disk", "omega": 0.0, "probes": 3,
-                    "eps": [0.05], "form_scale": 1.2}}])
+def test_cli_failed_verdict_exits_one(tmp_path):
+    # cbar = 50 drives the rate ODE's envelope constant past the budget
     out = tmp_path / "out"
-    code = main(["run", cfg, "--out", str(out)])
+    code = main(["decay", "--family", "ode", "--cbar", "50", "--levels", "4",
+                 "--out", str(out)])
     assert code == 1
-    text = (out / "bad_form.csv").read_text()
-    assert "comass" in text and "FAIL" in text
+    rows = (out / "decay.csv").read_text().splitlines()[1:-1]
+    assert len(rows) == 4
+    assert all(row.endswith(",FAIL") for row in rows)
 
 
 def test_cli_over_large_excess_errors_one_scenario(tmp_path, capsys):
