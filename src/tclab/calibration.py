@@ -39,6 +39,8 @@ from .errors import FormUndefined, NotSemicalibrated
 from .quadrature import gauss_legendre
 
 DEFECT_TOL = 1e-8
+# Gauss-Legendre nodes in time of each sweep
+SWEEP_NODES = 8
 
 
 def _levi_civita3():
@@ -280,7 +282,6 @@ class _Flow:
     area: np.ndarray
     gram: np.ndarray
     growth: np.ndarray
-    multiplicity: int
 
     def area_change(self, s, t):
         """|x_u ^ x_v|^2 at time t minus at time s, written as (t - s)
@@ -298,7 +299,7 @@ class _Flow:
         num = self.area_change(s, t)
         den = At + As
         vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return self.multiplicity * float(np.sum(self.weight * vals))
+        return float(np.sum(self.weight * vals))
 
     def sweep(self, tn, tw) -> float:
         """Integral over the times tn (weights tw) and the surface of
@@ -314,7 +315,7 @@ class _Flow:
                + 2.0 * cu * cv * uv - cv * cv * uu)
         vol = np.sqrt(np.maximum(det, 0.0))
         per_time = np.sum(self.weight * vol, axis=-1)
-        return self.multiplicity * float(np.sum(tw * per_time))
+        return float(np.sum(tw * per_time))
 
 
 def _flow(surface, chi: TestVectorField) -> _Flow:
@@ -351,15 +352,14 @@ def _flow(surface, chi: TestVectorField) -> _Flow:
             + 2.0 * (2.0 * ua * vb - ab * F - ub * av),
             2.0 * (aa * vb - ab * av + ua * bb - ub * ab),
             aa * bb - ab * ab))
-        memo[key] = _Flow(W[keep], A[keep], g, growth, surface.multiplicity)
+        memo[key] = _Flow(W[keep], A[keep], g, growth)
     return memo[key]
 
 
-def sweep_mass(surface, chi: TestVectorField, eps: float,
-               tnodes: int = 8) -> float:
+def sweep_mass(surface, chi: TestVectorField, eps: float) -> float:
     """Mass of the 3-current swept by flowing the surface along chi
-    for time eps."""
-    tn, tw = gauss_legendre(tnodes, 0.0, eps)
+    for time eps, with SWEEP_NODES Gauss nodes in time."""
+    tn, tw = gauss_legendre(SWEEP_NODES, 0.0, eps)
     return _flow(surface, chi).sweep(tn, tw)
 
 

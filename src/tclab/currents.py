@@ -1,9 +1,11 @@
 """Parametrized 2-currents: closed curves, chart surfaces and cones.
 
-A curve is anything with ``Q``, ``orientation``, ``M``, ``period``,
-``points``, ``velocities`` and ``jet``, which returns the points and
-velocities together (a SpaceCurve or a WindingCurve); its length and
-cone masses are periodic trapezoid sums.
+A curve is anything with ``Q``, ``M``, ``period`` and ``jet``, its one
+evaluator, which returns the points and velocities at the given angles
+together (a SpaceCurve or a WindingCurve); its length and cone masses
+are periodic trapezoid sums.  Every curve and surface has multiplicity 1
+and the orientation of its parameters; a Q-fold curve winds Q times
+over its period instead of carrying multiplicity Q.
 A surface is a chart over a rectangle with an analytic jacobian; masses
 and form integrals are tensor Gauss-Legendre sums with a doubling
 self-check.  ``ParamSurface._frame`` is the one quadrature frame builder:
@@ -39,29 +41,18 @@ NEWTON_ULPS = 4
 class SpaceCurve:
     """Closed parametrized curve theta -> gamma(theta) on [0, period).
 
-    ``M`` is the base sample count of periodic sums over the curve, the
-    name a WindingCurve gives the same data.
+    ``jet`` maps angles to (gamma, gamma') there.  ``M`` is the base
+    sample count of periodic sums over the curve, the name a WindingCurve
+    gives the same data.
     """
 
-    gamma: Callable
-    dgamma: Callable
+    jet: Callable
     Q: int
     M: int
-    orientation: int = 1
 
     @property
     def period(self) -> float:
         return 2.0 * np.pi * self.Q
-
-    def points(self, theta):
-        return self.gamma(np.asarray(theta, dtype=float))
-
-    def velocities(self, theta):
-        return self.dgamma(np.asarray(theta, dtype=float))
-
-    def jet(self, theta):
-        """(points, velocities) at the given angles."""
-        return self.points(theta), self.velocities(theta)
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,11 @@ class WindingCurve:
 
     series: FourierSeries
     rho: float = 1.0
-    orientation: int = 1
     M: int = field(init=False)
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +1 or -1")
         series = self.series
         fa = max(series.max_active_frequency(1e-12), 1)
         object.__setattr__(self, "M", max(
@@ -108,12 +96,6 @@ class WindingCurve:
     def period(self) -> float:
         return self.series.period
 
-    def points(self, theta):
-        return self.jet(theta)[0]
-
-    def velocities(self, theta):
-        return self.jet(theta)[1]
-
     def jet(self, theta):
         """(points, velocities) at the given angles from one trig table."""
         theta = np.asarray(theta, dtype=float)
@@ -134,26 +116,21 @@ class WindingCurve:
 def normalize_to_sphere(curve) -> SpaceCurve:
     """Radially project a curve onto the unit sphere."""
 
-    def gamma(theta):
-        g = curve.points(theta)
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-    def dgamma(theta):
-        g = curve.points(theta)
-        dg = curve.velocities(theta)
+    def jet(theta):
+        g, dg = curve.jet(theta)
         r2 = np.sum(g * g, axis=-1, keepdims=True)
         rad = np.sqrt(r2)
-        return (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
-                / (rad * r2))
+        return g / rad, (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
+                         / (rad * r2))
 
-    return SpaceCurve(gamma, dgamma, curve.Q, curve.M, curve.orientation)
+    return SpaceCurve(jet, curve.Q, curve.M)
 
 
 def curve_mass(curve) -> float:
     """Length of the curve counted with its winding multiplicity."""
 
     def speed(theta):
-        v = np.linalg.norm(curve.velocities(theta), axis=-1)
+        v = np.linalg.norm(curve.jet(theta)[1], axis=-1)
         if not np.all(np.isfinite(v)):
             raise NonFinite("non-finite curve velocity")
         return v
@@ -165,7 +142,8 @@ def curve_mass(curve) -> float:
 # chart surfaces
 
 class ParamSurface:
-    """Oriented 2-current given by a chart over a rectangle.
+    """2-current of multiplicity 1 given by a chart over a rectangle,
+    oriented by the chart's (u, v) order.
 
     Parameters
     ----------
@@ -179,7 +157,6 @@ class ParamSurface:
     jacobian : callable (U, V) -> (x_u, x_v)
         The chart's partial derivatives, under the same contract as
         ``chart``.
-    multiplicity, orientation : int
     order : (int, int)
         Gauss-Legendre order per axis.
     radial_axis : 0 or None
@@ -187,19 +164,13 @@ class ParamSurface:
         annulus restriction.
     """
 
-    def __init__(self, chart, domain, jacobian, multiplicity=1,
-                 orientation=1, order=(32, 32), radial_axis=None):
+    def __init__(self, chart, domain, jacobian, order=(32, 32),
+                 radial_axis=None):
         self.chart = chart
         self.domain = tuple(float(t) for t in domain)
         self.jacobian = jacobian
-        self.multiplicity = int(multiplicity)
-        self.orientation = int(orientation)
         self.order = (int(order[0]), int(order[1]))
         self.radial_axis = radial_axis
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +1 or -1")
         u0, u1, v0, v1 = self.domain
         if not (u1 > u0 and v1 > v0):
             raise ValueError("degenerate chart domain")
@@ -244,8 +215,7 @@ class ParamSurface:
         """Integral of a scalar density against the area measure.
 
         ``density(x, xu, xv)`` gets positions and chart partials at the
-        quadrature nodes; None integrates 1 (mass).  Unsigned; includes
-        the multiplicity.
+        quadrature nodes; None integrates 1 (mass).  Unsigned.
         """
         order = order or self.order
         x, xu, xv, W = self._frame(order)
@@ -253,7 +223,7 @@ class ParamSurface:
         vals = area if density is None else area * density(x, xu, xv)
         if not np.all(np.isfinite(vals)):
             raise NonFinite("non-finite integrand on the chart")
-        return self.multiplicity * float(np.sum(W * vals))
+        return float(np.sum(W * vals))
 
     def mass(self, check: bool = True):
         coarse = self.integrate_density()
@@ -281,7 +251,7 @@ class ParamSurface:
         vals = np.einsum("...i,...ij,...j->...", xu, A, xv)
         if not np.all(np.isfinite(vals)):
             raise FormUndefined("form field produced non-finite values")
-        return self.orientation * self.multiplicity * float(np.sum(W * vals))
+        return float(np.sum(W * vals))
 
 
 class RadialRestriction(ParamSurface):
@@ -303,18 +273,12 @@ class RadialRestriction(ParamSurface):
             raise ValueError("restriction needs a chart with radial_axis=0")
         if s < 0 or r < s:
             raise ValueError("need 0 <= s <= r")
-        if isinstance(base, RadialRestriction):
-            s = max(s, base.inner)
-            r = min(r, base.outer)
-            base = base.base
         self.base = base
         self.inner = float(s)
         self.outer = float(r)
         u0, u1, v0, v1 = base.domain
         super().__init__(self.points, (0.0, 1.0, v0, v1),
-                         jacobian=self.partials,
-                         multiplicity=base.multiplicity,
-                         orientation=base.orientation, order=base.order,
+                         jacobian=self.partials, order=base.order,
                          radial_axis=0)
         if self.inner >= self.outer:
             raise EmptyRestriction("empty radius interval")
@@ -442,14 +406,12 @@ class ConeOverCurve:
 
     def wedge_speed(self, theta):
         """|gamma ^ gamma'| at the given angles."""
-        return ParamSurface._area_element(self.link.points(theta),
-                                          self.link.velocities(theta))
+        return ParamSurface._area_element(*self.link.jet(theta))
 
     def check_nondegenerate(self):
         m = self.link.M
         theta = np.arange(m) * (self.link.period / m)
-        g = self.link.points(theta)
-        dg = self.link.velocities(theta)
+        g, dg = self.link.jet(theta)
         wedge = ParamSurface._area_element(g, dg)
         scale = np.linalg.norm(g, axis=-1) * np.linalg.norm(dg, axis=-1)
         bad = wedge <= 1e-10 * np.maximum(scale, 1e-300)
@@ -464,7 +426,7 @@ class ConeOverCurve:
         link = self.link
 
         def cmap(T, TH):
-            return np.asarray(T)[..., None] * link.points(TH)
+            return np.asarray(T)[..., None] * link.jet(TH)[0]
 
         def cjac(T, TH):
             g, dg = link.jet(TH)

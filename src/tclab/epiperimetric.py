@@ -93,7 +93,7 @@ def _cone_tangent_data(curve: WindingCurve):
         z, dz = curve.jet(theta)
         W = wedge_matrix(z, dz)
         wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
-        tangent = curve.orientation * unit_tangent_matrix(z, dz)
+        tangent = unit_tangent_matrix(z, dz)
         data = (z, np.linalg.norm(z, axis=-1), wedge, tangent)
         for arr in data:
             arr.flags.writeable = False
@@ -101,25 +101,19 @@ def _cone_tangent_data(curve: WindingCurve):
     return data
 
 
-def cylindrical_excess(curve: WindingCurve, plane):
-    """Excess of the infinite cone over the curve in a plane's unit cylinder.
+def cylindrical_excess(curve: WindingCurve, B: np.ndarray):
+    """Excess of the infinite cone over the curve in K planes' unit cylinders.
 
-    The periodic integral runs over the curve's M sample angles.  A cone
-    ray escapes when it meets the cylinder wall only outside the ball of
-    radius 2.  ``plane`` is a Plane2, whose excess comes back as a float
-    (SupportEscapesCylinder on escape), or a (K, d, 2) stack of orthonormal
-    bases, which gives the K excesses and the boolean mask of escaping
-    rows, whose excess is NaN.
+    ``B`` is a (K, d, 2) stack of orthonormal plane bases.  The periodic
+    integral runs over the curve's M sample angles.  A cone ray escapes
+    when it meets the cylinder wall only outside the ball of radius
+    ESCAPE_FACTOR.  Returns the K excesses and the boolean mask of
+    escaping rows, whose excess is NaN.
     """
-    single = isinstance(plane, Plane2)
-    B = plane.basis()[None] if single else plane
     z, znorm, wedge, tangent = _cone_tangent_data(curve)
     proj = np.linalg.norm(z @ B, axis=-1)
     worst = np.max(znorm / np.maximum(proj, 1e-300), axis=-1)
     escaped = worst > ESCAPE_FACTOR
-    if single and escaped[0]:
-        raise SupportEscapesCylinder(
-            f"cone ray exits the cylinder at |x| = {worst[0]:.3f} > 2")
     keep = ~escaped
     B, proj = B[keep], proj[keep]
     diff = tangent - wedge_matrix(B[..., 0], B[..., 1])[:, None]
@@ -127,8 +121,6 @@ def cylindrical_excess(curve: WindingCurve, plane):
     vals = dist2 * wedge / proj ** 2
     excess = np.full(escaped.shape, np.nan)
     excess[keep] = 0.25 * np.sum(vals, axis=-1) * (curve.period / curve.M)
-    if single:
-        return float(excess[0])
     return excess, escaped
 
 
@@ -280,12 +272,14 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     spanning directions; minimization is the quasi-Newton search of
     _quasi_newton on the excess scaled by its reference-plane value,
     with central-difference gradients, and a tilt that fails the
-    certificate below raises NoConvergence.  A reference-plane excess of
-    PRE_EXCESS or more is refused with ExcessTooLarge before the search
-    starts.  Each search step stacks the tilt with its 4n gradient
-    neighbours, the starting Hessian its 1 + 4n + 4n(2n - 1) stencil
-    rows, and the certificate its 8n neighbours, so each costs one
-    cylindrical_excess call.
+    certificate below raises NoConvergence.  The raw excess is a
+    one-row cylindrical_excess call on the reference plane; a cone that
+    escapes that plane's cylinder raises SupportEscapesCylinder, and a
+    raw excess of PRE_EXCESS or more is refused with ExcessTooLarge,
+    both before the search starts.  Each search step stacks the tilt
+    with its 4n gradient neighbours, the starting Hessian its
+    1 + 4n + 4n(2n - 1) stencil rows, and the certificate its 8n
+    neighbours, so each costs one cylindrical_excess call.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
@@ -304,8 +298,13 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     gradient units.
     """
     n = curve.n
-    pi0 = standard_plane(2 + n)
-    raw = cylindrical_excess(curve, pi0)
+    vals, escaped = cylindrical_excess(curve,
+                                       standard_plane(2 + n).basis()[None])
+    if escaped[0]:
+        raise SupportEscapesCylinder(
+            "cone ray exits the reference plane's cylinder outside "
+            f"|x| = {ESCAPE_FACTOR}")
+    raw = float(vals[0])
     if raw >= PRE_EXCESS:
         raise ExcessTooLarge(
             f"excess {raw:.3f} against the reference plane is too large "
@@ -381,7 +380,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
     prof = t[:, None] * y[..., 2:] / new_rho
     series = analyze(prof, curve.Q)
     series = _trim_series(series)
-    return WindingCurve(series, rho=new_rho, orientation=curve.orientation)
+    return WindingCurve(series, rho=new_rho)
 
 
 def _trim_series(series: FourierSeries) -> FourierSeries:
@@ -422,7 +421,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     inner = regraph_over_plane(curve, plane, rho2)
     disk = harmonic_extension(inner.series, rho2, lip_max=lip_max)
     probe = np.arange(512) * (curve.period / 512)
-    proj = np.linalg.norm(curve.points(probe) @ plane.basis(), axis=-1)
+    proj = np.linalg.norm(curve.jet(probe)[0] @ plane.basis(), axis=-1)
     if float(np.min(proj)) <= rho2:
         raise NotGraph("inner cylinder reaches past the curve")
     return Competitor(extension=disk, cylinder_radius=rho2)

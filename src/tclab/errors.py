@@ -65,10 +65,6 @@ class TubesOverlap(TclabError):
     """Plane tubes intersect in the sampled region; clustering is ambiguous."""
 
 
-class MassLeak(TclabError):
-    """Component masses of a split do not add back to the total."""
-
-
 class NotSemicalibrated(TclabError):
     """The current's calibration defect is too large for the identity used."""
 

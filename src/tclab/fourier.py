@@ -89,12 +89,13 @@ class FourierSeries:
         return float(np.max(np.linalg.norm(self.jet(theta)[1], axis=-1)))
 
 
-def analyze(samples, Q: int, nmodes: int | None = None) -> FourierSeries:
+def analyze(samples, Q: int) -> FourierSeries:
     """Fit a FourierSeries to M uniform samples on [0, 2*pi*Q).
 
-    Exact (to roundoff) for band-limited input with M >= 2N + 2.  Raises
-    Undersampled if M cannot support the requested mode count or if the
-    discarded tail carries more than TAIL_TOL of the total L2 mass.
+    Keeps N = min(DEFAULT_MODES_PER_Q * Q, (M - 2) // 2) modes, so that
+    M >= 2N + 2 and the fit is exact (to roundoff) for input band-limited
+    to N.  Raises Undersampled if the discarded tail carries more than
+    TAIL_TOL of the total L2 mass.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -102,11 +103,7 @@ def analyze(samples, Q: int, nmodes: int | None = None) -> FourierSeries:
     if not np.all(np.isfinite(samples)):
         raise NonFinite("non-finite profile samples")
     M, n = samples.shape
-    limit = (M - 2) // 2
-    if nmodes is None:
-        nmodes = min(DEFAULT_MODES_PER_Q * Q, limit)
-    if M < 2 * nmodes + 2:
-        raise Undersampled(f"{M} samples cannot resolve {nmodes} modes")
+    nmodes = min(DEFAULT_MODES_PER_Q * Q, (M - 2) // 2)
     c = np.fft.rfft(samples, axis=0) / M
     kmax = c.shape[0] - 1
     alpha = np.zeros((nmodes + 1, n))
@@ -125,14 +122,15 @@ def analyze(samples, Q: int, nmodes: int | None = None) -> FourierSeries:
 
 
 def harmonic_extension(series: FourierSeries, r_out: float,
-                       lip_max: float = 0.5, order=None):
+                       lip_max: float = 0.5):
     """Surface filling the winding curve of this profile at radius r_out.
 
     The chart is (w, theta) -> (r cos theta, r sin theta, r_out * g) with
     r = r_out * w^Q, where g attaches weight w^i to mode i (per-mode decay
     r^(i/Q)); the substitution makes every mode polynomial in w.  The
     constant term is kept constant in r.  Boundary trace at w = 1 equals
-    the profile exactly.
+    the profile exactly.  The Gauss-Legendre order is 32 radially and
+    8 per top active frequency (at least 32) in angle.
 
     Chart and jacobian broadcast w against theta without expanding them
     first, so on the open quadrature grid w[:, None], theta[None, :] the
@@ -193,8 +191,7 @@ def harmonic_extension(series: FourierSeries, r_out: float,
         xv[..., 2:] = r_out * w[..., None] * dg[..., n:]
         return xu, xv
 
-    if order is None:
-        order = (32, max(32, 8 * max(series.max_active_frequency(1e-14), 1)))
+    order = (32, max(32, 8 * max(series.max_active_frequency(1e-14), 1)))
     return ParamSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
         order=order, radial_axis=0)

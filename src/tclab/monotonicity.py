@@ -25,6 +25,8 @@ OMEGA2 = np.pi
 VERTEX_RADIUS = 1e-6
 # largest fitted constant (almost-monotonicity C02, envelope C) that passes
 BUDGET = 10.0
+# exponent of the r^alpha0 term in the almost-monotonicity inequality
+ALPHA0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -144,13 +146,11 @@ class MonotonicityReport:
     c02: float
     passed: bool
     worst_pair: tuple
-    alpha0: float
     infeasible: list = field(default_factory=list)
 
 
-def check_almost_monotonicity(current, radii, Q: int,
-                              alpha0: float = 1.0) -> MonotonicityReport:
-    """Fit the smallest C with dev(s, r) <= C (e(r) - e(s) + r^alpha0).
+def check_almost_monotonicity(current, radii, Q: int) -> MonotonicityReport:
+    """Fit the smallest C with dev(s, r) <= C (e(r) - e(s) + r^ALPHA0).
 
     Deviations are accumulated over consecutive slabs, so the cost is one
     annulus integral per rung.  Pairs whose right-hand side is not
@@ -168,7 +168,7 @@ def check_almost_monotonicity(current, radii, Q: int,
     for i in range(rr.size):
         for j in range(i + 1, rr.size):
             dev = cum[j] - cum[i]
-            rhs = e[j] - e[i] + rr[j] ** alpha0
+            rhs = e[j] - e[i] + rr[j] ** ALPHA0
             if rhs <= 0:
                 infeasible.append((float(rr[i]), float(rr[j])))
                 continue
@@ -178,8 +178,7 @@ def check_almost_monotonicity(current, radii, Q: int,
                 worst = (float(rr[i]), float(rr[j]))
     passed = (not infeasible) and c02 <= BUDGET
     return MonotonicityReport(c02=float(c02), passed=passed,
-                              worst_pair=worst, alpha0=alpha0,
-                              infeasible=infeasible)
+                              worst_pair=worst, infeasible=infeasible)
 
 
 def synthesize_decay_profile(constants: DecayConstants, e0: float,

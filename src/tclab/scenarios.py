@@ -47,14 +47,11 @@ CALIB_ORDER = (96, 192)
 # ---------------------------------------------------------------------------
 # curve families
 
-def single_mode_series(Q: int, mode: int, amplitude: float,
-                       phase: float = 0.0) -> FourierSeries:
+def single_mode_series(Q: int, mode: int, amplitude: float) -> FourierSeries:
     """One-dimensional profile made of one cosine mode of the given size."""
     alpha = np.zeros((mode + 1, 1))
-    beta = np.zeros((mode, 1))
-    alpha[mode, 0] = amplitude * np.cos(phase)
-    beta[mode - 1, 0] = amplitude * np.sin(phase)
-    return FourierSeries(Q=Q, n=1, alpha=alpha, beta=beta)
+    alpha[mode, 0] = amplitude
+    return FourierSeries(Q=Q, n=1, alpha=alpha, beta=np.zeros((mode, 1)))
 
 
 def single_mode_curve(Q: int, mode: int, amplitude: float) -> WindingCurve:
@@ -146,13 +143,13 @@ def flat_circle(Q: int, rho: float) -> WindingCurve:
     return WindingCurve(zero, rho=rho)
 
 
-def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
-    """Flat circles in the two orthogonal coordinate planes of R^4."""
+def orthogonal_planes_instance(Q_list=(1, 1)):
+    """Unit flat circles in the two orthogonal coordinate planes of R^4."""
     eye = np.eye(4)
     frames = [eye[:, [0, 1, 2]], eye[:, [2, 3, 0]]]
     curves = []
     for k, Q in enumerate(Q_list):
-        curves.append(EmbeddedCurve(curve=flat_circle(int(Q), rho),
+        curves.append(EmbeddedCurve(curve=flat_circle(int(Q), 1.0),
                                     frame=frames[k % 2]))
     return curves
 
@@ -168,7 +165,8 @@ def orthogonal_planes_instance(Q_list=(1, 1), rho: float = 1.0):
 # A value that no config varies is a constant instead of a key
 # (EXTENSION_R_MAX, CALIB_ORDER, the epi pass margin, the decay budget);
 # a test checks that configs/desk.json or a benchmark workload sets every
-# key, so knobs no run turns do not build up.
+# key, each family-tagged key in a run of its family, so knobs no run
+# turns do not build up.
 
 def _key(default, help: str, **meta):
     """Schema field; ``least`` (inclusive) or ``above`` (exclusive) bounds
@@ -226,10 +224,10 @@ class DecayParams(_ExtensionParams):
     levels: int = _key(8, "dyadic radii in the profile", least=2)
     epsilon12: float = _key(0.1, "rate a = 2 / (1 - epsilon12)")
     alpha0: float = _key(1.0, "almost-minimality exponent")
-    cbar: float = _key(0.0, "almost-minimality coefficient")
+    cbar: float = _key(0.0, "almost-minimality coefficient", family="ode")
     eps: float = _key(0.5, "drift exponent of the envelope")
-    e0: float = _key(1e-2, "excess at radius r0", family="ode")
-    r0: float = _key(1.0, "largest profile radius", family="ode")
+    e0: float = _key(1e-2, "excess at radius r0", family="ode", above=0)
+    r0: float = _key(1.0, "largest profile radius", family="ode", above=0)
 
     def __post_init__(self):
         try:

@@ -30,10 +30,10 @@ def mapped_mass(surface, dphi, order=None):
     D = np.asarray(dphi(x), dtype=float)
     area = ParamSurface._area_element(np.einsum("...ij,...j->...i", D, xu),
                                       np.einsum("...ij,...j->...i", D, xv))
-    return surface.multiplicity * float(np.sum(W * area))
+    return float(np.sum(W * area))
 
 
-def polar_disk(radius, order=(48, 96), multiplicity=1):
+def polar_disk(radius, order=(48, 96)):
     """Disk of the given radius in the plane z = 0 of R^3.
 
     The chart is (w, theta) -> (R w cos theta, R w sin theta, 0) with its
@@ -59,8 +59,7 @@ def polar_disk(radius, order=(48, 96), multiplicity=1):
         return xu, xv
 
     return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
-                        multiplicity=multiplicity, order=order,
-                        radial_axis=0)
+                        order=order, radial_axis=0)
 
 
 def check_orthonormal_pairs(B, u, v, tol=1e-15):

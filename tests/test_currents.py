@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tclab.calibration import spherical_cap
-from tclab.currents import (ConeOverCurve, ParamSurface, WindingCurve,
-                            annulus_mass, cone_mass, curve_mass,
-                            normalize_to_sphere, restrict_annulus)
+from tclab.currents import (ConeOverCurve, ParamSurface, RadialRestriction,
+                            WindingCurve, annulus_mass, cone_mass,
+                            curve_mass, normalize_to_sphere,
+                            restrict_annulus)
 from tclab.errors import EmptyRestriction
 from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.geom import random_rotation
 from tclab.monotonicity import _tangent_perp, deviation_integral
 from tclab.quadrature import gauss_legendre
 from tclab.scenarios import (extension_surface, flat_circle,
-                             random_link_curve, single_mode_series)
+                             random_link_curve)
 
 from oracles import mapped_mass, polar_disk
 
@@ -57,16 +58,7 @@ def test_winding_curve_samples_follow_the_series(Q, N, top, value, M):
     assert (curve.Q, curve.n, curve.dim) == (Q, 2, 4)
     assert curve.period == series.period
     assert [f.name for f in fields(WindingCurve) if f.init] \
-        == ["series", "rho", "orientation"]
-
-
-def test_winding_points_and_velocities_are_the_jet():
-    curve = random_link_curve(np.random.default_rng(5))
-    theta = np.linspace(-1.0, curve.period + 1.0, 41).reshape(41, 1)
-    x, dx = curve.jet(theta)
-    assert x.shape == dx.shape == (41, 1, curve.dim)
-    assert np.array_equal(curve.points(theta), x)
-    assert np.array_equal(curve.velocities(theta), dx)
+        == ["series", "rho"]
 
 
 @pytest.mark.parametrize("order", [(12, 24), (96, 192)])
@@ -80,13 +72,14 @@ def test_cone_over_unit_circle_is_the_polar_disk_bitwise(order):
 def test_cone_frame_evaluates_the_link_jet_once_per_chart_call(
         monkeypatch):
     # the chart and its jacobian each take one series jet; the frame is
-    # bitwise the one built from the link's points and velocities apart
+    # bitwise the one built from one separate link jet
     order = (96, 192)
     link = flat_circle(1, 1.0)
     cone = ConeOverCurve(link).chart(order=order)
     u, _, v, _ = cone._axes(order)
     U, V = u[:, None, None], v[None, :]
-    want = (U * link.points(V), link.points(V), U * link.velocities(V))
+    g, dg = link.jet(V)
+    want = (U * g, g, U * dg)
     jets = [0]
     jet = FourierSeries.jet
 
@@ -120,11 +113,6 @@ def test_round_sphere_area():
     assert abs(cap.mass() - 4.0 * np.pi * 1.4 ** 2) < 1e-8
 
 
-def test_multiplicity_scales_mass():
-    assert abs(polar_disk(1.0, multiplicity=3).mass()
-               - 3.0 * np.pi) < 1e-9
-
-
 def test_pushforward_by_isometry_preserves_mass():
     disk = polar_disk(1.2)
     R = random_rotation(3, np.random.default_rng(7))
@@ -138,8 +126,15 @@ def test_annulus_restriction_area():
     disk = polar_disk(1.0)
     got = restrict_annulus(disk, 0.3, 0.8).mass()
     assert abs(got - np.pi * (0.8 ** 2 - 0.3 ** 2)) < 1e-9
-    double = annulus_mass(polar_disk(1.0, multiplicity=2), 0.3, 0.8)
-    assert abs(double - 2.0 * got) < 1e-9
+
+
+def test_nested_restriction_is_the_direct_restriction():
+    # restricting a restriction takes the generic path: the outer clip
+    # solves its bounds on the inner restriction's chart
+    ext = extension_surface(1, 2, 1e-2)
+    nested = RadialRestriction(RadialRestriction(ext, 0.1, 0.8), 0.3, 0.6)
+    direct = RadialRestriction(ext, 0.3, 0.6).mass()
+    assert nested.mass() == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_empty_restriction_raises():
@@ -202,7 +197,7 @@ def bisected_integral(surface, s, r, density=None, order=None):
     vals = np.sqrt(E * G - F * F) * (uhi - ulo)
     if density is not None:
         vals = vals * density(x, xu, xv)
-    return surface.multiplicity * float(np.sum(np.outer(ww, wv) * vals))
+    return float(np.sum(np.outer(ww, wv) * vals))
 
 
 def _restricted_case(case):
@@ -210,8 +205,11 @@ def _restricted_case(case):
     bounds vary with the angle."""
     if case[0] == "ext":
         Q, mode, amp = case[1:]
-        series = single_mode_series(Q, mode, amp, phase=0.7)
-        return harmonic_extension(series, 1.0)
+        alpha = np.zeros((mode + 1, 1))
+        beta = np.zeros((mode, 1))
+        alpha[mode, 0] = amp * np.cos(0.7)
+        beta[mode - 1, 0] = amp * np.sin(0.7)
+        return harmonic_extension(FourierSeries(Q, 1, alpha, beta), 1.0)
     link = random_link_curve(np.random.default_rng(case[1]))
     return ConeOverCurve(link).chart()
 

@@ -25,18 +25,26 @@ from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           ScenarioError, SupportEscapesCylinder,
                           Undersampled)
 from tclab.fourier import FourierSeries, analyze
-from tclab.geom import Plane2, plane_from_spanning, standard_plane
+from tclab.geom import plane_from_spanning, standard_plane
 from tclab.scenarios import (Scenario, random_epi_curve, run_scenario,
                              single_mode_curve)
 
 from oracles import check_orthonormal_pairs, mapped_mass
 
 
+def reference_excess(curve):
+    """Excess against the reference plane, a one-row stack call."""
+    vals, escaped = cylindrical_excess(
+        curve, standard_plane(2 + curve.n).basis()[None])
+    assert not escaped[0]
+    return float(vals[0])
+
+
 @pytest.mark.parametrize("Q,i,c", [(1, 2, 1e-2), (2, 3, 5e-3),
                                    (3, 4, 1e-2), (1, 3, 2e-2)])
 def test_raw_excess_matches_quadratic_model(Q, i, c):
     curve = single_mode_curve(Q, i, c)
-    raw = cylindrical_excess(curve, standard_plane(2 + curve.n))
+    raw = reference_excess(curve)
     a = i / Q
     pred = 0.25 * np.pi * Q * c * c * (1.0 + a * a)
     assert abs(raw - pred) <= 1e-3 * pred
@@ -122,7 +130,7 @@ def _bfgs_reference_excess(curve):
     """Excess at scipy's BFGS minimizer of the same scaled tilt objective,
     with the same gradient stencil and gtol, as the search reference."""
     m = 2 * curve.n
-    raw = cylindrical_excess(curve, standard_plane(2 + curve.n))
+    raw = reference_excess(curve)
     scale = max(raw, 1e-16)
 
     def scaled(x):
@@ -171,9 +179,9 @@ def test_tilt_search_builds_cone_data_once(monkeypatch):
         builds[0] += 1
         return tangent(*args)
 
-    def counted_excess(curve, plane):
-        evals[0] += 1 if isinstance(plane, Plane2) else len(plane)
-        return excess(curve, plane)
+    def counted_excess(curve, bases):
+        evals[0] += len(bases)
+        return excess(curve, bases)
 
     monkeypatch.setattr(epi, "unit_tangent_matrix", counted_tangent)
     monkeypatch.setattr(epi, "cylindrical_excess", counted_excess)
@@ -240,14 +248,14 @@ def test_over_large_excess_is_a_lab_error():
 
 def test_huge_profile_escapes_cylinder():
     with pytest.raises(SupportEscapesCylinder):
-        cylindrical_excess(single_mode_curve(1, 2, 3.0), standard_plane(3))
+        optimal_plane(single_mode_curve(1, 2, 3.0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_tilt_stack_matches_each_plane(n):
-    # each row of a stacked call is the excess of its own Plane2, and a
-    # tilt steep enough to let cone rays escape is flagged in its row
-    # alone, where the single-plane call raises
+    # each row of a stacked call is the excess of its own plane called
+    # alone as a one-row stack, and a tilt steep enough to let cone rays
+    # escape is flagged in its row alone
     rng = np.random.default_rng(7 + n)
     alpha = np.zeros((4, n))
     alpha[1, 0] = 1e-2
@@ -263,11 +271,14 @@ def test_tilt_stack_matches_each_plane(n):
     check_orthonormal_pairs(bases, u, v)
     vals, escaped = cylindrical_excess(curve, bases)
     assert escaped.tolist() == [False] * 5 + [True]
-    for k in range(5):
-        ref = cylindrical_excess(curve, plane_from_spanning(u[k], v[k]))
-        assert vals[k] == pytest.approx(ref, rel=1e-14, abs=0.0)
-    with pytest.raises(SupportEscapesCylinder):
-        cylindrical_excess(curve, Plane2(bases[5, :, 0], bases[5, :, 1]))
+    for k in range(6):
+        one = plane_from_spanning(u[k], v[k]).basis()[None]
+        ref, out = cylindrical_excess(curve, one)
+        assert out[0] == escaped[k]
+        if k < 5:
+            assert vals[k] == pytest.approx(ref[0], rel=1e-14, abs=0.0)
+        else:
+            assert np.isnan(vals[k]) and np.isnan(ref[0])
     objective = epi._tilt_objective(curve, V)
     assert np.array_equal(objective[:5], vals[:5])
     assert objective[5] == 1e6 + np.sum(V[5] ** 2)
@@ -277,14 +288,14 @@ def test_regraph_identity_roundtrip():
     curve = single_mode_curve(1, 2, 5e-3)
     back = regraph_over_plane(curve, standard_plane(3), curve.rho)
     theta = np.linspace(0.0, curve.period, 50)
-    assert np.allclose(back.points(theta), curve.points(theta), atol=1e-12)
+    assert np.allclose(back.jet(theta)[0], curve.jet(theta)[0], atol=1e-12)
 
 
 def test_regraph_smaller_cylinder_stays_on_cone():
     curve = single_mode_curve(2, 3, 0.05)
     back = regraph_over_plane(curve, standard_plane(3), 0.5)
     assert back.Q == curve.Q and back.rho == 0.5
-    pts = back.points(np.linspace(0.0, back.period, 64))
+    pts = back.jet(np.linspace(0.0, back.period, 64))[0]
     radii = np.linalg.norm(pts[:, :2], axis=1)
     assert np.allclose(radii, 0.5, atol=1e-12)
 
@@ -320,13 +331,11 @@ def _regraph_cases():
 
 
 def _reference_regraph_series(curve, plane, new_rho):
-    """The regraph with a fixed 12 Newton passes and separate point and
-    velocity syntheses."""
+    """The regraph with a fixed 12 Newton passes."""
     F = plane.frame()
 
     def angle_data(theta):
-        y = curve.points(theta) @ F
-        dy = curve.velocities(theta) @ F
+        y, dy = (a @ F for a in curve.jet(theta))
         u, du = y[..., :2], dy[..., :2]
         r2 = np.sum(u * u, axis=-1)
         psi = np.arctan2(u[..., 1], u[..., 0]) - np.mod(theta, 2 * np.pi)

@@ -13,7 +13,7 @@ is invariant under the radial sweep, so its bound vanishes.
 import numpy as np
 import pytest
 
-from tclab.currents import ConeOverCurve
+from tclab.currents import ConeOverCurve, ParamSurface
 from tclab.errors import VertexTooClose
 from tclab.flat import radial_homotopy_filling
 from tclab.fourier import harmonic_extension
@@ -34,8 +34,9 @@ def test_radial_filling_of_small_wiggle(s, r):
     # the angular order resolves the kinks of |cos(2 theta)|; the
     # first-order oracle is exact up to O(c^2)
     c = 1e-3
-    surf = harmonic_extension(single_mode_series(1, 2, c), 1.0,
-                              order=(48, 256))
+    ext = harmonic_extension(single_mode_series(1, 2, c), 1.0)
+    surf = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
+                        order=(48, 256), radial_axis=0)
     est = radial_homotopy_filling(surf, s, r)
     assert est.bound == pytest.approx(c * (r - s), rel=1e-4)
     assert est.residual_mass == 0.0

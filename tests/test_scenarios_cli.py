@@ -81,7 +81,10 @@ def test_load_config_happy_path():
           ("flat", {"r_max": 3}), ("epi", {"eps_target": 1e-2}),
           ("decay", {"budget": 10.0}), ("calib", {"form_scale": 1.0}),
           ("calib", {"comass_check": False}), ("calib", {"radius": 1.0}),
-          ("calib", {"surface": "sphere"})]),
+          ("calib", {"surface": "sphere"}),
+          ("decay", {"family": "ode", "r0": -1}),
+          ("decay", {"family": "ode", "e0": 0}),
+          ("decay", {"family": "extension", "cbar": 5})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
@@ -104,17 +107,26 @@ def _run_configs():
 
 def test_every_schema_key_and_choice_is_set_by_a_run():
     # a key or choice that no run sets is a knob nothing turns: it belongs
-    # in a constant, not in the schema
+    # in a constant, not in the schema; a key tagged with a family must be
+    # set by a run of that family, or the tag names a family that never
+    # reads it
+    runs = [sc for config in _run_configs() for sc in config["scenarios"]]
     used = {(sc["kind"], key, value if isinstance(value, str) else None)
-            for config in _run_configs() for sc in config["scenarios"]
-            for key, value in sc["params"].items()}
+            for sc in runs for key, value in sc["params"].items()}
+    by_family = {(sc["kind"], key, sc["params"].get(
+                     "family", getattr(SCHEMAS[sc["kind"]], "family", None)))
+                 for sc in runs for key in sc["params"]}
     keys = {(kind, key) for kind, key, _ in used}
     unset = []
     for kind, schema in SCHEMAS.items():
         hints = get_type_hints(schema)
         for f in fields(schema):
+            family = f.metadata.get("family")
             if (kind, f.name) not in keys:
                 unset.append(f"{kind}.{f.name}")
+            elif (family and hasattr(schema, "family")
+                  and (kind, f.name, family) not in by_family):
+                unset.append(f"{kind}.{f.name} in family {family}")
             elif get_origin(hints[f.name]) is Literal:
                 unset += [f"{kind}.{f.name}={choice}"
                           for choice in get_args(hints[f.name])
