@@ -1,24 +1,14 @@
-"""Semicalibrations, first-variation laws and almost-minimality probes.
+"""Almost-minimality probes on calibrated surfaces.
 
-A two-form field with comass at most one calibrates a surface when its
-action equals the area element everywhere; the calibration defect (mass
-minus form action) measures the failure.  Every form carries its analytic
-exterior derivative.  For calibrated or nearly calibrated surfaces the
-first variation along a compactly supported vector field chi has an
-explicit right-hand side, either
+A probe exercises the defining inequality itself: the competitor
+T + boundary(S) built from a short homotopy sweep S must not undercut
+M(T) by more than Omega M(S).  The surfaces probed here, the flat disk
+and the equatorial sphere, are calibrated.  The paper's first-variation
+laws (for semicalibrations and for cross sections of spheres) are not
+certified by any run; the test suite checks them against the stepped
+derivative of ``_Flow.mass_change``, the mass change the probes use.
 
-    (b)  T(d omega restricted by chi)      for a semicalibration omega,
-    (c)  integral of 2 |x|^{-2} x . chi    for cross-sections of spheres,
-
-and both are checked here against the geometric left-hand side, the
-derivative of mass along the flow of chi, computed by central
-differences at two steps with Richardson extrapolation.
-
-Almost-minimality probes exercise the defining inequality itself: the
-competitor T + boundary(S) built from a short homotopy sweep S must not
-undercut M(T) by more than Omega M(S).
-
-Both work on the flow x -> x + t chi(x) of a TestVectorField, which
+Probes work on the flow x -> x + t chi(x) of a TestVectorField, which
 vanishes outside its ball, so the flowed surface and the sweep differ from
 T only at the quadrature nodes inside that ball.  The surface's quadrature
 frame and mass are built once per surface; each field evaluates chi and
@@ -35,44 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import ParamSurface
-from .errors import FormUndefined, NotSemicalibrated
 from .quadrature import gauss_legendre
 
-DEFECT_TOL = 1e-8
 # Gauss-Legendre nodes in time of each sweep
 SWEEP_NODES = 8
-
-
-def _levi_civita3():
-    eps = np.zeros((3, 3, 3))
-    for i, j, k, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-        eps[i, j, k] = s
-    return eps
-
-
-LEVI3 = _levi_civita3()
-
-
-@dataclass(frozen=True)
-class TwoFormField:
-    """A two-form on ambient space with its exterior derivative.
-
-    ``matrix`` maps positions (..., d) to antisymmetric matrices
-    (..., d, d); ``exterior`` maps positions to the fully antisymmetric
-    (..., d, d, d) tensor of the exterior derivative.
-    """
-
-    matrix: object
-    exterior: object
-
-    def __call__(self, x):
-        return self.matrix(x)
-
-    def comass_at(self, x):
-        """Largest singular value of the form matrix at each point."""
-        A = np.asarray(self.matrix(x), dtype=float)
-        return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -123,112 +79,6 @@ def bump_field(center, radius: float, direction,
         return direction[:, None] * grad[..., None, :]
 
     return TestVectorField(func=func, jac=jac, center=center, radius=radius)
-
-
-def calibration_defect(surface, form: TwoFormField) -> float:
-    """Mass minus form action; zero exactly when the form calibrates."""
-    action = surface.integrate_form(form)
-    return surface.mass(check=False) - action
-
-
-def interior_product(three_form, chi):
-    """Contract a three-form field with a vector field, yielding the
-    two-form (v, w) -> d omega(chi, v, w)."""
-    def matrix(x):
-        T = np.asarray(three_form(x), dtype=float)
-        c = np.asarray(chi(x), dtype=float)
-        return np.einsum("...i,...ijk->...jk", c, T)
-
-    return matrix
-
-
-@dataclass(frozen=True)
-class SphereLaw:
-    """First-variation law for cross-sections of the sphere |x| = R:
-    the right-hand side is the integral of 2 |x|^{-2} x . chi."""
-
-    radius: float
-
-
-@dataclass(frozen=True)
-class FirstVariationReport:
-    """Stepped mass derivatives against their predicted value.
-
-    d_values are the central-difference mass derivatives at each step,
-    lhs the Richardson extrapolation of the two smallest steps, rhs the
-    law's prediction, and c2 the largest |d - rhs| / h^2, finite when
-    the convergence is genuinely second order.
-    """
-
-    lhs: float
-    rhs: float
-    d_values: tuple
-    steps: tuple
-    c2: float
-    defect: float
-
-    @property
-    def residual(self) -> float:
-        return self.lhs - self.rhs
-
-    @property
-    def errors(self) -> tuple:
-        return tuple(abs(d - self.rhs) for d in self.d_values)
-
-    @property
-    def slope(self) -> float:
-        """Least squares order of |d(h) - rhs| across the steps."""
-        err = np.asarray(self.errors, dtype=float)
-        if np.any(err == 0.0):
-            return float("inf")
-        k, _ = np.polyfit(np.log(np.asarray(self.steps)), np.log(err), 1)
-        return float(k)
-
-
-def _mass_derivative(surface, chi, h: float) -> float:
-    """Central difference (M(h) - M(-h)) / 2h of the mass along chi's flow."""
-    return _flow(surface, chi).mass_change(-h, h) / (2 * h)
-
-
-def first_variation_pair(surface, law, chi: TestVectorField,
-                         steps=(1e-3, 1e-4)) -> FirstVariationReport:
-    """Compare the mass derivative along chi with the law's prediction.
-
-    For a TwoFormField law the surface must be calibrated by it up to
-    DEFECT_TOL (relative), otherwise NotSemicalibrated is raised; the
-    prediction is then T(d omega contracted with chi).  For a SphereLaw
-    the prediction integrates 2 |x|^{-2} x . chi over the surface.
-    """
-    mass0 = surface.mass(check=False)
-    defect = 0.0
-    if isinstance(law, TwoFormField):
-        defect = calibration_defect(surface, law)
-        if abs(defect) > DEFECT_TOL * max(mass0, 1.0):
-            raise NotSemicalibrated(
-                f"calibration defect {defect:.2e} too large for the "
-                "first-variation identity")
-        rhs = surface.integrate_form(
-            interior_product(law.exterior, chi.func))
-    elif isinstance(law, SphereLaw):
-        def density(x, xu, xv):
-            return 2.0 * np.sum(x * chi.func(x), axis=-1) \
-                / np.sum(x * x, axis=-1)
-
-        rhs = surface.integrate_density(density)
-    else:
-        raise TypeError("law must be a TwoFormField or a SphereLaw")
-
-    steps = tuple(sorted(float(h) for h in steps), )[::-1]
-    if len(steps) < 2:
-        raise ValueError("need at least two step sizes")
-    d_values = tuple(_mass_derivative(surface, chi, h) for h in steps)
-    h1, h2 = steps[-2], steps[-1]
-    lhs = (h1 * h1 * d_values[-1] - h2 * h2 * d_values[-2]) \
-        / (h1 * h1 - h2 * h2)
-    c2 = max(abs(d - rhs) / (h * h) for d, h in zip(d_values, steps))
-    return FirstVariationReport(lhs=float(lhs), rhs=float(rhs),
-                                d_values=d_values, steps=tuple(steps),
-                                c2=float(c2), defect=float(defect))
 
 
 @dataclass(frozen=True)
@@ -386,31 +236,6 @@ def almost_minimality_probe(surface, omega: float, chi: TestVectorField,
                                 slack=float(slack),
                                 passed=bool(slack >= -1e-8)))
     return rows
-
-
-def solid_angle_form() -> TwoFormField:
-    """The unit-comass two-form on R^3 minus the origin whose action on
-    (v, w) at x is det[x/|x|, v, w].
-
-    Calibrates every sphere centered at the origin; its exterior
-    derivative is (2/|x|) times the volume form.
-    """
-    def matrix(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        if np.any(r < 1e-12):
-            raise FormUndefined("solid-angle form is singular at 0")
-        xh = x / r
-        return np.einsum("...i,ijk->...jk", xh, LEVI3)
-
-    def exterior(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r < 1e-12):
-            raise FormUndefined("solid-angle form is singular at 0")
-        return (2.0 / r)[..., None, None, None] * LEVI3
-
-    return TwoFormField(matrix=matrix, exterior=exterior)
 
 
 def spherical_cap(radius: float, phi_min: float, phi_max: float,

@@ -13,6 +13,7 @@ config was malformed (including an unknown key or an invalid value).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -129,6 +130,9 @@ def _execute(scenarios, out_dir: str, jobs: int) -> int:
         except ScenarioError as err:
             errored.append(sc.name)
             print(str(err), file=sys.stderr)
+            # an artifact left by an earlier run would read as this run's
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, artifact_name(sc)))
 
     if jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

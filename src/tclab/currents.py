@@ -2,29 +2,30 @@
 
 A curve is anything with ``Q``, ``M``, ``period`` and ``jet``, its one
 evaluator, which returns the points and velocities at the given angles
-together (a SpaceCurve or a WindingCurve); its length and cone masses
-are periodic trapezoid sums.  Every curve and surface has multiplicity 1
-and the orientation of its parameters; a Q-fold curve winds Q times
-over its period instead of carrying multiplicity Q.
+together (the library builds only WindingCurves); its length and the
+cylinder masses of its cone are periodic trapezoid sums.  Every curve
+and surface has multiplicity 1 and the orientation of its parameters; a
+Q-fold curve winds Q times over its period instead of carrying
+multiplicity Q.
 A surface is a chart over a rectangle with an analytic jacobian; masses
-and form integrals are tensor Gauss-Legendre sums with a doubling
-self-check.  ``ParamSurface._frame`` is the one quadrature frame builder:
-it evaluates the chart once on the open axis grid, so a chart that
-factors over the axes (powers of u, trig of v) computes each factor once
-per axis node.  Restriction to a ball or annulus clips the chart along
-|x| level sets, which requires the radius to be monotone along one chart
-axis (true for every cone, radial extension and polar graph built here).
+and density integrals are tensor Gauss-Legendre sums, masses with a
+doubling self-check.  ``ParamSurface._frame`` is the one quadrature
+frame builder: it evaluates the chart once on the open axis grid, so a
+chart that factors over the axes (powers of u, trig of v) computes each
+factor once per axis node.  Restriction to a ball or annulus
+(``RadialRestriction``) clips the chart along |x| level sets, which
+requires the radius to be monotone along one chart axis (true for every
+cone chart, radial extension and polar graph built here).
 The clip bounds come from one bracketed Newton solve per quadrature
 angle, on any such chart; no chart supplies its own radius solver.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import (DegenerateCone, EmptyRestriction, FormUndefined,
-                     NoConvergence, NonFinite, QuadratureNotConverged)
+from .errors import (EmptyRestriction, NoConvergence, NonFinite,
+                     QuadratureNotConverged)
 from .fourier import FourierSeries
 from .quadrature import gauss_legendre, periodic_trapezoid
 
@@ -36,24 +37,6 @@ NEWTON_ULPS = 4
 
 # ---------------------------------------------------------------------------
 # curves
-
-@dataclass(frozen=True)
-class SpaceCurve:
-    """Closed parametrized curve theta -> gamma(theta) on [0, period).
-
-    ``jet`` maps angles to (gamma, gamma') there.  ``M`` is the base
-    sample count of periodic sums over the curve, the name a WindingCurve
-    gives the same data.
-    """
-
-    jet: Callable
-    Q: int
-    M: int
-
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi * self.Q
-
 
 @dataclass(frozen=True)
 class WindingCurve:
@@ -111,19 +94,6 @@ class WindingCurve:
         dx[..., 1] = c
         dx[..., 2:] = df
         return self.rho * x, self.rho * dx
-
-
-def normalize_to_sphere(curve) -> SpaceCurve:
-    """Radially project a curve onto the unit sphere."""
-
-    def jet(theta):
-        g, dg = curve.jet(theta)
-        r2 = np.sum(g * g, axis=-1, keepdims=True)
-        rad = np.sqrt(r2)
-        return g / rad, (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
-                         / (rad * r2))
-
-    return SpaceCurve(jet, curve.Q, curve.M)
 
 
 def curve_mass(curve) -> float:
@@ -237,22 +207,6 @@ class ParamSurface:
                 f"mass moved {abs(fine - coarse):.3e} "
                 f"({abs(fine - coarse) / scale:.3e} rel) when doubling the rule")
         return fine
-
-    def integrate_form(self, form) -> float:
-        """Signed action of a two-form field: sum of form(x)(x_u, x_v).
-
-        ``form`` maps batched positions (..., d) to antisymmetric matrices
-        (..., d, d).
-        """
-        x, xu, xv, W = self._frame(self.order)
-        A = np.asarray(form(x), dtype=float)
-        if A.shape != x.shape + (x.shape[-1],):
-            raise FormUndefined("form field returned a bad shape")
-        vals = np.einsum("...i,...ij,...j->...", xu, A, xv)
-        if not np.all(np.isfinite(vals)):
-            raise FormUndefined("form field produced non-finite values")
-        return float(np.sum(W * vals))
-
 
 class RadialRestriction(ParamSurface):
     """Chart clipped to the annulus s <= |x| <= r along the radial axis.
@@ -398,27 +352,12 @@ class ConeOverCurve:
     """Cone with vertex at the origin over a closed curve, its link.
 
     The chart is (t, theta) -> t * gamma(theta) for t in (0, 1], so the
-    cone reaches exactly the curve.  Annulus restrictions and the
-    monotonicity integrals measure radii from the origin, the vertex.
+    cone reaches exactly the curve; its mass is the chart's.  Annulus
+    restrictions of the chart and the monotonicity integrals measure
+    radii from the origin, the vertex.
     """
 
     link: object
-
-    def wedge_speed(self, theta):
-        """|gamma ^ gamma'| at the given angles."""
-        return ParamSurface._area_element(*self.link.jet(theta))
-
-    def check_nondegenerate(self):
-        m = self.link.M
-        theta = np.arange(m) * (self.link.period / m)
-        g, dg = self.link.jet(theta)
-        wedge = ParamSurface._area_element(g, dg)
-        scale = np.linalg.norm(g, axis=-1) * np.linalg.norm(dg, axis=-1)
-        bad = wedge <= 1e-10 * np.maximum(scale, 1e-300)
-        if np.mean(bad) > 0.01:
-            raise DegenerateCone(
-                "link direction and velocity are parallel on "
-                f"{100 * np.mean(bad):.1f}% of the samples")
 
     def chart(self, order=(32, 64)) -> ParamSurface:
         """The cone's chart over (0, 1] x [0, period) at the given
@@ -434,14 +373,6 @@ class ConeOverCurve:
 
         return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
                             jacobian=cjac, order=order, radial_axis=0)
-
-
-def cone_mass(cone: ConeOverCurve) -> float:
-    """Mass of the cone, half the integral of the wedge speed."""
-    cone.check_nondegenerate()
-    val = periodic_trapezoid(cone.wedge_speed, cone.link.period,
-                             cone.link.M, 1e-9)
-    return 0.5 * float(val)
 
 
 def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
@@ -465,16 +396,9 @@ def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
 # ---------------------------------------------------------------------------
 # module-level operation names
 
-def restrict_annulus(current, s: float, r: float):
-    """Restriction to the annulus s <= |x| <= r about the origin."""
-    if isinstance(current, ConeOverCurve):
-        current = current.chart()
-    return RadialRestriction(current, s, r)
-
-
 def annulus_mass(current, s: float, r: float) -> float:
     """Mass of the annulus restriction; zero when the slab is empty."""
     try:
-        return restrict_annulus(current, s, r).mass()
+        return RadialRestriction(current, s, r).mass()
     except EmptyRestriction:
         return 0.0

@@ -13,10 +13,6 @@ class NonFinite(TclabError):
     """A sample, coefficient or integrand value is NaN or infinite."""
 
 
-class DegenerateCone(TclabError):
-    """The cone's link direction and its derivative are parallel somewhere."""
-
-
 class QuadratureNotConverged(TclabError):
     """Doubling the quadrature order moved the result more than tolerated."""
 
@@ -27,10 +23,6 @@ class EmptyRestriction(TclabError):
     This signals an empty slab, not a failure; helpers that sum annulus
     masses catch it and contribute zero.
     """
-
-
-class FormUndefined(TclabError):
-    """A differential form could not be evaluated on the surface."""
 
 
 class Undersampled(TclabError):
@@ -63,10 +55,6 @@ class VertexTooClose(TclabError):
 
 class TubesOverlap(TclabError):
     """Plane tubes intersect in the sampled region; clustering is ambiguous."""
-
-
-class NotSemicalibrated(TclabError):
-    """The current's calibration defect is too large for the identity used."""
 
 
 class ConfigError(TclabError):

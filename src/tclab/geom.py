@@ -11,9 +11,10 @@ Norm conventions fixed here and used everywhere else:
   |T - tau| are measured in this norm.
 * the Euclidean norm of a two-vector is sqrt(1/2 sum A_ij^2); it agrees
   with the mass norm on simple two-vectors.
-* the comass of a two-covector (``calibration.TwoFormField.comass_at``)
-  is its largest singular value, which for antisymmetric matrices equals
-  the maximum of v @ A @ w over orthonormal pairs (v, w).
+* the comass of a two-covector is its largest singular value, which for
+  antisymmetric matrices equals the maximum of v @ A @ w over orthonormal
+  pairs (v, w).  No run evaluates a comass; the test oracles' form
+  fields measure it this way.
 
 In dimension d <= 4 (codimension at most two, every family built here) a
 two-vector has at most two spectral pair values s1, s2, with
@@ -60,10 +61,6 @@ class Plane2:
             raise ValueError("basis is not orthonormal to 1e-12")
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
-
-    @property
-    def dim(self) -> int:
-        return self.e1.size
 
     def projector(self) -> np.ndarray:
         return np.outer(self.e1, self.e1) + np.outer(self.e2, self.e2)
@@ -120,12 +117,6 @@ def orthonormal_pairs(u, v) -> np.ndarray:
     if (np.abs(gram) > ORTHO_TOL).any():
         raise ValueError("basis is not orthonormal to 1e-12")
     return np.stack([e1, e2], axis=-1)
-
-
-def plane_from_spanning(u, v) -> Plane2:
-    """Plane spanned (and oriented) by two independent vectors."""
-    B = orthonormal_pairs(_as_vec(u)[None], _as_vec(v)[None])[0]
-    return Plane2(B[:, 0], B[:, 1])
 
 
 def standard_plane(dim: int) -> Plane2:
@@ -200,14 +191,4 @@ def twovector_euclid_norm(A) -> np.ndarray:
     """Euclidean norm on two-vectors: sqrt(sum of squared components)."""
     A = np.asarray(A, dtype=float)
     return np.linalg.norm(A, axis=(-2, -1)) / np.sqrt(2.0)
-
-
-def random_rotation(dim: int, rng) -> np.ndarray:
-    """Haar-ish random rotation from QR of a Gaussian matrix, det +1."""
-    M = rng.standard_normal((dim, dim))
-    Qm, R = np.linalg.qr(M)
-    Qm = Qm * np.sign(np.diag(R))
-    if np.linalg.det(Qm) < 0:
-        Qm[:, 0] = -Qm[:, 0]
-    return Qm
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import annulus_mass, restrict_annulus
+from .currents import RadialRestriction, annulus_mass
 from .errors import EmptyRestriction, VertexTooClose
 
 OMEGA2 = np.pi
@@ -110,7 +110,7 @@ def _annulus_integral(current, s: float, r: float, density) -> float:
         raise VertexTooClose(
             f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
     try:
-        region = restrict_annulus(current, s, r)
+        region = RadialRestriction(current, s, r)
     except EmptyRestriction:
         return 0.0
     return region.integrate_density(density)

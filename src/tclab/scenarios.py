@@ -59,21 +59,6 @@ def single_mode_curve(Q: int, mode: int, amplitude: float) -> WindingCurve:
     return WindingCurve(single_mode_series(Q, mode, amplitude))
 
 
-def random_link_curve(rng: np.random.Generator) -> WindingCurve:
-    """Band-limited random winding curve for cone and length checks."""
-    Q = int(rng.integers(1, 4))
-    n = int(rng.integers(1, 4))
-    nmodes = int(rng.integers(1, 7))
-    alpha = np.zeros((nmodes + 1, n))
-    beta = np.zeros((nmodes, n))
-    decay = 1.0 / (1.0 + np.arange(1, nmodes + 1)) ** 2
-    alpha[1:] = rng.standard_normal((nmodes, n)) * decay[:, None]
-    beta[:] = rng.standard_normal((nmodes, n)) * decay[:, None]
-    scale = 0.25 / max(1.0, np.abs(alpha).max() + np.abs(beta).max())
-    series = FourierSeries(Q=Q, n=n, alpha=alpha * scale, beta=beta * scale)
-    return WindingCurve(series)
-
-
 def allowed_random_modes(Q: int) -> list:
     """Profile frequencies whose linear gap ratio stays below the cap.
 
@@ -257,7 +242,7 @@ class CalibParams:
 
     surface: Literal["disk", "equator"] = _key(
         "disk", "calibrated unit surface under test")
-    omega: float = _key(0.0, "almost-minimality constant Omega")
+    omega: float = _key(0.0, "almost-minimality constant Omega", least=0)
     probes: int = _key(20, "seeded bump fields", least=1)
     eps: tuple[float, ...] = _key((0.05,), "sweep times per bump", above=0)
     bump_power: int = _key(5, "bump exponent (1 - |y|^2/R^2)^power",
@@ -379,7 +364,7 @@ class Scenario:
 
     def __post_init__(self):
         try:
-            if not isinstance(self.seed, int):
+            if type(self.seed) is not int:
                 raise ConfigError("seed must be an integer")
             typed = _parse_params(self.kind, self.params)
         except ConfigError as err:
@@ -645,7 +630,8 @@ def render_json(result: ScenarioResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def artifact_name(result: ScenarioResult) -> str:
+def artifact_name(result) -> str:
+    """File name of the artifact of a ScenarioResult or of its Scenario."""
     ext = "json" if result.kind == "split" else "csv"
     return f"{result.name}.{ext}"
 

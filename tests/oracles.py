@@ -12,11 +12,23 @@ the reference for the cone over a flat circle.
 ``check_orthonormal_pairs`` checks a stack of plane bases against the
 defining properties of Gram-Schmidt on its spanning pairs, not against
 another Gram-Schmidt.
-"""
+
+``random_link_curve`` and ``normalize_to_sphere`` build spherical links,
+whose cones have mass half the link length and no deviation.
+
+``first_variation_pair`` checks the paper's first-variation laws, for a
+semicalibration (``TwoFormField``, such as ``solid_angle_form``) and for
+cross sections of spheres (``SphereLaw``), against the stepped
+derivative of the mass change that the library's probes use."""
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from tclab.currents import ParamSurface
+from tclab.calibration import _flow
+from tclab.currents import ParamSurface, WindingCurve
+from tclab.fourier import FourierSeries
 
 
 def mapped_mass(surface, dphi, order=None):
@@ -78,3 +90,181 @@ def check_orthonormal_pairs(B, u, v, tol=1e-15):
     resid = np.linalg.norm(v - c1 * e1 - c2 * e2, axis=-1)
     assert np.all(resid <= tol * np.linalg.norm(v, axis=-1))
     assert np.all(c2 > 0)
+
+
+# ---------------------------------------------------------------------------
+# spherical links
+
+@dataclass(frozen=True)
+class SpaceCurve:
+    """Closed curve with ``jet`` mapping angles on [0, 2 pi Q) to
+    (gamma, gamma'), and ``M`` the base sample count of its sums."""
+
+    jet: Callable
+    Q: int
+    M: int
+
+    @property
+    def period(self) -> float:
+        return 2.0 * np.pi * self.Q
+
+
+def normalize_to_sphere(curve) -> SpaceCurve:
+    """Radially project a curve onto the unit sphere."""
+
+    def jet(theta):
+        g, dg = curve.jet(theta)
+        r2 = np.sum(g * g, axis=-1, keepdims=True)
+        rad = np.sqrt(r2)
+        return g / rad, (dg / rad - g * np.sum(g * dg, axis=-1, keepdims=True)
+                         / (rad * r2))
+
+    return SpaceCurve(jet, curve.Q, curve.M)
+
+
+def random_link_curve(rng) -> WindingCurve:
+    """Band-limited random winding curve."""
+    Q = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 4))
+    nmodes = int(rng.integers(1, 7))
+    alpha = np.zeros((nmodes + 1, n))
+    beta = np.zeros((nmodes, n))
+    decay = 1.0 / (1.0 + np.arange(1, nmodes + 1)) ** 2
+    alpha[1:] = rng.standard_normal((nmodes, n)) * decay[:, None]
+    beta[:] = rng.standard_normal((nmodes, n)) * decay[:, None]
+    scale = 0.25 / max(1.0, np.abs(alpha).max() + np.abs(beta).max())
+    return WindingCurve(FourierSeries(Q, n, alpha * scale, beta * scale))
+
+
+# ---------------------------------------------------------------------------
+# first-variation laws
+
+DEFECT_TOL = 1e-8
+LEVI3 = np.zeros((3, 3, 3))
+LEVI3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+LEVI3[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+
+
+class FormUndefined(Exception):
+    """A differential form could not be evaluated at a point."""
+
+
+class NotSemicalibrated(Exception):
+    """The calibration defect is too large for the first-variation law."""
+
+
+@dataclass(frozen=True)
+class TwoFormField:
+    """A two-form with its exterior derivative: ``matrix`` maps positions
+    (..., d) to antisymmetric (..., d, d) matrices and ``exterior`` to the
+    antisymmetric (..., d, d, d) tensor of d omega."""
+
+    matrix: Callable
+    exterior: Callable
+
+    def comass_at(self, x):
+        """Largest singular value of the form matrix at each point."""
+        A = np.asarray(self.matrix(x), dtype=float)
+        return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+
+@dataclass(frozen=True)
+class SphereLaw:
+    """The law for cross sections of spheres about the origin: the mass
+    derivative along chi is the integral of 2 |x|^-2 x . chi."""
+
+
+def solid_angle_form() -> TwoFormField:
+    """The unit-comass form det[x/|x|, v, w] on R^3 minus the origin.
+
+    It calibrates every sphere about the origin, and its exterior
+    derivative is 2/|x| times the volume form.
+    """
+
+    def radius(x):
+        r = np.linalg.norm(x, axis=-1)
+        if np.any(r < 1e-12):
+            raise FormUndefined("solid-angle form is singular at 0")
+        return r
+
+    def matrix(x):
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,ijk->...jk", x / radius(x)[..., None], LEVI3)
+
+    def exterior(x):
+        return (2.0 / radius(np.asarray(x, dtype=float)))[
+            ..., None, None, None] * LEVI3
+
+    return TwoFormField(matrix, exterior)
+
+
+def integrate_form(surface, matrix) -> float:
+    """Signed action on the surface of the two-form with the given matrix
+    field: the sum of matrix(x)(x_u, x_v) over the quadrature nodes."""
+    x, xu, xv, W = surface._frame(surface.order)
+    vals = np.einsum("...i,...ij,...j->...", xu, matrix(x), xv)
+    return float(np.sum(W * vals))
+
+
+def calibration_defect(surface, form: TwoFormField) -> float:
+    """Mass minus form action; zero exactly when the form calibrates."""
+    return surface.mass(check=False) - integrate_form(surface, form.matrix)
+
+
+def mass_derivative(surface, chi, h: float) -> float:
+    """Central difference (M(h) - M(-h)) / 2h of the mass along chi's flow."""
+    return _flow(surface, chi).mass_change(-h, h) / (2 * h)
+
+
+@dataclass(frozen=True)
+class FirstVariationReport:
+    """Central-difference mass derivatives ``d_values`` at ``steps``
+    against the law's prediction ``rhs``; ``lhs`` is the Richardson
+    extrapolation of the two smallest steps."""
+
+    lhs: float
+    rhs: float
+    d_values: tuple
+    steps: tuple
+
+    @property
+    def residual(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def c2(self) -> float:
+        """Largest |d - rhs| / h^2, finite for second-order convergence."""
+        return max(abs(d - self.rhs) / (h * h)
+                   for d, h in zip(self.d_values, self.steps))
+
+    @property
+    def slope(self) -> float:
+        """Least squares order of |d(h) - rhs| across the steps."""
+        err = np.abs(np.asarray(self.d_values) - self.rhs)
+        if np.any(err == 0.0):
+            return float("inf")
+        return float(np.polyfit(np.log(self.steps), np.log(err), 1)[0])
+
+
+def first_variation_pair(surface, law, chi, steps=(1e-3, 1e-4)):
+    """Compare the mass derivative along chi with the law's prediction.
+
+    A TwoFormField law must calibrate the surface up to DEFECT_TOL
+    (relative), else NotSemicalibrated; it predicts T(d omega contracted
+    with chi).  A SphereLaw predicts the integral of 2 |x|^-2 x . chi.
+    """
+    if isinstance(law, SphereLaw):
+        rhs = surface.integrate_density(
+            lambda x, xu, xv: 2.0 * np.sum(x * chi.func(x), axis=-1)
+            / np.sum(x * x, axis=-1))
+    else:
+        defect = calibration_defect(surface, law)
+        if abs(defect) > DEFECT_TOL * max(surface.mass(check=False), 1.0):
+            raise NotSemicalibrated(f"calibration defect {defect:.2e}")
+        rhs = integrate_form(surface, lambda x: np.einsum(
+            "...i,...ijk->...jk", chi.func(x), law.exterior(x)))
+    steps = tuple(sorted(map(float, steps), reverse=True))
+    d_values = tuple(mass_derivative(surface, chi, h) for h in steps)
+    (h1, d1), (h2, d2) = zip(steps[-2:], d_values[-2:])
+    lhs = (h1 * h1 * d2 - h2 * h2 * d1) / (h1 * h1 - h2 * h2)
+    return FirstVariationReport(float(lhs), float(rhs), d_values, steps)

@@ -13,21 +13,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import special_ortho_group
 
 from tclab.calibration import spherical_cap
 from tclab.currents import (ConeOverCurve, ParamSurface, RadialRestriction,
-                            WindingCurve, annulus_mass, cone_mass,
-                            curve_mass, normalize_to_sphere,
-                            restrict_annulus)
+                            WindingCurve, annulus_mass, curve_mass)
 from tclab.errors import EmptyRestriction
 from tclab.fourier import FourierSeries, harmonic_extension
-from tclab.geom import random_rotation
 from tclab.monotonicity import _tangent_perp, deviation_integral
 from tclab.quadrature import gauss_legendre
-from tclab.scenarios import (extension_surface, flat_circle,
-                             random_link_curve)
+from tclab.scenarios import extension_surface, flat_circle
 
-from oracles import mapped_mass, polar_disk
+from oracles import (mapped_mass, normalize_to_sphere, polar_disk,
+                     random_link_curve)
 
 
 def test_winding_circle_length():
@@ -115,7 +113,7 @@ def test_round_sphere_area():
 
 def test_pushforward_by_isometry_preserves_mass():
     disk = polar_disk(1.2)
-    R = random_rotation(3, np.random.default_rng(7))
+    R = special_ortho_group.rvs(3, random_state=np.random.default_rng(7))
     fine = (2 * disk.order[0], 2 * disk.order[1])
     moved = mapped_mass(disk, lambda x: np.broadcast_to(R, (len(x), 3, 3)),
                         fine)
@@ -124,7 +122,7 @@ def test_pushforward_by_isometry_preserves_mass():
 
 def test_annulus_restriction_area():
     disk = polar_disk(1.0)
-    got = restrict_annulus(disk, 0.3, 0.8).mass()
+    got = RadialRestriction(disk, 0.3, 0.8).mass()
     assert abs(got - np.pi * (0.8 ** 2 - 0.3 ** 2)) < 1e-9
 
 
@@ -139,29 +137,29 @@ def test_nested_restriction_is_the_direct_restriction():
 
 def test_empty_restriction_raises():
     with pytest.raises(EmptyRestriction):
-        restrict_annulus(polar_disk(1.0), 1.5, 2.0)
+        RadialRestriction(polar_disk(1.0), 1.5, 2.0)
 
 
 def test_restriction_additivity():
     disk = polar_disk(1.0)
-    whole = restrict_annulus(disk, 0.2, 0.9).mass()
-    parts = (restrict_annulus(disk, 0.2, 0.55).mass()
-             + restrict_annulus(disk, 0.55, 0.9).mass())
+    whole = RadialRestriction(disk, 0.2, 0.9).mass()
+    parts = (RadialRestriction(disk, 0.2, 0.55).mass()
+             + RadialRestriction(disk, 0.55, 0.9).mass())
     assert abs(whole - parts) < 1e-9
 
 
 def test_cone_mass_halves_spherical_link_length():
     rng = np.random.default_rng(11)
     link = normalize_to_sphere(random_link_curve(rng))
-    cone = ConeOverCurve(link)
-    assert abs(cone_mass(cone) - 0.5 * curve_mass(link)) < 1e-10
+    cone = ConeOverCurve(link).chart()
+    assert abs(cone.mass() - 0.5 * curve_mass(link)) < 1e-10
 
 
 @given(st.integers(1, 3), st.floats(0.5, 2.0))
 @settings(max_examples=10, deadline=None)
 def test_cone_over_flat_circle_is_disk(Q, rho):
-    cone = ConeOverCurve(flat_circle(Q, rho))
-    assert abs(cone_mass(cone) - Q * np.pi * rho ** 2) < 1e-9
+    cone = ConeOverCurve(flat_circle(Q, rho)).chart()
+    assert abs(cone.mass() - Q * np.pi * rho ** 2) < 1e-9
 
 
 def bisected_integral(surface, s, r, density=None, order=None):
@@ -235,7 +233,7 @@ def test_restricted_integrals_match_bisection(case):
         fine = (2 * surf.order[0], 2 * surf.order[1])
         want = bisected_integral(surf, s, r, order=fine)
         assert abs(annulus_mass(surf, s, r) - want) <= 1e-14 * want
-        region = restrict_annulus(surf, s, r)
+        region = RadialRestriction(surf, s, r)
         want = bisected_integral(surf, s, r)
         assert abs(region.integrate_density() - want) <= 1e-14 * want
         if s > 0:

@@ -25,7 +25,7 @@ from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           ScenarioError, SupportEscapesCylinder,
                           Undersampled)
 from tclab.fourier import FourierSeries, analyze
-from tclab.geom import plane_from_spanning, standard_plane
+from tclab.geom import Plane2, orthonormal_pairs, standard_plane
 from tclab.scenarios import (Scenario, random_epi_curve, run_scenario,
                              single_mode_curve)
 
@@ -272,7 +272,7 @@ def test_tilt_stack_matches_each_plane(n):
     vals, escaped = cylindrical_excess(curve, bases)
     assert escaped.tolist() == [False] * 5 + [True]
     for k in range(6):
-        one = plane_from_spanning(u[k], v[k]).basis()[None]
+        one = orthonormal_pairs(u[k:k + 1], v[k:k + 1])
         ref, out = cylindrical_excess(curve, one)
         assert out[0] == escaped[k]
         if k < 5:
@@ -383,7 +383,7 @@ def test_regraph_rejects_orthogonal_plane():
     curve = single_mode_curve(2, 3, 0.05)
     e = np.eye(3)
     with pytest.raises(NotGraph):
-        regraph_over_plane(curve, plane_from_spanning(e[0], e[2]), 1.0)
+        regraph_over_plane(curve, Plane2(e[0], e[2]), 1.0)
 
 
 @given(st.integers(0, 10_000))

@@ -17,8 +17,9 @@ from tclab.currents import ConeOverCurve, ParamSurface
 from tclab.errors import VertexTooClose
 from tclab.flat import radial_homotopy_filling
 from tclab.fourier import harmonic_extension
-from tclab.scenarios import (extension_surface, random_link_curve,
-                             single_mode_series)
+from tclab.scenarios import extension_surface, single_mode_series
+
+from oracles import random_link_curve
 
 
 def test_radial_filling_scales_like_radius():

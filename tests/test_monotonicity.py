@@ -16,14 +16,15 @@ approaches A (1 - (s/r)^eps) -> A on a deep radius ladder.
 import numpy as np
 import pytest
 
-from tclab.currents import (ConeOverCurve, RadialRestriction, annulus_mass,
-                            normalize_to_sphere, restrict_annulus)
+from tclab.currents import ConeOverCurve, RadialRestriction, annulus_mass
 from tclab.errors import VertexTooClose
 from tclab.monotonicity import (DecayConstants, check_almost_monotonicity,
                                 decay_envelope, deviation_integral,
                                 mass_profile, radial_projection_mass,
                                 synthesize_decay_profile)
-from tclab.scenarios import extension_surface, random_link_curve
+from tclab.scenarios import extension_surface
+
+from oracles import normalize_to_sphere, random_link_curve
 
 
 @pytest.mark.parametrize("R", [0.2, 0.4, 0.8])
@@ -45,7 +46,7 @@ def test_deviation_equals_pi_times_excess_gap():
 
 def test_cone_has_zero_deviation_and_flat_excess():
     link = normalize_to_sphere(random_link_curve(np.random.default_rng(3)))
-    cone = ConeOverCurve(link)
+    cone = ConeOverCurve(link).chart()
     assert deviation_integral(cone, 0.25, 0.5) < 1e-20
     excess = mass_profile(cone, [0.25, 0.5, 1.0], 1).excess()
     assert np.ptp(excess) < 1e-12
@@ -63,7 +64,7 @@ def test_radial_projection_obeys_cauchy_schwarz():
     surf = extension_surface(2, 5, 5e-3)
     value = radial_projection_mass(surf, 0.3, 0.6)
     i1_sq = deviation_integral(surf, 0.3, 0.6)
-    i2_sq = restrict_annulus(surf, 0.3, 0.6).integrate_density(
+    i2_sq = RadialRestriction(surf, 0.3, 0.6).integrate_density(
         lambda x, xu, xv: 1.0 / np.sum(x * x, axis=-1))
     assert 0.0 < value <= np.sqrt(i1_sq * i2_sq) * (1.0 + 1e-12)
 

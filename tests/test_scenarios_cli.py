@@ -49,6 +49,7 @@ def test_load_config_happy_path():
     json.dumps({"scenarios": [{"name": "x", "kind": "nope", "seed": 1}]}),
     json.dumps({"scenarios": [{"name": "x", "kind": "epi",
                                "seed": "abc"}]}),
+    json.dumps({"scenarios": [{"name": "x", "kind": "epi", "seed": True}]}),
     json.dumps({"scenarios": [
         {"name": "dup", "kind": "epi", "seed": 1},
         {"name": "dup", "kind": "epi", "seed": 2}]}),
@@ -81,7 +82,7 @@ def test_load_config_happy_path():
           ("flat", {"r_max": 3}), ("epi", {"eps_target": 1e-2}),
           ("decay", {"budget": 10.0}), ("calib", {"form_scale": 1.0}),
           ("calib", {"comass_check": False}), ("calib", {"radius": 1.0}),
-          ("calib", {"surface": "sphere"}),
+          ("calib", {"surface": "sphere"}), ("calib", {"omega": -2}),
           ("decay", {"family": "ode", "r0": -1}),
           ("decay", {"family": "ode", "e0": 0}),
           ("decay", {"family": "extension", "cbar": 5})]),
@@ -258,6 +259,18 @@ def test_cli_over_large_excess_errors_one_scenario(tmp_path, capsys):
     assert not (out / "too_steep.csv").exists()
     summary = (out / "summary.csv").read_text()
     assert "fine" in summary and "too_steep" not in summary
+
+
+def test_cli_errored_rerun_removes_the_stale_artifact(tmp_path, capsys):
+    # an artifact left by an earlier run would read as the errored run's
+    out = tmp_path / "out"
+    args = ["epi", "--name", "e", "--qs", "1", "--ratios", "2",
+            "--out", str(out), "--amplitudes"]
+    assert main(args + ["1e-2"]) == 0
+    assert "PASS" in (out / "e.csv").read_text()
+    assert main(args + ["0.5"]) == 1
+    assert not (out / "e.csv").exists()
+    assert (out / "summary.csv").read_text().splitlines()[1:] == []
 
 
 def test_cli_seed_override_changes_hash(tmp_path):
