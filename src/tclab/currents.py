@@ -8,14 +8,19 @@ and surface has multiplicity 1 and the orientation of its parameters; a
 Q-fold curve winds Q times over its period instead of carrying
 multiplicity Q.
 A surface is a chart over a rectangle with an analytic jacobian; masses
-and density integrals are tensor Gauss-Legendre sums, masses with a
-doubling self-check.  ``ParamSurface._frame`` is the one quadrature
-frame builder: it evaluates the chart once on the open axis grid, so a
-chart that factors over the axes (powers of u, trig of v) computes each
-factor once per axis node.  Restriction to a ball or annulus
-(``RadialRestriction``) clips the chart along |x| level sets, which
-requires the radius to be monotone along one chart axis (true for every
-cone chart, radial extension and polar graph built here).
+and density integrals are tensor sums, Gauss-Legendre along each axis
+except an angle axis that the chart declares periodic, which takes the
+uniform trapezoid rule.  A mass carries a self-check: on a plain chart it
+doubles the rule on both axes; on a periodic chart it evaluates one fine
+frame, checks the angle rule against every other node of that frame and
+the radial rule against one coarse frame, so no node is evaluated twice.
+``ParamSurface._frame`` is the one quadrature frame builder: it evaluates
+the chart once on the open axis grid, so a chart that factors over the
+axes (powers of u, trig of v) computes each factor once per axis node.
+Restriction to a ball or annulus (``RadialRestriction``) clips the chart
+along |x| level sets, which requires the radius to be monotone along one
+chart axis (true for every cone chart, radial extension and polar graph
+built here).
 The clip bounds come from one bracketed Newton solve per quadrature
 angle, on any such chart; no chart supplies its own radius solver.
 """
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import (EmptyRestriction, NoConvergence, NonFinite,
                      QuadratureNotConverged)
 from .fourier import FourierSeries
-from .quadrature import gauss_legendre, periodic_trapezoid
+from .quadrature import gauss_legendre, periodic_trapezoid, trapezoid
 
 SAMPLES_PER_WINDING_MODE = 16
 MASS_SELF_CHECK_TOL = 1e-6
@@ -128,22 +133,32 @@ class ParamSurface:
         The chart's partial derivatives, under the same contract as
         ``chart``.
     order : (int, int)
-        Gauss-Legendre order per axis.
+        Node count per axis: the Gauss-Legendre order, or on a periodic
+        v axis the number of trapezoid nodes, which must be even.
     radial_axis : 0 or None
         Declares |chart| strictly monotone along the u axis, enabling
         annulus restriction.
+    periodic_axis : 1 or None
+        Declares the integrand periodic along the v axis over the domain,
+        so that axis takes the uniform trapezoid rule.  A restriction of
+        the chart builds its own chart, which is not periodic.
     """
 
     def __init__(self, chart, domain, jacobian, order=(32, 32),
-                 radial_axis=None):
+                 radial_axis=None, periodic_axis=None):
         self.chart = chart
         self.domain = tuple(float(t) for t in domain)
         self.jacobian = jacobian
         self.order = (int(order[0]), int(order[1]))
         self.radial_axis = radial_axis
+        self.periodic_axis = periodic_axis
         u0, u1, v0, v1 = self.domain
         if not (u1 > u0 and v1 > v0):
             raise ValueError("degenerate chart domain")
+        if periodic_axis not in (None, 1):
+            raise ValueError("only the v axis can be periodic")
+        if periodic_axis == 1 and self.order[1] % 2:
+            raise ValueError("a periodic axis needs an even node count")
 
     def points(self, U, V):
         return self.chart(np.asarray(U, dtype=float),
@@ -154,10 +169,12 @@ class ParamSurface:
                              np.asarray(V, dtype=float))
 
     def _axes(self, order):
-        """Gauss nodes and weights along each chart axis."""
+        """Nodes and weights along each chart axis: Gauss-Legendre, or
+        the trapezoid rule on a periodic v axis."""
         u0, u1, v0, v1 = self.domain
         u, wu = gauss_legendre(order[0], u0, u1)
-        v, wv = gauss_legendre(order[1], v0, v1)
+        rule = trapezoid if self.periodic_axis == 1 else gauss_legendre
+        v, wv = rule(order[1], v0, v1)
         return u, wu, v, wv
 
     def _frame(self, order):
@@ -181,32 +198,59 @@ class ParamSurface:
         F = np.sum(xu * xv, axis=-1)
         return np.sqrt(np.maximum(E * G - F * F, 0.0))
 
+    def _weighted(self, density, order):
+        """Weight times integrand at each node of the frame at ``order``,
+        u-major."""
+        x, xu, xv, W = self._frame(order)
+        area = self._area_element(xu, xv)
+        vals = area if density is None else area * density(x, xu, xv)
+        if not np.all(np.isfinite(vals)):
+            raise NonFinite("non-finite integrand on the chart")
+        return W * vals
+
     def integrate_density(self, density=None, order=None) -> float:
         """Integral of a scalar density against the area measure.
 
         ``density(x, xu, xv)`` gets positions and chart partials at the
         quadrature nodes; None integrates 1 (mass).  Unsigned.
         """
-        order = order or self.order
-        x, xu, xv, W = self._frame(order)
-        area = self._area_element(xu, xv)
-        vals = area if density is None else area * density(x, xu, xv)
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("non-finite integrand on the chart")
-        return float(np.sum(W * vals))
+        return float(np.sum(self._weighted(density, order or self.order)))
 
     def mass(self, check: bool = True):
-        coarse = self.integrate_density()
+        """Mass at the chart's order, or with ``check`` the finer value of
+        a self-check that raises QuadratureNotConverged on a gap above
+        MASS_SELF_CHECK_TOL relative.
+
+        A plain chart sums its rule and the rule doubled on both axes.  A
+        periodic chart with order (n, T) sums one fine frame at (2n, T)
+        and its own every-other angle node, which is the trapezoid rule
+        at T / 2, then sums a coarse frame at (n, T / 2) to check the
+        radial rule: 2.5 n T evaluations where doubling takes 5 n T.
+        """
         if not check:
-            return coarse
-        fine = self.integrate_density(
-            order=(2 * self.order[0], 2 * self.order[1]))
-        scale = max(abs(fine), 1e-300)
-        if abs(fine - coarse) > MASS_SELF_CHECK_TOL * scale:
-            raise QuadratureNotConverged(
-                f"mass moved {abs(fine - coarse):.3e} "
-                f"({abs(fine - coarse) / scale:.3e} rel) when doubling the rule")
+            return self.integrate_density()
+        n0, n1 = self.order
+        if self.periodic_axis is None:
+            coarse = self.integrate_density()
+            fine = self.integrate_density(order=(2 * n0, 2 * n1))
+            _self_check(fine, coarse, "doubling the rule")
+            return fine
+        terms = self._weighted(None, (2 * n0, n1)).reshape(2 * n0, n1)
+        fine = float(np.sum(terms))
+        half = 2.0 * float(np.sum(terms[:, ::2]))
+        _self_check(fine, half, "halving the angle rule")
+        coarse = self.integrate_density(order=(n0, n1 // 2))
+        _self_check(half, coarse, "halving the radial rule")
         return fine
+
+
+def _self_check(fine, coarse, change):
+    scale = max(abs(fine), 1e-300)
+    if abs(fine - coarse) > MASS_SELF_CHECK_TOL * scale:
+        raise QuadratureNotConverged(
+            f"mass moved {abs(fine - coarse):.3e} "
+            f"({abs(fine - coarse) / scale:.3e} rel) when {change}")
+
 
 class RadialRestriction(ParamSurface):
     """Chart clipped to the annulus s <= |x| <= r along the radial axis.

@@ -129,8 +129,11 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     r = r_out * w^Q, where g attaches weight w^i to mode i (per-mode decay
     r^(i/Q)); the substitution makes every mode polynomial in w.  The
     constant term is kept constant in r.  Boundary trace at w = 1 equals
-    the profile exactly.  The Gauss-Legendre order is 32 radially and
-    8 per top active frequency (at least 32) in angle.
+    the profile exactly.  The chart declares its angle axis periodic, so
+    the angle takes the trapezoid rule, spectrally accurate on this
+    smooth periodic integrand, with T = 8 nodes per top active frequency
+    (at least 32); the radius takes Gauss-Legendre of order 32.  Its
+    mass sums (64, T) and checks against (64, T / 2) and (32, T / 2).
 
     Chart and jacobian broadcast w against theta without expanding them
     first, so on the open quadrature grid w[:, None], theta[None, :] the
@@ -194,4 +197,4 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     order = (32, max(32, 8 * max(series.max_active_frequency(1e-14), 1)))
     return ParamSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
-        order=order, radial_axis=0)
+        order=order, radial_axis=0, periodic_axis=1)

@@ -5,7 +5,9 @@ disk of radius R has area pi R^2, the round 2-sphere of radius R has
 area 4 pi R^2, and the annulus s < |x| < r in a flat disk has area
 pi (r^2 - s^2).  The cone over a curve on the unit sphere has mass
 equal to half the curve's length.  Annulus restrictions of curved charts
-are checked against a brute-force bisection of the clip bounds.
+are checked against a brute-force bisection of the clip bounds, and the
+periodic trapezoid mass of each competitor against a Gauss-Legendre sum
+at four times its node count per axis.
 """
 
 from dataclasses import fields
@@ -18,11 +20,13 @@ from scipy.stats import special_ortho_group
 from tclab.calibration import spherical_cap
 from tclab.currents import (ConeOverCurve, ParamSurface, RadialRestriction,
                             WindingCurve, annulus_mass, curve_mass)
-from tclab.errors import EmptyRestriction
+from tclab.epiperimetric import build_competitor, optimal_plane
+from tclab.errors import EmptyRestriction, QuadratureNotConverged
 from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.monotonicity import _tangent_perp, deviation_integral
 from tclab.quadrature import gauss_legendre
-from tclab.scenarios import extension_surface, flat_circle
+from tclab.scenarios import (extension_surface, flat_circle, random_epi_curve,
+                             single_mode_curve)
 
 from oracles import (mapped_mass, normalize_to_sphere, polar_disk,
                      random_link_curve)
@@ -310,3 +314,80 @@ def test_elementwise_chart_frames_equal_node_charts_bitwise(name):
     for got, want in frame_and_node_charts(surf):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def periodic_cylinder(b, db, c, dc, T):
+    """Periodic chart (u, v) -> (b(u) c(v), cos v, sin v) on [0, 1] x
+    [0, 2 pi) with T angle nodes; its area element is |b'(u) c(v)|."""
+
+    def chart(u, v):
+        out = np.empty(np.broadcast_shapes(u.shape, v.shape) + (3,))
+        out[..., 0] = b(u) * c(v)
+        out[..., 1] = np.cos(v)
+        out[..., 2] = np.sin(v)
+        return out
+
+    def jac(u, v):
+        shape = np.broadcast_shapes(u.shape, v.shape) + (3,)
+        xu = np.zeros(shape)
+        xv = np.empty(shape)
+        xu[..., 0] = db(u) * c(v)
+        xv[..., 0] = b(u) * dc(v)
+        xv[..., 1] = -np.sin(v)
+        xv[..., 2] = np.cos(v)
+        return xu, xv
+
+    return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
+                        order=(32, T), periodic_axis=1)
+
+
+def test_periodic_chart_self_checks_each_axis():
+    T = 16
+
+    def square(u):
+        return u * u
+
+    def twice(u):
+        return 2.0 * u
+
+    def ripple(k):
+        return (lambda v: 1.0 + 0.5 * np.cos(k * v),
+                lambda v: -0.5 * k * np.sin(k * v))
+
+    # u^2 and a ripple below T / 2 nodes are exact at every level
+    surf = periodic_cylinder(square, twice, *ripple(3), T)
+    assert surf.mass() == pytest.approx(2.0 * np.pi, rel=1e-14)
+    # a ripple at T / 2 vanishes on the T nodes but not on every other one
+    surf = periodic_cylinder(square, twice, *ripple(T // 2), T)
+    assert surf.integrate_density() == pytest.approx(2.0 * np.pi, rel=1e-14)
+    with pytest.raises(QuadratureNotConverged, match="angle"):
+        surf.mass()
+    # the square root's endpoint singularity leaves Gauss-Legendre at
+    # orders 32 and 64 apart by more than the tolerance
+    surf = periodic_cylinder(np.sqrt, lambda u: 0.5 / np.sqrt(u),
+                             *ripple(3), T)
+    with pytest.raises(QuadratureNotConverged, match="radial"):
+        surf.mass()
+
+
+def test_periodic_chart_needs_an_even_angle_count():
+    with pytest.raises(ValueError):
+        periodic_cylinder(np.sqrt, np.sqrt, np.cos, np.sin, 15)
+
+
+def _epi_curves():
+    grid = [single_mode_curve(Q, ratio * Q, amp) for Q in (1, 2, 3)
+            for ratio in (2, 3, 4) for amp in (1e-3, 1e-2)]
+    return grid + [random_epi_curve(np.random.default_rng(seed))
+                   for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_competitor_mass_matches_a_fine_gauss_legendre_sum(k):
+    curve = _epi_curves()[k]
+    ext = build_competitor(curve, optimal_plane(curve).plane).extension
+    n0, T = ext.order
+    plain = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
+                         order=(4 * n0, 4 * T), radial_axis=0)
+    want = plain.integrate_density()
+    assert abs(ext.mass() - want) <= 1e-13 * want

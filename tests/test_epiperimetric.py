@@ -236,9 +236,11 @@ def test_competitor_mass_evaluates_each_node_once(monkeypatch, case):
         monkeypatch.setattr(ParamSurface, name,
                             counted(getattr(ParamSurface, name)))
     n0, n1 = ext.order
-    nodes = n0 * n1 + 4 * n0 * n1  # the rule and its doubled self-check
+    # the fine frame and the coarse radial check; the angle check reads
+    # every other node of the fine frame
+    nodes = 2 * n0 * n1 + n0 * n1 // 2
     ext.mass()
-    assert seen[0] <= 2 * nodes
+    assert seen[0] == 2 * nodes
 
 
 def test_over_large_excess_is_a_lab_error():

@@ -45,10 +45,11 @@ def test_periodic_trapezoid_stops_after_max_doublings():
     sizes = []
 
     def unresolved(theta):
-        # values that grow with the node count never settle
+        # values that grow with every call never settle
         sizes.append(theta.size)
-        return np.full(theta.size, float(theta.size))
+        return np.full(theta.size, float(len(sizes)))
 
     with pytest.raises(QuadratureNotConverged):
         periodic_trapezoid(unresolved, 2.0 * np.pi, 4)
-    assert sizes == [4 * 2 ** k for k in range(MAX_DOUBLINGS + 1)]
+    # nested levels: each doubling evaluates only the new midpoints
+    assert sizes == [4] + [4 * 2 ** k for k in range(MAX_DOUBLINGS)]
