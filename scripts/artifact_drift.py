@@ -7,10 +7,12 @@ column and whether every verdict matches; a text column is named only
 when it differs.  JSON values are grouped into columns by key path.  It
 is the drift record for a change that moves reported numbers:
 
-    python3 scripts/artifact_drift.py OLD_DIR NEW_DIR
+    python3 scripts/artifact_drift.py OLD_DIR NEW_DIR [--tol REL]
 
 Exit status 1 when an artifact is missing on one side, changes its
-columns or row count, or changes a verdict; 0 otherwise.
+columns or row count, or changes a verdict, and with --tol also when a
+numeric column moves by more than REL relative (its line then ends in
+"exceeds REL"); 0 otherwise.
 """
 
 import argparse
@@ -62,8 +64,12 @@ def _move(old: str, new: str) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def compare(name: str, old_text: str, new_text: str):
-    """Report lines for one artifact and whether it is consistent."""
+def compare(name: str, old_text: str, new_text: str, tol=None):
+    """Report lines for one artifact and whether it is consistent.
+
+    With ``tol`` set, a numeric column that moves by more than tol
+    relative makes the artifact inconsistent too.
+    """
     old, new = _columns(name, old_text), _columns(name, new_text)
     if list(old) != list(new):
         return [f"{name}: columns differ"], False
@@ -78,7 +84,11 @@ def compare(name: str, old_text: str, new_text: str):
         cells = old[col] + new[col]
         if all(t == "" or _number(t) is not None for t in cells):
             worst = max(map(_move, old[col], new[col]), default=0.0)
-            lines.append(f"  {col:<{width}}  {worst:.2g}")
+            line = f"  {col:<{width}}  {worst:.2g}"
+            if tol is not None and worst > tol:
+                line += f"  exceeds {tol:g}"
+                ok = False
+            lines.append(line)
         elif old[col] != new[col]:
             lines.append(f"  {col:<{width}}  text differs")
     return lines, ok
@@ -88,6 +98,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_dir")
     parser.add_argument("new_dir")
+    parser.add_argument("--tol", type=float, metavar="REL",
+                        help="fail when a numeric column moves by more "
+                             "than REL relative")
     args = parser.parse_args(argv)
     ok = True
     names = sorted(set(os.listdir(args.old_dir)) | set(os.listdir(args.new_dir)))
@@ -102,7 +115,7 @@ def main(argv=None) -> int:
         for path in paths:
             with open(path, newline="") as fh:
                 texts.append(fh.read())
-        lines, same = compare(name, *texts)
+        lines, same = compare(name, *texts, tol=args.tol)
         print("\n".join(lines))
         ok = ok and same
     return 0 if ok else 1

@@ -384,10 +384,21 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
 
 
 def _trim_series(series: FourierSeries) -> FourierSeries:
+    """Zero every mode whose coefficients are all at or below 1e-13.
+
+    The tail above the top mode left is cut, and the interior modes at
+    that floor become exact zeros.  A regraphed single-mode curve keeps
+    only roundoff in its other modes, so its series then has one live
+    mode, which is all the competitor evaluates.
+    """
+    alpha = series.alpha.copy()
+    beta = series.beta.copy()
+    quiet = np.maximum(np.abs(alpha[1:]).max(axis=1, initial=0.0),
+                       np.abs(beta).max(axis=1, initial=0.0)) <= 1e-13
+    alpha[1:][quiet] = 0.0
+    beta[quiet] = 0.0
     keep = series.max_active_frequency(1e-13)
-    return FourierSeries(series.Q, series.n,
-                         series.alpha[:keep + 1].copy(),
-                         series.beta[:keep].copy())
+    return FourierSeries(series.Q, series.n, alpha[:keep + 1], beta[:keep])
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,16 @@ can absorb.  Parseval gives
     ||f'||_L2^2     = 2 pi Q * 1/2 sum_i (i/Q)^2 (|alpha_i|^2 + |beta_i|^2)
 
 and the harmonic extension attaches weight r^(i/Q) to mode i.
+
+Most stored rows of a lab profile are exactly zero (a grid curve has one
+live mode out of N), so every evaluation here runs over the live modes
+only: the rows i where alpha_i or beta_i has a nonzero component.  A
+zero row adds nothing to any sum, so the values are those of the full
+sums; a dense series is the case where every row is live.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +30,23 @@ DEFAULT_MODES_PER_Q = 64
 TAIL_TOL = 1e-9
 
 
+class _LiveModes(NamedTuple):
+    """The live rows of a series, read-only: mode numbers i (ascending),
+    frequencies i/Q and the (L, n) rows alpha_i and beta_i."""
+
+    index: np.ndarray
+    freq: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Real Fourier coefficients of a profile on [0, 2*pi*Q) with values in R^n.
 
     alpha has shape (N+1, n) with alpha[0] the constant term; beta has shape
-    (N, n) and beta[i-1] belongs to frequency i/Q.
+    (N, n) and beta[i-1] belongs to frequency i/Q.  Both are stored
+    read-only, since the live-mode record is derived from them once.
     """
 
     Q: int
@@ -47,8 +65,21 @@ class FourierSeries:
             raise ValueError("beta must hold exactly N rows for alpha's N+1")
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
             raise NonFinite("non-finite Fourier coefficients")
+        alpha = alpha.copy()
+        beta = beta.copy()
+        # largest coefficient of each mode, and the rows where it is not 0
+        peak = np.maximum(np.abs(alpha[1:]).max(axis=1, initial=0.0),
+                          np.abs(beta).max(axis=1, initial=0.0))
+        rows = np.flatnonzero(peak)
+        live = _LiveModes(rows + 1, (rows + 1) / self.Q,
+                          alpha[1:].take(rows, axis=0),
+                          beta.take(rows, axis=0))
+        for arr in (alpha, beta, peak) + live:
+            arr.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_peak", peak)
+        object.__setattr__(self, "_live", live)
 
     @property
     def nmodes(self) -> int:
@@ -59,27 +90,32 @@ class FourierSeries:
     def period(self) -> float:
         return 2.0 * np.pi * self.Q
 
+    @property
+    def live_modes(self) -> np.ndarray:
+        """Mode numbers i, ascending, whose alpha_i or beta_i is nonzero."""
+        return self._live.index
+
     def max_active_frequency(self, tol: float = 0.0) -> int:
         """Largest i whose coefficient pair is (strictly) above tol."""
-        peak = np.maximum(np.abs(self.alpha[1:]).max(axis=1, initial=0.0),
-                          np.abs(self.beta).max(axis=1, initial=0.0))
-        active = np.flatnonzero(peak > tol)
+        active = np.flatnonzero(self._peak > tol)
         return int(active[-1]) + 1 if active.size else 0
 
     def jet(self, theta):
-        """Evaluate (f, f') at the given angles from one trig table.
+        """Evaluate (f, f') at the given angles from one live-mode trig table.
 
         The one evaluator of the profile: each output has shape
         theta.shape + (n,), f from the cos/sin sums of the module
         docstring and f' from the same table with mode i weighted by i/Q.
+        The table has one column per live mode, so a series with L live
+        modes out of N costs L columns, not N.
         """
         theta = np.asarray(theta, dtype=float)
-        w = np.arange(1, self.nmodes + 1) / self.Q
-        ph = theta[..., None] * w
+        live = self._live
+        ph = theta[..., None] * live.freq
         c = np.cos(ph)
         s = np.sin(ph)
-        f = c @ self.alpha[1:] + s @ self.beta + self.alpha[0]
-        df = (-s * w) @ self.alpha[1:] + (c * w) @ self.beta
+        f = c @ live.alpha + s @ live.beta + self.alpha[0]
+        df = (-s * live.freq) @ live.alpha + (c * live.freq) @ live.beta
         return f, df
 
     def lipschitz(self) -> float:
@@ -135,10 +171,11 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     (at least 32); the radius takes Gauss-Legendre of order 32.  Its
     mass sums (64, T) and checks against (64, T / 2) and (32, T / 2).
 
-    Chart and jacobian broadcast w against theta without expanding them
-    first, so on the open quadrature grid w[:, None], theta[None, :] the
-    trig factors cost one evaluation per angle and mode and the powers one
-    per radius and mode.
+    Chart and jacobian run over the series' live modes only and
+    broadcast w against theta without expanding them first, so on the
+    open quadrature grid w[:, None], theta[None, :] the trig factors cost
+    one evaluation per angle and live mode and the powers one per radius
+    and live mode.
     """
     from .currents import ParamSurface
 
@@ -148,14 +185,13 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     if lip > lip_max:
         raise LipschitzTooLarge(f"profile Lipschitz {lip:.3f} > {lip_max}")
     Q, n = series.Q, series.n
-    N = series.nmodes
-    alpha, beta = series.alpha, series.beta
-    freqs = np.arange(1, N + 1)
+    freqs, wfreq, alpha, beta = series._live
+    const = series.alpha[0]
 
     def gval(w, theta):
-        ph = theta[..., None] * (freqs / Q)
+        ph = theta[..., None] * wfreq
         rad = w[..., None] ** freqs
-        return (rad * np.cos(ph)) @ alpha[1:] + (rad * np.sin(ph)) @ beta + alpha[0]
+        return (rad * np.cos(ph)) @ alpha + (rad * np.sin(ph)) @ beta + const
 
     def chart(w, theta):
         w = np.asarray(w, dtype=float)
@@ -171,9 +207,8 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     # w^(i-1) cos and w^(i-1) sin against stacked coefficient blocks:
     # [dg/dw | (dg/dtheta) / w] = (w^(i-1) cos) @ cos_coef
     #                             + (w^(i-1) sin) @ sin_coef
-    wfreq = freqs / Q
-    cos_coef = np.hstack([freqs[:, None] * alpha[1:], wfreq[:, None] * beta])
-    sin_coef = np.hstack([freqs[:, None] * beta, -wfreq[:, None] * alpha[1:]])
+    cos_coef = np.hstack([freqs[:, None] * alpha, wfreq[:, None] * beta])
+    sin_coef = np.hstack([freqs[:, None] * beta, -wfreq[:, None] * alpha])
 
     def jac(w, theta):
         w = np.asarray(w, dtype=float)

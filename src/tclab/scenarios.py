@@ -461,11 +461,9 @@ def _run_epi(sc: Scenario):
         nonlocal worst_ratio
         vd = epiperimetric_gap(curve, lip_max=p.lip_max)
         series = curve.series
-        active = [i for i in range(1, series.nmodes + 1)
-                  if np.abs(series.alpha[i]).max() > 0
-                  or np.abs(series.beta[i - 1]).max() > 0]
+        modes = "+".join(str(i) for i in series.live_modes)
         verdict = "PASS" if vd.passed else "FAIL"
-        rows.append((curve.Q, series.n, "+".join(str(i) for i in active),
+        rows.append((curve.Q, series.n, modes,
                      amplitude, vd.raw_excess, vd.optimal_excess,
                      vd.cone_gap, vd.competitor_gap, vd.ratio, verdict))
         worst_ratio = max(worst_ratio, vd.ratio)

@@ -10,6 +10,8 @@ radius 1 carrying a single profile mode i with amplitude c at a = i/Q:
   plane absorbs the excess down to the c^4 scale.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,35 @@ def test_gap_ratio_matches_linearization(Q, i):
     assert abs(verdict.ratio - mode_ratio(i / Q)) < 1e-4
     assert verdict.passed
     assert verdict.epsilon13 == pytest.approx(1.0 - verdict.ratio)
+
+
+@lru_cache(maxsize=None)
+def _ratio_error(Q, i, amp):
+    """|ratio - 2a/(1 + a^2)| of the single-mode curve at a = i/Q."""
+    verdict = epiperimetric_gap(single_mode_curve(Q, i, amp))
+    return abs(verdict.ratio - mode_ratio(i / Q))
+
+
+_SUBTRACTION = pytest.mark.xfail(
+    strict=True,
+    reason="both gaps are mass - Q pi R^2, an O(1) subtraction whose "
+           "roundoff outgrows the amp^2 error below amp 1e-3")
+
+
+@pytest.mark.parametrize("Q,i", [(1, 2), (2, 6)])
+@pytest.mark.parametrize("amp", [
+    1e-2,
+    1e-3,
+    pytest.param(1e-4, marks=_SUBTRACTION),
+    pytest.param(1e-5, marks=_SUBTRACTION),
+    pytest.param(1e-6, marks=_SUBTRACTION),
+])
+def test_single_mode_ratio_error_follows_amp_squared(Q, i, amp):
+    # the ratio is linearized at amplitude 0, so its error is C amp^2;
+    # C is the geometric mean of error / amp^2 at amp 1e-2 and 1e-3
+    C = np.sqrt(_ratio_error(Q, i, 1e-2) / 1e-4
+                * _ratio_error(Q, i, 1e-3) / 1e-6)
+    assert _ratio_error(Q, i, amp) == pytest.approx(C * amp ** 2, rel=0.1)
 
 
 def _mixture_curve():
@@ -353,6 +384,41 @@ def _reference_regraph_series(curve, plane, new_rho):
     _, _, y, r2 = angle_data(theta)
     prof = (new_rho / np.sqrt(r2))[:, None] * y[..., 2:] / new_rho
     return epi._trim_series(analyze(prof, curve.Q))
+
+
+def test_trim_series_zeroes_quiet_modes_and_cuts_the_tail():
+    alpha = np.zeros((9, 2))
+    beta = np.zeros((8, 2))
+    alpha[0] = (1e-15, 0.0)      # the constant term is not a mode
+    alpha[2, 0] = 1e-13          # at the floor: zeroed
+    alpha[3, 1] = -2e-13         # above it: kept
+    beta[3, 0] = -5e-14          # mode 4, below it: zeroed
+    alpha[5, 0] = 1e-2           # the top mode
+    alpha[6:, 1] = 1e-14         # the tail: cut
+    beta[6:, 0] = 1e-13
+    trimmed = epi._trim_series(FourierSeries(2, 2, alpha, beta))
+    assert trimmed.nmodes == 5
+    assert trimmed.live_modes.tolist() == [3, 5]
+    want = alpha[:6].copy()
+    want[2, 0] = 0.0
+    assert np.array_equal(trimmed.alpha, want)
+    assert not np.any(trimmed.beta)
+    quiet = epi._trim_series(FourierSeries(1, 1, [[0.5], [1e-13]], [[0.0]]))
+    assert quiet.nmodes == 0 and quiet.alpha.tolist() == [[0.5]]
+
+
+def test_regraphed_single_mode_curve_has_one_live_mode(monkeypatch):
+    curve = single_mode_curve(3, 12, 1e-2)
+    plane = standard_plane(3)
+    assert regraph_over_plane(curve, plane, 0.5).series.live_modes.tolist() \
+        == [12]
+    # the untrimmed regraph holds roundoff in every other kept mode
+    monkeypatch.setattr(epi, "_trim_series", lambda series: series)
+    raw = regraph_over_plane(curve, plane, 0.5).series
+    assert raw.live_modes.size > 1
+    assert raw.max_active_frequency(1e-13) == 12
+    assert np.max(np.abs(raw.alpha[1:12])) <= 1e-13
+    assert np.max(np.abs(raw.beta[:11])) <= 1e-13
 
 
 def test_regraph_matches_twelve_pass_reference():

@@ -65,6 +65,39 @@ def test_jet_matches_explicit_mode_sums(series):
         assert np.allclose(g, ref, rtol=0.0, atol=1e-14)
 
 
+def _sparse_series():
+    """Series whose stored rows are mostly exact zeros."""
+    one = np.zeros((13, 1))
+    one[7, 0] = 0.03
+    mixed_a = np.zeros((9, 2))
+    mixed_b = np.zeros((8, 2))
+    mixed_a[0] = (0.2, -0.1)
+    mixed_a[2, 0] = 0.04
+    mixed_a[5, 1] = -0.02
+    mixed_b[2, 1] = 0.05
+    mixed_b[5, 0] = 0.01
+    mixed_b[7, 1] = -0.03
+    zero_a = np.zeros((7, 2))
+    zero_a[0] = (0.3, 0.0)
+    return [
+        (FourierSeries(2, 1, one, np.zeros((12, 1))), [7]),
+        (FourierSeries(3, 2, mixed_a, mixed_b), [2, 3, 5, 6, 8]),
+        (FourierSeries(1, 2, zero_a, np.zeros((6, 2))), []),
+        (FourierSeries(2, 2, [[0.1, -0.2]], np.zeros((0, 2))), []),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["one-of-12", "mixed", "all-zero", "N=0"])
+def test_jet_on_live_modes_matches_explicit_mode_sums(case):
+    series, live = _sparse_series()[case]
+    assert series.live_modes.tolist() == live
+    theta = np.linspace(-1.0, series.period + 1.0, 41)
+    for g, ref in zip(series.jet(theta), _summed_jet(series, theta)):
+        assert g.shape == ref.shape == theta.shape + (series.n,)
+        assert np.allclose(g, ref, rtol=0.0, atol=1e-14)
+
+
 def _loop_max_active_frequency(series, tol):
     for i in range(series.nmodes, 0, -1):
         a = np.max(np.abs(series.alpha[i]))
@@ -162,21 +195,46 @@ def _reference_extension_partials(series, r_out, w, theta):
     return xu, xv
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_extension_partials_match_per_mode_reference(n):
+def _reference_extension_points(series, r_out, w, theta):
+    """The extension's chart summed one mode at a time."""
+    Q = series.Q
+    shape = np.broadcast_shapes(w.shape, theta.shape)
+    g = np.zeros(shape + (series.n,)) + series.alpha[0]
+    for i in range(1, series.nmodes + 1):
+        rad = (w ** i)[..., None]
+        g = g + rad * (series.alpha[i] * np.cos(i * theta / Q)[..., None]
+                       + series.beta[i - 1] * np.sin(i * theta / Q)[..., None])
+    x = np.empty(shape + (2 + series.n,))
+    r = r_out * w ** Q
+    x[..., 0] = r * np.cos(theta)
+    x[..., 1] = r * np.sin(theta)
+    x[..., 2:] = r_out * g
+    return x
+
+
+@pytest.mark.parametrize("n, sparse", [(1, False), (2, False),
+                                       (1, True), (2, True)],
+                         ids=["1", "2", "1-zero-rows", "2-zero-rows"])
+def test_extension_partials_match_per_mode_reference(n, sparse):
     rng = np.random.default_rng(n)
     Q, N = 2, 9
     decay = 1e-2 / np.arange(1, N + 2)[:, None]
     alpha = rng.standard_normal((N + 1, n)) * decay
     beta = rng.standard_normal((N, n)) * decay[1:]
+    if sparse:
+        # modes 2, 4, 6 and 8 exactly zero, mode 9 still the top one
+        alpha[2::2] = 0.0
+        beta[1::2] = 0.0
     series = FourierSeries(Q, n, alpha, beta)
+    assert series.live_modes.size == (5 if sparse else N)
     surf = harmonic_extension(series, r_out=0.7)
     u, _, v, _ = surf._axes(surf.order)
     # the open quadrature grid and the same nodes flattened, u-major
     for w, theta in ((u[:, None], v[None, :]),
                      (np.repeat(u, v.size), np.tile(v, u.size))):
-        got = surf.jacobian(w, theta)
-        want = _reference_extension_partials(series, 0.7, w, theta)
+        got = surf.jacobian(w, theta) + (surf.points(w, theta),)
+        want = _reference_extension_partials(series, 0.7, w, theta) \
+            + (_reference_extension_points(series, 0.7, w, theta),)
         for g, ref in zip(got, want):
             assert g.shape == ref.shape
             scale = np.max(np.abs(ref), axis=tuple(range(ref.ndim - 1)))

@@ -50,3 +50,19 @@ def test_artifact_drift_reports_column_moves_and_verdicts(tmp_path, capsys):
     assert lines[4].split() == ["masses", "0"]
     assert drift["main"]([old, str(tmp_path / "flip")]) == 1
     assert "epi.csv: verdicts DIFFER" in capsys.readouterr().out
+
+
+def test_artifact_drift_tol_names_the_column_that_moves_too_far(tmp_path,
+                                                                capsys):
+    drift = runpy.run_path(os.path.join(SCRIPTS, "artifact_drift.py"))
+    _write_artifacts(tmp_path / "old", 0.25, "PASS")
+    _write_artifacts(tmp_path / "new", 0.25 * (1 + 1e-12), "PASS")
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    assert drift["main"]([old, new, "--tol", "1e-11"]) == 0
+    assert "exceeds" not in capsys.readouterr().out
+    assert drift["main"]([old, new, "--tol", "1e-13"]) == 1
+    flagged = [line.split()[0] for line in capsys.readouterr().out
+               .splitlines() if line.endswith("exceeds 1e-13")]
+    assert flagged == ["ratio"]
+    # without the option the same move passes, as before
+    assert drift["main"]([old, new]) == 0
