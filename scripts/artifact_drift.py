@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Per-column drift between two directories of tclab artifacts.
 
-For every artifact (CSV or JSON) in either directory this prints the
-largest relative move |new - old| / max(|new|, |old|) of each numeric
-column and whether every verdict matches; a text column is named only
-when it differs.  JSON values are grouped into columns by key path.  It
-is the drift record for a change that moves reported numbers:
+For every artifact (CSV or JSON) in either directory this prints whether
+every verdict matches and, for each numeric column, the largest relative
+move |new - old| / max(|new|, |old|) and beside it the largest absolute
+move |new - old|, which is what shows how far a column near zero moved.
+A text column is named only when it differs.  JSON values are grouped
+into columns by key path.  It is the drift record for a change that
+moves reported numbers:
 
     python3 scripts/artifact_drift.py OLD_DIR NEW_DIR [--tol REL]
 
@@ -53,15 +55,17 @@ def _number(text: str):
         return None
 
 
-def _move(old: str, new: str) -> float:
-    """Relative move of one cell; inf when a cell stops being a number."""
+def _move(old: str, new: str) -> tuple:
+    """Relative and absolute move of one cell; inf when a cell stops
+    being a number."""
     if old == new:
-        return 0.0
+        return 0.0, 0.0
     a, b = _number(old), _number(new)
     if a is None or b is None:
-        return math.inf
+        return math.inf, math.inf
+    diff = abs(a - b)
     scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
+    return (diff / scale if scale > 0 else 0.0), diff
 
 
 def compare(name: str, old_text: str, new_text: str, tol=None):
@@ -83,9 +87,11 @@ def compare(name: str, old_text: str, new_text: str, tol=None):
             continue
         cells = old[col] + new[col]
         if all(t == "" or _number(t) is not None for t in cells):
-            worst = max(map(_move, old[col], new[col]), default=0.0)
-            line = f"  {col:<{width}}  {worst:.2g}"
-            if tol is not None and worst > tol:
+            moves = list(map(_move, old[col], new[col]))
+            rel = max((m[0] for m in moves), default=0.0)
+            diff = max((m[1] for m in moves), default=0.0)
+            line = f"  {col:<{width}}  {rel:.2g}  abs {diff:.2g}"
+            if tol is not None and rel > tol:
                 line += f"  exceeds {tol:g}"
                 ok = False
             lines.append(line)

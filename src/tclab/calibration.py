@@ -12,12 +12,13 @@ Probes work on the flow x -> x + t chi(x) of a TestVectorField, which
 vanishes outside its ball, so the flowed surface and the sweep differ from
 T only at the quadrature nodes inside that ball.  The surface's quadrature
 frame and mass are built once per surface; each field evaluates chi and
-its jacobian D at its support nodes only and keeps the dot products of
-chi, x_u, x_v, D x_u and D x_v there.  Every step and sweep time then
-follows by polynomials in t: the area change |x_u' ^ x_v'|^2 -
-|x_u ^ x_v|^2 is a quartic, and a mass change integrates it over
-(A' + A), so no two order-one masses are subtracted; the sweep's volume
-element is the closed-form 3x3 Gram determinant of (chi, x_u', x_v').
+its jacobian D at its support nodes only and keeps there the 15 distinct
+dot products of chi, x_u, x_v, D x_u and D x_v, each one ``geom.rowdot``.
+Every step and sweep time then follows by polynomials in t: the area
+change |x_u' ^ x_v'|^2 - |x_u ^ x_v|^2 is a quartic, and a mass change
+integrates it over (A' + A), so no two order-one masses are subtracted;
+the sweep's volume element is the closed-form 3x3 Gram determinant of
+(chi, x_u', x_v').
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import ParamSurface
+from .geom import rowdot
 from .quadrature import gauss_legendre
 
 # Gauss-Legendre nodes in time of each sweep
@@ -66,13 +68,13 @@ def bump_field(center, radius: float, direction,
 
     def func(x):
         y = np.asarray(x, dtype=float) - center
-        s = np.sum(y * y, axis=-1) / r2
+        s = rowdot(y, y) / r2
         f = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** p, 0.0)
         return f[..., None] * direction
 
     def jac(x):
         y = np.asarray(x, dtype=float) - center
-        s = np.sum(y * y, axis=-1) / r2
+        s = rowdot(y, y) / r2
         df = np.where(s < 1.0, -p * (1.0 - np.minimum(s, 1.0)) ** (p - 1),
                       0.0)
         grad = df[..., None] * (2.0 * y / r2)
@@ -181,16 +183,18 @@ def _flow(surface, chi: TestVectorField) -> _Flow:
     if key not in memo:
         x, xu, xv, W, A, _ = _base_frame(surface)
         y = x - np.asarray(chi.center, dtype=float)
-        keep = np.flatnonzero(np.sum(y * y, axis=-1)
-                              < float(chi.radius) ** 2)
+        keep = np.flatnonzero(rowdot(y, y) < float(chi.radius) ** 2)
         x, xu, xv = x[keep], xu[keep], xv[keep]
         D = np.asarray(chi.jac(x), dtype=float)
         c = np.asarray(chi.func(x), dtype=float)
         a = np.einsum("nij,nj->ni", D, xu)
         b = np.einsum("nij,nj->ni", D, xv)
-        # coordinate-major (5, d, n), so each product runs along the nodes
-        vecs = np.stack([v.T for v in (c, xu, xv, a, b)])
-        g = np.einsum("idn,jdn->ijn", vecs, vecs)
+        # the 15 distinct products, each written to g[i, j] and g[j, i]
+        vecs = (c, xu, xv, a, b)
+        g = np.empty((5, 5, keep.size))
+        for i, p in enumerate(vecs):
+            for j in range(i, 5):
+                g[i, j] = g[j, i] = rowdot(p, vecs[j])
         E, F, G = g[_U, _U], g[_U, _V], g[_V, _V]
         ua, vb, ub, av = g[_U, _A], g[_V, _B], g[_U, _B], g[_A, _V]
         aa, bb, ab = g[_A, _A], g[_B, _B], g[_A, _B]

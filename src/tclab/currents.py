@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (EmptyRestriction, NoConvergence, NonFinite,
                      QuadratureNotConverged)
 from .fourier import FourierSeries
+from .geom import rowdot, rownorm
 from .quadrature import gauss_legendre, periodic_trapezoid, trapezoid
 
 SAMPLES_PER_WINDING_MODE = 16
@@ -105,7 +106,7 @@ def curve_mass(curve) -> float:
     """Length of the curve counted with its winding multiplicity."""
 
     def speed(theta):
-        v = np.linalg.norm(curve.jet(theta)[1], axis=-1)
+        v = rownorm(curve.jet(theta)[1])
         if not np.all(np.isfinite(v)):
             raise NonFinite("non-finite curve velocity")
         return v
@@ -193,9 +194,9 @@ class ParamSurface:
 
     @staticmethod
     def _area_element(xu, xv):
-        E = np.sum(xu * xu, axis=-1)
-        G = np.sum(xv * xv, axis=-1)
-        F = np.sum(xu * xv, axis=-1)
+        E = rowdot(xu, xu)
+        G = rowdot(xv, xv)
+        F = rowdot(xu, xv)
         return np.sqrt(np.maximum(E * G - F * F, 0.0))
 
     def _weighted(self, density, order):
@@ -290,7 +291,7 @@ class RadialRestriction(ParamSurface):
                 "annulus does not meet the chart's radius range")
 
     def _radius(self, U, V):
-        return np.linalg.norm(self.base.points(U, V), axis=-1)
+        return rownorm(self.base.points(U, V))
 
     def _solve_radius(self, c, V, rlo, rhi):
         """u with |x(u, V)| = c, clipped to the chart's radial range.
@@ -319,13 +320,13 @@ class RadialRestriction(ParamSurface):
                 return out
             x = base.points(u, V)
             xu, _ = base.partials(u, V)
-            rr = np.linalg.norm(x, axis=-1)
+            rr = rownorm(x)
             f = rr - c
             below = f < 0
             a = np.where(below, u, a)
             b = np.where(below, b, u)
             with np.errstate(divide="ignore", invalid="ignore"):
-                new = u - f * rr / np.sum(x * xu, axis=-1)
+                new = u - f * rr / rowdot(x, xu)
             new = np.where(np.isfinite(new) & (new >= a) & (new <= b),
                            new, 0.5 * (a + b))
             done = (np.minimum(np.abs(new - u), b - a)
@@ -431,7 +432,7 @@ def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
     def integrand(theta):
         g, dg = curve.jet(theta)
         wedge = ParamSurface._area_element(g, dg)
-        proj = np.linalg.norm(g @ plane_basis, axis=-1)
+        proj = rownorm(g @ plane_basis)
         return wedge * (radius / proj) ** 2
 
     return 0.5 * float(periodic_trapezoid(integrand, curve.period, curve.M))

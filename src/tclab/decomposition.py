@@ -13,7 +13,7 @@ import numpy as np
 
 from .currents import WindingCurve, curve_mass
 from .errors import TubesOverlap
-from .geom import ORTHO_TOL, Plane2
+from .geom import ORTHO_TOL, Plane2, rownorm
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def cluster_by_planes(points, planes, width: float) -> PlaneCluster:
     no tube are left unassigned and mark the cluster incomplete.
     """
     points = np.asarray(points, dtype=float)
-    dists = np.stack([np.linalg.norm(points - points @ p.projector(),
-                                     axis=-1) for p in planes], axis=1)
+    dists = np.stack([rownorm(points - points @ p.projector())
+                      for p in planes], axis=1)
     inside = dists <= width
     counts = np.sum(inside, axis=1)
     if np.any(counts > 1):

@@ -31,8 +31,9 @@ from .currents import (ParamSurface, WindingCurve,
 from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
-from .geom import (Plane2, orthonormal_pairs, standard_plane,
-                   twovector_mass_norm, unit_tangent_matrix, wedge_matrix)
+from .geom import (Plane2, orthonormal_pairs, rowdot, rownorm,
+                   standard_plane, twovector_mass_norm, unit_tangent_matrix,
+                   wedge_matrix)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
@@ -94,7 +95,7 @@ def _cone_tangent_data(curve: WindingCurve):
         W = wedge_matrix(z, dz)
         wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
         tangent = unit_tangent_matrix(z, dz)
-        data = (z, np.linalg.norm(z, axis=-1), wedge, tangent)
+        data = (z, rownorm(z), wedge, tangent)
         for arr in data:
             arr.flags.writeable = False
         vars(curve)["_cone_tangent_data"] = data
@@ -111,7 +112,7 @@ def cylindrical_excess(curve: WindingCurve, B: np.ndarray):
     escaping rows, whose excess is NaN.
     """
     z, znorm, wedge, tangent = _cone_tangent_data(curve)
-    proj = np.linalg.norm(z @ B, axis=-1)
+    proj = rownorm(z @ B)
     worst = np.max(znorm / np.maximum(proj, 1e-300), axis=-1)
     escaped = worst > ESCAPE_FACTOR
     keep = ~escaped
@@ -149,7 +150,7 @@ def _tilt_objective(curve: WindingCurve, V: np.ndarray) -> np.ndarray:
     which the search descends away from.
     """
     vals, escaped = cylindrical_excess(curve, _tilt_bases(V, curve.n))
-    return np.where(escaped, 1e6 + np.sum(V * V, axis=-1), vals)
+    return np.where(escaped, 1e6 + rowdot(V, V), vals)
 
 
 def _tilt_plane(v: np.ndarray, n: int) -> Plane2:
@@ -351,7 +352,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
         dy = dx @ F
         u = y[..., :2]
         du = dy[..., :2]
-        r2 = np.sum(u * u, axis=-1)
+        r2 = rowdot(u, u)
         psi = np.arctan2(u[..., 1], u[..., 0]) - np.mod(theta, 2 * np.pi)
         psi = np.mod(psi + np.pi, 2 * np.pi) - np.pi
         phi = theta + psi
@@ -432,7 +433,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     inner = regraph_over_plane(curve, plane, rho2)
     disk = harmonic_extension(inner.series, rho2, lip_max=lip_max)
     probe = np.arange(512) * (curve.period / 512)
-    proj = np.linalg.norm(curve.jet(probe)[0] @ plane.basis(), axis=-1)
+    proj = rownorm(curve.jet(probe)[0] @ plane.basis())
     if float(np.min(proj)) <= rho2:
         raise NotGraph("inner cylinder reaches past the curve")
     return Competitor(extension=disk, cylinder_radius=rho2)

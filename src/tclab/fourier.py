@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LipschitzTooLarge, NonFinite, Undersampled
+from .geom import rownorm
 
 DEFAULT_MODES_PER_Q = 64
 TAIL_TOL = 1e-9
@@ -122,7 +123,7 @@ class FourierSeries:
         """Max |f'| on a dense uniform grid (spectral derivative)."""
         m = max(64, 16 * self.Q * max(self.max_active_frequency(), 1))
         theta = np.arange(m) * (self.period / m)
-        return float(np.max(np.linalg.norm(self.jet(theta)[1], axis=-1)))
+        return float(np.max(rownorm(self.jet(theta)[1])))
 
 
 def analyze(samples, Q: int) -> FourierSeries:

@@ -26,6 +26,10 @@ smooth: it switches on at a linear rate as a two-vector leaves the simple
 ones, which is the kink the two-part tilt certificate in
 ``epiperimetric`` is built for.  From d = 5 on the norm is computed from a
 singular value decomposition.
+
+Dot products and norms of vectors stored along a short last axis (the
+coordinates of points, tangents and tilts) go through ``rowdot`` and
+``rownorm``, which add the coordinates left to right.
 """
 
 from dataclasses import dataclass
@@ -33,6 +37,25 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHO_TOL = 1e-12
+
+
+def rowdot(a, b) -> np.ndarray:
+    """Dot products along the last (coordinate) axis; broadcasts.
+
+    Adds the coordinate products left to right, the order numpy's reduce
+    uses on axes shorter than 8, so the result equals
+    np.sum(a * b, axis=-1) bit for bit, several times faster on the 2-4
+    coordinates every run uses.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def rownorm(a) -> np.ndarray:
+    """Euclidean norms along the last axis: np.linalg.norm(a, axis=-1)."""
+    return np.sqrt(rowdot(a, a))
 
 
 def _as_vec(x):
@@ -95,7 +118,7 @@ def orthonormal_pairs(u, v) -> np.ndarray:
         raise ValueError("non-finite coordinates")
 
     def dot(a, b):
-        return (a * b).sum(axis=-1, keepdims=True)
+        return rowdot(a, b)[:, None]
 
     nu = np.sqrt(dot(u, u))
     if (nu < 1e-14).any():

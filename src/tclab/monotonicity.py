@@ -20,6 +20,7 @@ import numpy as np
 
 from .currents import RadialRestriction, annulus_mass
 from .errors import EmptyRestriction, VertexTooClose
+from .geom import rowdot
 
 OMEGA2 = np.pi
 VERTEX_RADIUS = 1e-6
@@ -88,16 +89,16 @@ def mass_profile(current, radii, Q: int) -> MassProfile:
 
 def _tangent_perp(x, xu, xv):
     """|x_perp|^2 against the tangent plane spanned by xu, xv, and |x|^2."""
-    e = np.sum(xu * xu, axis=-1)
-    f = np.sum(xu * xv, axis=-1)
-    g = np.sum(xv * xv, axis=-1)
-    pu = np.sum(xu * x, axis=-1)
-    pv = np.sum(xv * x, axis=-1)
+    e = rowdot(xu, xu)
+    f = rowdot(xu, xv)
+    g = rowdot(xv, xv)
+    pu = rowdot(xu, x)
+    pv = rowdot(xv, x)
     det = e * g - f * f
     ca = (g * pu - f * pv) / det
     cb = (e * pv - f * pu) / det
     perp = x - ca[..., None] * xu - cb[..., None] * xv
-    return np.sum(perp * perp, axis=-1), np.sum(x * x, axis=-1)
+    return rowdot(perp, perp), rowdot(x, x)
 
 
 def _annulus_integral(current, s: float, r: float, density) -> float:

@@ -9,7 +9,7 @@ sphere's first-variation law carries the factor 2/R.
 import numpy as np
 import pytest
 
-from tclab.calibration import (almost_minimality_probe, bump_field,
+from tclab.calibration import (_flow, almost_minimality_probe, bump_field,
                                spherical_cap, sweep_mass)
 from tclab.currents import ParamSurface
 from tclab.quadrature import gauss_legendre
@@ -244,3 +244,25 @@ def test_bump_that_misses_the_surface_changes_nothing():
     assert row.slack == 0.0
     assert row.mass_deformed == row.mass == disk.mass(check=False)
     assert row.passed
+
+
+@pytest.mark.parametrize("case", ["disk", "equator"])
+def test_flow_gram_is_the_symmetric_table_of_support_products(case):
+    if case == "disk":
+        surface = flat_disk()
+        chi = bump_field([0.3, -0.1, 0.0], 0.4, [0.2, 0.1, 1.0])
+    else:
+        surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=(32, 64))
+        chi = bump_field([0.6, 0.0, 0.8, 0.0], 0.5, [0.1, 0.3, -0.2, 0.9])
+    g = _flow(surface, chi).gram
+    x, xu, xv, _ = surface._frame(surface.order)
+    keep = np.sum((x - chi.center) ** 2, axis=-1) < chi.radius ** 2
+    x, xu, xv = x[keep], xu[keep], xv[keep]
+    D = chi.jac(x)
+    vecs = (chi.func(x), xu, xv, np.einsum("nij,nj->ni", D, xu),
+            np.einsum("nij,nj->ni", D, xv))
+    assert g.shape == (5, 5, int(np.sum(keep))) and g.shape[-1] > 100
+    assert np.array_equal(g, np.swapaxes(g, 0, 1))
+    for i, p in enumerate(vecs):
+        for j, q in enumerate(vecs):
+            assert np.array_equal(g[i, j], np.sum(p * q, axis=-1))

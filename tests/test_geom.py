@@ -13,7 +13,8 @@ from scipy.stats import special_ortho_group
 
 from tclab.geom import (Plane2, orthonormal_pairs, standard_plane,
                         complete_frame, wedge_matrix, twovector_mass_norm,
-                        twovector_euclid_norm, unit_tangent_matrix)
+                        twovector_euclid_norm, unit_tangent_matrix, rowdot,
+                        rownorm)
 
 from oracles import TwoFormField, check_orthonormal_pairs
 
@@ -249,3 +250,28 @@ def test_rotate_plane_preserves_orthonormality():
     assert abs(np.dot(q.e1, q.e2)) < 1e-12
     assert abs(np.linalg.norm(q.e1) - 1) < 1e-12
     assert np.allclose(q.projector(), R @ p.projector() @ R.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(257, 2), (257, 3), (257, 4), (5, 64, 2)])
+def test_rowdot_and_rownorm_equal_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    # spread the magnitudes so that the order of the additions shows
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    b = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    assert np.array_equal(rowdot(a, b), np.sum(a * b, axis=-1))
+    assert np.array_equal(rownorm(a), np.linalg.norm(a, axis=-1))
+    # a transposed (column-major) view reads the same numbers
+    at = np.asfortranarray(a)
+    assert np.array_equal(rowdot(at, b), np.sum(at * b, axis=-1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rowdot_broadcasts_like_numpy(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((64, d))
+    b = rng.standard_normal((7, 1, d))
+    out = rowdot(a, b)
+    assert out.shape == (7, 64)
+    assert np.array_equal(out, np.sum(a * b, axis=-1))
+    assert np.array_equal(rowdot(b, a), out)
+    assert np.array_equal(rownorm(b), np.linalg.norm(b, axis=-1))

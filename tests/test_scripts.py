@@ -41,13 +41,15 @@ def test_artifact_drift_reports_column_moves_and_verdicts(tmp_path, capsys):
     assert drift["main"]([old, new]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "epi.csv: verdicts match"
-    moves = dict(line.split() for line in lines[1:3])
-    assert moves["Q"] == "0"
-    assert float(moves["ratio"]) == pytest.approx(1e-12, rel=1e-3)
+    moves = {line.split()[0]: line.split()[1:] for line in lines[1:3]}
+    assert moves["Q"] == ["0", "abs", "0"]
+    rel, diff = float(moves["ratio"][0]), float(moves["ratio"][2])
+    assert rel == pytest.approx(1e-12, rel=1e-3)
+    assert diff == pytest.approx(2.5e-13, rel=1e-3)
     # "modes" is a text column that did not change, so it is not listed
     assert "modes" not in moves
     assert lines[3] == "split.json: verdicts match"
-    assert lines[4].split() == ["masses", "0"]
+    assert lines[4].split() == ["masses", "0", "abs", "0"]
     assert drift["main"]([old, str(tmp_path / "flip")]) == 1
     assert "epi.csv: verdicts DIFFER" in capsys.readouterr().out
 
@@ -66,3 +68,23 @@ def test_artifact_drift_tol_names_the_column_that_moves_too_far(tmp_path,
     assert flagged == ["ratio"]
     # without the option the same move passes, as before
     assert drift["main"]([old, new]) == 0
+
+
+def test_artifact_drift_prints_the_absolute_move_of_a_column_near_zero(
+        tmp_path, capsys):
+    drift = runpy.run_path(os.path.join(SCRIPTS, "artifact_drift.py"))
+    for side, mass in (("old", 9.3e-8), ("new", 9.3e-8 * (1 + 4.3e-11))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "calib.csv").write_text(
+            f"eps,mass,mass_S,verdict\n0.05,3.14,{mass!r},PASS\n"
+            f"0.01,3.14,{mass / 25!r},PASS\n")
+    assert drift["main"]([str(tmp_path / "old"),
+                          str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    moves = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    # a large relative move of a tiny column is a tiny absolute one
+    rel, tag, diff = moves["mass_S"]
+    assert tag == "abs"
+    assert float(rel) == pytest.approx(4.3e-11, rel=1e-2)
+    assert float(diff) == pytest.approx(4.0e-18, rel=1e-2)
+    assert moves["mass"] == ["0", "abs", "0"]
