@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -135,6 +134,9 @@ def _execute(scenarios, out_dir: str, jobs: int) -> int:
                 os.remove(os.path.join(out_dir, artifact_name(sc)))
 
     if jobs > 1 and len(scenarios) > 1:
+        # imported here so that a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_scenario, sc) for sc in scenarios]
             for sc, fut in zip(scenarios, futures):

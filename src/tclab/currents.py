@@ -14,15 +14,19 @@ uniform trapezoid rule.  A mass carries a self-check: on a plain chart it
 doubles the rule on both axes; on a periodic chart it evaluates one fine
 frame, checks the angle rule against every other node of that frame and
 the radial rule against one coarse frame, so no node is evaluated twice.
-``ParamSurface._frame`` is the one quadrature frame builder: it evaluates
-the chart once on the open axis grid, so a chart that factors over the
-axes (powers of u, trig of v) computes each factor once per axis node.
+Every quadrature frame evaluates its chart once on an open axis grid, so
+a chart that factors over the axes (powers of u, trig of v) computes each
+factor once per axis node; ``_grid_frame`` broadcasts and flattens the
+result for ``ParamSurface._frame`` and for restrictions alike.
 Restriction to a ball or annulus (``RadialRestriction``) clips the chart
 along |x| level sets, which requires the radius to be monotone along one
 chart axis (true for every cone chart, radial extension and polar graph
 built here).
 The clip bounds come from one bracketed Newton solve per quadrature
-angle, on any such chart; no chart supplies its own radius solver.
+angle, on any such chart; no chart supplies its own radius solver.  Each
+radius is solved once per base chart and angle count: the solved bounds
+are memoized on the base, so a ladder of balls, its slabs and a radial
+sweep reuse the radii they share.
 """
 
 from dataclasses import dataclass, field
@@ -186,11 +190,7 @@ class ParamSurface:
         """
         u, wu, v, wv = self._axes(order)
         U, V = u[:, None], v[None, :]
-        out = (self.points(U, V), *self.partials(U, V))
-        d = out[0].shape[-1]
-        grid = (u.size, v.size, d)
-        x, xu, xv = (np.broadcast_to(a, grid).reshape(-1, d) for a in out)
-        return x, xu, xv, np.outer(wu, wv).ravel()
+        return _grid_frame((self.points(U, V), *self.partials(U, V)), wu, wv)
 
     @staticmethod
     def _area_element(xu, xv):
@@ -245,6 +245,19 @@ class ParamSurface:
         return fine
 
 
+def _grid_frame(out, wu, wv):
+    """Chart outputs on an open axis grid as a flat frame, u-major.
+
+    ``out`` holds the positions and the two partials, each of a shape
+    that broadcasts to the (wu.size, wv.size, d) grid; each is broadcast
+    to it and flattened, and the weights are the tensor products.
+    """
+    d = out[0].shape[-1]
+    grid = (wu.size, wv.size, d)
+    x, xu, xv = (np.broadcast_to(a, grid).reshape(-1, d) for a in out)
+    return x, xu, xv, np.outer(wu, wv).ravel()
+
+
 def _self_check(fine, coarse, change):
     scale = max(abs(fine), 1e-300)
     if abs(fine - coarse) > MASS_SELF_CHECK_TOL * scale:
@@ -261,10 +274,19 @@ class RadialRestriction(ParamSurface):
     element is just u_hi(v) - u_lo(v); tangent directions come from the
     base chart, so no derivatives of the clip bounds are ever needed.
 
-    A quadrature frame solves the clip bounds once per distinct angle v,
-    with one bracketed Newton solve of |x(u, v)| = c per bound
-    (``_solve_radius``), then evaluates the base chart and its partials
-    once at the mapped nodes.
+    A quadrature frame reads its clip bounds from a memo on the base
+    chart, kept per angle count: the radii at the ends u0, u1 of the
+    radial axis, and the solved clip parameter of every radius c that an
+    earlier frame needed.  The radii it does not find are solved
+    together in one ``_solve_radius`` call, a bracketed Newton solve of
+    |x(u, v)| = c per angle.  Ball masses, the slabs between them and
+    the scaled annuli of a radial sweep share most of their radii, so
+    each is solved once per base and angle count.  The frame then
+    evaluates the base chart and its partials once on the open grid of
+    mapped radial nodes u_lo(v) + w * width(v) against the angles v, as
+    ``ParamSurface._frame`` does.  The 64-angle probe of the radius range
+    that every restriction checks is memoized on the base too; a chart
+    never changes, so each memo is read-only.
     """
 
     def __init__(self, base: ParamSurface, s: float, r: float):
@@ -275,20 +297,33 @@ class RadialRestriction(ParamSurface):
         self.base = base
         self.inner = float(s)
         self.outer = float(r)
-        u0, u1, v0, v1 = base.domain
+        v0, v1 = base.domain[2:]
         super().__init__(self.points, (0.0, 1.0, v0, v1),
                          jacobian=self.partials, order=base.order,
                          radial_axis=0)
         if self.inner >= self.outer:
             raise EmptyRestriction("empty radius interval")
-        probe = v0 + (v1 - v0) * (np.arange(64) + 0.5) / 64
-        rmin = self._radius(np.full(64, u0), probe)
-        rmax = self._radius(np.full(64, u1), probe)
-        if np.any(rmax < rmin - 1e-12 * max(1.0, float(np.max(rmax)))):
+        increasing, top, bottom = self._probe()
+        if not increasing:
             raise ValueError("radius is not increasing along the radial axis")
-        if float(np.min(rmax)) <= self.inner or float(np.max(rmin)) >= self.outer:
+        if top <= self.inner or bottom >= self.outer:
             raise EmptyRestriction(
                 "annulus does not meet the chart's radius range")
+
+    def _probe(self):
+        """Whether the radius increases along u at 64 angles, the least
+        radius at u1 and the greatest at u0 there; once per base chart."""
+        probe = vars(self.base).get("_radius_probe")
+        if probe is None:
+            u0, u1, v0, v1 = self.base.domain
+            angles = v0 + (v1 - v0) * (np.arange(64) + 0.5) / 64
+            rmin = self._radius(np.full(64, u0), angles)
+            rmax = self._radius(np.full(64, u1), angles)
+            slack = 1e-12 * max(1.0, float(np.max(rmax)))
+            probe = (not np.any(rmax < rmin - slack),
+                     float(np.min(rmax)), float(np.max(rmin)))
+            vars(self.base)["_radius_probe"] = probe
+        return probe
 
     def _radius(self, U, V):
         return rownorm(self.base.points(U, V))
@@ -341,19 +376,29 @@ class RadialRestriction(ParamSurface):
                 f"after {NEWTON_MAX_STEPS} steps")
         return out
 
+    def _end_radii(self, v):
+        """Radii at the ends u0, u1 of the radial axis at the angles v."""
+        u0, u1 = self.base.domain[0], self.base.domain[1]
+        ends = self._radius(np.repeat([u0, u1], v.size), np.tile(v, 2))
+        return ends[:v.size], ends[v.size:]
+
+    def _solve_radii(self, radii, v, rlo, rhi):
+        """Clip parameter of each radius at the angles v, one row per
+        radius, from one ``_solve_radius`` call."""
+        k = len(radii)
+        u = self._solve_radius(np.repeat(radii, v.size), np.tile(v, k),
+                               np.tile(rlo, k), np.tile(rhi, k))
+        return u.reshape(k, v.size)
+
     def _bounds(self, V):
-        """Clip bounds (u_lo, u_hi) at the angles V, solved together."""
+        """Clip bounds (u_lo, u_hi) at any angles V, solved afresh and
+        together; ``points`` and ``partials`` read them, a quadrature
+        frame reads ``_clip``."""
         V = np.asarray(V, dtype=float)
         v = V.ravel()
-        n = v.size
-        u0, u1 = self.base.domain[0], self.base.domain[1]
-        both = np.tile(v, 2)
-        ends = self._radius(np.repeat([u0, u1], n), both)
-        u = self._solve_radius(np.repeat([self.inner, self.outer], n), both,
-                               np.tile(ends[:n], 2), np.tile(ends[n:], 2))
-        ulo = u[:n].reshape(V.shape)
-        uhi = u[n:].reshape(V.shape)
-        return ulo, np.maximum(uhi, ulo)
+        ulo, uhi = self._solve_radii((self.inner, self.outer), v,
+                                     *self._end_radii(v))
+        return ulo.reshape(V.shape), np.maximum(uhi, ulo).reshape(V.shape)
 
     def points(self, U, V):
         U = np.asarray(U, dtype=float)
@@ -375,18 +420,35 @@ class RadialRestriction(ParamSurface):
         xu, xv = self.base.partials(ulo + U * (uhi - ulo), V)
         return xu * (uhi - ulo)[..., None], xv
 
+    def _clip(self, v):
+        """Clip start u_lo and width u_hi - u_lo at a frame's angles v.
+
+        The base chart's memo for v.size angles holds the end radii and
+        each solved radius; the radii not found there are solved in one
+        call and added.
+        """
+        memo = vars(self.base).setdefault("_clip_memo", {})
+        if v.size not in memo:
+            rlo, rhi = self._end_radii(v)
+            rlo.flags.writeable = rhi.flags.writeable = False
+            memo[v.size] = (rlo, rhi, {})
+        rlo, rhi, solved = memo[v.size]
+        todo = [c for c in (self.inner, self.outer) if c not in solved]
+        if todo:
+            u = self._solve_radii(todo, v, rlo, rhi)
+            u.flags.writeable = False
+            solved.update(zip(todo, u))
+        ulo = solved[self.inner]
+        return ulo, np.maximum(solved[self.outer], ulo) - ulo
+
     def _frame(self, order):
-        """Quadrature frame with the clip bounds solved once per angle."""
+        """Quadrature frame of the base chart at the mapped radial nodes."""
         u, wu, v, wv = self._axes(order)
-        ulo, uhi = self._bounds(v)
-        width = uhi - ulo
-        # mapped nodes, u-major like every frame
-        Ub = (ulo + u[:, None] * width).ravel()
-        V = np.tile(v, u.size)
-        x = self.base.points(Ub, V)
-        xu, xv = self.base.partials(Ub, V)
-        return x, xu * np.tile(width, u.size)[:, None], xv, \
-            np.outer(wu, wv).ravel()
+        ulo, width = self._clip(v)
+        U, V = ulo + u[:, None] * width, v[None, :]
+        xu, xv = self.base.partials(U, V)
+        return _grid_frame((self.base.points(U, V), xu * width[:, None], xv),
+                           wu, wv)
 
 
 # ---------------------------------------------------------------------------

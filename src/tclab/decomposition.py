@@ -121,11 +121,12 @@ def split_current(curves, planes, width: float) -> SplitResult:
     offset = 0
     for c, m in zip(curves, masses):
         k = c.curve.M
-        labels = np.unique(cluster.assignment[offset:offset + k])
+        labels = cluster.assignment[offset:offset + k]
         offset += k
-        if labels.size == 1 and labels[0] >= 0:
-            groups[int(labels[0])].append(c)
-            group_mass[int(labels[0])] += m
+        label = int(labels[0])
+        if label >= 0 and np.all(labels == label):
+            groups[label].append(c)
+            group_mass[label] += m
         else:
             unassigned.append(c)
     total = float(sum(masses))

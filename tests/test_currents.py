@@ -23,7 +23,8 @@ from tclab.currents import (ConeOverCurve, ParamSurface, RadialRestriction,
 from tclab.epiperimetric import build_competitor, optimal_plane
 from tclab.errors import EmptyRestriction, QuadratureNotConverged
 from tclab.fourier import FourierSeries, harmonic_extension
-from tclab.monotonicity import _tangent_perp, deviation_integral
+from tclab.flat import radial_homotopy_filling
+from tclab.monotonicity import _tangent_perp, deviation_integral, mass_profile
 from tclab.quadrature import gauss_legendre
 from tclab.scenarios import (extension_surface, flat_circle, random_epi_curve,
                              single_mode_curve)
@@ -267,6 +268,89 @@ def test_annulus_mass_solves_clip_bounds_once_per_angle():
     mass = annulus_mass(wrapped, 0.0, 0.3)
     assert mass == annulus_mass(surf, 0.0, 0.3)
     assert seen[0] <= 4 * nodes
+
+
+def _tiled_frame(region, order):
+    """The restricted frame node by node: clip bounds solved afresh, the
+    angles tiled to one per node and the base chart called on the flat
+    node list."""
+    u, wu, v, wv = region._axes(order)
+    ulo, uhi = region._bounds(v)
+    width = uhi - ulo
+    U = (ulo + u[:, None] * width).ravel()
+    V = np.tile(v, u.size)
+    xu, xv = region.base.partials(U, V)
+    return (region.base.points(U, V), xu * np.tile(width, u.size)[:, None],
+            xv, np.outer(wu, wv).ravel())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: extension_surface(1, 2, 0.01),
+    lambda: extension_surface(2, 6, 0.005),
+    lambda: _restricted_case(("cone", 4)),
+], ids=["ext-1-2", "ext-2-6", "cone"])
+def test_restricted_frame_is_the_tiled_per_node_evaluation(make):
+    surf = make()
+    n0, n1 = surf.order
+    # the later annuli read radii that the earlier ones solved
+    for s, r in ((0.0, 0.3), (0.1, 0.3), (0.1, 0.2)):
+        region = RadialRestriction(surf, s, r)
+        for order in ((n0, n1), (2 * n0, 2 * n1)):
+            got = region._frame(order)
+            want = _tiled_frame(region, order)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.fixture
+def clip_rows(monkeypatch):
+    """(radius, angle count) of every row that _solve_radius solves."""
+    rows = []
+    solve = RadialRestriction._solve_radius
+
+    def counted(self, c, V, rlo, rhi):
+        radii, counts = np.unique(c, return_counts=True)
+        rows.extend(zip(radii.tolist(), counts.tolist()))
+        return solve(self, c, V, rlo, rhi)
+
+    monkeypatch.setattr(RadialRestriction, "_solve_radius", counted)
+    return rows
+
+
+def test_ball_masses_and_their_slabs_solve_each_radius_once(clip_rows):
+    surf = extension_surface(2, 6, 1e-2)
+    n1 = surf.order[1]
+    radii = [0.125, 0.25, 0.5]
+    mass_profile(surf, radii, 2)
+    # each mass checks itself at twice the angle count
+    assert sorted(clip_rows) == sorted(
+        (c, n) for c in [0.0] + radii for n in (n1, 2 * n1))
+    clip_rows.clear()
+    for s, r in zip(radii, radii[1:]):
+        deviation_integral(surf, s, r)
+    assert clip_rows == []
+
+
+def test_a_second_flat_level_solves_only_its_new_outer_radius(clip_rows):
+    surf = extension_surface(1, 2, 1e-2)
+    radial_homotopy_filling(surf, 0.1, 0.2, tnodes=3)
+    clip_rows.clear()
+    radial_homotopy_filling(surf, 0.2, 0.4, tnodes=3)
+    t, _ = gauss_legendre(3, 0.0, 1.0)
+    assert sorted(clip_rows) == sorted((0.4 * tk, surf.order[1]) for tk in t)
+
+
+def test_bases_with_different_amplitudes_keep_separate_clip_memos(clip_rows):
+    first = extension_surface(1, 2, 1e-2)
+    second = extension_surface(1, 2, 2e-2)
+    mass = annulus_mass(first, 0.1, 0.3)
+    clip_rows.clear()
+    other = annulus_mass(second, 0.1, 0.3)
+    n1 = first.order[1]
+    assert sorted(clip_rows) == sorted(
+        (c, n) for c in (0.1, 0.3) for n in (n1, 2 * n1))
+    assert other != mass
+    assert other == annulus_mass(extension_surface(1, 2, 2e-2), 0.1, 0.3)
+    assert mass == annulus_mass(extension_surface(1, 2, 1e-2), 0.1, 0.3)
 
 
 def random_extension():

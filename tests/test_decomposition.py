@@ -113,3 +113,21 @@ def test_split_reports_stray_curve():
     assert not result.passed
     assert len(result.unassigned_curves) == 1
 
+
+
+def test_split_rejects_a_curve_that_leaves_its_first_tube():
+    # a circle through e_0 tilted out of plane 0 starts inside that tube
+    # and leaves it, so its labels read 0 first and then -1
+    curves = orthogonal_planes_instance(Q_list=(1, 1))
+    planes = [c.plane() for c in curves]
+    c, s = np.cos(0.7), np.sin(0.7)
+    frame = np.zeros((4, 3))
+    frame[0, 0] = 1.0
+    frame[1:3, 1:] = [[c, -s], [s, c]]
+    tilted = EmbeddedCurve(curve=curves[0].curve, frame=frame)
+    labels = cluster_by_planes(tilted.points(), planes, 0.05).assignment
+    assert labels[0] == 0 and np.any(labels < 0)
+    result = split_current(list(curves) + [tilted], planes, width=0.05)
+    assert not result.passed
+    assert result.unassigned_curves == [tilted]
+    assert result.multiplicities == [1, 1]
