@@ -48,9 +48,6 @@ class TestVectorField:
     center: np.ndarray
     radius: float
 
-    def __call__(self, x):
-        return self.func(x)
-
 
 def bump_field(center, radius: float, direction,
                power: int = 5) -> TestVectorField:
@@ -85,9 +82,8 @@ def bump_field(center, radius: float, direction,
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """One almost-minimality trial at sweep length eps."""
+    """One almost-minimality trial at one sweep length."""
 
-    eps: float
     mass: float
     mass_deformed: float
     mass_sweep: float
@@ -234,7 +230,7 @@ def almost_minimality_probe(surface, omega: float, chi: TestVectorField,
         gain = flow.mass_change(0.0, eps)
         swept = sweep_mass(surface, chi, eps)
         slack = omega * swept + gain
-        rows.append(ProbeResult(eps=float(eps), mass=float(mass0),
+        rows.append(ProbeResult(mass=float(mass0),
                                 mass_deformed=float(mass0 + gain),
                                 mass_sweep=float(swept),
                                 slack=float(slack),

@@ -1,13 +1,14 @@
 """Splitting multi-plane configurations into single-plane components.
 
-A union of winding curves near several planes is grouped by assigning
-every sample point to the plane whose tube (normal distance below a
-fixed width) contains it.  The grouping is only meaningful while the
-tubes stay disjoint over the sampled region, so a sample inside two
-tubes is an error, not a tie to break.
+A union of winding curves near several planes is grouped curve by curve:
+each sample point is labelled with the plane whose tube (normal distance
+below a fixed width) contains it, and a curve joins a plane's group when
+all its samples carry that plane's label.  The grouping is only
+meaningful while the tubes stay disjoint over the sampled region, so a
+sample inside two tubes is an error, not a tie to break.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +37,6 @@ class EmbeddedCurve:
                            atol=100 * ORTHO_TOL):
             raise ValueError("frame columns must be orthonormal")
 
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[0]
-
     def plane(self) -> Plane2:
         return Plane2(e1=self.frame[:, 0].copy(), e2=self.frame[:, 1].copy())
 
@@ -52,26 +49,11 @@ class EmbeddedCurve:
         return curve_mass(self.curve)
 
 
-@dataclass(frozen=True)
-class PlaneCluster:
-    """Assignment of sample points to plane tubes."""
+def cluster_by_planes(points, planes, width: float) -> np.ndarray:
+    """Label each point with the index of the unique plane tube containing it.
 
-    planes: list
-    width: float
-    assignment: np.ndarray
-    distances: np.ndarray
-    complete: bool
-
-    @property
-    def unassigned(self) -> np.ndarray:
-        return self.assignment < 0
-
-
-def cluster_by_planes(points, planes, width: float) -> PlaneCluster:
-    """Assign each point to the unique plane tube containing it.
-
-    Raises TubesOverlap when any point lies inside two tubes; points in
-    no tube are left unassigned and mark the cluster incomplete.
+    Points in no tube get the label -1.  Raises TubesOverlap when any
+    point lies inside two tubes.
     """
     points = np.asarray(points, dtype=float)
     dists = np.stack([rownorm(points - points @ p.projector())
@@ -83,11 +65,7 @@ def cluster_by_planes(points, planes, width: float) -> PlaneCluster:
         raise TubesOverlap(
             f"point {points[k]} lies within width {width} of "
             f"{int(counts[k])} planes")
-    assignment = np.where(counts == 1, np.argmax(inside, axis=1), -1)
-    return PlaneCluster(planes=list(planes), width=width,
-                        assignment=assignment.astype(int),
-                        distances=np.min(dists, axis=1),
-                        complete=bool(np.all(counts == 1)))
+    return np.where(counts == 1, np.argmax(inside, axis=1), -1)
 
 
 @dataclass(frozen=True)
@@ -98,40 +76,31 @@ class SplitResult:
     multiplicities: list
     masses: list
     total_mass: float
-    cluster: PlaneCluster
     passed: bool
-    unassigned_curves: list = field(default_factory=list)
 
 
 def split_current(curves, planes, width: float) -> SplitResult:
     """Group embedded curves by the plane tube containing them.
 
     Every sample of a curve must fall in the same tube, otherwise that
-    curve counts as unassigned and the split fails.  Each curve's mass is
+    curve joins no group and the split fails.  Each curve's mass is
     computed once; a group's mass is the sum over its curves and the
     total the sum over all curves.  Raises TubesOverlap via the
     underlying clustering when tubes intersect the samples.
     """
     groups = [[] for _ in planes]
     group_mass = [0.0] * len(planes)
-    unassigned = []
+    passed = True
     masses = [c.mass() for c in curves]
-    all_points = np.concatenate([c.points() for c in curves], axis=0)
-    cluster = cluster_by_planes(all_points, planes, width)
-    offset = 0
     for c, m in zip(curves, masses):
-        k = c.curve.M
-        labels = cluster.assignment[offset:offset + k]
-        offset += k
+        labels = cluster_by_planes(c.points(), planes, width)
         label = int(labels[0])
         if label >= 0 and np.all(labels == label):
             groups[label].append(c)
             group_mass[label] += m
         else:
-            unassigned.append(c)
+            passed = False
     total = float(sum(masses))
     mult = [int(sum(c.curve.Q for c in g)) for g in groups]
     return SplitResult(groups=groups, multiplicities=mult,
-                       masses=group_mass, total_mass=total,
-                       cluster=cluster, passed=not unassigned,
-                       unassigned_curves=unassigned)
+                       masses=group_mass, total_mass=total, passed=passed)

@@ -32,8 +32,7 @@ from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, orthonormal_pairs, rowdot, rownorm,
-                   standard_plane, twovector_mass_norm, unit_tangent_matrix,
-                   wedge_matrix)
+                   standard_plane, twovector_mass_norm, wedge_matrix)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
@@ -64,13 +63,11 @@ class ExcessReport:
 class EpiperimetricVerdict:
     """Outcome of one cone-vs-competitor comparison.
 
-    Gaps are masses minus Q * pi * cylinder_radius^2, both measured inside
-    the optimal plane's cylinder of radius ``cylinder_radius``; the ratio
-    is competitor gap over cone gap and epsilon13 = 1 - ratio.
+    Gaps are masses minus Q * pi * R^2, both measured inside the optimal
+    plane's cylinder of the competitor's radius R; the ratio is competitor
+    gap over cone gap and epsilon13 = 1 - ratio.
     """
 
-    plane: Plane2
-    cylinder_radius: float
     cone_gap: float
     competitor_gap: float
     ratio: float
@@ -84,9 +81,9 @@ def _cone_tangent_data(curve: WindingCurve):
     """Plane-independent cone data at the curve's M sample angles, built once.
 
     Returns the trace points z, their norms |z|, the wedge speeds
-    |z ^ z'| and the unit tangent two-vectors.  WindingCurve is immutable, so
-    the arrays are memoized on the instance (read-only, since every tilt of
-    the search shares them).
+    |z ^ z'| and the unit tangent two-vectors z ^ z' / |z ^ z'|.
+    WindingCurve is immutable, so the arrays are memoized on the instance
+    (read-only, since every tilt of the search shares them).
     """
     data = vars(curve).get("_cone_tangent_data")
     if data is None:
@@ -94,7 +91,9 @@ def _cone_tangent_data(curve: WindingCurve):
         z, dz = curve.jet(theta)
         W = wedge_matrix(z, dz)
         wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
-        tangent = unit_tangent_matrix(z, dz)
+        if np.any(wedge < 1e-300):
+            raise ValueError("degenerate tangent pair")
+        tangent = W / wedge[:, None, None]
         data = (z, rownorm(z), wedge, tangent)
         for arr in data:
             arr.flags.writeable = False
@@ -461,9 +460,9 @@ def epiperimetric_gap(curve: WindingCurve,
         ratio = comp_gap / cone_gap
     eps13 = 1.0 - ratio
     return EpiperimetricVerdict(
-        plane=plane, cylinder_radius=rho2, cone_gap=float(cone_gap),
-        competitor_gap=float(comp_gap), ratio=float(ratio),
-        epsilon13=float(eps13), passed=bool(ratio <= 1.0 - EPS_TARGET),
+        cone_gap=float(cone_gap), competitor_gap=float(comp_gap),
+        ratio=float(ratio), epsilon13=float(eps13),
+        passed=bool(ratio <= 1.0 - EPS_TARGET),
         raw_excess=float(report.raw_excess),
         optimal_excess=float(report.excess))
 

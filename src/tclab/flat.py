@@ -7,8 +7,7 @@ the radial-projection sweep between two ball scales of one surface.
 
 from dataclasses import dataclass
 
-from .errors import VertexTooClose
-from .monotonicity import VERTEX_RADIUS, radial_projection_mass
+from .monotonicity import radial_projection_mass
 from .quadrature import gauss_legendre
 
 
@@ -34,11 +33,10 @@ def radial_homotopy_filling(current, s: float, r: float,
 
         integral over t in (0, 1) of t^2 RPM(s t, r t) dt
 
-    with RPM the radial projection mass of the annulus at scale t.
+    with RPM the radial projection mass of the annulus at scale t.  The
+    innermost annulus, at the first node, raises VertexTooClose when it
+    reaches into the vertex ball.
     """
-    if s < VERTEX_RADIUS:
-        raise VertexTooClose(
-            f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
     nodes, weights = gauss_legendre(tnodes, 0.0, 1.0)
     total = 0.0
     for t, w in zip(nodes, weights):

@@ -24,8 +24,8 @@ closed form sqrt(|A|^2 + 2 |Pf A|) (Pf is absent for d = 2, 3, where every
 two-vector is simple).  The |Pf| term is where the norm fails to be
 smooth: it switches on at a linear rate as a two-vector leaves the simple
 ones, which is the kink the two-part tilt certificate in
-``epiperimetric`` is built for.  From d = 5 on the norm is computed from a
-singular value decomposition.
+``epiperimetric`` is built for.  No run needs d >= 5, and the mass norm
+raises there.
 
 Dot products and norms of vectors stored along a short last axis (the
 coordinates of points, tangents and tilts) go through ``rowdot`` and
@@ -87,10 +87,6 @@ class Plane2:
 
     def projector(self) -> np.ndarray:
         return np.outer(self.e1, self.e1) + np.outer(self.e2, self.e2)
-
-    def wedge_matrix(self) -> np.ndarray:
-        """Antisymmetric matrix of the unit two-vector e1 ^ e2."""
-        return np.outer(self.e1, self.e2) - np.outer(self.e2, self.e1)
 
     def basis(self) -> np.ndarray:
         """dim x 2 matrix whose columns span the plane."""
@@ -182,26 +178,17 @@ def wedge_matrix(u, v) -> np.ndarray:
     return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
 
 
-def unit_tangent_matrix(u, v) -> np.ndarray:
-    """Matrix of the unit simple two-vector of span(u, v), oriented u -> v."""
-    W = wedge_matrix(u, v)
-    nrm = np.linalg.norm(W, axis=(-2, -1), keepdims=True) / np.sqrt(2.0)
-    if np.any(nrm < 1e-300):
-        raise ValueError("degenerate tangent pair")
-    return W / nrm
-
-
 def twovector_mass_norm(A) -> np.ndarray:
     """Mass norm of a two-vector given as an antisymmetric matrix.
 
-    Equals the sum of the spectral pair values (half the nuclear norm):
-    sqrt(|A|^2 + 2 |Pf A|) for d <= 4, singular values for d >= 5.
-    Broadcasts over leading axes.
+    Equals the sum of the spectral pair values (half the nuclear norm),
+    sqrt(|A|^2 + 2 |Pf A|) in dimension d <= 4; raises ValueError for
+    d > 4.  Broadcasts over leading axes.
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[-1]
     if d > 4:
-        return 0.5 * np.sum(np.linalg.svd(A, compute_uv=False), axis=-1)
+        raise ValueError(f"mass norm needs dimension at most 4, got {d}")
     sq = 0.5 * np.sum(A * A, axis=(-2, -1))
     if d == 4:
         pf = (A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3]

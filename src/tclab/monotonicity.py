@@ -146,7 +146,6 @@ class MonotonicityReport:
 
     c02: float
     passed: bool
-    worst_pair: tuple
     infeasible: list = field(default_factory=list)
 
 
@@ -164,7 +163,6 @@ def check_almost_monotonicity(current, radii, Q: int) -> MonotonicityReport:
                       for j in range(rr.size - 1)])
     cum = np.concatenate([[0.0], np.cumsum(slabs)])
     c02 = 0.0
-    worst = (rr[0], rr[-1])
     infeasible = []
     for i in range(rr.size):
         for j in range(i + 1, rr.size):
@@ -173,13 +171,10 @@ def check_almost_monotonicity(current, radii, Q: int) -> MonotonicityReport:
             if rhs <= 0:
                 infeasible.append((float(rr[i]), float(rr[j])))
                 continue
-            cand = dev / rhs
-            if cand > c02:
-                c02 = cand
-                worst = (float(rr[i]), float(rr[j]))
+            c02 = max(c02, dev / rhs)
     passed = (not infeasible) and c02 <= BUDGET
     return MonotonicityReport(c02=float(c02), passed=passed,
-                              worst_pair=worst, infeasible=infeasible)
+                              infeasible=infeasible)
 
 
 def synthesize_decay_profile(constants: DecayConstants, e0: float,
@@ -207,9 +202,7 @@ class EnvelopeReport:
     """Least drift coefficient closing the two-scale decay inequality."""
 
     c: float
-    exponent: float
     passed: bool
-    worst_pair: tuple
 
 
 def decay_envelope(profile: MassProfile,
@@ -221,14 +214,10 @@ def decay_envelope(profile: MassProfile,
     a = constants.a
     eps = constants.eps
     c = 0.0
-    worst = (float(rr[0]), float(rr[-1]))
     for i in range(rr.size):
         for j in range(i + 1, rr.size):
             s, r = rr[i], rr[j]
             need = (e[i] - (s / r) ** (a - 2.0) * e[j]) \
                 / (s ** (a - 2.0) * r ** eps)
-            if need > c:
-                c = float(need)
-                worst = (float(s), float(r))
-    return EnvelopeReport(c=c, exponent=a - 2.0, passed=c <= BUDGET,
-                          worst_pair=worst)
+            c = max(c, float(need))
+    return EnvelopeReport(c=c, passed=c <= BUDGET)

@@ -455,10 +455,10 @@ def _run_epi(sc: Scenario):
                "optimal_excess", "cone_gap", "competitor_gap", "ratio",
                "verdict")
     rows = []
-    worst_ratio = 0.0
+    epsilon13 = 1.0
 
     def push(curve, amplitude):
-        nonlocal worst_ratio
+        nonlocal epsilon13
         vd = epiperimetric_gap(curve, lip_max=p.lip_max)
         series = curve.series
         modes = "+".join(str(i) for i in series.live_modes)
@@ -466,7 +466,7 @@ def _run_epi(sc: Scenario):
         rows.append((curve.Q, series.n, modes,
                      amplitude, vd.raw_excess, vd.optimal_excess,
                      vd.cone_gap, vd.competitor_gap, vd.ratio, verdict))
-        worst_ratio = max(worst_ratio, vd.ratio)
+        epsilon13 = min(epsilon13, vd.epsilon13)
 
     for Q in p.Q:
         for ratio in p.ratios:
@@ -478,7 +478,7 @@ def _run_epi(sc: Scenario):
                         np.abs(curve.series.beta).max()))
         push(curve, amp)
 
-    fitted = {"epsilon13": 1.0 - worst_ratio}
+    fitted = {"epsilon13": epsilon13}
     return columns, rows, fitted, None
 
 

@@ -11,7 +11,8 @@ the reference for the cone over a flat circle.
 
 ``check_orthonormal_pairs`` checks a stack of plane bases against the
 defining properties of Gram-Schmidt on its spanning pairs, not against
-another Gram-Schmidt.
+another Gram-Schmidt.  ``unit_tangent_matrix`` builds unit simple
+two-vectors for the mass-norm batches.
 
 ``random_link_curve`` and ``normalize_to_sphere`` build spherical links,
 whose cones have mass half the link length and no deviation.
@@ -29,6 +30,7 @@ import numpy as np
 from tclab.calibration import _flow
 from tclab.currents import ParamSurface, WindingCurve
 from tclab.fourier import FourierSeries
+from tclab.geom import wedge_matrix
 
 
 def mapped_mass(surface, dphi, order=None):
@@ -90,6 +92,12 @@ def check_orthonormal_pairs(B, u, v, tol=1e-15):
     resid = np.linalg.norm(v - c1 * e1 - c2 * e2, axis=-1)
     assert np.all(resid <= tol * np.linalg.norm(v, axis=-1))
     assert np.all(c2 > 0)
+
+
+def unit_tangent_matrix(u, v):
+    """Matrix of the unit simple two-vector of span(u, v), oriented u -> v."""
+    W = wedge_matrix(u, v)
+    return W / (np.linalg.norm(W, axis=(-2, -1), keepdims=True) / np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,8 @@ def test_cluster_assigns_points_to_their_tube():
     pts = np.array([[1.0, 0.2, 0.01, 0.0],
                     [0.0, 0.01, 0.8, -0.4],
                     [0.3, 0.3, 0.3, 0.3]])
-    cluster = cluster_by_planes(pts, planes, width=0.05)
-    assert list(cluster.assignment) == [0, 1, -1]
-    assert not cluster.complete
-    assert list(cluster.unassigned) == [False, False, True]
+    labels = cluster_by_planes(pts, planes, width=0.05)
+    assert list(labels) == [0, 1, -1]
 
 
 def test_cluster_order_is_equivariant():
@@ -37,8 +35,8 @@ def test_cluster_order_is_equivariant():
                          rng.uniform(-0.03, 0.03, size=(30, 2))]),
         np.column_stack([rng.uniform(-0.03, 0.03, size=(30, 2)),
                          rng.normal(size=(30, 2)) + 2.0])])
-    a = cluster_by_planes(pts, planes, 0.05).assignment
-    b = cluster_by_planes(pts, planes[::-1], 0.05).assignment
+    a = cluster_by_planes(pts, planes, 0.05)
+    b = cluster_by_planes(pts, planes[::-1], 0.05)
     assert np.array_equal(a, 1 - b)
 
 
@@ -47,9 +45,8 @@ def test_cluster_distances_are_normal_distances():
     planes = [Plane2(e1=e[0], e2=e[1]), Plane2(e1=e[2], e2=e[3])]
     pts = np.array([[3.0, -1.0, 0.03, 0.04],
                     [0.5, 0.0, 2.0, 1.0]])
-    cluster = cluster_by_planes(pts, planes, width=0.1)
-    assert list(cluster.assignment) == [0, -1]
-    assert cluster.distances == pytest.approx([0.05, 0.5], rel=1e-14)
+    labels = cluster_by_planes(pts, planes, width=0.1)
+    assert list(labels) == [0, -1]
 
 
 def test_overlap_radius_oracle():
@@ -62,7 +59,7 @@ def test_overlap_radius_oracle():
     with pytest.raises(TubesOverlap):
         cluster_by_planes([0.99 * reach * bisector], [p, tilted], w)
     beyond = cluster_by_planes([1.01 * reach * bisector], [p, tilted], w)
-    assert list(beyond.assignment) == [-1]
+    assert list(beyond) == [-1]
 
 
 def test_identical_planes_never_separate():
@@ -111,8 +108,7 @@ def test_split_reports_stray_curve():
                           frame=rot @ curves[0].frame)
     result = split_current(list(curves) + [stray], planes, width=0.05)
     assert not result.passed
-    assert len(result.unassigned_curves) == 1
-
+    assert all(c is not stray for g in result.groups for c in g)
 
 
 def test_split_rejects_a_curve_that_leaves_its_first_tube():
@@ -125,9 +121,9 @@ def test_split_rejects_a_curve_that_leaves_its_first_tube():
     frame[0, 0] = 1.0
     frame[1:3, 1:] = [[c, -s], [s, c]]
     tilted = EmbeddedCurve(curve=curves[0].curve, frame=frame)
-    labels = cluster_by_planes(tilted.points(), planes, 0.05).assignment
+    labels = cluster_by_planes(tilted.points(), planes, 0.05)
     assert labels[0] == 0 and np.any(labels < 0)
     result = split_current(list(curves) + [tilted], planes, width=0.05)
     assert not result.passed
-    assert result.unassigned_curves == [tilted]
+    assert all(c is not tilted for g in result.groups for c in g)
     assert result.multiplicities == [1, 1]

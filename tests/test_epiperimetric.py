@@ -204,21 +204,22 @@ def test_search_matches_bfgs_reference(monkeypatch, case):
 
 def test_tilt_search_builds_cone_data_once(monkeypatch):
     builds, evals = [0], [0]
-    tangent, excess = epi.unit_tangent_matrix, epi.cylindrical_excess
+    jet, excess = WindingCurve.jet, epi.cylindrical_excess
 
-    def counted_tangent(*args):
+    def counted_jet(curve, theta):
         builds[0] += 1
-        return tangent(*args)
+        return jet(curve, theta)
 
     def counted_excess(curve, bases):
         evals[0] += len(bases)
         return excess(curve, bases)
 
-    monkeypatch.setattr(epi, "unit_tangent_matrix", counted_tangent)
-    monkeypatch.setattr(epi, "cylindrical_excess", counted_excess)
     # a tilt mode plus a mode-3 bump, so the search has to move
     alpha = np.array([[0.0], [1e-2], [0.0], [5e-3]])
     curve = WindingCurve(FourierSeries(1, 1, alpha, np.zeros((3, 1))))
+    # the search samples the curve only to build its cone data
+    monkeypatch.setattr(WindingCurve, "jet", counted_jet)
+    monkeypatch.setattr(epi, "cylindrical_excess", counted_excess)
     rep = optimal_plane(curve)
     assert rep.excess < rep.raw_excess
     assert evals[0] > 20
