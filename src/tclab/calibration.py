@@ -8,17 +8,20 @@ laws (for semicalibrations and for cross sections of spheres) are not
 certified by any run; the test suite checks them against the stepped
 derivative of ``_Flow.mass_change``, the mass change the probes use.
 
-Probes work on the flow x -> x + t chi(x) of a TestVectorField, which
-vanishes outside its ball, so the flowed surface and the sweep differ from
-T only at the quadrature nodes inside that ball.  The surface's quadrature
-frame and mass are built once per surface; each field evaluates chi and
-its jacobian D at its support nodes only and keeps there the 15 distinct
-dot products of chi, x_u, x_v, D x_u and D x_v, each one ``geom.rowdot``.
-Every step and sweep time then follows by polynomials in t: the area
-change |x_u' ^ x_v'|^2 - |x_u ^ x_v|^2 is a quartic, and a mass change
-integrates it over (A' + A), so no two order-one masses are subtracted;
-the sweep's volume element is the closed-form 3x3 Gram determinant of
-(chi, x_u', x_v').
+Probes work on the flow x -> x + t chi(x) of a Bump chi = f d, a
+polynomial profile f that vanishes outside a ball times a constant
+direction d, so the flowed surface and the sweep differ from T only at
+the quadrature nodes inside that ball.  The surface's quadrature frame
+and mass are built once per surface; each bump evaluates f and its
+gradient at its support nodes only.  Its jacobian d (grad f)^T is rank
+one, so the flowed tangents are x_u + t alpha d and x_v + t beta d with
+alpha = grad f . x_u and beta = grad f . x_v:
+- the area change |x_u' ^ x_v'|^2 - |x_u ^ x_v|^2 is k1 t + k2 t^2, and
+  a mass change integrates it over (A' + A), so no two order-one masses
+  are subtracted;
+- the sweep's volume element |chi ^ x_u' ^ x_v'| = f |d ^ x_u ^ x_v|
+  does not depend on t, so a sweep of length eps has mass eps times the
+  surface integral of that element.
 """
 
 from dataclasses import dataclass
@@ -27,57 +30,38 @@ import numpy as np
 
 from .currents import ParamSurface
 from .geom import rowdot
-from .quadrature import gauss_legendre
-
-# Gauss-Legendre nodes in time of each sweep
-SWEEP_NODES = 8
 
 
 @dataclass(frozen=True)
-class TestVectorField:
-    """Compactly supported vector field with jacobian for flows.
+class Bump:
+    """The field chi = f d, with f = (1 - |x - center|^2/radius^2)^power
+    inside the ball |x - center| < radius and 0 outside, and d the
+    constant ``direction``."""
 
-    ``func`` maps positions (..., d) to vectors (..., d) and ``jac`` to
-    their jacobians (..., d, d).  Both must vanish wherever
-    |x - center| >= radius: mass changes and sweeps are evaluated only at
-    the quadrature nodes inside that ball.
-    """
-
-    func: object
-    jac: object
     center: np.ndarray
     radius: float
+    direction: np.ndarray
+    power: int
+
+    def profile(self, x):
+        """f and its gradient at points x (..., d) inside the ball."""
+        y = x - self.center
+        r2 = self.radius * self.radius
+        g = 1.0 - rowdot(y, y) / r2
+        p = self.power
+        return g ** p, (-p * g ** (p - 1))[..., None] * (2.0 * y / r2)
 
 
-def bump_field(center, radius: float, direction,
-               power: int = 5) -> TestVectorField:
+def bump_field(center, radius: float, direction, power: int = 5) -> Bump:
     """Polynomial bump (1 - |y|^2/R^2)^power times a constant direction.
 
     C^(power-1) at the support edge so fixed-order quadrature of flowed
-    surfaces converges fast; the jacobian is analytic.  Raise the power
-    when measuring quantities that sit below the default's quadrature
-    floor, such as high-order derivative fits.
+    surfaces converges fast.  Raise the power when measuring quantities
+    that sit below the default's quadrature floor, such as high-order
+    derivative fits.
     """
-    center = np.asarray(center, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    r2 = radius * radius
-    p = int(power)
-
-    def func(x):
-        y = np.asarray(x, dtype=float) - center
-        s = rowdot(y, y) / r2
-        f = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** p, 0.0)
-        return f[..., None] * direction
-
-    def jac(x):
-        y = np.asarray(x, dtype=float) - center
-        s = rowdot(y, y) / r2
-        df = np.where(s < 1.0, -p * (1.0 - np.minimum(s, 1.0)) ** (p - 1),
-                      0.0)
-        grad = df[..., None] * (2.0 * y / r2)
-        return direction[:, None] * grad[..., None, :]
-
-    return TestVectorField(func=func, jac=jac, center=center, radius=radius)
+    return Bump(np.asarray(center, dtype=float), radius,
+                np.asarray(direction, dtype=float), int(power))
 
 
 @dataclass(frozen=True)
@@ -109,34 +93,27 @@ def _base_frame(surface):
     return memo[order]
 
 
-# indices into _Flow.gram: chi, x_u, x_v, a = D x_u, b = D x_v
-_C, _U, _V, _A, _B = range(5)
-
-
 @dataclass(frozen=True)
 class _Flow:
     """The flow x -> x + t chi(x) at the quadrature nodes inside chi's ball.
 
-    ``gram[i, j]`` holds the dot products of the i-th and j-th of chi,
-    x_u, x_v, a = D x_u and b = D x_v (D the jacobian of chi) at the kept
-    nodes; ``weight`` and ``area`` are their quadrature weights and
-    |x_u ^ x_v|.  The flowed tangents are x_u + t a and x_v + t b, so
-    every quantity at time t is a polynomial in t over these products.
-    ``growth`` holds the coefficients k1..k4 of
-    |x_u(t) ^ x_v(t)|^2 - |x_u ^ x_v|^2 = k1 t + k2 t^2 + k3 t^3 + k4 t^4.
+    ``weight`` and ``area`` are the kept nodes' quadrature weights and
+    |x_u ^ x_v|; ``growth`` holds the coefficients k1, k2 of
+    |x_u(t) ^ x_v(t)|^2 - |x_u ^ x_v|^2 = k1 t + k2 t^2 at those nodes;
+    ``sweep_rate`` is the surface integral of |chi ^ x_u ^ x_v|, the mass
+    swept per unit time.
     """
 
     weight: np.ndarray
     area: np.ndarray
-    gram: np.ndarray
     growth: np.ndarray
+    sweep_rate: float
 
     def area_change(self, s, t):
         """|x_u ^ x_v|^2 at time t minus at time s, written as (t - s)
         times a polynomial so that no order-one terms cancel."""
-        k1, k2, k3, k4 = self.growth
-        return (t - s) * (k1 + k2 * (t + s) + k3 * (t * t + t * s + s * s)
-                          + k4 * (t + s) * (t * t + s * s))
+        k1, k2 = self.growth
+        return (t - s) * (k1 + k2 * (t + s))
 
     def mass_change(self, s, t) -> float:
         """M(phi_t T) - M(phi_s T) for phi_t = id + t chi, integrated as
@@ -149,71 +126,49 @@ class _Flow:
         vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         return float(np.sum(self.weight * vals))
 
-    def sweep(self, tn, tw) -> float:
-        """Integral over the times tn (weights tw) and the surface of
-        |chi ^ x_u(t) ^ x_v(t)|, the closed-form 3x3 Gram determinant."""
-        g = self.gram
-        t = np.asarray(tn, dtype=float)[:, None]
-        uu = g[_U, _U] + t * (2.0 * g[_U, _A] + t * g[_A, _A])
-        vv = g[_V, _V] + t * (2.0 * g[_V, _B] + t * g[_B, _B])
-        uv = g[_U, _V] + t * (g[_U, _B] + g[_A, _V] + t * g[_A, _B])
-        cu = g[_C, _U] + t * g[_C, _A]
-        cv = g[_C, _V] + t * g[_C, _B]
-        det = (g[_C, _C] * (uu * vv - uv * uv) - cu * cu * vv
-               + 2.0 * cu * cv * uv - cv * cv * uu)
-        vol = np.sqrt(np.maximum(det, 0.0))
-        per_time = np.sum(self.weight * vol, axis=-1)
-        return float(np.sum(tw * per_time))
 
-
-def _flow(surface, chi: TestVectorField) -> _Flow:
+def _flow(surface, chi: Bump) -> _Flow:
     """chi's flow on the surface's frame, restricted to chi's ball.
 
-    chi and its jacobian are evaluated only at the nodes with
-    |x - center|^2 < radius^2, where alone they may be nonzero.  The
-    result is memoized on chi per surface, so every step, sweep length and
-    time node of one bump reuses the same products.
+    f and its gradient are evaluated only at the nodes with
+    |x - center|^2 < radius^2, where alone chi may be nonzero.  With
+    E, F, G the products of x_u and x_v, p_u = d.x_u, p_v = d.x_v,
+    alpha = grad f.x_u and beta = grad f.x_v, the flowed tangent plane is
+    x_u ^ x_v + t d ^ w with w = alpha x_v - beta x_u.  The result is
+    memoized on chi per surface, so every step and sweep length of one
+    bump reuses it.
     """
     memo = vars(chi).setdefault("_flow_memo", {})
     key = (surface, surface.order)
     if key not in memo:
         x, xu, xv, W, A, _ = _base_frame(surface)
-        y = x - np.asarray(chi.center, dtype=float)
+        y = x - chi.center
         keep = np.flatnonzero(rowdot(y, y) < float(chi.radius) ** 2)
-        x, xu, xv = x[keep], xu[keep], xv[keep]
-        D = np.asarray(chi.jac(x), dtype=float)
-        c = np.asarray(chi.func(x), dtype=float)
-        a = np.einsum("nij,nj->ni", D, xu)
-        b = np.einsum("nij,nj->ni", D, xv)
-        # the 15 distinct products, each written to g[i, j] and g[j, i]
-        vecs = (c, xu, xv, a, b)
-        g = np.empty((5, 5, keep.size))
-        for i, p in enumerate(vecs):
-            for j in range(i, 5):
-                g[i, j] = g[j, i] = rowdot(p, vecs[j])
-        E, F, G = g[_U, _U], g[_U, _V], g[_V, _V]
-        ua, vb, ub, av = g[_U, _A], g[_V, _B], g[_U, _B], g[_A, _V]
-        aa, bb, ab = g[_A, _A], g[_B, _B], g[_A, _B]
-        # |P + t Q1 + t^2 Q2|^2 - |P|^2 with P = x_u ^ x_v,
-        # Q1 = a ^ x_v + x_u ^ b and Q2 = a ^ b
+        xu, xv, d = xu[keep], xv[keep], chi.direction
+        f, grad = chi.profile(x[keep])
+        E, F, G = rowdot(xu, xu), rowdot(xu, xv), rowdot(xv, xv)
+        pu, pv, dd = rowdot(xu, d), rowdot(xv, d), rowdot(d, d)
+        al, be = rowdot(grad, xu), rowdot(grad, xv)
+        # 2 <x_u ^ x_v, d ^ w> and |d ^ w|^2
         growth = np.stack((
-            2.0 * (ua * G - av * F + E * vb - F * ub),
-            aa * G - av * av + E * bb - ub * ub
-            + 2.0 * (2.0 * ua * vb - ab * F - ub * av),
-            2.0 * (aa * vb - ab * av + ua * bb - ub * ab),
-            aa * bb - ab * ab))
-        memo[key] = _Flow(W[keep], A[keep], g, growth)
+            2.0 * (al * (pu * G - pv * F) + be * (pv * E - pu * F)),
+            dd * (al * al * G - 2.0 * al * be * F + be * be * E)
+            - (al * pv - be * pu) ** 2))
+        # |d ^ x_u ^ x_v|^2, the Gram determinant of (d, x_u, x_v)
+        det = (dd * (E * G - F * F) - pu * pu * G + 2.0 * pu * pv * F
+               - pv * pv * E)
+        rate = float(np.sum(W[keep] * f * np.sqrt(np.maximum(det, 0.0))))
+        memo[key] = _Flow(W[keep], A[keep], growth, rate)
     return memo[key]
 
 
-def sweep_mass(surface, chi: TestVectorField, eps: float) -> float:
+def sweep_mass(surface, chi: Bump, eps: float) -> float:
     """Mass of the 3-current swept by flowing the surface along chi
-    for time eps, with SWEEP_NODES Gauss nodes in time."""
-    tn, tw = gauss_legendre(SWEEP_NODES, 0.0, eps)
-    return _flow(surface, chi).sweep(tn, tw)
+    for time eps: its volume element does not change along the flow."""
+    return eps * _flow(surface, chi).sweep_rate
 
 
-def almost_minimality_probe(surface, omega: float, chi: TestVectorField,
+def almost_minimality_probe(surface, omega: float, chi: Bump,
                             epsilons) -> list:
     """Check M(T) <= M(T + boundary S) + Omega M(S) on sweep competitors.
 

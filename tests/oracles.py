@@ -6,6 +6,10 @@ the chart is evaluated once per node.  Tests use it as the reference for
 masses the library computes without moving the surface: the competitor
 in plane coordinates, and the first-variation sweep along id + t chi.
 
+``bump_vector`` and ``bump_jacobian`` are a bump's full field and
+jacobian at every node of a grid; the library evaluates only its profile
+and gradient, and only inside its ball.
+
 ``polar_disk`` is the flat disk written out as an explicit polar chart,
 the reference for the cone over a flat circle.
 
@@ -45,6 +49,27 @@ def mapped_mass(surface, dphi, order=None):
     area = ParamSurface._area_element(np.einsum("...ij,...j->...i", D, xu),
                                       np.einsum("...ij,...j->...i", D, xv))
     return float(np.sum(W * area))
+
+
+def bump_vector(chi, x):
+    """The full field chi(x) = f(x) d of a ``calibration.Bump`` at points
+    x (..., d): zero outside its ball, at every node of any grid."""
+    y = np.asarray(x, dtype=float) - chi.center
+    s = np.sum(y * y, axis=-1) / (chi.radius * chi.radius)
+    f = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** chi.power, 0.0)
+    return f[..., None] * chi.direction
+
+
+def bump_jacobian(chi, x):
+    """The full (..., d, d) jacobian d (grad f)^T of a bump at points x,
+    zero outside its ball."""
+    y = np.asarray(x, dtype=float) - chi.center
+    r2 = chi.radius * chi.radius
+    s = np.sum(y * y, axis=-1) / r2
+    p = chi.power
+    df = np.where(s < 1.0, -p * (1.0 - np.minimum(s, 1.0)) ** (p - 1), 0.0)
+    grad = df[..., None] * (2.0 * y / r2)
+    return chi.direction[:, None] * grad[..., None, :]
 
 
 def polar_disk(radius, order=(48, 96)):
@@ -263,14 +288,14 @@ def first_variation_pair(surface, law, chi, steps=(1e-3, 1e-4)):
     """
     if isinstance(law, SphereLaw):
         rhs = surface.integrate_density(
-            lambda x, xu, xv: 2.0 * np.sum(x * chi.func(x), axis=-1)
+            lambda x, xu, xv: 2.0 * np.sum(x * bump_vector(chi, x), axis=-1)
             / np.sum(x * x, axis=-1))
     else:
         defect = calibration_defect(surface, law)
         if abs(defect) > DEFECT_TOL * max(surface.mass(check=False), 1.0):
             raise NotSemicalibrated(f"calibration defect {defect:.2e}")
         rhs = integrate_form(surface, lambda x: np.einsum(
-            "...i,...ijk->...jk", chi.func(x), law.exterior(x)))
+            "...i,...ijk->...jk", bump_vector(chi, x), law.exterior(x)))
     steps = tuple(sorted(map(float, steps), reverse=True))
     d_values = tuple(mass_derivative(surface, chi, h) for h in steps)
     (h1, d1), (h2, d2) = zip(steps[-2:], d_values[-2:])

@@ -15,8 +15,9 @@ from tclab.currents import ParamSurface
 from tclab.quadrature import gauss_legendre
 
 from oracles import (FormUndefined, NotSemicalibrated, SphereLaw,
-                     calibration_defect, first_variation_pair, mapped_mass,
-                     mass_derivative, solid_angle_form)
+                     bump_jacobian, bump_vector, calibration_defect,
+                     first_variation_pair, mapped_mass, mass_derivative,
+                     solid_angle_form)
 
 
 def random_points(m=40, seed=0, scale=2.0, dim=3):
@@ -63,15 +64,22 @@ def test_spherical_cap_area():
 
 
 def test_bump_jacobian_matches_finite_differences():
+    """The library's gradient of the profile f against central differences
+    of its f, and the oracle's jacobian against direction (x) grad f."""
     bump = bump_field([0.2, -0.1, 0.4], 0.9, [0.3, 1.0, -0.5], power=5)
     pts = random_points(25, seed=9, scale=0.5) + bump.center
+    pts = pts[np.linalg.norm(pts - bump.center, axis=-1) < 0.85]
+    assert len(pts) > 10
     h = 1e-6
-    J = np.asarray(bump.jac(pts))
+    f, grad = bump.profile(pts)
+    assert np.array_equal(bump_vector(bump, pts), f[:, None] * bump.direction)
+    assert np.array_equal(bump_jacobian(bump, pts),
+                          bump.direction[:, None] * grad[:, None, :])
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        fd = (bump.func(pts + e) - bump.func(pts - e)) / (2 * h)
-        assert np.allclose(J[..., :, i], fd, atol=1e-8)
+        fd = (bump.profile(pts + e)[0] - bump.profile(pts - e)[0]) / (2 * h)
+        assert np.allclose(grad[:, i], fd, atol=1e-8)
 
 
 def test_first_variation_on_sphere_cap():
@@ -135,18 +143,10 @@ def test_flat_disk_probes_never_lose_mass():
 
 
 def inward_field():
-    """chi(x) = -x everywhere: the flow shrinks spheres about the origin."""
-    from tclab.calibration import TestVectorField
-
-    def func(x):
-        return -np.asarray(x, dtype=float)
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(-np.eye(3), x.shape[:-1] + (3, 3))
-
-    return TestVectorField(func=func, jac=jac, center=np.zeros(3),
-                           radius=np.inf)
+    """A bump on the unit sphere that pushes along -p at its center p: the
+    flow dents the sphere inward, which only volume credit pays for."""
+    p = np.array([0.3, 0.4, np.sqrt(0.75)])
+    return bump_field(p, 0.5, -p, power=5)
 
 
 def test_shrinking_sphere_fails_without_volume_credit():
@@ -163,7 +163,7 @@ def test_shrinking_sphere_fails_without_volume_credit():
 
 def _flowed_mass(surface, chi, t):
     def dphi(x):
-        D = np.asarray(chi.jac(x), dtype=float)
+        D = bump_jacobian(chi, x)
         return np.eye(D.shape[-1]) + t * D
 
     return mapped_mass(surface, dphi)
@@ -172,8 +172,8 @@ def _flowed_mass(surface, chi, t):
 def _full_grid_sweep(surface, chi, eps, tnodes=8):
     tn, tw = gauss_legendre(tnodes, 0.0, eps)
     x, xu, xv, w = surface._frame(surface.order)
-    c = chi.func(x)
-    D = np.asarray(chi.jac(x), dtype=float)
+    c = bump_vector(chi, x)
+    D = bump_jacobian(chi, x)
     total = 0.0
     for t, wt in zip(tn, tw):
         b = xu + t * np.einsum("...ij,...j->...i", D, xu)
@@ -246,23 +246,62 @@ def test_bump_that_misses_the_surface_changes_nothing():
     assert row.passed
 
 
-@pytest.mark.parametrize("case", ["disk", "equator"])
-def test_flow_gram_is_the_symmetric_table_of_support_products(case):
+def sheared_graph(order=(32, 32)):
+    """A graph over a sheared square chart, whose x_u . x_v is nonzero
+    (the disk's and the sphere's charts are orthogonal)."""
+    def chart(u, v):
+        return np.stack(np.broadcast_arrays(u + 0.4 * v, v,
+                                            0.2 * u * u - 0.3 * u * v),
+                        axis=-1)
+
+    def jac(u, v):
+        one, zero = np.ones_like(u * v), np.zeros_like(u * v)
+        return (np.stack(np.broadcast_arrays(one, zero, 0.4 * u - 0.3 * v),
+                         axis=-1),
+                np.stack(np.broadcast_arrays(0.4 * one, one, -0.3 * u),
+                         axis=-1))
+
+    return ParamSurface(chart, (-0.5, 0.5, -0.5, 0.5), jacobian=jac,
+                        order=order)
+
+
+@pytest.mark.parametrize("case", ["disk", "equator", "sheared"])
+def test_flow_keeps_the_exact_area_change_and_sweep_rate(case):
+    """Per support node, k1 t + k2 t^2 is the change of the Gram
+    determinant of the flowed tangents, and |chi ^ x_u(t) ^ x_v(t)| is the
+    same at every t."""
     if case == "disk":
         surface = flat_disk()
         chi = bump_field([0.3, -0.1, 0.0], 0.4, [0.2, 0.1, 1.0])
+    elif case == "sheared":
+        surface = sheared_graph()
+        chi = bump_field([0.1, 0.05, 0.0], 0.35, [0.5, -0.3, 0.8])
     else:
         surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=(32, 64))
         chi = bump_field([0.6, 0.0, 0.8, 0.0], 0.5, [0.1, 0.3, -0.2, 0.9])
-    g = _flow(surface, chi).gram
-    x, xu, xv, _ = surface._frame(surface.order)
+    flow = _flow(surface, chi)
+    x, xu, xv, w = surface._frame(surface.order)
     keep = np.sum((x - chi.center) ** 2, axis=-1) < chi.radius ** 2
-    x, xu, xv = x[keep], xu[keep], xv[keep]
-    D = chi.jac(x)
-    vecs = (chi.func(x), xu, xv, np.einsum("nij,nj->ni", D, xu),
-            np.einsum("nij,nj->ni", D, xv))
-    assert g.shape == (5, 5, int(np.sum(keep))) and g.shape[-1] > 100
-    assert np.array_equal(g, np.swapaxes(g, 0, 1))
-    for i, p in enumerate(vecs):
-        for j, q in enumerate(vecs):
-            assert np.array_equal(g[i, j], np.sum(p * q, axis=-1))
+    x, xu, xv, w = x[keep], xu[keep], xv[keep], w[keep]
+    assert flow.growth.shape == (2, int(np.sum(keep))) and np.sum(keep) > 100
+    c = bump_vector(chi, x)
+    D = bump_jacobian(chi, x)
+    a = np.einsum("nij,nj->ni", D, xu)
+    b = np.einsum("nij,nj->ni", D, xv)
+
+    def gram_det(*vecs):
+        G = np.array([[np.sum(p * q, axis=-1) for q in vecs] for p in vecs])
+        return np.linalg.det(np.moveaxis(G, (0, 1), (-2, -1)))
+
+    base = gram_det(xu, xv)
+    assert np.allclose(flow.area ** 2, base, rtol=1e-13, atol=0.0)
+    vols = []
+    for t in (-0.7, 0.05, 0.3):
+        change = gram_det(xu + t * a, xv + t * b) - base
+        assert np.allclose(flow.area_change(0.0, t), change, rtol=0.0,
+                           atol=1e-13 * np.max(base))
+        vols.append(np.sqrt(np.maximum(gram_det(c, xu + t * a, xv + t * b),
+                                       0.0)))
+    assert np.max(np.ptp(vols, axis=0)) <= 1e-13
+    assert flow.sweep_rate == pytest.approx(float(np.sum(w * vols[0])),
+                                            rel=1e-12)

@@ -16,10 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "tclab"
 
 # (module, enclosing function, call as ast.unparse prints it) -> reason
-ALLOWED = {
-    ("calibration", "_Flow.sweep", "np.sum(self.weight * vol, axis=-1)"):
-        "sums each time node's volume elements over the support nodes",
-}
+ALLOWED = {}
 
 
 def _last_axis(call) -> bool:
