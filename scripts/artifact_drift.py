@@ -14,7 +14,8 @@ moves reported numbers:
 Exit status 1 when an artifact is missing on one side, changes its
 columns or row count, or changes a verdict, and with --tol also when a
 numeric column moves by more than REL relative (its line then ends in
-"exceeds REL"); 0 otherwise.
+"exceeds REL"); 0 otherwise.  A column change names the added and
+removed columns, and the columns both sides share are still compared.
 """
 
 import argparse
@@ -75,14 +76,21 @@ def compare(name: str, old_text: str, new_text: str, tol=None):
     relative makes the artifact inconsistent too.
     """
     old, new = _columns(name, old_text), _columns(name, new_text)
+    shared = [col for col in old if col in new]
+    lines = []
     if list(old) != list(new):
-        return [f"{name}: columns differ"], False
-    if any(len(old[col]) != len(new[col]) for col in old):
-        return [f"{name}: row counts differ"], False
-    ok = old.get("verdict") == new.get("verdict")
-    lines = [f"{name}: verdicts " + ("match" if ok else "DIFFER")]
-    width = max(map(len, old), default=0)
-    for col in old:
+        moved = [(label, [col for col in a if col not in b]) for label, a, b
+                 in (("added", new, old), ("removed", old, new))]
+        lines.append(f"{name}: columns differ: " + ("; ".join(
+            f"{label} {', '.join(cols)}" for label, cols in moved if cols)
+            or "same set, new order"))
+    if any(len(old[col]) != len(new[col]) for col in shared):
+        return lines + [f"{name}: row counts differ"], False
+    same = old.get("verdict") == new.get("verdict")
+    ok = same and not lines
+    lines.append(f"{name}: verdicts " + ("match" if same else "DIFFER"))
+    width = max(map(len, shared), default=0)
+    for col in shared:
         if col == "verdict":
             continue
         cells = old[col] + new[col]

@@ -144,21 +144,25 @@ def _flow(surface, chi: Bump) -> _Flow:
         x, xu, xv, W, A, _ = _base_frame(surface)
         y = x - chi.center
         keep = np.flatnonzero(rowdot(y, y) < float(chi.radius) ** 2)
-        xu, xv, d = xu[keep], xv[keep], chi.direction
+        xu, xv, W, A, d = xu[keep], xv[keep], W[keep], A[keep], chi.direction
         f, grad = chi.profile(x[keep])
         E, F, G = rowdot(xu, xu), rowdot(xu, xv), rowdot(xv, xv)
         pu, pv, dd = rowdot(xu, d), rowdot(xv, d), rowdot(d, d)
         al, be = rowdot(grad, xu), rowdot(grad, xv)
+        gu, gv = pu * G - pv * F, pv * E - pu * F
         # 2 <x_u ^ x_v, d ^ w> and |d ^ w|^2
         growth = np.stack((
-            2.0 * (al * (pu * G - pv * F) + be * (pv * E - pu * F)),
+            2.0 * (al * gu + be * gv),
             dd * (al * al * G - 2.0 * al * be * F + be * be * E)
             - (al * pv - be * pu) ** 2))
-        # |d ^ x_u ^ x_v|^2, the Gram determinant of (d, x_u, x_v)
-        det = (dd * (E * G - F * F) - pu * pu * G + 2.0 * pu * pv * F
-               - pv * pv * E)
-        rate = float(np.sum(W[keep] * f * np.sqrt(np.maximum(det, 0.0))))
-        memo[key] = _Flow(W[keep], A[keep], growth, rate)
+        # |d ^ x_u ^ x_v| = |d_perp| A, d_perp = d - (g_u x_u + g_v x_v)/A^2:
+        # the Gram determinant of (d, x_u, x_v) cancels when d is near tangent
+        A2 = E * G - F * F
+        cu, cv = gu / A2, gv / A2
+        perp2 = sum((dk - cu * u - cv * v) ** 2
+                    for dk, u, v in zip(d, xu.T, xv.T))
+        rate = float(np.sum(W * f * A * np.sqrt(perp2)))
+        memo[key] = _Flow(W, A, growth, rate)
     return memo[key]
 
 

@@ -8,13 +8,14 @@ and the deviation integral collects |x_perp|^2 / |x|^4 over annuli, where
 x_perp is the component of the position normal to the surface.  Cones have
 deviation zero; the fitted constant of the almost-monotonicity inequality
 
-    dev(s, r) <= C * (e(r) - e(s) + r^alpha0)
+    dev(s, r) <= C02 * (e(r) - e(s) + r^alpha0)
 
 measures how far a given current is from that ideal.  Decay envelopes
 bound e(s) by a power of s/r plus an additive drift with its own rate.
+One loop over the radius pairs of a profile fits both constants.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +27,6 @@ OMEGA2 = np.pi
 VERTEX_RADIUS = 1e-6
 # largest fitted constant (almost-monotonicity C02, envelope C) that passes
 BUDGET = 10.0
-# exponent of the r^alpha0 term in the almost-monotonicity inequality
-ALPHA0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -140,43 +139,6 @@ def radial_projection_mass(current, s: float, r: float) -> float:
     return _annulus_integral(current, s, r, density)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Fit of the almost-monotonicity constant over all radius pairs."""
-
-    c02: float
-    passed: bool
-    infeasible: list = field(default_factory=list)
-
-
-def check_almost_monotonicity(current, radii, Q: int) -> MonotonicityReport:
-    """Fit the smallest C with dev(s, r) <= C (e(r) - e(s) + r^ALPHA0).
-
-    Deviations are accumulated over consecutive slabs, so the cost is one
-    annulus integral per rung.  Pairs whose right-hand side is not
-    positive are reported as infeasible and fail the check.
-    """
-    profile = mass_profile(current, radii, Q)
-    e = profile.excess()
-    rr = profile.radii
-    slabs = np.array([deviation_integral(current, rr[j], rr[j + 1])
-                      for j in range(rr.size - 1)])
-    cum = np.concatenate([[0.0], np.cumsum(slabs)])
-    c02 = 0.0
-    infeasible = []
-    for i in range(rr.size):
-        for j in range(i + 1, rr.size):
-            dev = cum[j] - cum[i]
-            rhs = e[j] - e[i] + rr[j] ** ALPHA0
-            if rhs <= 0:
-                infeasible.append((float(rr[i]), float(rr[j])))
-                continue
-            c02 = max(c02, dev / rhs)
-    passed = (not infeasible) and c02 <= BUDGET
-    return MonotonicityReport(c02=float(c02), passed=passed,
-                              infeasible=infeasible)
-
-
 def synthesize_decay_profile(constants: DecayConstants, e0: float,
                              r0: float, radii, Q: int = 1) -> MassProfile:
     """Closed-form mass profile of the comparison rate equation.
@@ -198,26 +160,49 @@ def synthesize_decay_profile(constants: DecayConstants, e0: float,
 
 
 @dataclass(frozen=True)
-class EnvelopeReport:
-    """Least drift coefficient closing the two-scale decay inequality."""
+class DecayReport:
+    """Least constants closing, over all radius pairs s < r, the envelope
+    e(s) <= (s/r)^(a-2) e(r) + c s^(a-2) r^eps and almost-monotonicity
+    dev(s, r) <= c02 (e(r) - e(s) + r^alpha0); c02 is None without slab
+    deviations, and ``infeasible`` lists the pairs (s, r) whose
+    e(r) - e(s) + r^alpha0 is not positive, which fail the fit."""
 
     c: float
-    passed: bool
+    c02: float | None
+    infeasible: list
+
+    @property
+    def passed(self) -> bool:
+        return (not self.infeasible and self.c <= BUDGET
+                and (self.c02 is None or self.c02 <= BUDGET))
 
 
-def decay_envelope(profile: MassProfile,
-                   constants: DecayConstants) -> EnvelopeReport:
-    """Fit the least C with e(s) <= (s/r)^(a-2) e(r) + C s^(a-2) r^eps
-    over all scale pairs of the profile."""
+def fit_decay(profile: MassProfile, constants: DecayConstants,
+              slabs=None) -> DecayReport:
+    """Fit both decay constants in one loop over the profile's radius pairs.
+
+    ``slabs`` holds the deviation integrals between consecutive radii;
+    dev(s, r) is their sum between s and r, and without them only the
+    envelope is fitted.
+    """
     e = profile.excess()
     rr = profile.radii
     a = constants.a
     eps = constants.eps
+    cum = None if slabs is None else np.concatenate([[0.0], np.cumsum(slabs)])
     c = 0.0
+    c02 = None if cum is None else 0.0
+    infeasible = []
     for i in range(rr.size):
         for j in range(i + 1, rr.size):
             s, r = rr[i], rr[j]
             need = (e[i] - (s / r) ** (a - 2.0) * e[j]) \
                 / (s ** (a - 2.0) * r ** eps)
             c = max(c, float(need))
-    return EnvelopeReport(c=c, passed=c <= BUDGET)
+            if cum is not None:
+                rhs = e[j] - e[i] + r ** constants.alpha0
+                if rhs <= 0:
+                    infeasible.append((float(s), float(r)))
+                else:
+                    c02 = max(c02, float((cum[j] - cum[i]) / rhs))
+    return DecayReport(c=c, c02=c02, infeasible=infeasible)

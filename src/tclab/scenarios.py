@@ -1,13 +1,13 @@
 """Scenario families and runners behind the command line interface.
 
 A scenario is a named, seeded experiment of one of five kinds: ``epi``
-(cone vs competitor gap ratios), ``decay`` (mass profile envelopes),
-``flat`` (radial homotopy bounds), ``calib`` (mass comparison probes) and
-``split`` (plane clustering).  Each scenario renders to a CSV (``split``
-to JSON), with a trailing config-hash comment so artifacts can be tied
-back to the exact configuration that produced them.  All randomness is
-drawn from a generator seeded per scenario; two runs of the same config
-produce byte-identical artifacts.
+(cone vs competitor gap ratios), ``decay`` (mass profile envelopes and
+almost-monotonicity), ``flat`` (radial homotopy bounds), ``calib`` (mass
+comparison probes) and ``split`` (plane clustering).  Each scenario
+renders to a CSV (``split`` to JSON), with a trailing config-hash comment
+so artifacts can be tied back to the exact configuration that produced
+them.  All randomness is drawn from a generator seeded per scenario; two
+runs of the same config produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .fourier import FourierSeries, harmonic_extension
 from .currents import ConeOverCurve, WindingCurve
 from .epiperimetric import epiperimetric_gap, mode_ratio
 from .monotonicity import (DecayConstants, mass_profile, deviation_integral,
-                           synthesize_decay_profile, decay_envelope)
+                           synthesize_decay_profile, fit_decay)
 from .flat import radial_homotopy_filling
 from .calibration import bump_field, almost_minimality_probe, spherical_cap
 from .decomposition import EmbeddedCurve, split_current
@@ -174,8 +174,11 @@ class EpiParams:
     lip_max: float = _key(0.1, "Lipschitz budget of random curves", above=0)
 
     def __post_init__(self):
-        if self.random == 0 and not (self.Q and self.ratios
-                                     and self.amplitudes):
+        grid = (self.Q, self.ratios, self.amplitudes)
+        if any(grid) and not all(grid):
+            raise ConfigError("Q, ratios and amplitudes must be all empty "
+                              "or all non-empty: a partial grid is unread")
+        if self.random == 0 and not all(grid):
             raise ConfigError("no curve to certify: the Q x ratios x "
                               "amplitudes grid is empty and random is 0")
 
@@ -202,7 +205,7 @@ class _ExtensionParams:
 
 @dataclass(frozen=True)
 class DecayParams(_ExtensionParams):
-    """mass profile decay envelopes"""
+    """decay envelopes and almost-monotonicity of mass profiles"""
 
     family: Literal["extension", "ode"] = _key(
         "extension", "harmonic extension surface or closed-form rate ODE")
@@ -489,26 +492,29 @@ def _decay_radii(r_max: float, levels: int):
 def _run_decay(sc: Scenario):
     p = sc.typed
     constants = p.constants()
+    slabs = None
     if p.family == "extension":
         surface = extension_surface(p.Q, p.mode, p.amplitude)
         radii = _decay_radii(EXTENSION_R_MAX, p.levels)
         profile = mass_profile(surface, radii, p.Q)
+        slabs = [deviation_integral(surface, s, r)
+                 for s, r in zip(radii, radii[1:])]
     else:
         radii = _decay_radii(p.r0, p.levels)
         profile = synthesize_decay_profile(constants, p.e0, p.r0, radii,
                                            Q=p.Q)
-    report = decay_envelope(profile, constants)
+    report = fit_decay(profile, constants, slabs)
     verdict = "PASS" if report.passed else "FAIL"
     exc = profile.excess()
+    devs = [""] + (slabs or [""] * (p.levels - 1))
 
     columns = ("r", "f", "e", "deviation", "envelope_C", "verdict")
-    rows = []
-    for k, r in enumerate(radii):
-        dev = (deviation_integral(surface, radii[k - 1], r)
-               if k > 0 and p.family == "extension" else "")
-        rows.append((r, profile.values[k], exc[k], dev, report.c, verdict))
+    rows = [(r, profile.values[k], exc[k], devs[k], report.c, verdict)
+            for k, r in enumerate(radii)]
     kfit, _ = _fit_power(radii, np.maximum(exc, 1e-300))
     fitted = {"gamma0": 0.5 * kfit, "C": report.c}
+    if report.c02 is not None:
+        fitted["C02"] = report.c02
     return columns, rows, fitted, None
 
 
@@ -533,6 +539,24 @@ def _run_flat(sc: Scenario):
     return columns, rows, fitted, None
 
 
+def calib_bump(rng: np.random.Generator, surface: str, power: int):
+    """The next seeded probe bump of a calib run on the given surface."""
+    if surface == "disk":
+        c2 = rng.uniform(-0.45, 0.45, size=2)
+        center = np.array([c2[0], c2[1], 0.0])
+        rmax = 0.93 - np.linalg.norm(c2)
+        brad = float(rng.uniform(0.15, min(0.45, rmax)))
+        direction = rng.standard_normal(3)
+    else:
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        center = np.append(u, 0.0)
+        brad = float(rng.uniform(0.2, 0.6))
+        direction = rng.standard_normal(4)
+    direction /= np.linalg.norm(direction)
+    return bump_field(center, brad, direction, power=power)
+
+
 def _run_calib(sc: Scenario):
     p = sc.typed
     rng = sc.rng()
@@ -545,20 +569,7 @@ def _run_calib(sc: Scenario):
                "slack", "verdict")
     rows = []
     for k in range(p.probes):
-        if p.surface == "disk":
-            c2 = rng.uniform(-0.45, 0.45, size=2)
-            center = np.array([c2[0], c2[1], 0.0])
-            rmax = 0.93 - np.linalg.norm(c2)
-            brad = float(rng.uniform(0.15, min(0.45, rmax)))
-            direction = rng.standard_normal(3)
-        else:
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            center = np.append(u, 0.0)
-            brad = float(rng.uniform(0.2, 0.6))
-            direction = rng.standard_normal(4)
-        direction /= np.linalg.norm(direction)
-        chi = bump_field(center, brad, direction, power=p.bump_power)
+        chi = calib_bump(rng, p.surface, p.bump_power)
         for probe in almost_minimality_probe(surface, p.omega, chi, p.eps):
             verdict = "PASS" if probe.passed else "FAIL"
             rows.append((k, probe.mass, probe.mass_deformed,
@@ -641,7 +652,7 @@ def render_artifact(result: ScenarioResult) -> str:
 
 
 SUMMARY_COLUMNS = ("scenario", "kind", "pass", "fail", "epsilon13",
-                   "gamma0", "C")
+                   "gamma0", "C", "C02")
 
 
 def summary_rows(results) -> list:
@@ -650,7 +661,7 @@ def summary_rows(results) -> list:
         fit = res.fitted
         rows.append((res.name, res.kind, res.npass, res.nfail,
                      fit.get("epsilon13", ""), fit.get("gamma0", ""),
-                     fit.get("C", "")))
+                     fit.get("C", ""), fit.get("C02", "")))
     return rows
 
 

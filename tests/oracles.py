@@ -21,6 +21,9 @@ two-vectors for the mass-norm batches.
 ``random_link_curve`` and ``normalize_to_sphere`` build spherical links,
 whose cones have mass half the link length and no deviation.
 
+``sphere_from_pole`` is the unit sphere seen from one of its points, a
+current with closed-form ball masses and deviations that is not a cone.
+
 ``first_variation_pair`` checks the paper's first-variation laws, for a
 semicalibration (``TwoFormField``, such as ``solid_angle_form``) and for
 cross sections of spheres (``SphereLaw``), against the stepped
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from tclab.calibration import _flow
+from tclab.calibration import _flow, spherical_cap
 from tclab.currents import ParamSurface, WindingCurve
 from tclab.fourier import FourierSeries
 from tclab.geom import wedge_matrix
@@ -167,6 +170,23 @@ def random_link_curve(rng) -> WindingCurve:
     beta[:] = rng.standard_normal((nmodes, n)) * decay[:, None]
     scale = 0.25 / max(1.0, np.abs(alpha).max() + np.abs(beta).max())
     return WindingCurve(FourierSeries(Q, n, alpha * scale, beta * scale))
+
+
+def sphere_from_pole(order=(48, 96)) -> ParamSurface:
+    """The unit sphere of R^3 seen from its pole p = (0, 0, 1).
+
+    The ``spherical_cap`` chart shifted by -p puts p at the origin, and
+    |x| = 2 sin(phi / 2) increases along phi (radial_axis=0).  By
+    Archimedes the ball B_r about a point of the unit sphere cuts out
+    area pi r^2, so e(r) = 0 with Q = 1.  The normal component of x is
+    |x|^2 / 2, so the deviation density |x_perp|^2 / |x|^4 is 1/4 and
+    dev(s, r) = pi (r^2 - s^2) / 4.
+    """
+    cap = spherical_cap(1.0, 0.0, np.pi, order=order)
+    pole = np.array([0.0, 0.0, 1.0])
+    return ParamSurface(lambda phi, lam: cap.chart(phi, lam) - pole,
+                        cap.domain, jacobian=cap.jacobian, order=cap.order,
+                        radial_axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from tclab.decomposition import split_current
 from tclab.epiperimetric import epiperimetric_gap, mode_ratio, optimal_plane
 from tclab.flat import radial_homotopy_filling
 from tclab.fourier import FourierSeries, harmonic_extension
-from tclab.monotonicity import (DecayConstants, check_almost_monotonicity,
-                                decay_envelope, deviation_integral,
-                                mass_profile, synthesize_decay_profile)
+from tclab.monotonicity import (DecayConstants, deviation_integral,
+                                fit_decay, mass_profile,
+                                synthesize_decay_profile)
 from tclab.scenarios import (Scenario, extension_surface,
                              orthogonal_planes_instance, random_epi_curve,
                              run_scenario, single_mode_curve)
@@ -139,12 +139,15 @@ def _random_graph_series(rng):
 def test_05_monotonicity_constant_is_uniform():
     rng = np.random.default_rng(515)
     radii = 0.4 * 2.0 ** -np.arange(5, -1, -1.0)
+    constants = DecayConstants(epsilon12=0.1, alpha0=1.0)
     worst_c = 0.0
     infeasible = 0
     for _ in range(20):
         series, Q = _random_graph_series(rng)
         surf = harmonic_extension(series, 1.0)
-        report = check_almost_monotonicity(surf, radii, Q)
+        slabs = [deviation_integral(surf, s, r)
+                 for s, r in zip(radii[:-1], radii[1:])]
+        report = fit_decay(mass_profile(surf, radii, Q), constants, slabs)
         worst_c = fold(worst_c, report.c02)
         infeasible += len(report.infeasible)
     cone_dev = 0.0
@@ -171,7 +174,7 @@ def test_06_decay_envelopes_close():
     radii = 2.0 ** -np.arange(9, -1, -1.0)
     profile = synthesize_decay_profile(constants, e0=1e-2, r0=1.0,
                                        radii=radii)
-    report = decay_envelope(profile, constants)
+    report = fit_decay(profile, constants)
     target = constants.a * constants.cbar / (constants.eps * np.pi)
     ode_rel = abs(report.c - target) / target
 
@@ -181,7 +184,7 @@ def test_06_decay_envelopes_close():
     for Q, i, amp in ((1, 2, 1e-2), (2, 5, 5e-3), (3, 7, 5e-3)):
         surf = extension_surface(Q, i, amp)
         prof = mass_profile(surf, radii * 0.4, Q)
-        env = decay_envelope(prof, loose)
+        env = fit_decay(prof, loose)
         ext_ok = ext_ok and env.passed and np.isfinite(env.c)
         k, _ = np.polyfit(np.log(prof.radii), np.log(prof.excess()), 1)
         want = 2.0 * (i / Q - 1.0)

@@ -6,19 +6,24 @@ and its exterior derivative is (2/|x|) times the volume form, so the
 sphere's first-variation law carries the factor 2/R.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tclab.calibration import (_flow, almost_minimality_probe, bump_field,
                                spherical_cap, sweep_mass)
-from tclab.currents import ParamSurface
+from tclab.currents import ConeOverCurve, ParamSurface
 from tclab.quadrature import gauss_legendre
+from tclab.scenarios import CALIB_ORDER, calib_bump, flat_circle, load_config
 
 from oracles import (FormUndefined, NotSemicalibrated, SphereLaw,
                      bump_jacobian, bump_vector, calibration_defect,
                      first_variation_pair, mapped_mass, mass_derivative,
                      solid_angle_form)
 
+REPO = Path(__file__).resolve().parents[1]
 
 def random_points(m=40, seed=0, scale=2.0, dim=3):
     rng = np.random.default_rng(seed)
@@ -305,3 +310,29 @@ def test_flow_keeps_the_exact_area_change_and_sweep_rate(case):
     assert np.max(np.ptp(vols, axis=0)) <= 1e-13
     assert flow.sweep_rate == pytest.approx(float(np.sum(w * vols[0])),
                                             rel=1e-12)
+
+
+def test_sweep_rate_of_a_nearly_tangent_direction_keeps_full_precision():
+    """Probe 29 of desk calib_disk points its bump 7.8e-5 out of the
+    disk's plane.  A Gram determinant of (d, x_u, x_v) loses the volume
+    element |d ^ x_u ^ x_v| to cancellation there (2.2e-9 relative on
+    this probe); |d_perp| A keeps it to roundoff against a long-double
+    triple product."""
+    config = json.loads((REPO / "configs" / "desk.json").read_text())
+    sc = next(s for s in load_config(config) if s.name == "calib_disk")
+    rng = sc.rng()
+    for _ in range(30):
+        chi = calib_bump(rng, "disk", sc.typed.bump_power)
+    assert 1e-5 < abs(chi.direction[2]) < 1e-4
+    surface = ConeOverCurve(flat_circle(1, 1.0)).chart(order=CALIB_ORDER)
+    x, xu, xv, w = surface._frame(surface.order)
+    keep = np.sum((x - chi.center) ** 2, axis=-1) < chi.radius ** 2
+    f = chi.profile(x[keep])[0]
+    d, u, v = (np.asarray(a, dtype=np.longdouble)
+               for a in (chi.direction, xu[keep], xv[keep]))
+    triple = (d[0] * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
+              - d[1] * (u[:, 0] * v[:, 2] - u[:, 2] * v[:, 0])
+              + d[2] * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
+    want = np.sum(w[keep] * f * np.abs(triple))
+    got = _flow(surface, chi).sweep_rate
+    assert abs(got - want) <= 1e-14 * want

@@ -18,14 +18,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tclab"
 
-_MONOTONICITY = ("ROADMAP item 10 gives the decay runs an "
-                 "almost-monotonicity verdict")
 ALLOWED = {
-    "check_almost_monotonicity": _MONOTONICITY,
     "twovector_euclid_norm": "ROADMAP item 1 makes it the norm of the "
                              "tilt search's excess",
-    "MonotonicityReport.c02": _MONOTONICITY,
-    "MonotonicityReport.infeasible": _MONOTONICITY,
 }
 
 

@@ -11,6 +11,10 @@ And for the comparison rate equation with drift cbar, integrating in
 closed form gives e(s) = (s/r)^(a-2) e(r) + A s^(a-2) (r^eps - s^eps)
 with A = a cbar / (eps pi), so the fitted envelope coefficient
 approaches A (1 - (s/r)^eps) -> A on a deep radius ladder.
+
+The unit sphere seen from one of its points adds a curved case: e = 0
+and dev(s, r) = pi (r^2 - s^2) / 4, so its almost-monotonicity constant
+has a closed form that only the r^alpha0 term keeps finite.
 """
 
 import numpy as np
@@ -18,13 +22,13 @@ import pytest
 
 from tclab.currents import ConeOverCurve, RadialRestriction, annulus_mass
 from tclab.errors import VertexTooClose
-from tclab.monotonicity import (DecayConstants, check_almost_monotonicity,
-                                decay_envelope, deviation_integral,
-                                mass_profile, radial_projection_mass,
+from tclab.monotonicity import (DecayConstants, MassProfile,
+                                deviation_integral, fit_decay, mass_profile,
+                                radial_projection_mass,
                                 synthesize_decay_profile)
 from tclab.scenarios import extension_surface
 
-from oracles import normalize_to_sphere, random_link_curve
+from oracles import normalize_to_sphere, random_link_curve, sphere_from_pole
 
 
 @pytest.mark.parametrize("R", [0.2, 0.4, 0.8])
@@ -82,13 +86,53 @@ def test_radial_projection_builds_one_frame(monkeypatch):
     assert len(frames) == 1
 
 
+def _slabs(surface, radii):
+    return [deviation_integral(surface, s, r)
+            for s, r in zip(radii[:-1], radii[1:])]
+
+
 def test_graph_surface_passes_monotonicity_with_tiny_constant():
     surf = extension_surface(2, 5, 5e-3)
     radii = 0.4 * 2.0 ** -np.arange(5, -1, -1.0)
-    report = check_almost_monotonicity(surf, radii, 2)
+    report = fit_decay(mass_profile(surf, radii, 2),
+                       DecayConstants(epsilon12=0.1), _slabs(surf, radii))
     assert report.passed
     assert not report.infeasible
     assert report.c02 < 1e-3
+
+
+@pytest.mark.parametrize("alpha0, closed_form, passed", [
+    (1.0, np.pi / 8 * (1.0 - 1.0 / 64 ** 2), True),
+    (3.0, 12.0 * np.pi, False)])
+def test_sphere_from_a_point_fits_its_closed_form_c02(alpha0, closed_form,
+                                                       passed):
+    # e = 0 and dev(s, r) = pi (r^2 - s^2) / 4, so C02 is the largest
+    # pi (r^2 - s^2) / (4 r^alpha0) over the pairs of seven dyadic radii
+    surf = sphere_from_pole()
+    radii = 0.5 * 2.0 ** -np.arange(6, -1, -1.0)
+    profile = mass_profile(surf, radii, 1)
+    assert np.max(np.abs(profile.excess())) < 1e-13
+    s, r = np.meshgrid(radii, radii, indexing="ij")
+    pairs = s < r
+    want = np.max(np.pi * (r[pairs] ** 2 - s[pairs] ** 2)
+                  / (4.0 * r[pairs] ** alpha0))
+    assert want == pytest.approx(closed_form, rel=1e-15)
+    report = fit_decay(profile, DecayConstants(epsilon12=0.1, alpha0=alpha0),
+                       _slabs(surf, radii))
+    assert report.c02 == pytest.approx(want, rel=1e-12)
+    assert not report.infeasible
+    assert report.passed is passed
+
+
+def test_pair_with_no_positive_right_hand_side_fails_the_fit():
+    # e falls from 1 to 0 between s = 0.1 and r = 0.2, so
+    # e(r) - e(s) + r^alpha0 = -0.8 and no C02 can close the pair
+    radii = np.array([0.1, 0.2])
+    profile = MassProfile(radii, np.pi * radii ** 2 * (1.0 + np.array(
+        [1.0, 0.0])), Q=1)
+    report = fit_decay(profile, DecayConstants(epsilon12=0.1), [0.0])
+    assert report.infeasible == [(0.1, 0.2)]
+    assert report.c02 == 0.0 and not report.passed
 
 
 def test_synthesized_profile_fits_its_own_envelope():
@@ -97,8 +141,9 @@ def test_synthesized_profile_fits_its_own_envelope():
     radii = 1.0 * 2.0 ** -np.arange(9, -1, -1.0)
     profile = synthesize_decay_profile(constants, e0=1e-2, r0=1.0,
                                        radii=radii)
-    report = decay_envelope(profile, constants)
-    assert report.passed
+    report = fit_decay(profile, constants)
+    # without slab deviations only the envelope is fitted
+    assert report.passed and report.c02 is None
     target = a * constants.cbar / (constants.eps * np.pi)
     assert abs(report.c - target) <= 0.05 * target
 
@@ -108,7 +153,7 @@ def test_zero_drift_profile_needs_no_envelope_constant():
     radii = 1.0 * 2.0 ** -np.arange(5, -1, -1.0)
     profile = synthesize_decay_profile(constants, e0=1e-2, r0=1.0,
                                        radii=radii)
-    assert decay_envelope(profile, constants).c < 1e-12
+    assert fit_decay(profile, constants).c < 1e-12
 
 
 def test_decay_constants_validation():

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tclab.cli import main
+from tclab.currents import ParamSurface, RadialRestriction
 from tclab.epiperimetric import mode_ratio
 from tclab.errors import ConfigError
-from tclab.scenarios import (RANDOM_RATIO_CAP, SCHEMAS, Scenario,
-                             allowed_random_modes, load_config,
+from tclab.scenarios import (RANDOM_RATIO_CAP, SCHEMAS, SUMMARY_COLUMNS,
+                             Scenario, allowed_random_modes, load_config,
                              random_epi_curve, render_csv, run_scenario,
                              summary_rows)
 
@@ -85,7 +86,8 @@ def test_load_config_happy_path():
           ("calib", {"surface": "sphere"}), ("calib", {"omega": -2}),
           ("decay", {"family": "ode", "r0": -1}),
           ("decay", {"family": "ode", "e0": 0}),
-          ("decay", {"family": "extension", "cbar": 5})]),
+          ("decay", {"family": "extension", "cbar": 5}),
+          ("epi", {"ratios": [], "amplitudes": [], "random": 3})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
@@ -323,6 +325,37 @@ def test_cli_decay_mode_defaults_to_twice_q(tmp_path):
     want = render_csv(run_scenario(explicit)).splitlines()
     assert len(rows) == 4  # header, two radii, hash trailer
     assert rows[:-1] == want[:-1]
+
+
+def test_cli_decay_fits_both_inequalities_on_the_frames_it_reports(
+        tmp_path, monkeypatch):
+    # a self-checked ball mass builds two frames and a slab deviation one,
+    # so L levels cost 3L - 1 frames; the C02 fit reads the same masses
+    # and slabs as the rows and adds none
+    frames = []
+    for cls in (ParamSurface, RadialRestriction):
+        build = cls.__dict__["_frame"]
+        monkeypatch.setattr(cls, "_frame", lambda self, order, build=build:
+                            frames.append(order) or build(self, order))
+    out = tmp_path / "out"
+    assert main(["decay", "--q", "1", "--mode", "2", "--out", str(out)]) == 0
+    assert len(frames) == 3 * 8 - 1
+    header, row = (out / "summary.csv").read_text().splitlines()
+    fit = dict(zip(header.split(","), row.split(",")))
+    assert 0.0 < float(fit["C02"]) < 1e-3
+
+
+def _summary_c02(params):
+    sc = Scenario(name="d", kind="decay", seed=0, params=params)
+    return summary_rows([run_scenario(sc)])[0][SUMMARY_COLUMNS.index("C02")]
+
+
+def test_decay_alpha0_moves_the_extension_c02_only():
+    # alpha0 is the exponent of the r^alpha0 term of the C02 fit; the ode
+    # family has no slabs, so no C02
+    extension = [_summary_c02({"levels": 3, "alpha0": a}) for a in (1, 5)]
+    assert extension[0] < extension[1]
+    assert _summary_c02({"family": "ode", "levels": 3}) == ""
 
 
 def test_cli_epi_shortcut(tmp_path):

@@ -88,3 +88,24 @@ def test_artifact_drift_prints_the_absolute_move_of_a_column_near_zero(
     assert float(rel) == pytest.approx(4.3e-11, rel=1e-2)
     assert float(diff) == pytest.approx(4.0e-18, rel=1e-2)
     assert moves["mass"] == ["0", "abs", "0"]
+
+
+def test_artifact_drift_names_added_columns_and_compares_the_rest(tmp_path,
+                                                                 capsys):
+    drift = runpy.run_path(os.path.join(SCRIPTS, "artifact_drift.py"))
+    for side, extra in (("old", ("", "")), ("new", (",C02", ",7.8e-05"))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "summary.csv").write_text(
+            f"scenario,kind,pass,C{extra[0]}\n"
+            f"decay_extension,decay,8,0.5{extra[1]}\n")
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    assert drift["main"]([old, new]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "summary.csv: columns differ: added C02"
+    assert lines[1] == "summary.csv: verdicts match"
+    moves = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert list(moves) == ["pass", "C"]
+    assert moves["C"] == ["0", "abs", "0"]
+    assert drift["main"]([new, old]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "summary.csv: columns differ: removed C02"
