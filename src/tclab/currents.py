@@ -3,7 +3,8 @@
 A curve is anything with ``Q``, ``M``, ``period`` and ``jet``, its one
 evaluator, which returns the points and velocities at the given angles
 together (the library builds only WindingCurves); its length and the
-cylinder masses of its cone are periodic trapezoid sums.  Every curve
+cylinder masses of its cone are periodic trapezoid sums on M nodes,
+checked by one halving against 2M.  Every curve
 and surface has multiplicity 1 and the orientation of its parameters; a
 Q-fold curve winds Q times over its period instead of carrying
 multiplicity Q.
@@ -24,9 +25,11 @@ chart axis (true for every cone chart, radial extension and polar graph
 built here).
 The clip bounds come from one bracketed Newton solve per quadrature
 angle, on any such chart; no chart supplies its own radius solver.  Each
-radius is solved once per base chart and angle count: the solved bounds
-are memoized on the base, so a ladder of balls, its slabs and a radial
-sweep reuse the radii they share.
+radius is solved once per base chart and angle count: the end radii of
+the radial axis and the solved bounds are memoized on the base, so a
+ladder of balls, its slabs and a radial sweep reuse the radii they
+share, and a restriction checks its radius range on the same end radii
+its frames read.
 """
 
 from dataclasses import dataclass, field
@@ -284,9 +287,14 @@ class RadialRestriction(ParamSurface):
     each is solved once per base and angle count.  The frame then
     evaluates the base chart and its partials once on the open grid of
     mapped radial nodes u_lo(v) + w * width(v) against the angles v, as
-    ``ParamSurface._frame`` does.  The 64-angle probe of the radius range
-    that every restriction checks is memoized on the base too; a chart
-    never changes, so each memo is read-only.
+    ``ParamSurface._frame`` does.  A chart never changes, so each memo is
+    read-only.
+
+    Each end-radius table checks that the radius does not decrease along
+    u at any of its angles (ValueError).  A restriction reads the table
+    of its own angle count, the one its first frame reads, and is empty
+    (EmptyRestriction) only when the annulus misses the chart at every
+    one of those angles.
     """
 
     def __init__(self, base: ParamSurface, s: float, r: float):
@@ -303,30 +311,9 @@ class RadialRestriction(ParamSurface):
                          radial_axis=0)
         if self.inner >= self.outer:
             raise EmptyRestriction("empty radius interval")
-        increasing, top, bottom = self._probe()
-        if not increasing:
-            raise ValueError("radius is not increasing along the radial axis")
-        if top <= self.inner or bottom >= self.outer:
-            raise EmptyRestriction(
-                "annulus does not meet the chart's radius range")
-
-    def _probe(self):
-        """Whether the radius increases along u at 64 angles, the least
-        radius at u1 and the greatest at u0 there; once per base chart."""
-        probe = vars(self.base).get("_radius_probe")
-        if probe is None:
-            u0, u1, v0, v1 = self.base.domain
-            angles = v0 + (v1 - v0) * (np.arange(64) + 0.5) / 64
-            rmin = self._radius(np.full(64, u0), angles)
-            rmax = self._radius(np.full(64, u1), angles)
-            slack = 1e-12 * max(1.0, float(np.max(rmax)))
-            probe = (not np.any(rmax < rmin - slack),
-                     float(np.min(rmax)), float(np.max(rmin)))
-            vars(self.base)["_radius_probe"] = probe
-        return probe
-
-    def _radius(self, U, V):
-        return rownorm(self.base.points(U, V))
+        rlo, rhi, _ = self._radius_table(self.order[1])
+        if rhi.max() <= self.inner or rlo.min() >= self.outer:
+            raise EmptyRestriction("annulus misses the chart at every angle")
 
     def _solve_radius(self, c, V, rlo, rhi):
         """u with |x(u, V)| = c, clipped to the chart's radial range.
@@ -379,8 +366,25 @@ class RadialRestriction(ParamSurface):
     def _end_radii(self, v):
         """Radii at the ends u0, u1 of the radial axis at the angles v."""
         u0, u1 = self.base.domain[0], self.base.domain[1]
-        ends = self._radius(np.repeat([u0, u1], v.size), np.tile(v, 2))
+        ends = rownorm(self.base.points(np.repeat([u0, u1], v.size),
+                                        np.tile(v, 2)))
         return ends[:v.size], ends[v.size:]
+
+    def _radius_table(self, n):
+        """The base chart's memo for n angles, made on first use: the end
+        radii (rlo, rhi) at the n Gauss-Legendre angles of a frame, and a
+        dict of the solved clip parameter of each radius.  Raises
+        ValueError, and memoizes nothing, where the radius decreases
+        along u at one of those angles."""
+        memo = vars(self.base).setdefault("_clip_memo", {})
+        if n not in memo:
+            rlo, rhi = self._end_radii(gauss_legendre(n, *self.domain[2:])[0])
+            if np.any(rhi < rlo - 1e-12 * max(1.0, float(np.max(rhi)))):
+                raise ValueError(
+                    "radius is not increasing along the radial axis")
+            rlo.flags.writeable = rhi.flags.writeable = False
+            memo[n] = (rlo, rhi, {})
+        return memo[n]
 
     def _solve_radii(self, radii, v, rlo, rhi):
         """Clip parameter of each radius at the angles v, one row per
@@ -427,12 +431,7 @@ class RadialRestriction(ParamSurface):
         each solved radius; the radii not found there are solved in one
         call and added.
         """
-        memo = vars(self.base).setdefault("_clip_memo", {})
-        if v.size not in memo:
-            rlo, rhi = self._end_radii(v)
-            rlo.flags.writeable = rhi.flags.writeable = False
-            memo[v.size] = (rlo, rhi, {})
-        rlo, rhi, solved = memo[v.size]
+        rlo, rhi, solved = self._radius_table(v.size)
         todo = [c for c in (self.inner, self.outer) if c not in solved]
         if todo:
             u = self._solve_radii(todo, v, rlo, rhi)

@@ -401,32 +401,21 @@ def _trim_series(series: FourierSeries) -> FourierSeries:
     return FourierSeries(series.Q, series.n, alpha[:keep + 1], beta[:keep])
 
 
-@dataclass(frozen=True)
-class Competitor:
-    """Harmonic-extension filling inside the optimal plane's cylinder.
-
-    ``extension`` is the harmonic-extension graph over the plane whose
-    boundary is the cone's trace on the cylinder of radius
-    ``cylinder_radius``.  It is written in the coordinates of
-    ``plane.frame()``: the first two span the plane and the rest are
-    normal to it.  Those differ from the ambient coordinates by a rigid
-    motion, which leaves the mass, the one quantity the gap reads,
-    unchanged.  Outside that cylinder the competitor agrees with the
-    cone, so only the inner pieces enter the gap comparison.
-    """
-
-    extension: ParamSurface
-    cylinder_radius: float
-
-
 def build_competitor(curve: WindingCurve, plane: Plane2,
-                     lip_max: float = 0.1) -> Competitor:
+                     lip_max: float = 0.1) -> ParamSurface:
     """Build the epiperimetric competitor for the cone over the curve.
 
     The cone is regraphed on the cylinder of radius CYL_RATIO * rho around
     the plane, which must be a cylinder graph strictly inside the curve
     (NotGraph otherwise), with regraphed profile Lipschitz below
     ``lip_max`` (LipschitzTooLarge from the harmonic extension otherwise).
+    The competitor is the harmonic-extension graph over the plane whose
+    boundary is the regraphed trace, written in the coordinates of
+    ``plane.frame()``: the first two span the plane and the rest are
+    normal to it.  Those differ from the ambient coordinates by a rigid
+    motion, which leaves the mass, the one quantity the gap reads,
+    unchanged.  Outside the cylinder the competitor agrees with the cone,
+    so only the inner pieces enter the gap comparison.
     """
     rho2 = CYL_RATIO * curve.rho
     inner = regraph_over_plane(curve, plane, rho2)
@@ -435,7 +424,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     proj = rownorm(curve.jet(probe)[0] @ plane.basis())
     if float(np.min(proj)) <= rho2:
         raise NotGraph("inner cylinder reaches past the curve")
-    return Competitor(extension=disk, cylinder_radius=rho2)
+    return disk
 
 
 def epiperimetric_gap(curve: WindingCurve,
@@ -449,10 +438,10 @@ def epiperimetric_gap(curve: WindingCurve,
     report = optimal_plane(curve)
     plane = report.plane
     comp = build_competitor(curve, plane, lip_max=lip_max)
-    rho2 = comp.cylinder_radius
+    rho2 = CYL_RATIO * curve.rho
     ref = curve.Q * OMEGA2 * rho2 ** 2
     cone_gap = infinite_cone_cylinder_mass(curve, plane.basis(), rho2) - ref
-    comp_gap = comp.extension.mass() - ref
+    comp_gap = comp.mass() - ref
     floor = GAP_FLOOR * max(ref, 1.0)
     if cone_gap <= floor:
         ratio = 0.0

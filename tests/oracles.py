@@ -11,7 +11,10 @@ jacobian at every node of a grid; the library evaluates only its profile
 and gradient, and only inside its ball.
 
 ``polar_disk`` is the flat disk written out as an explicit polar chart,
-the reference for the cone over a flat circle.
+the reference for the cone over a flat circle.  ``star_disk`` is the flat
+star-shaped region rho < 1 + a cos theta, whose rim radius varies with
+the angle, so an annulus can meet it at some angles and miss it at
+others.
 
 ``check_orthonormal_pairs`` checks a stack of plane bases against the
 defining properties of Gram-Schmidt on its spanning pairs, not against
@@ -170,6 +173,37 @@ def random_link_curve(rng) -> WindingCurve:
     beta[:] = rng.standard_normal((nmodes, n)) * decay[:, None]
     scale = 0.25 / max(1.0, np.abs(alpha).max() + np.abs(beta).max())
     return WindingCurve(FourierSeries(Q, n, alpha * scale, beta * scale))
+
+
+def star_disk(a, order=(32, 64)) -> ParamSurface:
+    """Flat region rho < R(theta) = 1 + a cos theta in the plane z = 0.
+
+    The chart is (w, theta) -> w R(theta) (cos theta, sin theta, 0), so
+    |x| = w R(theta) increases along w (radial_axis=0) and the radius at
+    the rim end w = 1 runs from 1 - a to 1 + a.
+    """
+
+    def chart(w, theta):
+        rho = w * (1.0 + a * np.cos(theta))
+        out = np.zeros(np.broadcast_shapes(w.shape, theta.shape) + (3,))
+        out[..., 0] = rho * np.cos(theta)
+        out[..., 1] = rho * np.sin(theta)
+        return out
+
+    def jac(w, theta):
+        shape = np.broadcast_shapes(w.shape, theta.shape) + (3,)
+        R = 1.0 + a * np.cos(theta)
+        dR = -a * np.sin(theta)
+        xu = np.zeros(shape)
+        xv = np.zeros(shape)
+        xu[..., 0] = R * np.cos(theta)
+        xu[..., 1] = R * np.sin(theta)
+        xv[..., 0] = w * (dR * np.cos(theta) - R * np.sin(theta))
+        xv[..., 1] = w * (dR * np.sin(theta) + R * np.cos(theta))
+        return xu, xv
+
+    return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
+                        order=order, radial_axis=0)
 
 
 def sphere_from_pole(order=(48, 96)) -> ParamSurface:

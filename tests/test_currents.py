@@ -3,8 +3,9 @@
 Oracles: a Q-fold circle of radius rho has length 2 pi Q rho, a flat
 disk of radius R has area pi R^2, the round 2-sphere of radius R has
 area 4 pi R^2, and the annulus s < |x| < r in a flat disk has area
-pi (r^2 - s^2).  The cone over a curve on the unit sphere has mass
-equal to half the curve's length.  Annulus restrictions of curved charts
+pi (r^2 - s^2), and in the star rho < 1 + a cos theta a closed form
+even where the rim crosses s or r.  The cone over a curve on the unit
+sphere has mass equal to half the curve's length.  Annulus restrictions of curved charts
 are checked against a brute-force bisection of the clip bounds, and the
 periodic trapezoid mass of each competitor against a Gauss-Legendre sum
 at four times its node count per axis.
@@ -30,7 +31,7 @@ from tclab.scenarios import (extension_surface, flat_circle, random_epi_curve,
                              single_mode_curve)
 
 from oracles import (mapped_mass, normalize_to_sphere, polar_disk,
-                     random_link_curve)
+                     random_link_curve, star_disk)
 
 
 def test_winding_circle_length():
@@ -143,6 +144,35 @@ def test_nested_restriction_is_the_direct_restriction():
 def test_empty_restriction_raises():
     with pytest.raises(EmptyRestriction):
         RadialRestriction(polar_disk(1.0), 1.5, 2.0)
+    # the rim radius of the star runs over [0.9, 1.1]
+    with pytest.raises(EmptyRestriction):
+        RadialRestriction(star_disk(0.1), 1.15, 1.3)
+
+
+def test_restriction_rejects_a_radius_decreasing_along_u():
+    disk = polar_disk(1.0)
+    flipped = ParamSurface(lambda w, t: disk.chart(1.0 - w, t), disk.domain,
+                           jacobian=disk.jacobian, order=disk.order,
+                           radial_axis=0)
+    with pytest.raises(ValueError, match="not increasing"):
+        RadialRestriction(flipped, 0.2, 0.5)
+
+
+def test_annulus_met_at_some_angles_is_integrated():
+    # the star's rim radius 1 + 0.1 cos theta crosses 0.95 and 1.05, so
+    # the annulus meets the chart only where cos theta > -1/2; its area
+    # 1/2 int (min(1.05, R)^2 - 0.95^2)_+ dtheta in closed form
+    star = star_disk(0.1)
+    want = 0.5 * (2.0 * np.pi / 3.0 * (1.05 ** 2 - 0.95 ** 2)
+                  + 2.0 * (np.pi / 3.0 * (1.0 - 0.95 ** 2)
+                           + 0.01 * (np.pi / 6.0 - np.sqrt(3.0) / 4.0)))
+    region = RadialRestriction(star, 0.95, 1.05)
+    got = region.integrate_density(order=(64, 1024))
+    assert got == pytest.approx(want, rel=2e-7)
+    # the clip width has kinks where the rim crosses the two radii, so the
+    # default rule does not converge, and the mass says so
+    with pytest.raises(QuadratureNotConverged):
+        annulus_mass(star, 0.95, 1.05)
 
 
 def test_restriction_additivity():
@@ -469,7 +499,7 @@ def _epi_curves():
 @pytest.mark.parametrize("k", range(21))
 def test_competitor_mass_matches_a_fine_gauss_legendre_sum(k):
     curve = _epi_curves()[k]
-    ext = build_competitor(curve, optimal_plane(curve).plane).extension
+    ext = build_competitor(curve, optimal_plane(curve).plane)
     n0, T = ext.order
     plain = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
                          order=(4 * n0, 4 * T), radial_axis=0)

@@ -244,7 +244,7 @@ def test_competitor_mass_is_the_ambient_mass():
     # mapped into ambient coordinates by that rigid frame it keeps the
     # mass the gap reads
     curve, plane = _competitor_cases()[1]
-    disk = build_competitor(curve, plane).extension
+    disk = build_competitor(curve, plane)
     F = plane.frame()
     want = mapped_mass(disk,
                        lambda y: np.broadcast_to(F, y.shape + F.shape[:1]),
@@ -255,7 +255,7 @@ def test_competitor_mass_is_the_ambient_mass():
 @pytest.mark.parametrize("case", [0, 1], ids=["reference", "tilted"])
 def test_competitor_mass_evaluates_each_node_once(monkeypatch, case):
     curve, plane = _competitor_cases()[case]
-    ext = build_competitor(curve, plane).extension
+    ext = build_competitor(curve, plane)
     seen = [0]
 
     def counted(fn):
