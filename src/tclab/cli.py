@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -21,8 +22,8 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ScenarioError
 from .scenarios import (SCHEMAS, Scenario, load_config, run_scenario,
-                        render_artifact, render_summary, artifact_name,
-                        summary_rows, SUMMARY_COLUMNS)
+                        parts, merge, render_artifact, render_summary,
+                        artifact_name, summary_rows, SUMMARY_COLUMNS)
 
 
 def _number(text: str):
@@ -73,7 +74,10 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="override scenario seeds")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="scenarios to run in parallel")
+                     help="processes that certify, this one included; the "
+                     "unit of work is one epi curve or one scenario of "
+                     "another kind, and artifacts are the same at every "
+                     "--jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,31 +123,51 @@ def _format_summary(results) -> str:
     return "\n".join(lines)
 
 
+def _certify(units, jobs: int) -> list:
+    """One zero-argument call per unit, in unit order, that returns the
+    unit's ScenarioResult or raises its ScenarioError.
+
+    With jobs > 1 and more than one unit, min(jobs, units) - 1 forked
+    workers take units from the head of the list, and this process takes
+    them from the tail, never one of the first ``workers``, for as long as
+    it can cancel their futures.  Otherwise each unit runs when its call
+    is made.
+    """
+    workers = min(jobs, len(units)) - 1
+    if workers < 1:
+        return [functools.partial(run_scenario, unit) for unit in units]
+    # imported here so that a serial run loads no multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_scenario, unit) for unit in units]
+        for k in range(len(units) - 1, workers - 1, -1):
+            if not futures[k].cancel():
+                break
+            futures[k] = Future()
+            try:
+                futures[k].set_result(run_scenario(units[k]))
+            except ScenarioError as err:
+                futures[k].set_exception(err)
+    return [fut.result for fut in futures]
+
+
 def _execute(scenarios, out_dir: str, jobs: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
+    # at --jobs > 1, each epi curve is a unit of its own
+    plan = [parts(sc) if jobs > 1 else [sc] for sc in scenarios]
+    calls = iter(_certify([unit for units in plan for unit in units], jobs))
     results, errored = [], []
-
-    def collect(sc, call):
+    for sc, units in zip(scenarios, plan):
+        mine = [next(calls) for _ in units]
         try:
-            results.append(call())
+            results.append(merge([call() for call in mine]))
         except ScenarioError as err:
             errored.append(sc.name)
             print(str(err), file=sys.stderr)
             # an artifact left by an earlier run would read as this run's
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, artifact_name(sc)))
-
-    if jobs > 1 and len(scenarios) > 1:
-        # imported here so that a serial run loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_scenario, sc) for sc in scenarios]
-            for sc, fut in zip(scenarios, futures):
-                collect(sc, fut.result)
-    else:
-        for sc in scenarios:
-            collect(sc, lambda: run_scenario(sc))
 
     for res in results:
         path = os.path.join(out_dir, artifact_name(res))

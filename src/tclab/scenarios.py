@@ -13,6 +13,7 @@ runs of the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import json
 import math
@@ -357,6 +358,8 @@ class Scenario:
 
     ``params`` is kept as written, so the config hash does not depend on
     defaults; ``typed`` holds the validated values the runner reads.
+    ``curves`` is None, or the pre-drawn (curve, amplitude) pairs that an
+    epi part certifies in place of drawing its own (``parts``).
     """
 
     name: str
@@ -364,6 +367,8 @@ class Scenario:
     seed: int
     params: dict = field(default_factory=dict)
     typed: object = field(init=False, repr=False, compare=False)
+    curves: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         try:
@@ -373,6 +378,14 @@ class Scenario:
         except ConfigError as err:
             raise ConfigError(f"scenario {self.name!r}: {err}") from None
         object.__setattr__(self, "typed", typed)
+
+    def with_curves(self, curves) -> Scenario:
+        """This scenario certifying only the given (curve, amplitude)
+        pairs.  Name, seed and params stay, and so does the config hash;
+        the params were validated once and are not parsed again."""
+        part = copy.copy(self)
+        object.__setattr__(part, "curves", tuple(curves))
+        return part
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF])
@@ -450,18 +463,32 @@ def _fit_power(x, y):
 # ---------------------------------------------------------------------------
 # per-kind runners
 
+def epi_curves(sc: Scenario):
+    """(curve, amplitude) pairs of an epi scenario in draw order: the
+    grid, then the random curves drawn from the scenario's rng."""
+    p = sc.typed
+    for Q in p.Q:
+        for ratio in p.ratios:
+            for amp in p.amplitudes:
+                yield single_mode_curve(Q, ratio * Q, amp), amp
+    rng = sc.rng()
+    for _ in range(p.random):
+        curve = random_epi_curve(rng, lip_max=p.lip_max)
+        amp = float(max(np.abs(curve.series.alpha).max(),
+                        np.abs(curve.series.beta).max()))
+        yield curve, amp
+
+
 def _run_epi(sc: Scenario):
     p = sc.typed
-    rng = sc.rng()
 
     columns = ("Q", "n", "modes", "amplitude", "raw_excess",
                "optimal_excess", "cone_gap", "competitor_gap", "ratio",
                "verdict")
     rows = []
     epsilon13 = 1.0
-
-    def push(curve, amplitude):
-        nonlocal epsilon13
+    drawn = epi_curves(sc) if sc.curves is None else sc.curves
+    for curve, amplitude in drawn:
         vd = epiperimetric_gap(curve, lip_max=p.lip_max)
         series = curve.series
         modes = "+".join(str(i) for i in series.live_modes)
@@ -470,16 +497,6 @@ def _run_epi(sc: Scenario):
                      amplitude, vd.raw_excess, vd.optimal_excess,
                      vd.cone_gap, vd.competitor_gap, vd.ratio, verdict))
         epsilon13 = min(epsilon13, vd.epsilon13)
-
-    for Q in p.Q:
-        for ratio in p.ratios:
-            for amp in p.amplitudes:
-                push(single_mode_curve(Q, ratio * Q, amp), amp)
-    for _ in range(p.random):
-        curve = random_epi_curve(rng, lip_max=p.lip_max)
-        amp = float(max(np.abs(curve.series.alpha).max(),
-                        np.abs(curve.series.beta).max()))
-        push(curve, amp)
 
     fitted = {"epsilon13": epsilon13}
     return columns, rows, fitted, None
@@ -610,6 +627,28 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     return ScenarioResult(name=sc.name, kind=sc.kind, columns=columns,
                           rows=rows, fitted=fitted,
                           config_hash=sc.config_hash(), payload=payload)
+
+
+def parts(sc: Scenario) -> list:
+    """Scenarios that certify apart and whose results ``merge`` back into
+    ``sc``'s: one per curve of an epi scenario, every curve drawn by the
+    caller in draw order, or ``sc`` alone for the other kinds."""
+    if sc.kind != "epi":
+        return [sc]
+    return [sc.with_curves([drawn]) for drawn in epi_curves(sc)]
+
+
+def merge(results) -> ScenarioResult:
+    """The result of a scenario from its parts' results, in draw order;
+    ``epsilon13`` is the minimum over the parts."""
+    first = results[0]
+    if len(results) == 1:
+        return first
+    return ScenarioResult(
+        name=first.name, kind=first.kind, columns=first.columns,
+        rows=[row for res in results for row in res.rows],
+        fitted={"epsilon13": min(res.fitted["epsilon13"] for res in results)},
+        config_hash=first.config_hash, payload=first.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``tclab.cli`` imports ``ProcessPoolExecutor`` only when it makes a pool,
 since ``concurrent.futures.process`` pulls in multiprocessing, socket and
-logging.  ``np.unique`` imports ``numpy.ma`` on its first call, which
+logging, and a run with a single unit of work makes no pool at any
+``--jobs``.  ``np.unique`` imports ``numpy.ma`` on its first call, which
 costs more than a whole split scenario, so the library does not call it
 on a run's path.  Each check runs in a fresh interpreter, because another
 test may already have imported either module.
@@ -38,5 +39,15 @@ def test_a_serial_split_run_loads_no_pool_and_no_masked_arrays(tmp_path):
     code = ("import sys\n"
             "import tclab.cli\n"
             "assert tclab.cli.main(['split', '--qs', '1,2']) == 0\n")
+    assert _loaded_after(code, tmp_path) == []
+    assert "PASS" in (tmp_path / "out" / "split.json").read_text()
+
+
+def test_a_one_unit_run_with_jobs_loads_no_pool(tmp_path):
+    # a split scenario is one unit, so a second process would have no work
+    code = ("import sys\n"
+            "import tclab.cli\n"
+            "assert tclab.cli.main(['split', '--qs', '1,2', '--jobs', '2'])"
+            " == 0\n")
     assert _loaded_after(code, tmp_path) == []
     assert "PASS" in (tmp_path / "out" / "split.json").read_text()

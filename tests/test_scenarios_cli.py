@@ -285,16 +285,66 @@ def test_cli_seed_override_changes_hash(tmp_path):
     assert t1 != t2
 
 
+def _outputs(out):
+    """Every file a run wrote, by name."""
+    return {path.name: path.read_text() for path in sorted(out.iterdir())}
+
+
 def test_cli_parallel_run_matches_serial(tmp_path):
-    scens = [dict(SMALL_EPI),
+    # an epi grid and random curves, which split into one unit per curve,
+    # beside whole decay and split scenarios
+    scens = [{"name": "epi_mixed", "kind": "epi", "seed": 7,
+              "params": {"Q": [1, 2], "ratios": [2], "amplitudes": [1e-2],
+                         "random": 3}},
+             {"name": "decay_demo", "kind": "decay", "seed": 2,
+              "params": {"levels": 2}},
              {"name": "split_demo", "kind": "split", "seed": 3,
               "params": {"Q": [1, 1], "width": 0.05}}]
     cfg = write_config(tmp_path / "cfg.json", scens)
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    assert main(["run", cfg, "--out", str(out1), "--jobs", "1"]) == 0
-    assert main(["run", cfg, "--out", str(out2), "--jobs", "2"]) == 0
-    for name in ("epi_small.csv", "split_demo.json", "summary.csv"):
-        assert (out1 / name).read_text() == (out2 / name).read_text()
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append(_outputs(out))
+    assert sorted(outputs[0]) == ["decay_demo.csv", "epi_mixed.csv",
+                                  "split_demo.json", "summary.csv"]
+    assert len(outputs[0]["epi_mixed.csv"].splitlines()) == 1 + 5 + 1
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_cli_parallel_shortcut_matches_serial(tmp_path):
+    # one scenario, so only the per-curve units give the pool work
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["epi", "--random", "4", "--out", str(out),
+                     "--jobs", jobs]) == 0
+        outputs.append(_outputs(out))
+    assert sorted(outputs[0]) == ["epi.csv", "summary.csv"]
+    assert outputs[1] == outputs[0]
+
+
+def test_cli_parallel_errored_curve_matches_serial(tmp_path, capsys):
+    # the 0.5 and 0.6 curves error as in test_cli_over_large_excess_
+    # errors_one_scenario; whichever process certifies each curve, the
+    # report is the serial run's: the error of the first failing curve in
+    # draw order, whose reference-plane excess is 0.850, and no artifact
+    cfg = write_config(tmp_path / "cfg.json", [
+        {"name": "steep", "kind": "epi", "seed": 1,
+         "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-2, 0.5, 0.6],
+                    "random": 0}},
+        {"name": "split_demo", "kind": "split", "seed": 3,
+         "params": {"Q": [1, 1], "width": 0.05}}])
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.count("too large to start the tilt search") == 1
+        assert "excess 0.850 against" in err
+        reports.append((err, _outputs(out)))
+    assert sorted(reports[0][1]) == ["split_demo.json", "summary.csv"]
+    assert reports[1] == reports[0]
 
 
 def test_cli_pure_tilt_mode_exits_two(tmp_path, capsys):
