@@ -154,8 +154,7 @@ def _certify(units, jobs: int) -> list:
 
 def _execute(scenarios, out_dir: str, jobs: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    # at --jobs > 1, each epi curve is a unit of its own
-    plan = [parts(sc) if jobs > 1 else [sc] for sc in scenarios]
+    plan = [parts(sc) for sc in scenarios]
     calls = iter(_certify([unit for units in plan for unit in units], jobs))
     results, errored = [], []
     for sc, units in zip(scenarios, plan):
