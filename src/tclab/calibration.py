@@ -36,12 +36,24 @@ from .geom import rowdot
 class Bump:
     """The field chi = f d, with f = (1 - |x - center|^2/radius^2)^power
     inside the ball |x - center| < radius and 0 outside, and d the
-    constant ``direction``."""
+    constant ``direction``.
+
+    f is C^(power-1) at the support edge, so fixed-order quadrature of
+    flowed surfaces converges fast.  Raise the power when measuring
+    quantities that sit below the default's quadrature floor, such as
+    high-order derivative fits.
+    """
 
     center: np.ndarray
     radius: float
     direction: np.ndarray
-    power: int
+    power: int = 5
+
+    def __post_init__(self):
+        object.__setattr__(self, "center",
+                           np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "direction",
+                           np.asarray(self.direction, dtype=float))
 
     def profile(self, x):
         """f and its gradient at points x (..., d) inside the ball."""
@@ -50,18 +62,6 @@ class Bump:
         g = 1.0 - rowdot(y, y) / r2
         p = self.power
         return g ** p, (-p * g ** (p - 1))[..., None] * (2.0 * y / r2)
-
-
-def bump_field(center, radius: float, direction, power: int = 5) -> Bump:
-    """Polynomial bump (1 - |y|^2/R^2)^power times a constant direction.
-
-    C^(power-1) at the support edge so fixed-order quadrature of flowed
-    surfaces converges fast.  Raise the power when measuring quantities
-    that sit below the default's quadrature floor, such as high-order
-    derivative fits.
-    """
-    return Bump(np.asarray(center, dtype=float), radius,
-                np.asarray(direction, dtype=float), int(power))
 
 
 @dataclass(frozen=True)

@@ -453,32 +453,24 @@ class RadialRestriction(ParamSurface):
 # ---------------------------------------------------------------------------
 # cones
 
-@dataclass(frozen=True)
-class ConeOverCurve:
-    """Cone with vertex at the origin over a closed curve, its link.
+def cone_chart(link, order=(32, 64)) -> ParamSurface:
+    """Chart of the cone with vertex at the origin over a closed curve.
 
-    The chart is (t, theta) -> t * gamma(theta) for t in (0, 1], so the
-    cone reaches exactly the curve; its mass is the chart's.  Annulus
-    restrictions of the chart and the monotonicity integrals measure
-    radii from the origin, the vertex.
+    The chart is (t, theta) -> t * gamma(theta) over (0, 1] x [0, period)
+    at the given Gauss-Legendre order, so the cone reaches exactly the
+    link.  Annulus restrictions of the chart and the monotonicity
+    integrals measure radii from the origin, the vertex.
     """
 
-    link: object
+    def cmap(T, TH):
+        return np.asarray(T)[..., None] * link.jet(TH)[0]
 
-    def chart(self, order=(32, 64)) -> ParamSurface:
-        """The cone's chart over (0, 1] x [0, period) at the given
-        Gauss-Legendre order."""
-        link = self.link
+    def cjac(T, TH):
+        g, dg = link.jet(TH)
+        return g, np.asarray(T)[..., None] * dg
 
-        def cmap(T, TH):
-            return np.asarray(T)[..., None] * link.jet(TH)[0]
-
-        def cjac(T, TH):
-            g, dg = link.jet(TH)
-            return g, np.asarray(T)[..., None] * dg
-
-        return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
-                            jacobian=cjac, order=order, radial_axis=0)
+    return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
+                        jacobian=cjac, order=order, radial_axis=0)
 
 
 def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,

@@ -45,9 +45,6 @@ class EmbeddedCurve:
         theta = np.arange(self.curve.M) * (self.curve.period / self.curve.M)
         return self.curve.jet(theta)[0] @ self.frame.T
 
-    def mass(self) -> float:
-        return curve_mass(self.curve)
-
 
 def cluster_by_planes(points, planes, width: float) -> np.ndarray:
     """Label each point with the index of the unique plane tube containing it.
@@ -91,7 +88,7 @@ def split_current(curves, planes, width: float) -> SplitResult:
     groups = [[] for _ in planes]
     group_mass = [0.0] * len(planes)
     passed = True
-    masses = [c.mass() for c in curves]
+    masses = [curve_mass(c.curve) for c in curves]
     for c, m in zip(curves, masses):
         labels = cluster_by_planes(c.points(), planes, width)
         label = int(labels[0])

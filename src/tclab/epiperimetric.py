@@ -32,7 +32,8 @@ from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, orthonormal_pairs, rowdot, rownorm,
-                   standard_plane, twovector_mass_norm, wedge_matrix)
+                   standard_plane, twovector_euclid_norm, twovector_mass_norm,
+                   wedge_matrix)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
@@ -90,7 +91,7 @@ def _cone_tangent_data(curve: WindingCurve):
         theta = np.arange(curve.M) * (curve.period / curve.M)
         z, dz = curve.jet(theta)
         W = wedge_matrix(z, dz)
-        wedge = np.linalg.norm(W, axis=(-2, -1)) / np.sqrt(2.0)
+        wedge = twovector_euclid_norm(W)
         if np.any(wedge < 1e-300):
             raise ValueError("degenerate tangent pair")
         tangent = W / wedge[:, None, None]

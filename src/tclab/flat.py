@@ -5,27 +5,12 @@ dominates the flat distance between two currents.  The construction is
 the radial-projection sweep between two ball scales of one surface.
 """
 
-from dataclasses import dataclass
-
 from .monotonicity import radial_projection_mass
 from .quadrature import gauss_legendre
 
 
-@dataclass(frozen=True)
-class FlatEstimate:
-    """One-sided flat-distance bound split into its two mass terms.
-
-    residual_mass counts the current matched directly, filling_mass the
-    boundary-filling piece one dimension up; the bound is their sum.
-    """
-
-    filling_mass: float
-    residual_mass: float
-    bound: float
-
-
 def radial_homotopy_filling(current, s: float, r: float,
-                            tnodes: int = 12) -> FlatEstimate:
+                            tnodes: int = 12) -> float:
     """Bound the flat gap between the ball-scale restrictions at s and r.
 
     Sweeping the annulus radially realizes the difference as a boundary
@@ -41,5 +26,4 @@ def radial_homotopy_filling(current, s: float, r: float,
     total = 0.0
     for t, w in zip(nodes, weights):
         total += w * t * t * radial_projection_mass(current, s * t, r * t)
-    return FlatEstimate(filling_mass=float(total), residual_mass=0.0,
-                        bound=float(total))
+    return float(total)

@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, ScenarioError, TclabError
 from .fourier import FourierSeries, harmonic_extension
-from .currents import ConeOverCurve, WindingCurve
+from .currents import WindingCurve, cone_chart
 from .epiperimetric import epiperimetric_gap, mode_ratio
 from .monotonicity import (DecayConstants, mass_profile, deviation_integral,
                            synthesize_decay_profile, fit_decay)
 from .flat import radial_homotopy_filling
-from .calibration import bump_field, almost_minimality_probe, spherical_cap
+from .calibration import Bump, almost_minimality_probe, spherical_cap
 from .decomposition import EmbeddedCurve, split_current
 
 # Single-mode linear theory predicts a gap ratio of 2a/(1+a^2) for a
@@ -545,12 +545,14 @@ def _run_flat(sc: Scenario):
     bounds = []
     for r in radii:
         s = 0.5 * r
-        est = radial_homotopy_filling(surface, s, r, tnodes=p.tnodes)
-        ok = np.isfinite(est.bound) and est.bound >= 0.0
+        bound = radial_homotopy_filling(surface, s, r, tnodes=p.tnodes)
+        ok = np.isfinite(bound) and bound >= 0.0
         verdict = "PASS" if ok else "FAIL"
-        rows.append((r, s, est.bound, est.filling_mass, est.residual_mass,
-                     verdict))
-        bounds.append(est.bound)
+        # filling and residual carry no information (the filling is the
+        # bound, nothing is matched directly); ROADMAP item 13 replaces
+        # both columns with the rescaling ratio and the tail bound
+        rows.append((r, s, bound, bound, 0.0, verdict))
+        bounds.append(bound)
     kfit, cfit = _fit_power(radii, np.maximum(bounds, 1e-300))
     fitted = {"gamma0": kfit, "C": cfit}
     return columns, rows, fitted, None
@@ -571,14 +573,14 @@ def calib_bump(rng: np.random.Generator, surface: str, power: int):
         brad = float(rng.uniform(0.2, 0.6))
         direction = rng.standard_normal(4)
     direction /= np.linalg.norm(direction)
-    return bump_field(center, brad, direction, power=power)
+    return Bump(center, brad, direction, power=power)
 
 
 def _run_calib(sc: Scenario):
     p = sc.typed
     rng = sc.rng()
     if p.surface == "disk":
-        surface = ConeOverCurve(flat_circle(1, 1.0)).chart(order=CALIB_ORDER)
+        surface = cone_chart(flat_circle(1, 1.0), order=CALIB_ORDER)
     else:
         surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=CALIB_ORDER)
 

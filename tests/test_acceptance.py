@@ -11,9 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from tclab.calibration import bump_field, spherical_cap
+from tclab.calibration import Bump, spherical_cap
 from tclab.cli import main
-from tclab.currents import ConeOverCurve, curve_mass
+from tclab.currents import cone_chart, curve_mass
 from tclab.decomposition import split_current
 from tclab.epiperimetric import epiperimetric_gap, mode_ratio, optimal_plane
 from tclab.flat import radial_homotopy_filling
@@ -52,7 +52,7 @@ def test_01_cone_mass_halves_link_length():
     for _ in range(50):
         link = normalize_to_sphere(random_link_curve(rng))
         length = curve_mass(link)
-        err = abs(ConeOverCurve(link).chart().mass() - 0.5 * length) / length
+        err = abs(cone_chart(link).mass() - 0.5 * length) / length
         worst = fold(worst, err)
     verdict(worst <= 1e-8, "01 cone mass vs link length",
             f"worst relative gap {worst:.3e} <= 1e-08 over 50 links")
@@ -107,7 +107,7 @@ def test_04_first_variation_converges_second_order():
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         center = cap.points(np.array(mid), np.array(az))
-        chi = bump_field(center, brad, direction, power=10)
+        chi = Bump(center, brad, direction, power=10)
         report = first_variation_pair(cap, form, chi,
                                       steps=(1e-2, 1e-3, 1e-4))
         slopes.append(report.slope)
@@ -155,7 +155,7 @@ def test_05_monotonicity_constant_is_uniform():
     for seed in (1, 2, 3):
         link = normalize_to_sphere(random_link_curve(
             np.random.default_rng(seed)))
-        cone = ConeOverCurve(link).chart()
+        cone = cone_chart(link)
         excess = mass_profile(cone, radii, link.Q).excess()
         for j in range(radii.size - 1):
             cone_dev = fold(cone_dev,
@@ -199,7 +199,7 @@ def test_06_decay_envelopes_close():
 def test_07_radial_filling_scales_with_positive_power():
     surf = extension_surface(1, 2, 1e-2)
     outer = 0.2 * 2.0 ** -np.arange(4, dtype=float)
-    bounds = np.array([radial_homotopy_filling(surf, r / 2.0, r).bound
+    bounds = np.array([radial_homotopy_filling(surf, r / 2.0, r)
                        for r in outer])
     kappa, logc = np.polyfit(np.log(outer), np.log(bounds), 1)
     c_fit = np.exp(logc)

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tclab.calibration import (_flow, almost_minimality_probe, bump_field,
+from tclab.calibration import (Bump, _flow, almost_minimality_probe,
                                spherical_cap, sweep_mass)
-from tclab.currents import ConeOverCurve, ParamSurface
+from tclab.currents import ParamSurface, cone_chart
 from tclab.quadrature import gauss_legendre
 from tclab.scenarios import CALIB_ORDER, calib_bump, flat_circle, load_config
 
@@ -71,7 +71,7 @@ def test_spherical_cap_area():
 def test_bump_jacobian_matches_finite_differences():
     """The library's gradient of the profile f against central differences
     of its f, and the oracle's jacobian against direction (x) grad f."""
-    bump = bump_field([0.2, -0.1, 0.4], 0.9, [0.3, 1.0, -0.5], power=5)
+    bump = Bump([0.2, -0.1, 0.4], 0.9, [0.3, 1.0, -0.5], power=5)
     pts = random_points(25, seed=9, scale=0.5) + bump.center
     pts = pts[np.linalg.norm(pts - bump.center, axis=-1) < 0.85]
     assert len(pts) > 10
@@ -89,8 +89,7 @@ def test_bump_jacobian_matches_finite_differences():
 
 def test_first_variation_on_sphere_cap():
     cap = spherical_cap(1.0, 0.4, 1.2, order=(96, 192))
-    chi = bump_field(cap.points(0.8, 0.3), 0.35, [0.1, -0.4, 1.0],
-                     power=10)
+    chi = Bump(cap.points(0.8, 0.3), 0.35, [0.1, -0.4, 1.0], power=10)
     report = first_variation_pair(cap, solid_angle_form(), chi,
                                   steps=(1e-2, 1e-3, 1e-4))
     assert abs(report.residual) < 1e-8 * max(abs(report.rhs), 1.0)
@@ -100,7 +99,7 @@ def test_first_variation_on_sphere_cap():
 
 def test_sphere_law_agrees_with_solid_angle_route():
     cap = spherical_cap(1.3, 0.5, 1.1, order=(96, 192))
-    chi = bump_field(cap.points(0.8, 1.0), 0.4, [0.6, 0.2, 0.7], power=10)
+    chi = Bump(cap.points(0.8, 1.0), 0.4, [0.6, 0.2, 0.7], power=10)
     via_form = first_variation_pair(cap, solid_angle_form(), chi)
     via_law = first_variation_pair(cap, SphereLaw(), chi)
     assert via_form.rhs == pytest.approx(via_law.rhs, rel=1e-9)
@@ -112,7 +111,7 @@ def test_scaled_form_is_not_semicalibrating():
     scaled = type(base)(matrix=lambda x: 1.2 * base.matrix(x),
                         exterior=lambda x: 1.2 * base.exterior(x))
     cap = spherical_cap(1.0, 0.3, 1.2)
-    chi = bump_field(cap.points(0.7, 0.5), 0.3, [0.0, 0.0, 1.0])
+    chi = Bump(cap.points(0.7, 0.5), 0.3, [0.0, 0.0, 1.0])
     with pytest.raises(NotSemicalibrated):
         first_variation_pair(cap, scaled, chi)
 
@@ -141,7 +140,7 @@ def flat_disk(order=(64, 128), count=None):
 
 def test_flat_disk_probes_never_lose_mass():
     disk = flat_disk()
-    chi = bump_field([0.3, 0.0, 0.0], 0.25, [0.2, 0.1, 1.0])
+    chi = Bump([0.3, 0.0, 0.0], 0.25, [0.2, 0.1, 1.0])
     rows = almost_minimality_probe(disk, 0.0, chi, epsilons=[0.05, 0.02])
     assert all(row.passed and row.slack >= -1e-10 for row in rows)
     assert all(row.mass_sweep > 0.0 for row in rows)
@@ -151,7 +150,7 @@ def inward_field():
     """A bump on the unit sphere that pushes along -p at its center p: the
     flow dents the sphere inward, which only volume credit pays for."""
     p = np.array([0.3, 0.4, np.sqrt(0.75)])
-    return bump_field(p, 0.5, -p, power=5)
+    return Bump(p, 0.5, -p, power=5)
 
 
 def test_shrinking_sphere_fails_without_volume_credit():
@@ -198,16 +197,16 @@ def test_support_probes_match_full_grid(case):
     if case == "disk":
         surface = flat_disk(order=(96, 192))
         direction = rng.standard_normal(3)
-        chi = bump_field([0.2, -0.25, 0.0], 0.4, direction
-                         / np.linalg.norm(direction), power=10)
+        chi = Bump([0.2, -0.25, 0.0], 0.4, direction
+                   / np.linalg.norm(direction), power=10)
         omega, epsilons = 0.0, (0.05, 0.01)
     elif case == "equator":
         surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=(96, 192))
         u = rng.standard_normal(3)
         center = np.append(u / np.linalg.norm(u), 0.0)
         direction = rng.standard_normal(4)
-        chi = bump_field(center, 0.5, direction / np.linalg.norm(direction),
-                         power=10)
+        chi = Bump(center, 0.5, direction / np.linalg.norm(direction),
+                   power=10)
         omega, epsilons = 3.0, (0.05, 0.01)
     else:
         surface = spherical_cap(1.0, 0.0, np.pi, order=(64, 128))
@@ -235,7 +234,7 @@ def test_probes_evaluate_the_chart_once_per_surface():
         count = [0]
         disk = flat_disk(count=count)
         for k in range(probes):
-            chi = bump_field([0.1 * k, 0.2, 0.0], 0.3, [0.3, -0.2, 1.0])
+            chi = Bump([0.1 * k, 0.2, 0.0], 0.3, [0.3, -0.2, 1.0])
             almost_minimality_probe(disk, 0.0, chi, epsilons=[0.05, 0.02])
         counts.append(count[0])
     assert 0 < counts[1] <= counts[0]
@@ -243,7 +242,7 @@ def test_probes_evaluate_the_chart_once_per_surface():
 
 def test_bump_that_misses_the_surface_changes_nothing():
     disk = flat_disk()
-    chi = bump_field([0.2, 0.1, 0.8], 0.5, [0.0, 0.0, 1.0])
+    chi = Bump([0.2, 0.1, 0.8], 0.5, [0.0, 0.0, 1.0])
     row, = almost_minimality_probe(disk, 2.0, chi, epsilons=[0.05])
     assert row.mass_sweep == 0.0
     assert row.slack == 0.0
@@ -277,13 +276,13 @@ def test_flow_keeps_the_exact_area_change_and_sweep_rate(case):
     same at every t."""
     if case == "disk":
         surface = flat_disk()
-        chi = bump_field([0.3, -0.1, 0.0], 0.4, [0.2, 0.1, 1.0])
+        chi = Bump([0.3, -0.1, 0.0], 0.4, [0.2, 0.1, 1.0])
     elif case == "sheared":
         surface = sheared_graph()
-        chi = bump_field([0.1, 0.05, 0.0], 0.35, [0.5, -0.3, 0.8])
+        chi = Bump([0.1, 0.05, 0.0], 0.35, [0.5, -0.3, 0.8])
     else:
         surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=(32, 64))
-        chi = bump_field([0.6, 0.0, 0.8, 0.0], 0.5, [0.1, 0.3, -0.2, 0.9])
+        chi = Bump([0.6, 0.0, 0.8, 0.0], 0.5, [0.1, 0.3, -0.2, 0.9])
     flow = _flow(surface, chi)
     x, xu, xv, w = surface._frame(surface.order)
     keep = np.sum((x - chi.center) ** 2, axis=-1) < chi.radius ** 2
@@ -324,7 +323,7 @@ def test_sweep_rate_of_a_nearly_tangent_direction_keeps_full_precision():
     for _ in range(30):
         chi = calib_bump(rng, "disk", sc.typed.bump_power)
     assert 1e-5 < abs(chi.direction[2]) < 1e-4
-    surface = ConeOverCurve(flat_circle(1, 1.0)).chart(order=CALIB_ORDER)
+    surface = cone_chart(flat_circle(1, 1.0), order=CALIB_ORDER)
     x, xu, xv, w = surface._frame(surface.order)
     keep = np.sum((x - chi.center) ** 2, axis=-1) < chi.radius ** 2
     f = chi.profile(x[keep])[0]

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from tclab.calibration import spherical_cap
-from tclab.currents import (ConeOverCurve, ParamSurface, RadialRestriction,
-                            WindingCurve, annulus_mass, curve_mass)
+from tclab.currents import (ParamSurface, RadialRestriction, WindingCurve,
+                            annulus_mass, cone_chart, curve_mass)
 from tclab.epiperimetric import build_competitor, optimal_plane
 from tclab.errors import EmptyRestriction, QuadratureNotConverged
 from tclab.fourier import FourierSeries, harmonic_extension
@@ -67,7 +67,7 @@ def test_winding_curve_samples_follow_the_series(Q, N, top, value, M):
 
 @pytest.mark.parametrize("order", [(12, 24), (96, 192)])
 def test_cone_over_unit_circle_is_the_polar_disk_bitwise(order):
-    cone = ConeOverCurve(flat_circle(1, 1.0)).chart(order=order)
+    cone = cone_chart(flat_circle(1, 1.0), order=order)
     for got, want in zip(cone._frame(order),
                          polar_disk(1.0, order=order)._frame(order)):
         assert np.array_equal(got, want)
@@ -79,7 +79,7 @@ def test_cone_frame_evaluates_the_link_jet_once_per_chart_call(
     # bitwise the one built from one separate link jet
     order = (96, 192)
     link = flat_circle(1, 1.0)
-    cone = ConeOverCurve(link).chart(order=order)
+    cone = cone_chart(link, order=order)
     u, _, v, _ = cone._axes(order)
     U, V = u[:, None, None], v[None, :]
     g, dg = link.jet(V)
@@ -101,7 +101,7 @@ def test_cone_frame_evaluates_the_link_jet_once_per_chart_call(
 
 def test_cone_over_circle_matches_the_polar_disk():
     R, order = 1.7, (48, 96)
-    cone = ConeOverCurve(flat_circle(1, R)).chart(order=order)
+    cone = cone_chart(flat_circle(1, R), order=order)
     for got, want in zip(cone._frame(order),
                          polar_disk(R, order=order)._frame(order)):
         assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
@@ -186,14 +186,14 @@ def test_restriction_additivity():
 def test_cone_mass_halves_spherical_link_length():
     rng = np.random.default_rng(11)
     link = normalize_to_sphere(random_link_curve(rng))
-    cone = ConeOverCurve(link).chart()
+    cone = cone_chart(link)
     assert abs(cone.mass() - 0.5 * curve_mass(link)) < 1e-10
 
 
 @given(st.integers(1, 3), st.floats(0.5, 2.0))
 @settings(max_examples=10, deadline=None)
 def test_cone_over_flat_circle_is_disk(Q, rho):
-    cone = ConeOverCurve(flat_circle(Q, rho)).chart()
+    cone = cone_chart(flat_circle(Q, rho))
     assert abs(cone.mass() - Q * np.pi * rho ** 2) < 1e-9
 
 
@@ -244,7 +244,7 @@ def _restricted_case(case):
         beta[mode - 1, 0] = amp * np.sin(0.7)
         return harmonic_extension(FourierSeries(Q, 1, alpha, beta), 1.0)
     link = random_link_curve(np.random.default_rng(case[1]))
-    return ConeOverCurve(link).chart()
+    return cone_chart(link)
 
 
 def _tangent_deviation(x, xu, xv):
@@ -414,10 +414,10 @@ def test_open_grid_frames_match_flat_node_charts():
 
 
 def elementwise_charts():
-    calib_disk = ConeOverCurve(flat_circle(1, 1.0)).chart(order=(12, 24))
+    calib_disk = cone_chart(flat_circle(1, 1.0), order=(12, 24))
     curve = random_link_curve(np.random.default_rng(4))
     link = normalize_to_sphere(curve)
-    return {"cone": ConeOverCurve(link).chart(),
+    return {"cone": cone_chart(link),
             "cap": spherical_cap(1.3, 0.2, 2.9, dim=4, order=(12, 24)),
             "calib-disk": calib_disk}
 

@@ -18,10 +18,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tclab"
 
-ALLOWED = {
-    "twovector_euclid_norm": "ROADMAP item 1 makes it the norm of the "
-                             "tilt search's excess",
-}
+ALLOWED = {}
 
 
 def _references(node) -> Counter:

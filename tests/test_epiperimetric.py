@@ -157,9 +157,10 @@ def test_indefinite_start_hessian_raises():
     assert np.allclose(Hi, np.diag([0.5, 0.125]), rtol=1e-6, atol=1e-9)
 
 
-def _bfgs_reference_excess(curve):
-    """Excess at scipy's BFGS minimizer of the same scaled tilt objective,
-    with the same gradient stencil and gtol, as the search reference."""
+def _bfgs_reference(curve):
+    """scipy's BFGS minimizer of the same scaled tilt objective, with the
+    same gradient stencil and gtol, as the search reference, and the
+    excess there."""
     m = 2 * curve.n
     raw = reference_excess(curve)
     scale = max(raw, 1e-16)
@@ -170,7 +171,7 @@ def _bfgs_reference_excess(curve):
 
     res = optimize.minimize(scaled, np.zeros(m), jac=True, method="BFGS",
                             options={"gtol": 1e-12, "maxiter": 400})
-    return float(epi._tilt_objective(curve, res.x[None])[0])
+    return res.x, float(epi._tilt_objective(curve, res.x[None])[0])
 
 
 @pytest.mark.parametrize("case", ["mixture"] + list(range(20)))
@@ -193,13 +194,30 @@ def test_search_matches_bfgs_reference(monkeypatch, case):
     else:
         curve = random_epi_curve(np.random.default_rng(case))
     rep = optimal_plane(curve)
-    ref = _bfgs_reference_excess(curve)
+    _, ref = _bfgs_reference(curve)
     assert abs(rep.excess - ref) <= 1e-12 * ref
     # both searches end within roundoff of the same minimum, so "not
     # above" holds up to a few ulps of the excess
     assert rep.excess <= ref * (1 + 8 * np.finfo(float).eps)
     if case != "mixture":
         assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the mass norm's |Pf| kink stalls both the search and BFGS "
+           "above the mixture's minimum; ROADMAP item 1's smooth "
+           "Euclidean excess removes the kink")
+def test_search_reaches_mixture_kink_minimum():
+    # a derivative-free polish from the BFGS tilt walks down the kink;
+    # the certified excess must not sit above what the polish reaches
+    curve = _mixture_curve()
+    x, _ = _bfgs_reference(curve)
+    res = optimize.minimize(
+        lambda v: float(epi._tilt_objective(curve, v[None])[0]), x,
+        method="Nelder-Mead", options={"xatol": 1e-14, "fatol": 1e-22})
+    rep = optimal_plane(curve)
+    assert rep.excess <= res.fun * (1 + 8 * np.finfo(float).eps)
 
 
 def test_tilt_search_builds_cone_data_once(monkeypatch):

@@ -13,18 +13,19 @@ is invariant under the radial sweep, so its bound vanishes.
 import numpy as np
 import pytest
 
-from tclab.currents import ConeOverCurve, ParamSurface
+from tclab.currents import ParamSurface, cone_chart
 from tclab.errors import VertexTooClose
 from tclab.flat import radial_homotopy_filling
 from tclab.fourier import harmonic_extension
-from tclab.scenarios import extension_surface, single_mode_series
+from tclab.scenarios import (Scenario, extension_surface, render_artifact,
+                             run_scenario, single_mode_series)
 
 from oracles import random_link_curve
 
 
 def test_radial_filling_scales_like_radius():
     surf = extension_surface(1, 2, 1e-2)
-    bounds = [radial_homotopy_filling(surf, 0.1 / 2 ** k, 0.2 / 2 ** k).bound
+    bounds = [radial_homotopy_filling(surf, 0.1 / 2 ** k, 0.2 / 2 ** k)
               for k in range(3)]
     for big, small in zip(bounds, bounds[1:]):
         assert small == pytest.approx(big / 2.0, rel=1e-4)
@@ -38,32 +39,43 @@ def test_radial_filling_of_small_wiggle(s, r):
     ext = harmonic_extension(single_mode_series(1, 2, c), 1.0)
     surf = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
                         order=(48, 256), radial_axis=0)
-    est = radial_homotopy_filling(surf, s, r)
-    assert est.bound == pytest.approx(c * (r - s), rel=1e-4)
-    assert est.residual_mass == 0.0
-    assert est.bound == est.filling_mass
+    bound = radial_homotopy_filling(surf, s, r)
+    assert bound == pytest.approx(c * (r - s), rel=1e-4)
 
 
 def test_radial_filling_is_linear_in_small_amplitude():
     a, b = (radial_homotopy_filling(extension_surface(1, 2, c), 0.1, 0.5)
             for c in (1e-3, 2e-3))
-    assert b.bound == pytest.approx(2.0 * a.bound, rel=1e-5)
+    assert b == pytest.approx(2.0 * a, rel=1e-5)
 
 
 @pytest.mark.parametrize("Q", [1, 3])
 def test_flat_disk_has_zero_radial_filling(Q):
-    est = radial_homotopy_filling(extension_surface(Q, 2 * Q, 0.0), 0.1, 0.5)
-    assert 0.0 <= est.bound < 1e-14
+    surf = extension_surface(Q, 2 * Q, 0.0)
+    assert 0.0 <= radial_homotopy_filling(surf, 0.1, 0.5) < 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cone_has_zero_radial_filling(seed):
     link = random_link_curve(np.random.default_rng(seed))
-    cone = ConeOverCurve(link).chart()
-    assert 0.0 <= radial_homotopy_filling(cone, 0.1, 0.5).bound < 1e-14
+    cone = cone_chart(link)
+    assert 0.0 <= radial_homotopy_filling(cone, 0.1, 0.5) < 1e-14
 
 
 def test_radial_filling_rejects_vertex_ball():
     surf = extension_surface(1, 2, 1e-2)
     with pytest.raises(VertexTooClose):
         radial_homotopy_filling(surf, 0.0, 0.5)
+
+
+def test_flat_artifact_filling_is_bound_and_residual_is_zero():
+    sc = Scenario(name="flat", kind="flat", seed=0,
+                  params={"Q": 1, "mode": 2, "amplitude": 1e-2, "levels": 3})
+    lines = render_artifact(run_scenario(sc)).splitlines()
+    assert lines[0] == "r,s,bound,filling,residual,verdict"
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 3
+    for r, s, bound, filling, residual, verdict in rows:
+        assert filling == bound
+        assert residual == "0.0"
+        assert verdict == "PASS"

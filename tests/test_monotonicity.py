@@ -20,7 +20,7 @@ has a closed form that only the r^alpha0 term keeps finite.
 import numpy as np
 import pytest
 
-from tclab.currents import ConeOverCurve, RadialRestriction, annulus_mass
+from tclab.currents import RadialRestriction, annulus_mass, cone_chart
 from tclab.errors import VertexTooClose
 from tclab.monotonicity import (DecayConstants, MassProfile,
                                 deviation_integral, fit_decay, mass_profile,
@@ -50,7 +50,7 @@ def test_deviation_equals_pi_times_excess_gap():
 
 def test_cone_has_zero_deviation_and_flat_excess():
     link = normalize_to_sphere(random_link_curve(np.random.default_rng(3)))
-    cone = ConeOverCurve(link).chart()
+    cone = cone_chart(link)
     assert deviation_integral(cone, 0.25, 0.5) < 1e-20
     excess = mass_profile(cone, [0.25, 0.5, 1.0], 1).excess()
     assert np.ptp(excess) < 1e-12
