@@ -14,7 +14,8 @@ count.  The excess kernel takes a whole stack of tilted planes, so each
 step of the quasi-Newton tilt search with its finite-difference gradient,
 its starting Hessian, its backtracking ladder and the final certificate
 with all its one-sided probes each cost one projection, one escape test
-and one batch of mass norms.
+and one batch of mass norms; one stencil at the reference plane gives the
+raw excess, the search's start and, if the search stays, its certificate.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk of the working cylinder radius inside the optimal plane's cylinder;
@@ -32,8 +33,7 @@ from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, orthonormal_pairs, rowdot, rownorm,
-                   standard_plane, twovector_euclid_norm, twovector_mass_norm,
-                   wedge_matrix)
+                   twovector_euclid_norm, twovector_mass_norm, wedge)
 
 OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
@@ -47,6 +47,7 @@ REGRAPH_PASSES = 12
 GRAD_STEP = 1e-6
 HESS_STEP = 1e-4
 ARMIJO = 1e-4
+CERT_STEPS = (1e-5, GRAD_STEP)
 LADDER = 2.0 ** -np.arange(1, 25)
 SEARCH_STEPS = 400
 
@@ -82,7 +83,8 @@ def _cone_tangent_data(curve: WindingCurve):
     """Plane-independent cone data at the curve's M sample angles, built once.
 
     Returns the trace points z, their norms |z|, the wedge speeds
-    |z ^ z'| and the unit tangent two-vectors z ^ z' / |z ^ z'|.
+    |z ^ z'| and the components of the unit tangent two-vectors
+    z ^ z' / |z ^ z'|.
     WindingCurve is immutable, so the arrays are memoized on the instance
     (read-only, since every tilt of the search shares them).
     """
@@ -90,12 +92,11 @@ def _cone_tangent_data(curve: WindingCurve):
     if data is None:
         theta = np.arange(curve.M) * (curve.period / curve.M)
         z, dz = curve.jet(theta)
-        W = wedge_matrix(z, dz)
-        wedge = twovector_euclid_norm(W)
-        if np.any(wedge < 1e-300):
+        W = wedge(z, dz)
+        speed = twovector_euclid_norm(W)
+        if np.any(speed < 1e-300):
             raise ValueError("degenerate tangent pair")
-        tangent = W / wedge[:, None, None]
-        data = (z, rownorm(z), wedge, tangent)
+        data = (z, rownorm(z), speed, W / speed[:, None])
         for arr in data:
             arr.flags.writeable = False
         vars(curve)["_cone_tangent_data"] = data
@@ -111,15 +112,15 @@ def cylindrical_excess(curve: WindingCurve, B: np.ndarray):
     ESCAPE_FACTOR.  Returns the K excesses and the boolean mask of
     escaping rows, whose excess is NaN.
     """
-    z, znorm, wedge, tangent = _cone_tangent_data(curve)
+    z, znorm, speed, tangent = _cone_tangent_data(curve)
     proj = rownorm(z @ B)
     worst = np.max(znorm / np.maximum(proj, 1e-300), axis=-1)
     escaped = worst > ESCAPE_FACTOR
     keep = ~escaped
     B, proj = B[keep], proj[keep]
-    diff = tangent - wedge_matrix(B[..., 0], B[..., 1])[:, None]
+    diff = tangent - wedge(B[..., 0], B[..., 1])[:, None]
     dist2 = twovector_mass_norm(diff) ** 2
-    vals = dist2 * wedge / proj ** 2
+    vals = dist2 * speed / proj ** 2
     excess = np.full(escaped.shape, np.nan)
     excess[keep] = 0.25 * np.sum(vals, axis=-1) * (curve.period / curve.M)
     return excess, escaped
@@ -197,11 +198,12 @@ def _inverse_hessian(objective, v: np.ndarray) -> np.ndarray:
     return Li.T @ Li
 
 
-def _quasi_newton(objective, m: int) -> np.ndarray:
-    """Quasi-Newton minimizer of the objective over R^m from the origin.
+def _quasi_newton(objective, f: float, g: np.ndarray) -> np.ndarray:
+    """Quasi-Newton minimizer of the objective from the origin.
 
-    The objective maps a stack of points to their values.  The search
-    stops at the origin when its gradient is at most 1e-12 in every
+    The objective maps a stack of points to their values; f and g are its
+    value and GRAD_STEP central gradient at the origin.  The search
+    stops at the origin when g is at most 1e-12 in every
     component; otherwise the first inverse Hessian comes from
     _inverse_hessian and every step is one stencil call at x + p, with
     p = -H^-1 g.  A full step that fails the Armijo test is backtracked
@@ -212,8 +214,8 @@ def _quasi_newton(objective, m: int) -> np.ndarray:
     low before a failed full step (or when no rung passes, or after
     SEARCH_STEPS steps); the certificate judges the point it returns.
     """
+    m = g.size
     x = np.zeros(m)
-    f, g = _value_gradient(objective, x)
     if np.max(np.abs(g)) <= 1e-12:
         return x
     Hi = _inverse_hessian(objective, x)
@@ -244,11 +246,11 @@ def _quasi_newton(objective, m: int) -> np.ndarray:
     return x
 
 
-def _certificate(excesses, v: np.ndarray):
+def _certificate(f: np.ndarray):
     """Value, central-gradient norm and steepest one-sided slope at v.
 
-    ``excesses`` maps a stack of tilts to their objective values and is
-    called once, on v and its axis neighbours at steps 1e-5 and 1e-6.  The
+    ``f`` holds the objective values on _stencil(v, CERT_STEPS): v and
+    its axis neighbours at steps 1e-5 and 1e-6.  The
     gradient is the 1e-5 central quotient.  The slope is the most negative
     (f(v +- t e_k) - f(v)) / t over both steps: an even kink cancels out
     of central differences, so a point where the objective descends at
@@ -257,12 +259,11 @@ def _certificate(excesses, v: np.ndarray):
     minimum of the piecewise-smooth objective; a negative slope is a
     descent direction the quasi-Newton search failed to follow.
     """
-    m = v.size
-    f = excesses(_stencil(v, (1e-5, 1e-6)))
+    m = (f.size - 1) // 4
     f0 = f[0]
     side = f[1:].reshape(2, 2, m)
     gnorm = np.linalg.norm((side[0, 0] - side[0, 1]) / (2 * 1e-5))
-    slopes = (side - f0) / np.array([1e-5, 1e-6])[:, None, None]
+    slopes = (side - f0) / np.array(CERT_STEPS)[:, None, None]
     return float(f0), float(gnorm), float(np.min(slopes))
 
 
@@ -273,14 +274,18 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     spanning directions; minimization is the quasi-Newton search of
     _quasi_newton on the excess scaled by its reference-plane value,
     with central-difference gradients, and a tilt that fails the
-    certificate below raises NoConvergence.  The raw excess is a
-    one-row cylindrical_excess call on the reference plane; a cone that
-    escapes that plane's cylinder raises SupportEscapesCylinder, and a
-    raw excess of PRE_EXCESS or more is refused with ExcessTooLarge,
-    both before the search starts.  Each search step stacks the tilt
-    with its 4n gradient neighbours, the starting Hessian its
-    1 + 4n + 4n(2n - 1) stencil rows, and the certificate its 8n
-    neighbours, so each costs one cylindrical_excess call.
+    certificate below raises NoConvergence.  One cylindrical_excess
+    call on the reference stencil _stencil(0, CERT_STEPS), the untilted
+    plane and its 8n axis neighbours, holds every value read there.  Row
+    0 is the raw excess: a cone that escapes that plane's cylinder raises
+    SupportEscapesCylinder, and a raw excess of PRE_EXCESS or more is
+    refused with ExcessTooLarge, both before the search starts.  Row 0
+    and the +-GRAD_STEP rows, divided by the scale, give the search its
+    start value and gradient.  A search that stays at the origin is
+    certified on the same stencil, one that moves on the stencil at its
+    tilt.  Each search step stacks the tilt with its 4n gradient
+    neighbours and the starting Hessian its 1 + 4n + 4n(2n - 1) stencil
+    rows, so each costs one call too.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
@@ -298,9 +303,9 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     stiff profiles whose curvature turns roundoff-level tilt error into
     gradient units.
     """
-    n = curve.n
-    vals, escaped = cylindrical_excess(curve,
-                                       standard_plane(2 + n).basis()[None])
+    n, m = curve.n, 2 * curve.n
+    V = _stencil(np.zeros(m), CERT_STEPS)
+    vals, escaped = cylindrical_excess(curve, _tilt_bases(V, n))
     if escaped[0]:
         raise SupportEscapesCylinder(
             "cone ray exits the reference plane's cylinder outside "
@@ -313,9 +318,14 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
 
     scale = max(raw, 1e-16)
     tol = max(GRAD_TOL, GRAD_REL * raw)
-    v = _quasi_newton(lambda V: _tilt_objective(curve, V) / scale, 2 * n)
-    fval, gnorm, descent = _certificate(
-        lambda V: _tilt_objective(curve, V), v)
+    f = np.where(escaped, 1e6 + rowdot(V, V), vals)
+    start = f / scale
+    grad = (start[1 + 2 * m:1 + 3 * m] - start[1 + 3 * m:]) / (2 * GRAD_STEP)
+    v = _quasi_newton(lambda V: _tilt_objective(curve, V) / scale,
+                      start[0], grad)
+    if v.any():
+        f = _tilt_objective(curve, _stencil(v, CERT_STEPS))
+    fval, gnorm, descent = _certificate(f)
     if gnorm >= tol:
         raise NoConvergence(
             f"tilt search stalled with |grad| = {gnorm:.2e}")
@@ -335,7 +345,8 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
     Intersects the (infinite) cone with the cylinder of radius ``new_rho``
     around the plane and resamples the trace at the curve's M uniform
     cylinder angles, expressed in the plane's frame.  Raises NotGraph when
-    the cylinder angle fails to advance monotonically, and Undersampled
+    the cylinder angle fails to advance monotonically or when the new
+    cylinder is not strictly inside the curve, and Undersampled
     when the kept Fourier modes miss more than TAIL_TOL of the regraphed
     profile's L2 mass.
 
@@ -360,10 +371,12 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
         return phi, dphi, y, u, r2
 
     probe = np.arange(4 * m) * (curve.period / (4 * m))
-    _, dphi, _, u, r2 = angle_data(probe)
+    _, dphi, _, _, r2 = angle_data(probe)
     if np.min(r2) <= (0.2 * curve.rho) ** 2 or np.min(dphi) <= 0:
         raise NotGraph(
             "curve is not a cylinder graph over the requested plane")
+    if np.min(r2) <= new_rho ** 2:
+        raise NotGraph("inner cylinder reaches past the curve")
 
     target = np.arange(m) * (curve.period / m)
     theta = target.copy()
@@ -420,12 +433,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     """
     rho2 = CYL_RATIO * curve.rho
     inner = regraph_over_plane(curve, plane, rho2)
-    disk = harmonic_extension(inner.series, rho2, lip_max=lip_max)
-    probe = np.arange(512) * (curve.period / 512)
-    proj = rownorm(curve.jet(probe)[0] @ plane.basis())
-    if float(np.min(proj)) <= rho2:
-        raise NotGraph("inner cylinder reaches past the curve")
-    return disk
+    return harmonic_extension(inner.series, rho2, lip_max=lip_max)
 
 
 def epiperimetric_gap(curve: WindingCurve,

@@ -1,15 +1,17 @@
 """Planes, projections and two-(co)vector norms in R^(2+n).
 
-Ambient vectors are plain numpy arrays.  A two-covector (or two-vector) is
-stored as the antisymmetric matrix A with value(v, w) = v @ A @ w; the
-wedge u ^ v corresponds to outer(u, v) - outer(v, u).
+Ambient vectors are plain numpy arrays.  A two-vector in R^d is stored as
+its C(d, 2) Plücker components a_ij, i < j, in the order of
+np.triu_indices(d, 1): (01, 02, 12) for d = 3 and (01, 02, 03, 12, 13, 23)
+for d = 4.  The wedge u ^ v has components u_i v_j - v_i u_j; they are the
+upper triangle of the antisymmetric matrix outer(u, v) - outer(v, u).
 
 Norm conventions fixed here and used everywhere else:
 
 * the mass norm of a two-vector is the sum of its spectral pair values,
-  i.e. half the nuclear norm of the matrix.  Tangent-minus-plane distances
-  |T - tau| are measured in this norm.
-* the Euclidean norm of a two-vector is sqrt(1/2 sum A_ij^2); it agrees
+  i.e. half the nuclear norm of its matrix.  Tangent-minus-plane
+  distances |T - tau| are measured in this norm.
+* the Euclidean norm of a two-vector is sqrt(sum_{i<j} a_ij^2); it agrees
   with the mass norm on simple two-vectors.
 * the comass of a two-covector is its largest singular value, which for
   antisymmetric matrices equals the maximum of v @ A @ w over orthonormal
@@ -18,16 +20,20 @@ Norm conventions fixed here and used everywhere else:
 
 In dimension d <= 4 (codimension at most two, every family built here) a
 two-vector has at most two spectral pair values s1, s2, with
-|A|^2 = 1/2 sum A_ij^2 = s1^2 + s2^2 and Pfaffian
-Pf A = a01 a23 - a02 a13 + a03 a12 = +-s1 s2, so the mass norm has the
-closed form sqrt(|A|^2 + 2 |Pf A|) (Pf is absent for d = 2, 3, where every
+|a|^2 = sum_{i<j} a_ij^2 = s1^2 + s2^2 and Pfaffian
+Pf a = a01 a23 - a02 a13 + a03 a12 = +-s1 s2, so the mass norm has the
+closed form sqrt(|a|^2 + 2 |Pf a|) (Pf is absent for d = 2, 3, where every
 two-vector is simple).  The |Pf| term is where the norm fails to be
 smooth: it switches on at a linear rate as a two-vector leaves the simple
 ones, which is the kink the two-part tilt certificate in
 ``epiperimetric`` is built for.  No run needs d >= 5, and the mass norm
 raises there.
 
-Dot products and norms of vectors stored along a short last axis (the
+Both norms add the squared components in the order numpy's pairwise sum
+adds the d^2 entries of the matrix form, np.sum(A * A, axis=(-2, -1)):
+each a_ij^2 twice, the zero diagonal dropped.  The norms therefore equal
+the matrix forms bit for bit, from the C(d, 2) components alone.  Dot
+products and norms of vectors stored along a short last axis (the
 coordinates of points, tangents and tilts) go through ``rowdot`` and
 ``rownorm``, which add the coordinates left to right.
 """
@@ -138,14 +144,6 @@ def orthonormal_pairs(u, v) -> np.ndarray:
     return np.stack([e1, e2], axis=-1)
 
 
-def standard_plane(dim: int) -> Plane2:
-    e1 = np.zeros(dim)
-    e2 = np.zeros(dim)
-    e1[0] = 1.0
-    e2[1] = 1.0
-    return Plane2(e1, e2)
-
-
 def complete_frame(basis: np.ndarray) -> np.ndarray:
     """Extend a dim x k orthonormal column set to a full orthogonal matrix.
 
@@ -171,34 +169,44 @@ def complete_frame(basis: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def wedge_matrix(u, v) -> np.ndarray:
-    """Antisymmetric matrix of u ^ v.  Broadcasts over leading axes."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
+def wedge(u, v) -> np.ndarray:
+    """Plücker components of u ^ v along the last axis; broadcasts."""
+    i, j = np.triu_indices(u.shape[-1], 1)
+    return u[..., i] * v[..., j] - v[..., i] * u[..., j]
 
 
-def twovector_mass_norm(A) -> np.ndarray:
-    """Mass norm of a two-vector given as an antisymmetric matrix.
+def _square_sum(a) -> np.ndarray:
+    """sum_{i<j} 2 a_ij^2 in the order np.sum(A * A, axis=(-2, -1)) adds
+    the matrix entries: eight pairwise accumulators over d^2 entries."""
+    p = [c * c for c in np.moveaxis(a, -1, 0)]
+    if len(p) == 1:
+        return p[0] + p[0]
+    if len(p) == 3:
+        p01, p02, p12 = p
+        return (p01 + (p02 + p01)) + (p12 + (p02 + p12))
+    if len(p) == 6:
+        p01, p02, p03, p12, p13, p23 = p
+        return (((p02 + (p01 + p12)) + (p02 + (p03 + p23)))
+                + (((p01 + p03) + p13) + ((p12 + p23) + p13)))
+    raise ValueError(f"two-vector norms need d <= 4, got {len(p)} "
+                     "components")
 
-    Equals the sum of the spectral pair values (half the nuclear norm),
-    sqrt(|A|^2 + 2 |Pf A|) in dimension d <= 4; raises ValueError for
-    d > 4.  Broadcasts over leading axes.
+
+def twovector_mass_norm(a) -> np.ndarray:
+    """Mass norm of two-vectors given by their components; broadcasts.
+
+    Equals the sum of the spectral pair values (half the nuclear norm of
+    the matrix), sqrt(|a|^2 + 2 |Pf a|) in dimension d <= 4; raises
+    ValueError for d > 4.
     """
-    A = np.asarray(A, dtype=float)
-    d = A.shape[-1]
-    if d > 4:
-        raise ValueError(f"mass norm needs dimension at most 4, got {d}")
-    sq = 0.5 * np.sum(A * A, axis=(-2, -1))
-    if d == 4:
-        pf = (A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3]
-              + A[..., 0, 3] * A[..., 1, 2])
+    sq = 0.5 * _square_sum(a)
+    if a.shape[-1] == 6:
+        pf = (a[..., 0] * a[..., 5] - a[..., 1] * a[..., 4]
+              + a[..., 2] * a[..., 3])
         sq = sq + 2.0 * np.abs(pf)
     return np.sqrt(sq)
 
 
-def twovector_euclid_norm(A) -> np.ndarray:
-    """Euclidean norm on two-vectors: sqrt(sum of squared components)."""
-    A = np.asarray(A, dtype=float)
-    return np.linalg.norm(A, axis=(-2, -1)) / np.sqrt(2.0)
-
+def twovector_euclid_norm(a) -> np.ndarray:
+    """Euclidean norm of two-vectors given by their components."""
+    return np.sqrt(_square_sum(a)) / np.sqrt(2.0)

@@ -18,8 +18,12 @@ others.
 
 ``check_orthonormal_pairs`` checks a stack of plane bases against the
 defining properties of Gram-Schmidt on its spanning pairs, not against
-another Gram-Schmidt.  ``unit_tangent_matrix`` builds unit simple
-two-vectors for the mass-norm batches.
+another Gram-Schmidt.  ``standard_plane`` is the reference plane
+span(e_0, e_1).  ``wedge_matrix`` and ``unit_tangent_matrix`` build
+two-vectors in the antisymmetric-matrix form, ``components`` reads off
+the Plücker components the library stores, and ``matrix_mass_norm`` is
+the mass norm summed over the matrix entries, which the library's
+component norm must equal bit for bit.
 
 ``random_link_curve`` and ``normalize_to_sphere`` build spherical links,
 whose cones have mass half the link length and no deviation.
@@ -40,7 +44,7 @@ import numpy as np
 from tclab.calibration import _flow, spherical_cap
 from tclab.currents import ParamSurface, WindingCurve
 from tclab.fourier import FourierSeries
-from tclab.geom import wedge_matrix
+from tclab.geom import Plane2
 
 
 def mapped_mass(surface, dphi, order=None):
@@ -123,6 +127,34 @@ def check_orthonormal_pairs(B, u, v, tol=1e-15):
     resid = np.linalg.norm(v - c1 * e1 - c2 * e2, axis=-1)
     assert np.all(resid <= tol * np.linalg.norm(v, axis=-1))
     assert np.all(c2 > 0)
+
+
+def standard_plane(dim: int) -> Plane2:
+    e = np.eye(dim)
+    return Plane2(e[0], e[1])
+
+
+def wedge_matrix(u, v) -> np.ndarray:
+    """Antisymmetric matrix of u ^ v.  Broadcasts over leading axes."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
+
+
+def components(A) -> np.ndarray:
+    """Plücker components A_ij, i < j, of a stack of d x d matrices."""
+    i, j = np.triu_indices(A.shape[-1], 1)
+    return A[..., i, j]
+
+
+def matrix_mass_norm(A) -> np.ndarray:
+    """sqrt(1/2 sum A_ij^2 + 2 |Pf A|) summed over the d x d matrix, d <= 4."""
+    sq = 0.5 * np.sum(A * A, axis=(-2, -1))
+    if A.shape[-1] == 4:
+        pf = (A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3]
+              + A[..., 0, 3] * A[..., 1, 2])
+        sq = sq + 2.0 * np.abs(pf)
+    return np.sqrt(sq)
 
 
 def unit_tangent_matrix(u, v):

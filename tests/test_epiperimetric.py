@@ -27,11 +27,11 @@ from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           ScenarioError, SupportEscapesCylinder,
                           Undersampled)
 from tclab.fourier import FourierSeries, analyze
-from tclab.geom import Plane2, orthonormal_pairs, standard_plane
+from tclab.geom import Plane2, orthonormal_pairs
 from tclab.scenarios import (Scenario, random_epi_curve, run_scenario,
                              single_mode_curve)
 
-from oracles import check_orthonormal_pairs, mapped_mass
+from oracles import check_orthonormal_pairs, mapped_mass, standard_plane
 
 
 def reference_excess(curve):
@@ -128,7 +128,7 @@ def test_one_sided_probe_reads_descent_through_even_kink():
     def f(V):
         return -np.abs(V[:, 0]) + V[:, 0] ** 2 + V[:, 1] ** 2
 
-    _, _, worst = _certificate(f, np.zeros(2))
+    _, _, worst = _certificate(f(epi._stencil(np.zeros(2), epi.CERT_STEPS)))
     assert worst == pytest.approx(-1.0, abs=1e-4)
 
 
@@ -136,7 +136,7 @@ def test_uncertified_tilt_raises(monkeypatch):
     # a search that stops where it started leaves the mode-Q tilt in the
     # excess, so the gradient test must refuse the untilted plane
     monkeypatch.setattr(epi, "_quasi_newton",
-                        lambda objective, m: np.zeros(m))
+                        lambda objective, f, g: np.zeros(g.size))
     with pytest.raises(NoConvergence):
         optimal_plane(single_mode_curve(1, 1, 1e-2))
 
@@ -150,7 +150,7 @@ def test_indefinite_start_hessian_raises():
     with pytest.raises(NoConvergence, match="not convex"):
         epi._inverse_hessian(saddle, np.zeros(2))
     with pytest.raises(NoConvergence, match="not convex"):
-        epi._quasi_newton(saddle, 2)
+        epi._quasi_newton(saddle, *epi._value_gradient(saddle, np.zeros(2)))
     # the same stencil inverts a convex quadratic's Hessian diag(2, 8)
     Hi = epi._inverse_hessian(lambda V: V[:, 0] ** 2 + 4 * V[:, 1] ** 2,
                               np.zeros(2))
@@ -178,15 +178,16 @@ def _bfgs_reference(curve):
 def test_search_matches_bfgs_reference(monkeypatch, case):
     # the kinked codimension-2 mixture and 20 seeded smooth draws: the
     # search certifies at the excess BFGS reaches, and each smooth search
-    # stops within four kernel calls
+    # stops within four kernel calls, the reference stencil that gives
+    # its start value and gradient and at most three of its own
     calls = []
     search = epi._quasi_newton
 
-    def counted(objective, m):
+    def counted(objective, f, g):
         def count(V):
             calls.append(len(V))
             return objective(V)
-        return search(count, m)
+        return search(count, f, g)
 
     monkeypatch.setattr(epi, "_quasi_newton", counted)
     if case == "mixture":
@@ -200,7 +201,7 @@ def test_search_matches_bfgs_reference(monkeypatch, case):
     # above" holds up to a few ulps of the excess
     assert rep.excess <= ref * (1 + 8 * np.finfo(float).eps)
     if case != "mixture":
-        assert 1 <= len(calls) <= 4
+        assert 1 + len(calls) <= 4
 
 
 @pytest.mark.xfail(
@@ -218,6 +219,67 @@ def test_search_reaches_mixture_kink_minimum():
         method="Nelder-Mead", options={"xatol": 1e-14, "fatol": 1e-22})
     rep = optimal_plane(curve)
     assert rep.excess <= res.fun * (1 + 8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("case", ["mixture", 0, 1, 2, 3])
+def test_stacked_excess_rows_equal_one_row_calls_bit_for_bit(case):
+    # optimal_plane reads the raw excess, the search's start and the
+    # certificate off one stacked call, which changes no value only if
+    # each row equals its plane called alone
+    if case == "mixture":
+        curve = _mixture_curve()
+    else:
+        curve = random_epi_curve(np.random.default_rng(case))
+    n, m = curve.n, 2 * curve.n
+    rng = np.random.default_rng(30)
+    for V in (epi._stencil(np.zeros(m), epi.CERT_STEPS),
+              epi._stencil(1e-2 * rng.standard_normal(m), epi.CERT_STEPS),
+              3e-2 * rng.standard_normal((40, m))):
+        vals, escaped = cylindrical_excess(curve, epi._tilt_bases(V, n))
+        assert not escaped.any()
+        for k in range(len(V)):
+            one, _ = cylindrical_excess(curve, epi._tilt_bases(V[k:k + 1], n))
+            assert vals[k] == one[0]
+    # the untilted row is the reference plane exactly
+    assert np.array_equal(epi._tilt_bases(np.zeros((1, m)), n)[0],
+                          standard_plane(2 + n).basis())
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Row counts of the cylindrical_excess calls made through epi."""
+    rows = []
+    excess = epi.cylindrical_excess
+
+    def counted(curve, bases):
+        rows.append(len(bases))
+        return excess(curve, bases)
+
+    monkeypatch.setattr(epi, "cylindrical_excess", counted)
+    return rows
+
+
+@pytest.mark.parametrize("Q,i,c", [(2, 5, 8e-3), (3, 10, 1e-2)])
+def test_search_at_reference_plane_makes_one_kernel_call(kernel_rows, Q, i,
+                                                          c):
+    # a grid curve with no tilt mode: the reference stencil gives the raw
+    # excess, a zero start gradient and the certificate in one call
+    curve = single_mode_curve(Q, i, c)
+    rep = optimal_plane(curve)
+    assert kernel_rows == [1 + 8 * curve.n]
+    assert rep.raw_excess == reference_excess(curve)
+    assert np.array_equal(rep.plane.basis(), standard_plane(3).basis())
+
+
+def test_moving_search_starts_from_the_reference_stencil(kernel_rows):
+    # a search that moves makes the reference stencil call first and
+    # certifies on a stencil of its own last; the raw excess is the same
+    # number a one-row call on the reference plane gives
+    curve = _mixture_curve()
+    rep = optimal_plane(curve)
+    assert kernel_rows[0] == kernel_rows[-1] == 1 + 8 * curve.n
+    assert len(kernel_rows) > 2
+    assert rep.raw_excess == reference_excess(curve)
 
 
 def test_tilt_search_builds_cone_data_once(monkeypatch):
@@ -336,11 +398,31 @@ def test_tilt_stack_matches_each_plane(n):
     assert objective[5] == 1e6 + np.sum(V[5] ** 2)
 
 
-def test_regraph_identity_roundtrip():
+def test_regraph_over_reference_plane_halves_the_curve():
+    # the cone is dilation invariant, so regraphing it over its own
+    # plane onto half the cylinder gives the curve scaled by one half
     curve = single_mode_curve(1, 2, 5e-3)
-    back = regraph_over_plane(curve, standard_plane(3), curve.rho)
+    back = regraph_over_plane(curve, standard_plane(3), 0.5 * curve.rho)
     theta = np.linspace(0.0, curve.period, 50)
-    assert np.allclose(back.jet(theta)[0], curve.jet(theta)[0], atol=1e-12)
+    assert np.allclose(back.jet(theta)[0], 0.5 * curve.jet(theta)[0],
+                       atol=1e-12)
+
+
+def test_regraph_refuses_a_cylinder_reaching_past_the_curve():
+    # the curve must lie strictly outside the new cylinder: its own
+    # cylinder touches it everywhere, and over a tilted plane the
+    # projected curve comes closest at its minimum |u|
+    curve = single_mode_curve(1, 2, 5e-3)
+    for rho in (curve.rho, 1.5 * curve.rho):
+        with pytest.raises(NotGraph, match="reaches past the curve"):
+            regraph_over_plane(curve, standard_plane(3), rho)
+    plane = epi._tilt_plane(np.array([0.3, 0.0]), 1)
+    theta = np.arange(4 * curve.M) * (curve.period / (4 * curve.M))
+    near = float(np.min(np.linalg.norm(
+        curve.jet(theta)[0] @ plane.basis(), axis=-1)))
+    regraph_over_plane(curve, plane, near * (1 - 1e-9))
+    with pytest.raises(NotGraph, match="reaches past the curve"):
+        regraph_over_plane(curve, plane, near * (1 + 1e-9))
 
 
 def test_regraph_smaller_cylinder_stays_on_cone():
@@ -353,12 +435,12 @@ def test_regraph_smaller_cylinder_stays_on_cone():
 
 
 def test_regraph_refuses_a_profile_past_the_kept_modes():
-    # analyze keeps 64 Q modes, so a mode-100 profile regraphed onto its
-    # own cylinder lies wholly in the discarded tail; a scenario reports
+    # analyze keeps 64 Q modes, so a mode-100 profile regraphed onto half
+    # its cylinder lies wholly in the discarded tail; a scenario reports
     # that as its own error
     curve = single_mode_curve(1, 100, 1e-4)
     with pytest.raises(Undersampled, match="truncation tail"):
-        regraph_over_plane(curve, standard_plane(3), curve.rho)
+        regraph_over_plane(curve, standard_plane(3), 0.5 * curve.rho)
     sc = Scenario(name="high", kind="epi", seed=0,
                   params={"Q": [1], "ratios": [100], "amplitudes": [1e-4]})
     with pytest.raises(ScenarioError, match="truncation tail"):
@@ -464,6 +546,34 @@ def test_regraph_newton_stops_at_convergence(monkeypatch):
         # one probe at 4M angles, the Newton passes, one final evaluation
         assert sizes[0] == 4 * curve.M
         assert 1 <= len(sizes) - 2 <= 4
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["reference", "tilted"])
+def test_build_competitor_samples_the_curve_only_in_the_regraph(monkeypatch,
+                                                                 case):
+    # the regraph's own probe checks that the inner cylinder stays inside
+    # the curve, so the competitor takes no samples of its own
+    curve, plane = _competitor_cases()[case]
+    outside = [0]
+    inside = [False]
+    jet, regraph = WindingCurve.jet, epi.regraph_over_plane
+
+    def counted_jet(self, theta):
+        if self is curve and not inside[0]:
+            outside[0] += 1
+        return jet(self, theta)
+
+    def counted_regraph(*args):
+        inside[0] = True
+        try:
+            return regraph(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(WindingCurve, "jet", counted_jet)
+    monkeypatch.setattr(epi, "regraph_over_plane", counted_regraph)
+    build_competitor(curve, plane)
+    assert outside[0] == 0
 
 
 def test_regraph_rejects_orthogonal_plane():
