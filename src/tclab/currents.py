@@ -4,10 +4,12 @@ A curve is anything with ``Q``, ``M``, ``period`` and ``jet``, its one
 evaluator, which returns the points and velocities at the given angles
 together (the library builds only WindingCurves); its length and the
 cylinder masses of its cone are periodic trapezoid sums on M nodes,
-checked by one halving against 2M.  Every curve
-and surface has multiplicity 1 and the orientation of its parameters; a
-Q-fold curve winds Q times over its period instead of carrying
-multiplicity Q.
+checked by one halving against 2M, both read from one table of 2M
+samples.  A WindingCurve keeps its trace table, its jet on 4M uniform
+angles, whose rows ::4 and ::2 are those M and 2M nodes; the epi
+pipeline reads its samples there.  Every curve and surface has
+multiplicity 1 and the orientation of its parameters; a Q-fold curve
+winds Q times over its period instead of carrying multiplicity Q.
 A surface is a chart over a rectangle with an analytic jacobian; masses
 and density integrals are tensor sums, Gauss-Legendre along each axis
 except an angle axis that the chart declares periodic, which takes the
@@ -18,7 +20,9 @@ the radial rule against one coarse frame, so no node is evaluated twice.
 Every quadrature frame evaluates its chart once on an open axis grid, so
 a chart that factors over the axes (powers of u, trig of v) computes each
 factor once per axis node; ``_grid_frame`` broadcasts and flattens the
-result for ``ParamSurface._frame`` and for restrictions alike.
+result for ``ParamSurface._frame`` and for restrictions alike; a frame
+evaluates positions only for a density, since the area element reads
+only the partials.
 Restriction to a ball or annulus (``RadialRestriction``) clips the chart
 along |x| level sets, which requires the radius to be monotone along one
 chart axis (true for every cone chart, radial extension and polar graph
@@ -33,6 +37,7 @@ its frames read.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,17 +113,26 @@ class WindingCurve:
         dx[..., 2:] = df
         return self.rho * x, self.rho * dx
 
+    @cached_property
+    def trace_table(self):
+        """Read-only ``jet`` at the 4M angles k * period / (4M), made on
+        first use: rows ::4 are the M base nodes and rows 2::4 their
+        midpoints, the same floats, so each equals ``jet`` bit for bit."""
+        k = 4 * self.M
+        table = self.jet(np.arange(k) * (self.period / k))
+        for arr in table:
+            arr.flags.writeable = False
+        return table
+
 
 def curve_mass(curve) -> float:
-    """Length of the curve counted with its winding multiplicity."""
-
-    def speed(theta):
-        v = rownorm(curve.jet(theta)[1])
-        if not np.all(np.isfinite(v)):
-            raise NonFinite("non-finite curve velocity")
-        return v
-
-    return float(periodic_trapezoid(speed, curve.period, curve.M, 1e-9))
+    """Length of the curve counted with its winding multiplicity, from one
+    ``jet`` call on the 2M nodes of its periodic sum."""
+    k = 2 * curve.M
+    speed = rownorm(curve.jet(np.arange(k) * (curve.period / k))[1])
+    if not np.all(np.isfinite(speed)):
+        raise NonFinite("non-finite curve velocity")
+    return float(periodic_trapezoid(speed, curve.period, 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +199,17 @@ class ParamSurface:
         v, wv = rule(order[1], v0, v1)
         return u, wu, v, wv
 
-    def _frame(self, order):
-        """Positions, partials and weights at the quadrature nodes, u-major.
+    def _frame(self, order, positions=True):
+        """Positions, partials and weights at the quadrature nodes, u-major;
+        the positions are None unless asked for.
 
         The chart and jacobian are evaluated once on the open axis grid
         and each output is broadcast to the full grid before flattening.
         """
         u, wu, v, wv = self._axes(order)
         U, V = u[:, None], v[None, :]
-        return _grid_frame((self.points(U, V), *self.partials(U, V)), wu, wv)
+        x = self.points(U, V) if positions else None
+        return _grid_frame((x, *self.partials(U, V)), wu, wv)
 
     @staticmethod
     def _area_element(xu, xv):
@@ -204,8 +220,8 @@ class ParamSurface:
 
     def _weighted(self, density, order):
         """Weight times integrand at each node of the frame at ``order``,
-        u-major."""
-        x, xu, xv, W = self._frame(order)
+        u-major; a mass reads no positions, so its frame evaluates none."""
+        x, xu, xv, W = self._frame(order, positions=density is not None)
         area = self._area_element(xu, xv)
         vals = area if density is None else area * density(x, xu, xv)
         if not np.all(np.isfinite(vals)):
@@ -251,13 +267,14 @@ class ParamSurface:
 def _grid_frame(out, wu, wv):
     """Chart outputs on an open axis grid as a flat frame, u-major.
 
-    ``out`` holds the positions and the two partials, each of a shape
-    that broadcasts to the (wu.size, wv.size, d) grid; each is broadcast
-    to it and flattened, and the weights are the tensor products.
+    ``out`` holds the positions, or None, and the two partials, each of a
+    shape that broadcasts to the (wu.size, wv.size, d) grid; each array is
+    broadcast to it and flattened, and the weights are the tensor products.
     """
-    d = out[0].shape[-1]
+    d = out[1].shape[-1]
     grid = (wu.size, wv.size, d)
-    x, xu, xv = (np.broadcast_to(a, grid).reshape(-1, d) for a in out)
+    x, xu, xv = (a if a is None else np.broadcast_to(a, grid).reshape(-1, d)
+                 for a in out)
     return x, xu, xv, np.outer(wu, wv).ravel()
 
 
@@ -440,14 +457,14 @@ class RadialRestriction(ParamSurface):
         ulo = solved[self.inner]
         return ulo, np.maximum(solved[self.outer], ulo) - ulo
 
-    def _frame(self, order):
+    def _frame(self, order, positions=True):
         """Quadrature frame of the base chart at the mapped radial nodes."""
         u, wu, v, wv = self._axes(order)
         ulo, width = self._clip(v)
         U, V = ulo + u[:, None] * width, v[None, :]
+        x = self.base.points(U, V) if positions else None
         xu, xv = self.base.partials(U, V)
-        return _grid_frame((self.base.points(U, V), xu * width[:, None], xv),
-                           wu, wv)
+        return _grid_frame((x, xu * width[:, None], xv), wu, wv)
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +496,13 @@ def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
 
     ``plane_basis`` is a d x 2 orthonormal column pair; the cylinder is
     {|B^T x| <= radius}.  Rays are cut at t = radius / |B^T gamma| so the
-    integral is closed in t.
+    integral is closed in t; the sum reads rows ::2 of the trace table.
     """
-
-    def integrand(theta):
-        g, dg = curve.jet(theta)
-        wedge = ParamSurface._area_element(g, dg)
-        proj = rownorm(g @ plane_basis)
-        return wedge * (radius / proj) ** 2
-
-    return 0.5 * float(periodic_trapezoid(integrand, curve.period, curve.M))
+    g, dg = (a[::2] for a in curve.trace_table)
+    wedge = ParamSurface._area_element(g, dg)
+    proj = rownorm(g @ plane_basis)
+    return 0.5 * float(periodic_trapezoid(wedge * (radius / proj) ** 2,
+                                          curve.period))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ along rays, E reduces to a single periodic integral in the curve parameter
 and the whole pipeline (optimal tilt, regraphing on a smaller cylinder,
 harmonic extension inside it) stays one-dimensional except for the final
 surface masses.  The plane-independent part of that integral (trace
-points, wedge speeds, unit tangents) is built once per curve and sample
-count.  The excess kernel takes a whole stack of tilted planes, so each
-step of the quasi-Newton tilt search with its finite-difference gradient,
-its starting Hessian, its backtracking ladder and the final certificate
-with all its one-sided probes each cost one projection, one escape test
-and one batch of mass norms; one stencil at the reference plane gives the
-raw excess, the search's start and, if the search stays, its certificate.
+points, wedge speeds, unit tangents), the regraph's probe and the cone's
+cylinder mass read the curve's trace table, built once per curve.  The
+excess kernel takes a whole stack of tilted planes, so each step of the
+quasi-Newton tilt search with its finite-difference gradient, its starting
+Hessian, its backtracking ladder and the final certificate with all its
+one-sided probes each cost one projection, one escape test and one batch
+of mass norms; one stencil at the reference plane gives the raw excess,
+the search's start and, if the search stays (as it does on a start
+gradient within the quotient's roundoff), its certificate.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk of the working cylinder radius inside the optimal plane's cylinder;
@@ -32,7 +34,7 @@ from .currents import (ParamSurface, WindingCurve,
 from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
-from .geom import (Plane2, orthonormal_pairs, rowdot, rownorm,
+from .geom import (Plane2, index_pairs, orthonormal_pairs, rowdot, rownorm,
                    twovector_euclid_norm, twovector_mass_norm, wedge)
 
 OMEGA2 = np.pi
@@ -45,6 +47,7 @@ PRE_EXCESS = 0.1
 CYL_RATIO = 0.5
 REGRAPH_PASSES = 12
 GRAD_STEP = 1e-6
+GRAD_FLOOR = 8.0 * np.finfo(float).eps / GRAD_STEP
 HESS_STEP = 1e-4
 ARMIJO = 1e-4
 CERT_STEPS = (1e-5, GRAD_STEP)
@@ -84,14 +87,13 @@ def _cone_tangent_data(curve: WindingCurve):
 
     Returns the trace points z, their norms |z|, the wedge speeds
     |z ^ z'| and the components of the unit tangent two-vectors
-    z ^ z' / |z ^ z'|.
+    z ^ z' / |z ^ z'|, from rows ::4 of the curve's trace table.
     WindingCurve is immutable, so the arrays are memoized on the instance
     (read-only, since every tilt of the search shares them).
     """
     data = vars(curve).get("_cone_tangent_data")
     if data is None:
-        theta = np.arange(curve.M) * (curve.period / curve.M)
-        z, dz = curve.jet(theta)
+        z, dz = (np.ascontiguousarray(a[::4]) for a in curve.trace_table)
         W = wedge(z, dz)
         speed = twovector_euclid_norm(W)
         if np.any(speed < 1e-300):
@@ -182,7 +184,7 @@ def _inverse_hessian(objective, v: np.ndarray) -> np.ndarray:
     """
     m, h = v.size, HESS_STEP
     E = h * np.eye(m)
-    i, j = np.triu_indices(m, 1)
+    i, j = index_pairs(m)
     f = objective(v + np.vstack([np.zeros((1, m)), E, -E,
                                  E[i] + E[j], E[i] - E[j],
                                  E[j] - E[i], -E[i] - E[j]]))
@@ -203,20 +205,22 @@ def _quasi_newton(objective, f: float, g: np.ndarray) -> np.ndarray:
 
     The objective maps a stack of points to their values; f and g are its
     value and GRAD_STEP central gradient at the origin.  The search
-    stops at the origin when g is at most 1e-12 in every
-    component; otherwise the first inverse Hessian comes from
+    stays at the origin when g is at most GRAD_FLOOR in every component,
+    the quotient's roundoff floor: a 16-ulp difference of the scaled
+    value over 2 GRAD_STEP.  Otherwise the first inverse Hessian comes from
     _inverse_hessian and every step is one stencil call at x + p, with
     p = -H^-1 g.  A full step that fails the Armijo test is backtracked
     on the ladder x + 2^-k p (k = 1..24) in one call, and the first rung
     that passes gets one more stencil call; each accepted step updates
     H^-1 by BFGS.  The search ends once a step lowers the value by no
-    more than four ulps, or once the Newton decrement g H^-1 g falls that
-    low before a failed full step (or when no rung passes, or after
-    SEARCH_STEPS steps); the certificate judges the point it returns.
+    more than four ulps or leaves g at most 1e-12, or once the Newton
+    decrement g H^-1 g falls four ulps low before a failed full step (or
+    when no rung passes, or after SEARCH_STEPS steps); the certificate
+    judges the point it returns.
     """
     m = g.size
     x = np.zeros(m)
-    if np.max(np.abs(g)) <= 1e-12:
+    if np.max(np.abs(g)) <= GRAD_FLOOR:
         return x
     Hi = _inverse_hessian(objective, x)
     roundoff = 4.0 * np.finfo(float).eps
@@ -350,15 +354,16 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
     when the kept Fourier modes miss more than TAIL_TOL of the regraphed
     profile's L2 mass.
 
-    The resampling is a Newton solve for the curve angle of each cylinder
-    angle; it stops once no step exceeds a few ulps of the period (one or
-    two passes on every curve tried) and gives up after REGRAPH_PASSES.
+    Both checks probe the curve's trace table.  The resampling is a Newton
+    solve for the curve angle of each cylinder angle, whose first pass
+    reads the probe at the M targets, its rows ::4; it stops once no step
+    exceeds a few ulps of the period (one or two passes on every curve
+    tried) and gives up after REGRAPH_PASSES.
     """
     m = curve.M
     F = plane.frame()
 
-    def angle_data(theta):
-        x, dx = curve.jet(theta)
+    def angle_data(theta, x, dx):
         y = x @ F
         dy = dx @ F
         u = y[..., :2]
@@ -368,26 +373,25 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
         psi = np.mod(psi + np.pi, 2 * np.pi) - np.pi
         phi = theta + psi
         dphi = (u[..., 0] * du[..., 1] - u[..., 1] * du[..., 0]) / r2
-        return phi, dphi, y, u, r2
+        return phi, dphi, y, r2
 
     probe = np.arange(4 * m) * (curve.period / (4 * m))
-    _, dphi, _, _, r2 = angle_data(probe)
+    phi, dphi, _, r2 = angle_data(probe, *curve.trace_table)
     if np.min(r2) <= (0.2 * curve.rho) ** 2 or np.min(dphi) <= 0:
         raise NotGraph(
             "curve is not a cylinder graph over the requested plane")
     if np.min(r2) <= new_rho ** 2:
         raise NotGraph("inner cylinder reaches past the curve")
 
-    target = np.arange(m) * (curve.period / m)
-    theta = target.copy()
+    theta = target = probe[::4]
+    phi, dphi = phi[::4], dphi[::4]
     step_tol = 4.0 * np.finfo(float).eps * curve.period
     for _ in range(REGRAPH_PASSES):
-        phi, dphi, _, _, _ = angle_data(theta)
         step = (phi - target) / dphi
         theta = theta - step
+        phi, dphi, y, r2 = angle_data(theta, *curve.jet(theta))
         if float(np.max(np.abs(step))) <= step_tol:
             break
-    phi, _, y, u, r2 = angle_data(theta)
     if float(np.max(np.abs(phi - target))) > 1e-10:
         raise NoConvergence("cylinder-angle resampling did not converge")
     t = new_rho / np.sqrt(r2)
@@ -442,7 +446,8 @@ def epiperimetric_gap(curve: WindingCurve,
 
     PASS means the competitor gap is at most (1 - EPS_TARGET) times the
     cone gap; a cone gap below the floor counts as already-flat and
-    passes with ratio 0.
+    passes with ratio 0.  The curve's sample tables are dropped once the
+    cone gap is read, so a run that holds many curves does not keep them.
     """
     report = optimal_plane(curve)
     plane = report.plane
@@ -450,6 +455,8 @@ def epiperimetric_gap(curve: WindingCurve,
     rho2 = CYL_RATIO * curve.rho
     ref = curve.Q * OMEGA2 * rho2 ** 2
     cone_gap = infinite_cone_cylinder_mass(curve, plane.basis(), rho2) - ref
+    for memo in ("trace_table", "_cone_tangent_data"):
+        vars(curve).pop(memo, None)
     comp_gap = comp.mass() - ref
     floor = GAP_FLOOR * max(ref, 1.0)
     if cone_gap <= floor:

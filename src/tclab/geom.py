@@ -39,6 +39,7 @@ coordinates of points, tangents and tilts) go through ``rowdot`` and
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,9 +170,18 @@ def complete_frame(basis: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+@lru_cache(maxsize=None)
+def index_pairs(d: int):
+    """np.triu_indices(d, 1), made once per d and read-only."""
+    pairs = np.triu_indices(d, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def wedge(u, v) -> np.ndarray:
     """Plücker components of u ^ v along the last axis; broadcasts."""
-    i, j = np.triu_indices(u.shape[-1], 1)
+    i, j = index_pairs(u.shape[-1])
     return u[..., i] * v[..., j] - v[..., i] * u[..., j]
 
 

@@ -5,9 +5,9 @@ uniform trapezoid rule for periodic integrands, which converges
 geometrically on smooth periodic data and is nested, since doubling its
 node count keeps every old node.  A chart surface takes Gauss-Legendre
 along each axis, or the trapezoid rule along an angle axis it declares
-periodic.  A periodic sum over a curve is checked by one halving: its
-node count is sized so that the rule on the given nodes already agrees
-with the rule on twice as many, and a sum where they differ raises.
+periodic.  A periodic sum over a curve is checked by one halving: it
+takes values on 2m nodes, sized so that the rule on the m even ones
+already agrees with the rule on all 2m, and raises where they differ.
 """
 
 from functools import lru_cache
@@ -42,21 +42,20 @@ def trapezoid(order: int, a: float, b: float):
     return a + h * np.arange(m), np.full(m, h)
 
 
-def periodic_trapezoid(fn, period: float, nodes: int, rtol: float = 1e-10):
+def periodic_trapezoid(values, period: float, rtol: float = 1e-10):
     """Integrate a smooth periodic vector-valued function over one period.
 
-    Sums the rule on the given m nodes, then on 2m nodes by evaluating
-    ``fn`` only at the m midpoints: the fine value is half the coarse one
-    plus the half step times their sum.  Returns the fine value when the
-    two agree to ``rtol`` relative, and raises QuadratureNotConverged
-    naming both node counts otherwise.  ``fn`` must accept an array of
-    angles and return values whose leading axis matches it.
+    ``values`` holds the function at the 2m nodes k period / (2m) along
+    its leading axis.  The m even nodes give the coarse rule; the fine
+    value is half the coarse one plus the half step times the sum at the
+    m odd nodes, the midpoints.  Returns the fine value when the two agree
+    to ``rtol`` relative, and raises QuadratureNotConverged naming both
+    node counts otherwise.
     """
-    m = int(nodes)
+    m = values.shape[0] // 2
     h = period / m
-    coarse = np.sum(fn(np.arange(m) * h), axis=0) * h
-    fine = 0.5 * coarse + np.sum(fn((np.arange(m) + 0.5) * h), axis=0) \
-        * (0.5 * h)
+    coarse = np.sum(values[::2], axis=0) * h
+    fine = 0.5 * coarse + np.sum(values[1::2], axis=0) * (0.5 * h)
     gap = float(np.max(np.abs(fine - coarse)))
     if gap <= rtol * max(float(np.max(np.abs(fine))), 1.0):
         return fine

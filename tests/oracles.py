@@ -5,6 +5,14 @@ its quadrature frame with the partials mapped by the map's jacobian, so
 the chart is evaluated once per node.  Tests use it as the reference for
 masses the library computes without moving the surface: the competitor
 in plane coordinates, and the first-variation sweep along id + t chi.
+``frame_mass`` is one rule's mass summed over the full frame, positions
+included, which a mass frame built from the partials alone must equal.
+
+``callback_trapezoid`` is the periodic trapezoid rule that samples its
+integrand itself, at m nodes and then at their m midpoints, and
+``callback_curve_mass`` and ``callback_cone_cylinder_mass`` are the
+curve length and the cone's cylinder mass summed that way from ``jet``
+calls, the references for the library's sums on sampled tables.
 
 ``bump_vector`` and ``bump_jacobian`` are a bump's full field and
 jacobian at every node of a grid; the library evaluates only its profile
@@ -44,7 +52,7 @@ import numpy as np
 from tclab.calibration import _flow, spherical_cap
 from tclab.currents import ParamSurface, WindingCurve
 from tclab.fourier import FourierSeries
-from tclab.geom import Plane2
+from tclab.geom import Plane2, rownorm
 
 
 def mapped_mass(surface, dphi, order=None):
@@ -59,6 +67,41 @@ def mapped_mass(surface, dphi, order=None):
     area = ParamSurface._area_element(np.einsum("...ij,...j->...i", D, xu),
                                       np.einsum("...ij,...j->...i", D, xv))
     return float(np.sum(W * area))
+
+
+def frame_mass(surface, order):
+    """Mass of one rule at ``order`` from the surface's full quadrature
+    frame, positions included, in the library's summation order."""
+    x, xu, xv, W = surface._frame(order)
+    return float(np.sum(W * ParamSurface._area_element(xu, xv)))
+
+
+def callback_trapezoid(fn, period, nodes):
+    """Periodic trapezoid rule on m nodes and its halving check on 2m,
+    calling fn at the m nodes and then at the m midpoints; returns the
+    2m-node value."""
+    h = period / nodes
+    coarse = np.sum(fn(np.arange(nodes) * h), axis=0) * h
+    return 0.5 * coarse + np.sum(fn((np.arange(nodes) + 0.5) * h),
+                                 axis=0) * (0.5 * h)
+
+
+def callback_curve_mass(curve) -> float:
+    """Curve length from speeds sampled by the rule itself."""
+    return float(callback_trapezoid(lambda t: rownorm(curve.jet(t)[1]),
+                                    curve.period, curve.M))
+
+
+def callback_cone_cylinder_mass(curve, basis, radius) -> float:
+    """Mass of the infinite cone over the curve inside the cylinder
+    {|B^T x| <= radius}, its integrand sampled by the rule itself."""
+
+    def integrand(theta):
+        g, dg = curve.jet(theta)
+        proj = rownorm(g @ basis)
+        return ParamSurface._area_element(g, dg) * (radius / proj) ** 2
+
+    return 0.5 * float(callback_trapezoid(integrand, curve.period, curve.M))
 
 
 def bump_vector(chi, x):

@@ -20,7 +20,8 @@ from scipy.stats import special_ortho_group
 
 from tclab.calibration import spherical_cap
 from tclab.currents import (ParamSurface, RadialRestriction, WindingCurve,
-                            annulus_mass, cone_chart, curve_mass)
+                            annulus_mass, cone_chart, curve_mass,
+                            infinite_cone_cylinder_mass)
 from tclab.epiperimetric import build_competitor, optimal_plane
 from tclab.errors import EmptyRestriction, QuadratureNotConverged
 from tclab.fourier import FourierSeries, harmonic_extension
@@ -30,8 +31,9 @@ from tclab.quadrature import gauss_legendre
 from tclab.scenarios import (extension_surface, flat_circle, random_epi_curve,
                              single_mode_curve)
 
-from oracles import (mapped_mass, normalize_to_sphere, polar_disk,
-                     random_link_curve, star_disk)
+from oracles import (callback_cone_cylinder_mass, callback_curve_mass,
+                     frame_mass, mapped_mass, normalize_to_sphere, polar_disk,
+                     random_link_curve, standard_plane, star_disk)
 
 
 def test_winding_circle_length():
@@ -505,3 +507,75 @@ def test_competitor_mass_matches_a_fine_gauss_legendre_sum(k):
                          order=(4 * n0, 4 * T), radial_axis=0)
     want = plain.integrate_density()
     assert abs(ext.mass() - want) <= 1e-13 * want
+
+
+def _table_curves():
+    """The 18 grid curves and 40 seeded random ones, n = 1 and 2 with M
+    from 256 to 720."""
+    grid = [single_mode_curve(Q, ratio * Q, amp) for Q in (1, 2, 3)
+            for ratio in (2, 3, 4) for amp in (1e-3, 1e-2)]
+    return grid + [random_epi_curve(np.random.default_rng(seed))
+                   for seed in range(40)]
+
+
+def test_trace_table_rows_are_jet_calls():
+    curves = _table_curves()
+    assert {c.n for c in curves} == {1, 2}
+    assert {min(c.M for c in curves), max(c.M for c in curves)} == {256, 720}
+    for curve in curves:
+        M, h = curve.M, curve.period / curve.M
+        table = curve.trace_table
+        assert curve.trace_table is table
+        base = curve.jet(np.arange(M) * h)
+        mid = curve.jet((np.arange(M) + 0.5) * h)
+        for got, at_base, at_mid in zip(table, base, mid):
+            assert got.shape == (4 * M, curve.dim)
+            assert not got.flags.writeable
+            assert np.array_equal(got[::4], at_base)
+            assert np.array_equal(got[2::4], at_mid)
+
+
+def test_curve_sums_equal_the_callback_rule():
+    # the sums on sampled tables add the same values in the same order as
+    # a rule that samples its integrand itself
+    rng = np.random.default_rng(5)
+    for curve in _table_curves()[::3]:
+        assert curve_mass(curve) == callback_curve_mass(curve)
+        tilt = 0.05 * rng.standard_normal((curve.dim, 2))
+        basis = np.linalg.qr(standard_plane(curve.dim).basis() + tilt)[0]
+        for B in (standard_plane(curve.dim).basis(), basis):
+            got = infinite_cone_cylinder_mass(curve, B, 0.5)
+            assert got == callback_cone_cylinder_mass(curve, B, 0.5)
+    link = normalize_to_sphere(random_link_curve(np.random.default_rng(3)))
+    assert curve_mass(link) == callback_curve_mass(link)
+
+
+def _competitor():
+    curve = single_mode_curve(2, 6, 1e-2)
+    return build_competitor(curve, optimal_plane(curve).plane)
+
+
+@pytest.mark.parametrize("make", [
+    _competitor,
+    lambda: cone_chart(normalize_to_sphere(
+        random_link_curve(np.random.default_rng(4)))),
+    lambda: RadialRestriction(extension_surface(2, 6, 5e-3), 0.1, 0.3),
+], ids=["competitor", "cone", "annulus"])
+def test_mass_frames_without_positions_equal_positioned_sums(make,
+                                                              monkeypatch):
+    surf = make()
+    n0, n1 = surf.order
+    fine = (2 * n0, n1) if surf.periodic_axis else (2 * n0, 2 * n1)
+    want = [frame_mass(surf, order) for order in (surf.order, fine)]
+    frames = []
+    build = type(surf)._frame
+
+    def counted(self, order, positions=True):
+        frames.append(positions)
+        return build(self, order, positions)
+
+    monkeypatch.setattr(type(surf), "_frame", counted)
+    assert surf.integrate_density() == want[0]
+    assert surf.mass() == want[1]
+    # no frame of a mass evaluates positions
+    assert frames and not any(frames)

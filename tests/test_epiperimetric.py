@@ -271,6 +271,25 @@ def test_search_at_reference_plane_makes_one_kernel_call(kernel_rows, Q, i,
     assert np.array_equal(rep.plane.basis(), standard_plane(3).basis())
 
 
+def test_roundoff_start_gradient_keeps_the_search_at_the_origin(
+        kernel_rows):
+    # mode 2 over Q = 1 has no tilt mode, and its scaled start gradient
+    # is the quotient's roundoff, between 1e-12 and the 16-ulp floor
+    # 8 eps / GRAD_STEP: the search stays, and the reference stencil
+    # certifies the raw excess in one call
+    curve = single_mode_curve(1, 2, 1e-2)
+    raw = reference_excess(curve)
+    f = epi._tilt_objective(curve, epi._stencil(np.zeros(2),
+                                                (epi.GRAD_STEP,))) / raw
+    g = np.max(np.abs(f[1:3] - f[3:])) / (2 * epi.GRAD_STEP)
+    assert epi.GRAD_FLOOR == 8.0 * np.finfo(float).eps / epi.GRAD_STEP
+    assert 1e-12 < g <= epi.GRAD_FLOOR
+    kernel_rows.clear()
+    rep = optimal_plane(curve)
+    assert kernel_rows == [1 + 8 * curve.n]
+    assert rep.excess == rep.raw_excess == raw
+
+
 def test_moving_search_starts_from_the_reference_stencil(kernel_rows):
     # a search that moves makes the reference stencil call first and
     # certifies on a stencil of its own last; the raw excess is the same
@@ -336,23 +355,24 @@ def test_competitor_mass_is_the_ambient_mass():
 def test_competitor_mass_evaluates_each_node_once(monkeypatch, case):
     curve, plane = _competitor_cases()[case]
     ext = build_competitor(curve, plane)
-    seen = [0]
+    seen = {"points": 0, "partials": 0}
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapped(self, U, V):
-            seen[0] += np.broadcast(np.asarray(U), np.asarray(V)).size
+            seen[name] += np.broadcast(np.asarray(U), np.asarray(V)).size
             return fn(self, U, V)
         return wrapped
 
-    for name in ("points", "partials"):
+    for name in seen:
         monkeypatch.setattr(ParamSurface, name,
-                            counted(getattr(ParamSurface, name)))
+                            counted(name, getattr(ParamSurface, name)))
     n0, n1 = ext.order
     # the fine frame and the coarse radial check; the angle check reads
-    # every other node of the fine frame
+    # every other node of the fine frame, and the area element reads the
+    # partials alone, so no frame evaluates positions
     nodes = 2 * n0 * n1 + n0 * n1 // 2
     ext.mass()
-    assert seen[0] == 2 * nodes
+    assert seen == {"points": 0, "partials": nodes}
 
 
 def test_over_large_excess_is_a_lab_error():
@@ -541,11 +561,15 @@ def test_regraph_newton_stops_at_convergence(monkeypatch):
 
     monkeypatch.setattr(WindingCurve, "jet", counted)
     for curve, plane in _regraph_cases():
+        # a fresh curve, whose trace table is not made yet
+        curve = WindingCurve(curve.series, rho=curve.rho)
         sizes.clear()
         regraph_over_plane(curve, plane, 0.5)
-        # one probe at 4M angles, the Newton passes, one final evaluation
+        # the trace table at 4M angles is the probe, and the first pass
+        # starts on its rows ::4; then one evaluation per Newton pass
         assert sizes[0] == 4 * curve.M
-        assert 1 <= len(sizes) - 2 <= 4
+        assert sizes[1:] == [curve.M] * (len(sizes) - 1)
+        assert 1 <= len(sizes) - 1 <= 4
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["reference", "tilted"])
@@ -574,6 +598,14 @@ def test_build_competitor_samples_the_curve_only_in_the_regraph(monkeypatch,
     monkeypatch.setattr(epi, "regraph_over_plane", counted_regraph)
     build_competitor(curve, plane)
     assert outside[0] == 0
+
+
+def test_gap_releases_the_curve_sample_tables():
+    # a run holds every curve it certifies; their sample tables go once
+    # the certificate has read them
+    curve = single_mode_curve(2, 5, 8e-3)
+    epiperimetric_gap(curve)
+    assert not {"trace_table", "_cone_tangent_data"} & set(vars(curve))
 
 
 def test_regraph_rejects_orthogonal_plane():

@@ -13,7 +13,7 @@ from scipy.stats import special_ortho_group
 
 from tclab.geom import (Plane2, orthonormal_pairs, complete_frame, wedge,
                         twovector_mass_norm, twovector_euclid_norm, rowdot,
-                        rownorm)
+                        rownorm, index_pairs)
 
 from oracles import (TwoFormField, check_orthonormal_pairs, components,
                      matrix_mass_norm, standard_plane, unit_tangent_matrix,
@@ -139,6 +139,19 @@ def test_plane_distance_zero_on_itself_and_positive_otherwise():
     assert twovector_mass_norm(tau - tau) == 0.0
     got = twovector_mass_norm(wedge(q.e1, q.e2) - tau)
     assert abs(got - 2.0 * np.sin(phi / 2.0)) < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_index_pairs_are_the_upper_triangle_made_once(d, monkeypatch):
+    i, j = index_pairs(d)
+    assert all(np.array_equal(a, b)
+               for a, b in zip((i, j), np.triu_indices(d, 1)))
+    assert not (i.flags.writeable or j.flags.writeable)
+    # wedge reads the cached pairs and builds none of its own
+    monkeypatch.setattr(np, "triu_indices", None)
+    assert index_pairs(d) is index_pairs(d)
+    u, v = np.eye(d)[0], np.eye(d)[1]
+    assert wedge(u, v)[0] == 1.0
 
 
 def test_wedge_mass_norm_is_parallelogram_area():

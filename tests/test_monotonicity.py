@@ -77,13 +77,14 @@ def test_radial_projection_builds_one_frame(monkeypatch):
     frames = []
     build = RadialRestriction._frame
 
-    def counted(self, order):
-        frames.append(order)
-        return build(self, order)
+    def counted(self, order, positions=True):
+        frames.append(positions)
+        return build(self, order, positions)
 
     monkeypatch.setattr(RadialRestriction, "_frame", counted)
     radial_projection_mass(extension_surface(2, 5, 5e-3), 0.3, 0.6)
-    assert len(frames) == 1
+    # its density reads the positions, so the one frame evaluates them
+    assert frames == [True]
 
 
 def _slabs(surface, radii):

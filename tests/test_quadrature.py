@@ -32,26 +32,24 @@ def test_gauss_legendre_rejects_empty_rule():
 
 
 def test_periodic_trapezoid_converges_on_smooth_data():
-    def fn(theta):
-        return np.stack([np.exp(np.cos(theta)), np.cos(theta) ** 2], axis=-1)
+    theta = np.arange(32) * (2.0 * np.pi / 32)
+    values = np.stack([np.exp(np.cos(theta)), np.cos(theta) ** 2], axis=-1)
 
     # on 16 nodes the error of exp(cos theta) is about 4 pi I16(1), 1e-17,
     # so one halving agrees to 1e-13
-    got = periodic_trapezoid(fn, 2.0 * np.pi, 16, rtol=1e-13)
+    got = periodic_trapezoid(values, 2.0 * np.pi, rtol=1e-13)
     assert got.shape == (2,)
     assert got[0] == pytest.approx(TWO_PI_I0_1, rel=1e-14)
     assert got[1] == pytest.approx(np.pi, rel=1e-14)
 
 
 def test_periodic_trapezoid_raises_after_one_halving():
-    sizes = []
-
-    def unresolved(theta):
-        # values that grow with every call never settle
-        sizes.append(theta.size)
-        return np.full(theta.size, float(len(sizes)))
-
+    # the 4 even nodes read 1 and the 4 midpoints 2: the coarse rule and
+    # the fine one never settle
+    values = np.tile([1.0, 2.0], 4)
     with pytest.raises(QuadratureNotConverged, match="4 and 8 nodes"):
-        periodic_trapezoid(unresolved, 2.0 * np.pi, 4)
-    # nested levels: the halving evaluates only the midpoints
-    assert sizes == [4, 4]
+        periodic_trapezoid(values, 2.0 * np.pi)
+
+    # nested levels: the coarse rule reads the 4 even nodes and the fine
+    # one all 8, so a constant agrees on both
+    assert periodic_trapezoid(np.ones(8), 2.0 * np.pi) == 4 * (np.pi / 2)

@@ -385,8 +385,9 @@ def test_cli_decay_fits_both_inequalities_on_the_frames_it_reports(
     frames = []
     for cls in (ParamSurface, RadialRestriction):
         build = cls.__dict__["_frame"]
-        monkeypatch.setattr(cls, "_frame", lambda self, order, build=build:
-                            frames.append(order) or build(self, order))
+        monkeypatch.setattr(cls, "_frame", lambda self, order, *args,
+                            build=build, **kwargs: frames.append(order)
+                            or build(self, order, *args, **kwargs))
     out = tmp_path / "out"
     assert main(["decay", "--q", "1", "--mode", "2", "--out", str(out)]) == 0
     assert len(frames) == 3 * 8 - 1
