@@ -74,10 +74,12 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="override scenario seeds")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="processes that certify, this one included; the "
-                     "unit of work is one epi curve or one scenario of "
-                     "another kind, and artifacts are the same at every "
-                     "--jobs")
+                     help="processes that certify, this one included: "
+                     "forked workers take units of work from the head of a "
+                     "shared index range and this process from its tail, "
+                     "and each worker returns its results in one message; "
+                     "the unit is one epi curve or one scenario of another "
+                     "kind, and artifacts are the same at every --jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,31 +127,96 @@ def _format_summary(results) -> str:
 
 def _certify(units, jobs: int) -> list:
     """One zero-argument call per unit, in unit order, that returns the
-    unit's ScenarioResult or raises its ScenarioError.
+    unit's ScenarioResult or raises what certifying it raised.
 
-    With jobs > 1 and more than one unit, min(jobs, units) - 1 forked
-    workers take units from the head of the list, and this process takes
-    them from the tail, never one of the first ``workers``, for as long as
-    it can cancel their futures.  Otherwise each unit runs when its call
-    is made.
+    With jobs > 1 and more than one unit, min(jobs, units) - 1 workers are
+    forked.  They share a lock-guarded index range [lo, hi) of the units
+    not yet taken: each worker takes units itself from its head and this
+    process takes them from its tail, so no unit waits on a hand-off.
+    Each worker returns every (index, outcome) pair it made in one
+    message, and a call replays its unit's outcome, so an exception
+    surfaces at the same unit as in a serial run.  Otherwise each unit
+    runs when its call is made.
     """
     workers = min(jobs, len(units)) - 1
     if workers < 1:
         return [functools.partial(run_scenario, unit) for unit in units]
-    # imported here so that a serial run loads no multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
+    # imported here so that a serial run loads no multiprocessing; fork, so
+    # that the workers inherit the units and need nothing sent to them
+    import multiprocessing
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, unit) for unit in units]
-        for k in range(len(units) - 1, workers - 1, -1):
-            if not futures[k].cancel():
-                break
-            futures[k] = Future()
+    ctx = multiprocessing.get_context("fork")
+    pending = ctx.Array("l", [0, len(units)])
+    outcomes = [None] * len(units)
+    procs, inbox = [], []
+    try:
+        for _ in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_work, args=(units, pending, send))
+            proc.start()
+            send.close()
+            procs.append(proc)
+            inbox.append(recv)
+        while (k := _take(pending, head=False)) is not None:
+            outcomes[k] = _outcome(units[k])
+        for proc, recv in zip(procs, inbox):
             try:
-                futures[k].set_result(run_scenario(units[k]))
-            except ScenarioError as err:
-                futures[k].set_exception(err)
-    return [fut.result for fut in futures]
+                made = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a --jobs worker exited with code {proc.exitcode} "
+                    "before sending its results") from None
+            for k, outcome in made:
+                outcomes[k] = outcome
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for recv in inbox:
+            recv.close()
+    return [functools.partial(_replay, outcome) for outcome in outcomes]
+
+
+def _take(pending, head: bool):
+    """The index taken from the head or the tail of the shared range
+    [lo, hi), or None once it is empty."""
+    with pending.get_lock():
+        lo, hi = pending[0], pending[1]
+        if lo >= hi:
+            return None
+        if head:
+            pending[0] = lo + 1
+            return lo
+        pending[1] = hi - 1
+        return hi - 1
+
+
+def _outcome(unit):
+    """The unit's ScenarioResult, or the exception certifying it raised."""
+    try:
+        return run_scenario(unit)
+    except Exception as err:
+        return err
+
+
+def _replay(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _work(units, pending, send) -> None:
+    """A forked worker: certify units from the head of the shared range,
+    then send every (index, outcome) pair in one message."""
+    made = []
+    while (k := _take(pending, head=True)) is not None:
+        made.append((k, _outcome(units[k])))
+    send.send(made)
+    send.close()
 
 
 def _execute(scenarios, out_dir: str, jobs: int) -> int:

@@ -65,7 +65,7 @@ class ScenarioError(TclabError):
     """A scenario failed while running; carries the scenario name.
 
     Both fields go through ``args`` so the exception survives the
-    pickling round trip of a process pool.
+    pickling round trip from a ``--jobs`` worker.
     """
 
     def __init__(self, scenario: str, message: str):

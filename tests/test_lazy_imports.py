@@ -1,12 +1,14 @@
-"""A serial run loads neither the process pool nor numpy.ma.
+"""A serial run loads neither multiprocessing nor numpy.ma.
 
-``tclab.cli`` imports ``ProcessPoolExecutor`` only when it makes a pool,
-since ``concurrent.futures.process`` pulls in multiprocessing, socket and
-logging, and a run with a single unit of work makes no pool at any
-``--jobs``.  ``np.unique`` imports ``numpy.ma`` on its first call, which
-costs more than a whole split scenario, so the library does not call it
+``tclab.cli`` imports ``multiprocessing`` only when it forks ``--jobs``
+workers, since it pulls in socket, pickle and shared memory, and a run
+with a single unit of work forks none at any ``--jobs``.  No path may
+load ``concurrent.futures.process`` either: its pool hands each unit to
+a worker through a thread of the parent, which waits on the parent's
+GIL.  ``np.unique`` imports ``numpy.ma`` on its first call, which costs
+more than a whole split scenario, so the library does not call it
 on a run's path.  Each check runs in a fresh interpreter, because another
-test may already have imported either module.
+test may already have imported any of them.
 """
 
 import os
@@ -15,7 +17,7 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
-HEAVY = ("concurrent.futures.process", "numpy.ma")
+HEAVY = ("multiprocessing", "concurrent.futures.process", "numpy.ma")
 
 
 def _loaded_after(code, cwd):

@@ -2,9 +2,11 @@
 
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -345,6 +347,112 @@ def test_cli_parallel_errored_curve_matches_serial(tmp_path, capsys):
         reports.append((err, _outputs(out)))
     assert sorted(reports[0][1]) == ["split_demo.json", "summary.csv"]
     assert reports[1] == reports[0]
+
+
+def _split_units(path, n):
+    """A config of n one-unit split scenarios; unit k is named u<k>."""
+    return write_config(path, [
+        {"name": f"u{k}", "kind": "split", "seed": k,
+         "params": {"Q": [1, 1], "width": 0.05}} for k in range(n)])
+
+
+def _log_units(monkeypatch, log, gate, fail=lambda k, in_worker: None):
+    """Patch the CLI's run_scenario to append "pid k" to log for unit k,
+    then call fail(k, in_worker) and certify the unit.
+
+    With gate set, this process waits after logging a unit until a worker
+    has logged one, so a fast parent cannot take every unit first.
+    """
+    parent = os.getpid()
+
+    def run(unit):
+        k = int(unit.name[1:])
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {k}\n")
+        deadline = time.monotonic() + 60
+        while gate and os.getpid() == parent and time.monotonic() < deadline \
+                and all(pid == parent for pid, _ in _logged(log)):
+            time.sleep(0.005)
+        fail(k, os.getpid() != parent)
+        return run_scenario(unit)
+
+    monkeypatch.setattr("tclab.cli.run_scenario", run)
+
+
+def _logged(log):
+    return [tuple(map(int, line.split()))
+            for line in log.read_text().splitlines()]
+
+
+def test_cli_jobs_worker_takes_the_head_and_the_parent_the_tail(
+        tmp_path, monkeypatch):
+    cfg = _split_units(tmp_path / "cfg.json", 6)
+    log = tmp_path / "units.log"
+    _log_units(monkeypatch, log, gate=True)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    entries = _logged(log)
+    assert sorted(k for _, k in entries) == list(range(6))
+    first = {}
+    for pid, k in entries:
+        first.setdefault(pid, k)
+    assert first.pop(os.getpid()) == 5
+    assert list(first.values()) == [0]
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_jobs_worker_death_names_its_exit_code(tmp_path, monkeypatch):
+    def die_in_worker(k, in_worker):
+        if in_worker:
+            os._exit(3)
+
+    cfg = _split_units(tmp_path / "cfg.json", 4)
+    _log_units(monkeypatch, tmp_path / "units.log", gate=True,
+               fail=die_in_worker)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        main(["run", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_jobs_unit_exception_propagates_as_in_a_serial_run(
+        tmp_path, monkeypatch, jobs):
+    # at --jobs 2 the worker raises for unit 0 and this process for unit 3,
+    # which it certifies first; unit 0's error surfaces all the same
+    def raise_at_0_and_3(k, in_worker):
+        if k in (0, 3):
+            raise ValueError(f"unit {k}")
+
+    cfg = _split_units(tmp_path / "cfg.json", 4)
+    out = tmp_path / "out"
+    _log_units(monkeypatch, tmp_path / "units.log", gate=jobs != "1",
+               fail=raise_at_0_and_3)
+    with pytest.raises(ValueError, match="^unit 0$"):
+        main(["run", cfg, "--out", str(out), "--jobs", jobs])
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_cli_jobs_unwinding_terminates_a_busy_worker(tmp_path, monkeypatch):
+    # the worker would sleep for a minute; this process aborts and must
+    # not wait for it
+    def stall_or_abort(k, in_worker):
+        if in_worker:
+            time.sleep(60)
+        raise _Abort
+
+    cfg = _split_units(tmp_path / "cfg.json", 4)
+    _log_units(monkeypatch, tmp_path / "units.log", gate=True,
+               fail=stall_or_abort)
+    t0 = time.monotonic()
+    with pytest.raises(_Abort):
+        main(["run", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_pure_tilt_mode_exits_two(tmp_path, capsys):
