@@ -33,7 +33,12 @@ radius is solved once per base chart and angle count: the end radii of
 the radial axis and the solved bounds are memoized on the base, so a
 ladder of balls, its slabs and a radial sweep reuse the radii they
 share, and a restriction checks its radius range on the same end radii
-its frames read.
+its frames read.  A certificate declares its ladder of radii on the base
+before it clips (``declare_ladder``), and the first frame of each angle
+count that lacks a radius solves the whole ladder with its own, so the
+ladder takes one solve call per angle count.  Every row of a solve
+iterates on its own, so its roots are those of one radius at a time,
+bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -299,11 +304,14 @@ class RadialRestriction(ParamSurface):
     radial axis, and the solved clip parameter of every radius c that an
     earlier frame needed.  The radii it does not find are solved
     together in one ``_solve_radius`` call, a bracketed Newton solve of
-    |x(u, v)| = c per angle.  Ball masses, the slabs between them and
-    the scaled annuli of a radial sweep share most of their radii, so
-    each is solved once per base and angle count.  The frame then
-    evaluates the base chart and its partials once on the open grid of
-    mapped radial nodes u_lo(v) + w * width(v) against the angles v, as
+    |x(u, v)| = c per angle, and with them every radius of the ladder
+    that a certificate declared on the base (``declare_ladder``) and the
+    memo lacks.  Ball masses, the slabs between them and the scaled
+    annuli of a radial sweep share most of their radii, so each is
+    solved once per base and angle count, and a declared ladder in one
+    call per angle count.  The frame then evaluates the base chart and
+    its partials once on the open grid of mapped radial nodes
+    u_lo(v) + w * width(v) against the angles v, as
     ``ParamSurface._frame`` does.  A chart never changes, so each memo is
     read-only.
 
@@ -341,10 +349,13 @@ class RadialRestriction(ParamSurface):
         built from the base partials, bisects the bracket whenever a step
         leaves it or is not finite, and stops once a step or the bracket
         is a few ulps wide; |x| carries rounding of about one ulp, so the
-        root is not defined more finely than that.
+        root is not defined more finely than that.  Rows still open after
+        NEWTON_MAX_STEPS raise NoConvergence naming their radii and the
+        number of distinct angles of the call.
         """
         base = self.base
         u0, u1 = base.domain[0], base.domain[1]
+        angles = V
         out = np.where(rlo >= c, u0, u1)
         live = np.flatnonzero((rlo < c) & (rhi > c))
         a = np.full(live.size, u0)
@@ -375,9 +386,11 @@ class RadialRestriction(ParamSurface):
             live, u, a, b, c, V = (live[keep], new[keep], a[keep], b[keep],
                                    c[keep], V[keep])
         if live.size:
+            radii = ", ".join(f"{r:g}" for r in np.unique(c))
             raise NoConvergence(
-                f"clip radius solve left {live.size} angles unconverged "
-                f"after {NEWTON_MAX_STEPS} steps")
+                f"clip radius solve left {live.size} rows unconverged "
+                f"after {NEWTON_MAX_STEPS} steps at radii {radii} "
+                f"over {np.unique(angles).size} angles")
         return out
 
     def _end_radii(self, v):
@@ -445,12 +458,16 @@ class RadialRestriction(ParamSurface):
         """Clip start u_lo and width u_hi - u_lo at a frame's angles v.
 
         The base chart's memo for v.size angles holds the end radii and
-        each solved radius; the radii not found there are solved in one
-        call and added.
+        each solved radius.  When the restriction's own radii are not all
+        found there, they are solved in one call together with every
+        radius of the base's ladder (``declare_ladder``) that the memo
+        lacks, and all are added.
         """
         rlo, rhi, solved = self._radius_table(v.size)
-        todo = [c for c in (self.inner, self.outer) if c not in solved]
-        if todo:
+        own = (self.inner, self.outer)
+        if any(c not in solved for c in own):
+            ladder = vars(self.base).get("_clip_ladder", ())
+            todo = [c for c in dict.fromkeys(own + ladder) if c not in solved]
             u = self._solve_radii(todo, v, rlo, rhi)
             u.flags.writeable = False
             solved.update(zip(todo, u))
@@ -465,6 +482,18 @@ class RadialRestriction(ParamSurface):
         x = self.base.points(U, V) if positions else None
         xu, xv = self.base.partials(U, V)
         return _grid_frame((x, xu * width[:, None], xv), wu, wv)
+
+
+def declare_ladder(current, radii):
+    """Declare the radii a certificate is about to clip ``current`` at.
+
+    The ladder replaces any earlier one.  The first frame of each angle
+    count that needs a radius its memo lacks solves the whole ladder with
+    it, so a certificate's ladder costs one ``_solve_radius`` call per
+    angle count.  Each row of a solve iterates on its own, so the roots
+    are those of one-radius-at-a-time solves, bit for bit.
+    """
+    vars(current)["_clip_ladder"] = tuple(float(c) for c in radii)
 
 
 # ---------------------------------------------------------------------------

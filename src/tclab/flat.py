@@ -5,6 +5,7 @@ dominates the flat distance between two currents.  The construction is
 the radial-projection sweep between two ball scales of one surface.
 """
 
+from .currents import declare_ladder
 from .monotonicity import radial_projection_mass
 from .quadrature import gauss_legendre
 
@@ -20,9 +21,12 @@ def radial_homotopy_filling(current, s: float, r: float,
 
     with RPM the radial projection mass of the annulus at scale t.  The
     innermost annulus, at the first node, raises VertexTooClose when it
-    reaches into the vertex ball.
+    reaches into the vertex ball.  The 2 * tnodes radii s t and r t are
+    declared as the current's clip ladder first, so the first annulus
+    solves every annulus's clip bounds in one call.
     """
     nodes, weights = gauss_legendre(tnodes, 0.0, 1.0)
+    declare_ladder(current, [c * t for c in (s, r) for t in nodes])
     total = 0.0
     for t, w in zip(nodes, weights):
         total += w * t * t * radial_projection_mass(current, s * t, r * t)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import RadialRestriction, annulus_mass
+from .currents import RadialRestriction, annulus_mass, declare_ladder
 from .errors import EmptyRestriction, VertexTooClose
 from .geom import rowdot
 
@@ -82,6 +82,13 @@ class DecayConstants:
 
 
 def mass_profile(current, radii, Q: int) -> MassProfile:
+    """Ball masses of ``current`` at the radii.
+
+    The radii are declared as the current's clip ladder first, so the
+    first ball of each angle count solves every ball's clip bounds in one
+    call, and the slabs between consecutive radii find theirs solved.
+    """
+    declare_ladder(current, radii)
     values = np.array([annulus_mass(current, 0.0, float(r)) for r in radii])
     return MassProfile(radii=np.asarray(radii, float), values=values, Q=Q)
 

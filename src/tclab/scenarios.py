@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
@@ -318,6 +319,13 @@ def _broken_bound(value, meta) -> str | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _schema_hints(schema) -> dict:
+    """The schema's field types, compiled from their annotation strings
+    once per schema class; callers only read the dict."""
+    return get_type_hints(schema)
+
+
 def _parse_params(kind: str, params: dict):
     """Typed, validated parameters of one scenario kind."""
     schema = SCHEMAS.get(kind)
@@ -326,7 +334,7 @@ def _parse_params(kind: str, params: dict):
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
     known = {f.name: f for f in fields(schema)}
-    hints = get_type_hints(schema)
+    hints = _schema_hints(schema)
     values = {}
     for key, value in params.items():
         if key not in known:

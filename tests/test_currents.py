@@ -18,15 +18,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
+from tclab import currents
 from tclab.calibration import spherical_cap
 from tclab.currents import (ParamSurface, RadialRestriction, WindingCurve,
                             annulus_mass, cone_chart, curve_mass,
-                            infinite_cone_cylinder_mass)
+                            declare_ladder, infinite_cone_cylinder_mass)
 from tclab.epiperimetric import build_competitor, optimal_plane
-from tclab.errors import EmptyRestriction, QuadratureNotConverged
+from tclab.errors import (EmptyRestriction, NoConvergence,
+                          QuadratureNotConverged)
 from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.flat import radial_homotopy_filling
-from tclab.monotonicity import _tangent_perp, deviation_integral, mass_profile
+from tclab.monotonicity import (_tangent_perp, deviation_integral,
+                                mass_profile, radial_projection_mass)
 from tclab.quadrature import gauss_legendre
 from tclab.scenarios import (extension_surface, flat_circle, random_epi_curve,
                              single_mode_curve)
@@ -383,6 +386,107 @@ def test_bases_with_different_amplitudes_keep_separate_clip_memos(clip_rows):
     assert other != mass
     assert other == annulus_mass(extension_surface(1, 2, 2e-2), 0.1, 0.3)
     assert mass == annulus_mass(extension_surface(1, 2, 1e-2), 0.1, 0.3)
+
+
+def _multimode_extension(seed):
+    """Harmonic extension of a seeded profile with several live modes."""
+    rng = np.random.default_rng(seed)
+    Q, n, nmodes = 1 + seed % 3, 1 + seed % 2, 5
+    decay = 1e-2 / np.arange(1, nmodes + 1) ** 2
+    alpha = np.zeros((nmodes + 1, n))
+    alpha[1:] = rng.standard_normal((nmodes, n)) * decay[:, None]
+    beta = rng.standard_normal((nmodes, n)) * decay[:, None]
+    return harmonic_extension(FourierSeries(Q, n, alpha, beta), 1.0)
+
+
+def _ladder():
+    """Ball radii 0.5 * 2^-k, the flat radii at their quadrature nodes,
+    the vertex and a radius past the rim."""
+    balls = [0.5 * 2.0 ** -k for k in range(5)]
+    t, _ = gauss_legendre(4, 0.0, 1.0)
+    return [0.0, 2.0] + balls + [c * tk for c in balls for tk in t]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _multimode_extension(1), lambda: _multimode_extension(2),
+    lambda: _multimode_extension(3), lambda: random_extension(),
+    lambda: _restricted_case(("cone", 4)),
+    lambda: _restricted_case(("cone", 9)),
+], ids=["ext-1", "ext-2", "ext-3", "ext-random", "cone-4", "cone-9"])
+def test_batched_clip_rows_equal_one_radius_solves(make):
+    surf = make()
+    region = RadialRestriction(surf, 0.0, 0.5)
+    radii = _ladder()
+    for n in (surf.order[1], 2 * surf.order[1]):
+        v = gauss_legendre(n, *surf.domain[2:])[0]
+        rlo, rhi, _ = region._radius_table(n)
+        batched = region._solve_radii(radii, v, rlo, rhi)
+        for c, row in zip(radii, batched):
+            assert np.array_equal(row, region._solve_radii([c], v, rlo,
+                                                           rhi)[0])
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """One entry per _solve_radius call: the number of rows it solves."""
+    calls = []
+    solve = RadialRestriction._solve_radius
+
+    def counted(self, c, V, rlo, rhi):
+        calls.append(c.size)
+        return solve(self, c, V, rlo, rhi)
+
+    monkeypatch.setattr(RadialRestriction, "_solve_radius", counted)
+    return calls
+
+
+def test_a_mass_profile_solves_its_ladder_once_per_angle_count(solve_calls):
+    surf = extension_surface(2, 6, 1e-2)
+    radii = [0.125, 0.25, 0.5]
+    profile = mass_profile(surf, radii, 2)
+    for s, r in zip(radii, radii[1:]):
+        deviation_integral(surf, s, r)
+    # one ball at the rule's angle count and one at its doubled
+    # self-check solve all four radii, where solving each ball's own
+    # radii takes six calls
+    n1 = surf.order[1]
+    assert solve_calls == [4 * n1, 8 * n1]
+    assert np.array_equal(profile.values, [annulus_mass(
+        extension_surface(2, 6, 1e-2), 0.0, r) for r in radii])
+
+
+def test_a_flat_level_solves_its_ladder_in_one_call(solve_calls):
+    surf = extension_surface(1, 2, 1e-2)
+    bound = radial_homotopy_filling(surf, 0.1, 0.2, tnodes=3)
+    assert solve_calls == [6 * surf.order[1]]
+    # the one-radius-at-a-time solves, with no ladder declared
+    t, w = gauss_legendre(3, 0.0, 1.0)
+    fresh = extension_surface(1, 2, 1e-2)
+    assert bound == float(sum(
+        wk * tk * tk * radial_projection_mass(fresh, 0.1 * tk, 0.2 * tk)
+        for tk, wk in zip(t, w)))
+
+
+def test_an_undeclared_annulus_solves_its_own_radii(clip_rows):
+    surf = extension_surface(2, 6, 1e-2)
+    mass = annulus_mass(surf, 0.1, 0.3)
+    n1 = surf.order[1]
+    assert sorted(clip_rows) == sorted(
+        (c, n) for c in (0.1, 0.3) for n in (n1, 2 * n1))
+    clip_rows.clear()
+    declared = extension_surface(2, 6, 1e-2)
+    declare_ladder(declared, [0.05, 0.1, 0.2, 0.3])
+    assert annulus_mass(declared, 0.1, 0.3) == mass
+    assert sorted(clip_rows) == sorted(
+        (c, n) for c in (0.05, 0.1, 0.2, 0.3) for n in (n1, 2 * n1))
+
+
+def test_an_unconverged_clip_solve_names_its_radii(monkeypatch):
+    monkeypatch.setattr(currents, "NEWTON_MAX_STEPS", 1)
+    surf = extension_surface(2, 6, 1e-2)
+    with pytest.raises(NoConvergence) as err:
+        annulus_mass(surf, 0.1, 0.3)
+    assert f"at radii 0.1, 0.3 over {surf.order[1]} angles" in str(err.value)
 
 
 def random_extension():

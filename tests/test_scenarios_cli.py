@@ -45,6 +45,29 @@ def test_load_config_happy_path():
     assert scenarios[0].kind == "epi"
 
 
+def test_second_load_compiles_no_schema_type_hints(monkeypatch):
+    import tclab.scenarios as scenarios
+    desk = (REPO / "configs" / "desk.json").read_text()
+    scenarios._schema_hints.cache_clear()
+    calls = []
+
+    def counted(schema):
+        calls.append(schema)
+        return get_type_hints(schema)
+
+    monkeypatch.setattr(scenarios, "get_type_hints", counted)
+    first = load_config(desk)
+    kinds = {sc.kind for sc in first}
+    assert sorted(c.__name__ for c in calls) == sorted(
+        SCHEMAS[k].__name__ for k in kinds)
+    calls.clear()
+    second = load_config(desk)
+    assert calls == []
+    assert [sc.config_hash() for sc in second] == [
+        sc.config_hash() for sc in first]
+    assert [sc.typed for sc in second] == [sc.typed for sc in first]
+
+
 @pytest.mark.parametrize("payload", [
     "{not json",
     json.dumps([1, 2, 3]),
@@ -315,7 +338,8 @@ def test_cli_parallel_run_matches_serial(tmp_path):
 
 
 def test_cli_parallel_shortcut_matches_serial(tmp_path):
-    # one scenario, so only the per-curve units give the pool work
+    # one scenario, so only the per-curve units give the second process
+    # work
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
