@@ -80,17 +80,16 @@ def _base_frame(surface):
 
     Returns (x, x_u, x_v, W, A, mass) at the surface's quadrature order.
     Every probe and flow on the surface reads the same frame, so it is
-    memoized on the instance per order, as read-only arrays.
+    memoized on the instance, as read-only arrays.
     """
-    memo = vars(surface).setdefault("_calib_frame_memo", {})
-    order = surface.order
-    if order not in memo:
-        x, xu, xv, W = surface._frame(order)
+    memo = vars(surface)
+    if "_calib_frame" not in memo:
+        x, xu, xv, W = surface._frame(surface.order)
         data = (x, xu, xv, W, surface._area_element(xu, xv))
         for arr in data:
             arr.flags.writeable = False
-        memo[order] = data + (surface.mass(check=False),)
-    return memo[order]
+        memo["_calib_frame"] = data + (surface.mass(check=False),)
+    return memo["_calib_frame"]
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ def _flow(surface, chi: Bump) -> _Flow:
     bump reuses it.
     """
     memo = vars(chi).setdefault("_flow_memo", {})
-    key = (surface, surface.order)
-    if key not in memo:
+    if surface not in memo:
         x, xu, xv, W, A, _ = _base_frame(surface)
         y = x - chi.center
         keep = np.flatnonzero(rowdot(y, y) < float(chi.radius) ** 2)
@@ -162,8 +160,8 @@ def _flow(surface, chi: Bump) -> _Flow:
         perp2 = sum((dk - cu * u - cv * v) ** 2
                     for dk, u, v in zip(d, xu.T, xv.T))
         rate = float(np.sum(W * f * A * np.sqrt(perp2)))
-        memo[key] = _Flow(W, A, growth, rate)
-    return memo[key]
+        memo[surface] = _Flow(W, A, growth, rate)
+    return memo[surface]
 
 
 def sweep_mass(surface, chi: Bump, eps: float) -> float:

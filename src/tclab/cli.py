@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import sys
 from dataclasses import fields
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin
 
 from .errors import ConfigError, ScenarioError
 from .scenarios import (SCHEMAS, Scenario, load_config, run_scenario,
                         parts, merge, render_artifact, render_summary,
-                        artifact_name, summary_rows, SUMMARY_COLUMNS)
+                        artifact_name, summary_rows, SUMMARY_COLUMNS,
+                        _schema_hints)
 
 
 def _number(text: str):
@@ -53,7 +53,7 @@ def _add_kind(subs, kind: str, schema) -> None:
     so the dataclass alone supplies defaults."""
     sub = subs.add_parser(kind, help=schema.__doc__.strip())
     sub.add_argument("--name", default=kind, help="scenario name")
-    hints = get_type_hints(schema)
+    hints = _schema_hints(schema)
     for f in fields(schema):
         flags = ["--" + f.name.lower().replace("_", "-")]
         if f.name == "Q" and get_origin(hints[f.name]) is tuple:
@@ -126,21 +126,19 @@ def _format_summary(results) -> str:
 
 
 def _certify(units, jobs: int) -> list:
-    """One zero-argument call per unit, in unit order, that returns the
-    unit's ScenarioResult or raises what certifying it raised.
+    """The outcome of each unit, in unit order: its ScenarioResult or the
+    exception certifying it raised, which the caller replays.
 
     With jobs > 1 and more than one unit, min(jobs, units) - 1 workers are
     forked.  They share a lock-guarded index range [lo, hi) of the units
     not yet taken: each worker takes units itself from its head and this
     process takes them from its tail, so no unit waits on a hand-off.
     Each worker returns every (index, outcome) pair it made in one
-    message, and a call replays its unit's outcome, so an exception
-    surfaces at the same unit as in a serial run.  Otherwise each unit
-    runs when its call is made.
+    message.  Otherwise this process certifies the units in order.
     """
     workers = min(jobs, len(units)) - 1
     if workers < 1:
-        return [functools.partial(run_scenario, unit) for unit in units]
+        return [_outcome(unit) for unit in units]
     # imported here so that a serial run loads no multiprocessing; fork, so
     # that the workers inherit the units and need nothing sent to them
     import multiprocessing
@@ -178,7 +176,7 @@ def _certify(units, jobs: int) -> list:
             proc.join()
         for recv in inbox:
             recv.close()
-    return [functools.partial(_replay, outcome) for outcome in outcomes]
+    return outcomes
 
 
 def _take(pending, head: bool):
@@ -222,12 +220,12 @@ def _work(units, pending, send) -> None:
 def _execute(scenarios, out_dir: str, jobs: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
     plan = [parts(sc) for sc in scenarios]
-    calls = iter(_certify([unit for units in plan for unit in units], jobs))
+    outcomes = iter(_certify([u for units in plan for u in units], jobs))
     results, errored = [], []
     for sc, units in zip(scenarios, plan):
-        mine = [next(calls) for _ in units]
+        mine = [next(outcomes) for _ in units]
         try:
-            results.append(merge([call() for call in mine]))
+            results.append(merge([_replay(outcome) for outcome in mine]))
         except ScenarioError as err:
             errored.append(sc.name)
             print(str(err), file=sys.stderr)

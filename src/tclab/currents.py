@@ -2,7 +2,8 @@
 
 A curve is anything with ``Q``, ``M``, ``period`` and ``jet``, its one
 evaluator, which returns the points and velocities at the given angles
-together (the library builds only WindingCurves); its length and the
+together (the library builds only WindingCurves, each a link on the
+unit cylinder, since cones are scale invariant); its length and the
 cylinder masses of its cone are periodic trapezoid sums on M nodes,
 checked by one halving against 2M, both read from one table of 2M
 samples.  A WindingCurve keeps its trace table, its jet on 4M uniform
@@ -63,27 +64,23 @@ NEWTON_ULPS = 4
 
 @dataclass(frozen=True)
 class WindingCurve:
-    """Closed curve winding Q times around a cylinder of radius rho.
+    """Closed curve winding Q times around the unit cylinder.
 
-    The trace is theta -> rho * (cos theta, sin theta, f(theta)) for
-    theta in [0, 2*pi*Q), where the profile f is the Fourier series; Q,
-    n and the period are the series'.  ``M``, the base sample count of
-    periodic sums over the curve, is fixed at construction: at least 256,
-    SAMPLES_PER_WINDING_MODE per period of the top active frequency over
-    the Q windings, and 2N + 2 for the N stored modes.
+    The trace is theta -> (cos theta, sin theta, f(theta)) for theta in
+    [0, 2*pi*Q), where the profile f is the Fourier series; Q, n and the
+    period are the series'.  ``M``, the base sample count of periodic
+    sums over the curve, is fixed at construction: at least 256,
+    SAMPLES_PER_WINDING_MODE per period of the top live mode over the Q
+    windings, and 2N + 2 for the N stored modes.
     """
 
     series: FourierSeries
-    rho: float = 1.0
     M: int = field(init=False)
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
         series = self.series
-        fa = max(series.max_active_frequency(1e-12), 1)
         object.__setattr__(self, "M", max(
-            256, SAMPLES_PER_WINDING_MODE * series.Q * fa,
+            256, SAMPLES_PER_WINDING_MODE * series.Q * max(series.top_mode, 1),
             2 * series.nmodes + 2))
 
     @property
@@ -116,7 +113,7 @@ class WindingCurve:
         dx[..., 0] = -s
         dx[..., 1] = c
         dx[..., 2:] = df
-        return self.rho * x, self.rho * dx
+        return x, dx
 
     @cached_property
     def trace_table(self):

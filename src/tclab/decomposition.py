@@ -41,9 +41,8 @@ class EmbeddedCurve:
         return Plane2(e1=self.frame[:, 0].copy(), e2=self.frame[:, 1].copy())
 
     def points(self) -> np.ndarray:
-        """The curve's M samples in ambient space."""
-        theta = np.arange(self.curve.M) * (self.curve.period / self.curve.M)
-        return self.curve.jet(theta)[0] @ self.frame.T
+        """The curve's M samples in ambient space (trace table rows ::4)."""
+        return self.curve.trace_table[0][::4] @ self.frame.T
 
 
 def cluster_by_planes(points, planes, width: float) -> np.ndarray:
@@ -67,7 +66,7 @@ def cluster_by_planes(points, planes, width: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Outcome of splitting a multi-curve current by plane tubes."""
+    """Outcome of splitting curves by plane tubes; groups hold indices."""
 
     groups: list
     multiplicities: list
@@ -77,7 +76,7 @@ class SplitResult:
 
 
 def split_current(curves, planes, width: float) -> SplitResult:
-    """Group embedded curves by the plane tube containing them.
+    """Group embedded curves, by index, by the plane tube containing them.
 
     Every sample of a curve must fall in the same tube, otherwise that
     curve joins no group and the split fails.  Each curve's mass is
@@ -89,15 +88,15 @@ def split_current(curves, planes, width: float) -> SplitResult:
     group_mass = [0.0] * len(planes)
     passed = True
     masses = [curve_mass(c.curve) for c in curves]
-    for c, m in zip(curves, masses):
+    for k, (c, m) in enumerate(zip(curves, masses)):
         labels = cluster_by_planes(c.points(), planes, width)
         label = int(labels[0])
         if label >= 0 and np.all(labels == label):
-            groups[label].append(c)
+            groups[label].append(k)
             group_mass[label] += m
         else:
             passed = False
     total = float(sum(masses))
-    mult = [int(sum(c.curve.Q for c in g)) for g in groups]
+    mult = [int(sum(curves[k].curve.Q for k in g)) for g in groups]
     return SplitResult(groups=groups, multiplicities=mult,
                        masses=group_mass, total_mass=total, passed=passed)

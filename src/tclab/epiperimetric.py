@@ -343,16 +343,18 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
 
 
 def regraph_over_plane(curve: WindingCurve, plane: Plane2,
-                       new_rho: float) -> WindingCurve:
-    """Rewrite the cone over the curve as a winding curve on a new cylinder.
+                       new_rho: float) -> FourierSeries:
+    """The profile of the cone over the curve on a cylinder around a plane.
 
     Intersects the (infinite) cone with the cylinder of radius ``new_rho``
     around the plane and resamples the trace at the curve's M uniform
-    cylinder angles, expressed in the plane's frame.  Raises NotGraph when
-    the cylinder angle fails to advance monotonically or when the new
-    cylinder is not strictly inside the curve, and Undersampled
-    when the kept Fourier modes miss more than TAIL_TOL of the regraphed
-    profile's L2 mass.
+    cylinder angles, expressed in the plane's frame.  Returns the trace's
+    profile, the same at every radius of a cone, as its Fourier series
+    trimmed by ``_trim_series``.  Raises NotGraph when the cylinder angle
+    fails to advance monotonically, when the curve comes within 0.2 of
+    the plane's axis or when the new cylinder is not strictly inside the
+    curve, and Undersampled when the kept Fourier modes miss more than
+    TAIL_TOL of the regraphed profile's L2 mass.
 
     Both checks probe the curve's trace table.  The resampling is a Newton
     solve for the curve angle of each cylinder angle, whose first pass
@@ -377,7 +379,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
 
     probe = np.arange(4 * m) * (curve.period / (4 * m))
     phi, dphi, _, r2 = angle_data(probe, *curve.trace_table)
-    if np.min(r2) <= (0.2 * curve.rho) ** 2 or np.min(dphi) <= 0:
+    if np.min(r2) <= 0.2 ** 2 or np.min(dphi) <= 0:
         raise NotGraph(
             "curve is not a cylinder graph over the requested plane")
     if np.min(r2) <= new_rho ** 2:
@@ -394,20 +396,18 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
             break
     if float(np.max(np.abs(phi - target))) > 1e-10:
         raise NoConvergence("cylinder-angle resampling did not converge")
-    t = new_rho / np.sqrt(r2)
-    prof = t[:, None] * y[..., 2:] / new_rho
-    series = analyze(prof, curve.Q)
-    series = _trim_series(series)
-    return WindingCurve(series, rho=new_rho)
+    prof = y[..., 2:] / np.sqrt(r2)[:, None]
+    return _trim_series(analyze(prof, curve.Q))
 
 
 def _trim_series(series: FourierSeries) -> FourierSeries:
     """Zero every mode whose coefficients are all at or below 1e-13.
 
     The tail above the top mode left is cut, and the interior modes at
-    that floor become exact zeros.  A regraphed single-mode curve keeps
-    only roundoff in its other modes, so its series then has one live
-    mode, which is all the competitor evaluates.
+    that floor become exact zeros.  This is the library's one roundoff
+    cut: a regraphed single-mode curve keeps only roundoff in its other
+    modes, so its series then has one live mode, which is all the
+    competitor evaluates and all its angle count resolves.
     """
     alpha = series.alpha.copy()
     beta = series.beta.copy()
@@ -415,7 +415,8 @@ def _trim_series(series: FourierSeries) -> FourierSeries:
                        np.abs(beta).max(axis=1, initial=0.0)) <= 1e-13
     alpha[1:][quiet] = 0.0
     beta[quiet] = 0.0
-    keep = series.max_active_frequency(1e-13)
+    loud = np.flatnonzero(~quiet)
+    keep = int(loud[-1]) + 1 if loud.size else 0
     return FourierSeries(series.Q, series.n, alpha[:keep + 1], beta[:keep])
 
 
@@ -423,21 +424,21 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
                      lip_max: float = 0.1) -> ParamSurface:
     """Build the epiperimetric competitor for the cone over the curve.
 
-    The cone is regraphed on the cylinder of radius CYL_RATIO * rho around
-    the plane, which must be a cylinder graph strictly inside the curve
+    The cone is regraphed on the cylinder of radius CYL_RATIO around the
+    plane, which must be a cylinder graph strictly inside the unit link
     (NotGraph otherwise), with regraphed profile Lipschitz below
     ``lip_max`` (LipschitzTooLarge from the harmonic extension otherwise).
-    The competitor is the harmonic-extension graph over the plane whose
-    boundary is the regraphed trace, written in the coordinates of
+    The regraph's trimmed profile goes straight to the harmonic
+    extension: the competitor is the graph over the plane whose boundary
+    is the cone's trace on that cylinder, written in the coordinates of
     ``plane.frame()``: the first two span the plane and the rest are
     normal to it.  Those differ from the ambient coordinates by a rigid
     motion, which leaves the mass, the one quantity the gap reads,
     unchanged.  Outside the cylinder the competitor agrees with the cone,
     so only the inner pieces enter the gap comparison.
     """
-    rho2 = CYL_RATIO * curve.rho
-    inner = regraph_over_plane(curve, plane, rho2)
-    return harmonic_extension(inner.series, rho2, lip_max=lip_max)
+    profile = regraph_over_plane(curve, plane, CYL_RATIO)
+    return harmonic_extension(profile, CYL_RATIO, lip_max=lip_max)
 
 
 def epiperimetric_gap(curve: WindingCurve,
@@ -452,9 +453,9 @@ def epiperimetric_gap(curve: WindingCurve,
     report = optimal_plane(curve)
     plane = report.plane
     comp = build_competitor(curve, plane, lip_max=lip_max)
-    rho2 = CYL_RATIO * curve.rho
-    ref = curve.Q * OMEGA2 * rho2 ** 2
-    cone_gap = infinite_cone_cylinder_mass(curve, plane.basis(), rho2) - ref
+    ref = curve.Q * OMEGA2 * CYL_RATIO ** 2
+    cone_gap = (infinite_cone_cylinder_mass(curve, plane.basis(), CYL_RATIO)
+                - ref)
     for memo in ("trace_table", "_cone_tangent_data"):
         vars(curve).pop(memo, None)
     comp_gap = comp.mass() - ref

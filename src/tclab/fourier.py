@@ -16,7 +16,8 @@ Most stored rows of a lab profile are exactly zero (a grid curve has one
 live mode out of N), so every evaluation here runs over the live modes
 only: the rows i where alpha_i or beta_i has a nonzero component.  A
 zero row adds nothing to any sum, so the values are those of the full
-sums; a dense series is the case where every row is live.
+sums; a dense series is the case where every row is live.  The largest
+live mode, ``top_mode``, sizes every sample count, however small it is.
 """
 
 from dataclasses import dataclass
@@ -68,18 +69,15 @@ class FourierSeries:
             raise NonFinite("non-finite Fourier coefficients")
         alpha = alpha.copy()
         beta = beta.copy()
-        # largest coefficient of each mode, and the rows where it is not 0
-        peak = np.maximum(np.abs(alpha[1:]).max(axis=1, initial=0.0),
-                          np.abs(beta).max(axis=1, initial=0.0))
-        rows = np.flatnonzero(peak)
+        rows = np.flatnonzero(np.any(alpha[1:] != 0, axis=1)
+                              | np.any(beta != 0, axis=1))
         live = _LiveModes(rows + 1, (rows + 1) / self.Q,
                           alpha[1:].take(rows, axis=0),
                           beta.take(rows, axis=0))
-        for arr in (alpha, beta, peak) + live:
+        for arr in (alpha, beta) + live:
             arr.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "_live", live)
 
     @property
@@ -96,10 +94,11 @@ class FourierSeries:
         """Mode numbers i, ascending, whose alpha_i or beta_i is nonzero."""
         return self._live.index
 
-    def max_active_frequency(self, tol: float = 0.0) -> int:
-        """Largest i whose coefficient pair is (strictly) above tol."""
-        active = np.flatnonzero(self._peak > tol)
-        return int(active[-1]) + 1 if active.size else 0
+    @property
+    def top_mode(self) -> int:
+        """The largest live mode, or 0 when no mode is live."""
+        index = self._live.index
+        return int(index[-1]) if index.size else 0
 
     def jet(self, theta):
         """Evaluate (f, f') at the given angles from one live-mode trig table.
@@ -121,13 +120,13 @@ class FourierSeries:
 
     def lipschitz(self) -> float:
         """Max |f'| on a dense uniform grid (spectral derivative)."""
-        m = max(64, 16 * self.Q * max(self.max_active_frequency(), 1))
+        m = max(64, 16 * self.Q * max(self.top_mode, 1))
         theta = np.arange(m) * (self.period / m)
         return float(np.max(rownorm(self.jet(theta)[1])))
 
 
 def analyze(samples, Q: int) -> FourierSeries:
-    """Fit a FourierSeries to M uniform samples on [0, 2*pi*Q).
+    """Fit a FourierSeries to (M, n) uniform samples on [0, 2*pi*Q).
 
     Keeps N = min(DEFAULT_MODES_PER_Q * Q, (M - 2) // 2) modes, so that
     M >= 2N + 2 and the fit is exact (to roundoff) for input band-limited
@@ -135,8 +134,6 @@ def analyze(samples, Q: int) -> FourierSeries:
     TAIL_TOL of the total L2 mass.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
     if not np.all(np.isfinite(samples)):
         raise NonFinite("non-finite profile samples")
     M, n = samples.shape
@@ -168,9 +165,9 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     constant term is kept constant in r.  Boundary trace at w = 1 equals
     the profile exactly.  The chart declares its angle axis periodic, so
     the angle takes the trapezoid rule, spectrally accurate on this
-    smooth periodic integrand, with T = 8 nodes per top active frequency
-    (at least 32); the radius takes Gauss-Legendre of order 32.  Its
-    mass sums (64, T) and checks against (64, T / 2) and (32, T / 2).
+    smooth periodic integrand, with T = 8 * top_mode nodes (at least
+    32); the radius takes Gauss-Legendre of order 32.  Its mass sums
+    (64, T) and checks against (64, T / 2) and (32, T / 2).
 
     Chart and jacobian run over the series' live modes only and
     broadcast w against theta without expanding them first, so on the
@@ -230,7 +227,7 @@ def harmonic_extension(series: FourierSeries, r_out: float,
         xv[..., 2:] = r_out * w[..., None] * dg[..., n:]
         return xu, xv
 
-    order = (32, max(32, 8 * max(series.max_active_frequency(1e-14), 1)))
+    order = (32, max(32, 8 * max(series.top_mode, 1)))
     return ParamSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
         order=order, radial_axis=0, periodic_axis=1)

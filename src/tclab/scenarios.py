@@ -123,11 +123,11 @@ def extension_surface(Q: int, mode: int, amplitude: float):
     return harmonic_extension(single_mode_series(Q, mode, amplitude), 1.0)
 
 
-def flat_circle(Q: int, rho: float) -> WindingCurve:
-    """Q-fold circle of radius rho: the winding curve of the zero profile."""
+def flat_circle(Q: int) -> WindingCurve:
+    """Q-fold unit circle: the winding curve of the zero profile."""
     zero = FourierSeries(Q=Q, n=1, alpha=np.zeros((1, 1)),
                          beta=np.zeros((0, 1)))
-    return WindingCurve(zero, rho=rho)
+    return WindingCurve(zero)
 
 
 def orthogonal_planes_instance(Q_list=(1, 1)):
@@ -136,7 +136,7 @@ def orthogonal_planes_instance(Q_list=(1, 1)):
     frames = [eye[:, [0, 1, 2]], eye[:, [2, 3, 0]]]
     curves = []
     for k, Q in enumerate(Q_list):
-        curves.append(EmbeddedCurve(curve=flat_circle(int(Q), 1.0),
+        curves.append(EmbeddedCurve(curve=flat_circle(int(Q)),
                                     frame=frames[k % 2]))
     return curves
 
@@ -588,7 +588,7 @@ def _run_calib(sc: Scenario):
     p = sc.typed
     rng = sc.rng()
     if p.surface == "disk":
-        surface = cone_chart(flat_circle(1, 1.0), order=CALIB_ORDER)
+        surface = cone_chart(flat_circle(1), order=CALIB_ORDER)
     else:
         surface = spherical_cap(1.0, 0.0, np.pi, dim=4, order=CALIB_ORDER)
 
@@ -609,9 +609,8 @@ def _run_split(sc: Scenario):
     curves = orthogonal_planes_instance(p.Q)
     planes = [c.plane() for c in curves]
     result = split_current(curves, planes, p.width)
-    index = {id(c): k for k, c in enumerate(curves)}
     payload = {
-        "clusters": [[index[id(c)] for c in g] for g in result.groups],
+        "clusters": result.groups,
         "multiplicities": [int(m) for m in result.multiplicities],
         "masses": [float(m) for m in result.masses],
         "total_mass": float(result.total_mass),
@@ -667,8 +666,6 @@ def merge(results) -> ScenarioResult:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))

@@ -323,7 +323,7 @@ def test_sweep_rate_of_a_nearly_tangent_direction_keeps_full_precision():
     for _ in range(30):
         chi = calib_bump(rng, "disk", sc.typed.bump_power)
     assert 1e-5 < abs(chi.direction[2]) < 1e-4
-    surface = cone_chart(flat_circle(1, 1.0), order=CALIB_ORDER)
+    surface = cone_chart(flat_circle(1), order=CALIB_ORDER)
     x, xu, xv, w = surface._frame(surface.order)
     keep = np.sum((x - chi.center) ** 2, axis=-1) < chi.radius ** 2
     f = chi.profile(x[keep])[0]

@@ -5,11 +5,12 @@ outside its own body is code that no run reaches: only tests call it.
 It belongs in tests/oracles.py, or a run should use it.  The same holds
 for the members of a class: every method, property and dataclass field
 that is not a dunder must be read as an attribute somewhere in
-src/tclab outside its own definition.  Matching is by name, so a member
-read under the same name on another class counts as read.  The
-allowlist names each exception with the change that gives it a reader;
-a listed name that gains one fails too, so the list never outlives its
-reasons.
+src/tclab outside its own definition.  A read ``self.x`` inside class C
+counts only for the members x of C, its bases and its subclasses; any
+other read matches by name, so a member read under the same name on
+another receiver counts as read.  The allowlist names each exception
+with the change that gives it a reader; a listed name that gains one
+fails too, so the list never outlives its reasons.
 """
 
 import ast
@@ -28,10 +29,20 @@ def _references(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _is_self_read(node) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 def _attribute_reads(node) -> Counter:
     """Attribute names under node, with multiplicity."""
     return Counter(n.attr for n in ast.walk(node)
                    if isinstance(n, ast.Attribute))
+
+
+def _self_reads(node) -> Counter:
+    """Names x of the ``self.x`` reads under node, with multiplicity."""
+    return Counter(n.attr for n in ast.walk(node) if _is_self_read(n))
 
 
 def _members(cls):
@@ -48,20 +59,40 @@ def _members(cls):
             yield name, node
 
 
+def _kin(classes) -> dict:
+    """Each class name mapped to itself, its bases and its subclasses
+    among the given classes, followed through every generation."""
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+             for cls in classes}
+
+    def ancestors(name):
+        return set().union(*({b} | ancestors(b)
+                             for b in bases.get(name, ())))
+
+    up = {c: ancestors(c) for c in bases}
+    return {c: ({c} | up[c] | {d for d in bases if c in up[d]})
+            & bases.keys() for c in bases}
+
+
 def unreached_names(trees=None) -> list:
     if trees is None:
         trees = [ast.parse(path.read_text())
                  for path in sorted(SRC.glob("*.py"))]
     total = sum(map(_references, trees), Counter())
-    reads = sum(map(_attribute_reads, trees), Counter())
     classes = [node for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef)]
+    own = {cls.name: _self_reads(cls) for cls in classes}
+    kin = _kin(classes)
+    # reads on any receiver but the self of a class body
+    reads = (sum(map(_attribute_reads, trees), Counter())
+             - sum(own.values(), Counter()))
     names = [node.name for tree in trees for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
              and total[node.name] == _references(node)[node.name]]
     members = [f"{cls.name}.{name}" for cls in classes
                for name, node in _members(cls)
-               if reads[name] == _attribute_reads(node)[name]]
+               if reads[name] + sum(own[k][name] for k in kin[cls.name])
+               == _attribute_reads(node)[name]]
     return sorted(names + members)
 
 
@@ -81,6 +112,14 @@ def test_member_guard_counts_reads_outside_the_definition():
         "        return 0\n"
         "    def __call__(self):\n"
         "        return 0\n"
+        "class B:\n"
+        "    x: int\n"
+        "    z: int\n"
+        "class C(B):\n"
+        "    def k(self):\n"
+        "        return self.z\n"
         "def h(a):\n"
-        "    return A(x=1, y=a.g)\n")
-    assert unreached_names([tree]) == ["A.f", "A.y", "h"]
+        "    return A(x=1, y=a.g) + C().k()\n")
+    # A's self.x reads A.x alone, so B.x is unread; C's self.z reads the
+    # z C inherits from B
+    assert unreached_names([tree]) == ["A.f", "A.y", "B.x", "h"]

@@ -418,14 +418,15 @@ def test_tilt_stack_matches_each_plane(n):
     assert objective[5] == 1e6 + np.sum(V[5] ** 2)
 
 
-def test_regraph_over_reference_plane_halves_the_curve():
+def test_regraph_over_reference_plane_keeps_the_profile():
     # the cone is dilation invariant, so regraphing it over its own
-    # plane onto half the cylinder gives the curve scaled by one half
+    # plane onto half the cylinder gives the curve scaled by one half,
+    # whose profile is the curve's own
     curve = single_mode_curve(1, 2, 5e-3)
-    back = regraph_over_plane(curve, standard_plane(3), 0.5 * curve.rho)
+    back = regraph_over_plane(curve, standard_plane(3), 0.5)
     theta = np.linspace(0.0, curve.period, 50)
-    assert np.allclose(back.jet(theta)[0], 0.5 * curve.jet(theta)[0],
-                       atol=1e-12)
+    assert np.allclose(back.jet(theta)[0], curve.series.jet(theta)[0],
+                       atol=2e-12)
 
 
 def test_regraph_refuses_a_cylinder_reaching_past_the_curve():
@@ -433,7 +434,7 @@ def test_regraph_refuses_a_cylinder_reaching_past_the_curve():
     # cylinder touches it everywhere, and over a tilted plane the
     # projected curve comes closest at its minimum |u|
     curve = single_mode_curve(1, 2, 5e-3)
-    for rho in (curve.rho, 1.5 * curve.rho):
+    for rho in (1.0, 1.5):
         with pytest.raises(NotGraph, match="reaches past the curve"):
             regraph_over_plane(curve, standard_plane(3), rho)
     plane = epi._tilt_plane(np.array([0.3, 0.0]), 1)
@@ -445,13 +446,25 @@ def test_regraph_refuses_a_cylinder_reaching_past_the_curve():
         regraph_over_plane(curve, plane, near * (1 + 1e-9))
 
 
-def test_regraph_smaller_cylinder_stays_on_cone():
+@pytest.mark.parametrize("tilted", [False, True],
+                         ids=["reference", "tilted"])
+def test_regraph_smaller_cylinder_stays_on_cone(tilted):
+    # each regraphed point 0.5 (cos phi, sin phi, g(phi)) in the plane's
+    # frame lies on a ray of the cone: scaled onto the unit cylinder it
+    # is the curve's point at the angle of its projection
     curve = single_mode_curve(2, 3, 0.05)
-    back = regraph_over_plane(curve, standard_plane(3), 0.5)
-    assert back.Q == curve.Q and back.rho == 0.5
-    pts = back.jet(np.linspace(0.0, back.period, 64))[0]
-    radii = np.linalg.norm(pts[:, :2], axis=1)
-    assert np.allclose(radii, 0.5, atol=1e-12)
+    plane = (epi._tilt_plane(np.array([0.03, -0.02]), 1) if tilted
+             else standard_plane(3))
+    back = regraph_over_plane(curve, plane, 0.5)
+    assert (back.Q, back.n) == (curve.Q, curve.n)
+    phi = np.linspace(0.0, back.period, 64, endpoint=False)
+    y = np.concatenate([np.cos(phi)[:, None], np.sin(phi)[:, None],
+                        back.jet(phi)[0]], axis=1)
+    x = 0.5 * y @ plane.frame().T
+    r = np.linalg.norm(x[:, :2], axis=1)
+    turn = np.arctan2(x[:, 1], x[:, 0]) - phi
+    theta = phi + np.mod(turn + np.pi, 2 * np.pi) - np.pi
+    assert np.allclose(x / r[:, None], curve.jet(theta)[0], atol=1e-12)
 
 
 def test_regraph_refuses_a_profile_past_the_kept_modes():
@@ -460,7 +473,7 @@ def test_regraph_refuses_a_profile_past_the_kept_modes():
     # that as its own error
     curve = single_mode_curve(1, 100, 1e-4)
     with pytest.raises(Undersampled, match="truncation tail"):
-        regraph_over_plane(curve, standard_plane(3), 0.5 * curve.rho)
+        regraph_over_plane(curve, standard_plane(3), 0.5)
     sc = Scenario(name="high", kind="epi", seed=0,
                   params={"Q": [1], "ratios": [100], "amplitudes": [1e-4]})
     with pytest.raises(ScenarioError, match="truncation tail"):
@@ -531,20 +544,19 @@ def test_trim_series_zeroes_quiet_modes_and_cuts_the_tail():
 def test_regraphed_single_mode_curve_has_one_live_mode(monkeypatch):
     curve = single_mode_curve(3, 12, 1e-2)
     plane = standard_plane(3)
-    assert regraph_over_plane(curve, plane, 0.5).series.live_modes.tolist() \
-        == [12]
+    assert regraph_over_plane(curve, plane, 0.5).live_modes.tolist() == [12]
     # the untrimmed regraph holds roundoff in every other kept mode
     monkeypatch.setattr(epi, "_trim_series", lambda series: series)
-    raw = regraph_over_plane(curve, plane, 0.5).series
+    raw = regraph_over_plane(curve, plane, 0.5)
     assert raw.live_modes.size > 1
-    assert raw.max_active_frequency(1e-13) == 12
-    assert np.max(np.abs(raw.alpha[1:12])) <= 1e-13
-    assert np.max(np.abs(raw.beta[:11])) <= 1e-13
+    peak = np.maximum(np.abs(raw.alpha[1:]).max(axis=1),
+                      np.abs(raw.beta).max(axis=1))
+    assert (np.flatnonzero(peak > 1e-13) + 1).tolist() == [12]
 
 
 def test_regraph_matches_twelve_pass_reference():
     for curve, plane in _regraph_cases():
-        got = regraph_over_plane(curve, plane, 0.5).series
+        got = regraph_over_plane(curve, plane, 0.5)
         want = _reference_regraph_series(curve, plane, 0.5)
         assert got.alpha.shape == want.alpha.shape
         assert np.all(np.abs(got.alpha - want.alpha) <= 1e-14)
@@ -562,7 +574,7 @@ def test_regraph_newton_stops_at_convergence(monkeypatch):
     monkeypatch.setattr(WindingCurve, "jet", counted)
     for curve, plane in _regraph_cases():
         # a fresh curve, whose trace table is not made yet
-        curve = WindingCurve(curve.series, rho=curve.rho)
+        curve = WindingCurve(curve.series)
         sizes.clear()
         regraph_over_plane(curve, plane, 0.5)
         # the trace table at 4M angles is the probe, and the first pass
@@ -598,6 +610,33 @@ def test_build_competitor_samples_the_curve_only_in_the_regraph(monkeypatch,
     monkeypatch.setattr(epi, "regraph_over_plane", counted_regraph)
     build_competitor(curve, plane)
     assert outside[0] == 0
+
+
+@pytest.mark.parametrize("quiet", [0.0, 1e-12], ids=["mode 6", "mode 9"])
+def test_sample_counts_resolve_exactly_the_live_modes(monkeypatch, quiet):
+    # the top live mode sizes the curve's M, the Lipschitz grid and the
+    # competitor's angle count T, however small its coefficient: a mode 9
+    # at 1e-12 over a Q = 2 mode 6 counts, and the regraph keeps it
+    alpha = np.zeros((10, 1))
+    alpha[6, 0] = 1e-2
+    alpha[9, 0] = quiet
+    series = FourierSeries(2, 1, alpha, np.zeros((9, 1)))
+    top = 9 if quiet else 6
+    assert series.top_mode == top
+    curve = WindingCurve(series)
+    assert curve.M == max(256, 16 * 2 * top)
+    sizes = []
+    jet = FourierSeries.jet
+
+    def counted(self, theta):
+        sizes.append(np.size(theta))
+        return jet(self, theta)
+
+    monkeypatch.setattr(FourierSeries, "jet", counted)
+    series.lipschitz()
+    assert sizes == [16 * 2 * top]
+    competitor = build_competitor(curve, standard_plane(3))
+    assert competitor.order == (32, 8 * top)
 
 
 def test_gap_releases_the_curve_sample_tables():

@@ -98,16 +98,14 @@ def test_jet_on_live_modes_matches_explicit_mode_sums(case):
         assert np.allclose(g, ref, rtol=0.0, atol=1e-14)
 
 
-def _loop_max_active_frequency(series, tol):
+def _loop_top_mode(series):
     for i in range(series.nmodes, 0, -1):
-        a = np.max(np.abs(series.alpha[i]))
-        b = np.max(np.abs(series.beta[i - 1]))
-        if max(a, b) > tol:
+        if np.any(series.alpha[i]) or np.any(series.beta[i - 1]):
             return i
     return 0
 
 
-def test_max_active_frequency_matches_loop():
+def test_top_mode_matches_loop():
     rng = np.random.default_rng(7)
     cases = []
     for N in (0, 1, 5, 64):
@@ -119,20 +117,21 @@ def test_max_active_frequency_matches_loop():
             cases.append(FourierSeries(2, n, alpha, beta))
             cases.append(FourierSeries(2, n, np.zeros((N + 1, n)),
                                        np.zeros((N, n))))
-    # a coefficient exactly at tol is not active, one ulp above it is
-    tol = 1e-13
-    at = np.zeros((6, 2))
-    at[3, 1] = -tol
-    above = at.copy()
-    above[1, 0] = np.nextafter(tol, 1.0)
-    cases += [FourierSeries(1, 2, at, np.zeros((5, 2))),
-              FourierSeries(1, 2, np.zeros((6, 2)), at[1:]),
-              FourierSeries(1, 2, above, np.zeros((5, 2)))]
+    # every nonzero coefficient is live, down to the smallest subnormal;
+    # the constant term and a signed zero are not
+    tiny = np.zeros((6, 2))
+    tiny[3, 1] = -5e-324
+    tiny[0, 0] = 1.0
+    signed = np.zeros((6, 2))
+    signed[5, 0] = -0.0
+    cases += [FourierSeries(1, 2, tiny, np.zeros((5, 2))),
+              FourierSeries(1, 2, np.zeros((6, 2)), tiny[1:]),
+              FourierSeries(1, 2, signed, np.zeros((5, 2)))]
     for series in cases:
-        for t in (0.0, 1e-14, tol, 1e-3):
-            assert series.max_active_frequency(t) \
-                == _loop_max_active_frequency(series, t)
-    assert [c.max_active_frequency(tol) for c in cases[-3:]] == [0, 0, 1]
+        assert series.top_mode == _loop_top_mode(series)
+        live = series.live_modes
+        assert series.top_mode == (int(live[-1]) if live.size else 0)
+    assert [c.top_mode for c in cases[-3:]] == [3, 3, 0]
 
 
 @given(small_series())
