@@ -1,16 +1,16 @@
 """Parametrized 2-currents: closed curves, chart surfaces and cones.
 
-A curve is anything with ``Q``, ``M``, ``period`` and ``jet``, its one
+A curve is anything with ``Q``, ``M``, ``period``, ``jet``, its one
 evaluator, which returns the points and velocities at the given angles
-together (the library builds only WindingCurves, each a link on the
-unit cylinder, since cones are scale invariant); its length and the
-cylinder masses of its cone are periodic trapezoid sums on M nodes,
-checked by one halving against 2M, both read from one table of 2M
-samples.  A WindingCurve keeps its trace table, its jet on 4M uniform
-angles, whose rows ::4 and ::2 are those M and 2M nodes; the epi
-pipeline reads its samples there.  Every curve and surface has
-multiplicity 1 and the orientation of its parameters; a Q-fold curve
-winds Q times over its period instead of carrying multiplicity Q.
+together, and ``trace_table``, its jet on 4M uniform angles, whose rows
+::4 and ::2 are M and 2M nodes (the library builds only WindingCurves,
+each a link on the unit cylinder, since cones are scale invariant).  Its
+length and the cylinder masses of its cone are periodic trapezoid sums
+on M nodes, checked by one halving against 2M, both read from rows ::2
+of the trace table, where the epi pipeline and the plane split read
+their samples too.  Every curve and surface has multiplicity 1 and the
+orientation of its parameters; a Q-fold curve winds Q times over its
+period instead of carrying multiplicity Q.
 A surface is a chart over a rectangle with an analytic jacobian; masses
 and density integrals are tensor sums, Gauss-Legendre along each axis
 except an angle axis that the chart declares periodic, which takes the
@@ -25,9 +25,10 @@ result for ``ParamSurface._frame`` and for restrictions alike; a frame
 evaluates positions only for a density, since the area element reads
 only the partials.
 Restriction to a ball or annulus (``RadialRestriction``) clips the chart
-along |x| level sets, which requires the radius to be monotone along one
-chart axis (true for every cone chart, radial extension and polar graph
-built here).
+along |x| level sets, which requires the radius not to decrease along
+the chart's u axis (true for every cone chart, radial extension and
+polar graph built here).  An angle where the annulus misses the chart
+gets clip width 0 and contributes exactly 0.
 The clip bounds come from one bracketed Newton solve per quadrature
 angle, on any such chart; no chart supplies its own radius solver.  Each
 radius is solved once per base chart and angle count: the end radii of
@@ -47,8 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (EmptyRestriction, NoConvergence, NonFinite,
-                     QuadratureNotConverged)
+from .errors import NoConvergence, NonFinite, QuadratureNotConverged
 from .fourier import FourierSeries
 from .geom import rowdot, rownorm
 from .quadrature import gauss_legendre, periodic_trapezoid, trapezoid
@@ -128,10 +128,9 @@ class WindingCurve:
 
 
 def curve_mass(curve) -> float:
-    """Length of the curve counted with its winding multiplicity, from one
-    ``jet`` call on the 2M nodes of its periodic sum."""
-    k = 2 * curve.M
-    speed = rownorm(curve.jet(np.arange(k) * (curve.period / k))[1])
+    """Length of the curve counted with its winding multiplicity, from the
+    2M nodes of its periodic sum, rows ::2 of its trace table."""
+    speed = rownorm(curve.trace_table[1][::2])
     if not np.all(np.isfinite(speed)):
         raise NonFinite("non-finite curve velocity")
     return float(periodic_trapezoid(speed, curve.period, 1e-9))
@@ -159,9 +158,6 @@ class ParamSurface:
     order : (int, int)
         Node count per axis: the Gauss-Legendre order, or on a periodic
         v axis the number of trapezoid nodes, which must be even.
-    radial_axis : 0 or None
-        Declares |chart| strictly monotone along the u axis, enabling
-        annulus restriction.
     periodic_axis : 1 or None
         Declares the integrand periodic along the v axis over the domain,
         so that axis takes the uniform trapezoid rule.  A restriction of
@@ -169,12 +165,11 @@ class ParamSurface:
     """
 
     def __init__(self, chart, domain, jacobian, order=(32, 32),
-                 radial_axis=None, periodic_axis=None):
+                 periodic_axis=None):
         self.chart = chart
         self.domain = tuple(float(t) for t in domain)
         self.jacobian = jacobian
         self.order = (int(order[0]), int(order[1]))
-        self.radial_axis = radial_axis
         self.periodic_axis = periodic_axis
         u0, u1, v0, v1 = self.domain
         if not (u1 > u0 and v1 > v0):
@@ -222,10 +217,16 @@ class ParamSurface:
 
     def _weighted(self, density, order):
         """Weight times integrand at each node of the frame at ``order``,
-        u-major; a mass reads no positions, so its frame evaluates none."""
+        u-major; a mass reads no positions, so its frame evaluates none.
+        A node of zero area contributes 0 whatever the density reads
+        there, such as the 0/0 of a tangent plane at a clip width of 0."""
         x, xu, xv, W = self._frame(order, positions=density is not None)
         area = self._area_element(xu, xv)
-        vals = area if density is None else area * density(x, xu, xv)
+        if density is None:
+            vals = area
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.where(area == 0.0, 0.0, area * density(x, xu, xv))
         if not np.all(np.isfinite(vals)):
             raise NonFinite("non-finite integrand on the chart")
         return W * vals
@@ -312,16 +313,17 @@ class RadialRestriction(ParamSurface):
     ``ParamSurface._frame`` does.  A chart never changes, so each memo is
     read-only.
 
-    Each end-radius table checks that the radius does not decrease along
-    u at any of its angles (ValueError).  A restriction reads the table
-    of its own angle count, the one its first frame reads, and is empty
-    (EmptyRestriction) only when the annulus misses the chart at every
-    one of those angles.
+    Any chart restricts to any annulus 0 <= s <= r.  Each end-radius
+    table checks that the radius does not decrease along u at any of its
+    angles (ValueError); a restriction builds the table of its own angle
+    count, the one its first frame reads, when it is made.  At an angle
+    where the annulus misses the chart both clip parameters fall on the
+    same end of the radial axis, so the clip width is 0 and the angle
+    contributes exactly 0; an annulus that misses the chart at every
+    angle, or has s == r, is the zero current.
     """
 
     def __init__(self, base: ParamSurface, s: float, r: float):
-        if base.radial_axis != 0:
-            raise ValueError("restriction needs a chart with radial_axis=0")
         if s < 0 or r < s:
             raise ValueError("need 0 <= s <= r")
         self.base = base
@@ -329,13 +331,8 @@ class RadialRestriction(ParamSurface):
         self.outer = float(r)
         v0, v1 = base.domain[2:]
         super().__init__(self.points, (0.0, 1.0, v0, v1),
-                         jacobian=self.partials, order=base.order,
-                         radial_axis=0)
-        if self.inner >= self.outer:
-            raise EmptyRestriction("empty radius interval")
-        rlo, rhi, _ = self._radius_table(self.order[1])
-        if rhi.max() <= self.inner or rlo.min() >= self.outer:
-            raise EmptyRestriction("annulus misses the chart at every angle")
+                         jacobian=self.partials, order=base.order)
+        self._radius_table(self.order[1])
 
     def _solve_radius(self, c, V, rlo, rhi):
         """u with |x(u, V)| = c, clipped to the chart's radial range.
@@ -513,7 +510,7 @@ def cone_chart(link, order=(32, 64)) -> ParamSurface:
         return g, np.asarray(T)[..., None] * dg
 
     return ParamSurface(cmap, (0.0, 1.0, 0.0, link.period),
-                        jacobian=cjac, order=order, radial_axis=0)
+                        jacobian=cjac, order=order)
 
 
 def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
@@ -535,8 +532,6 @@ def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
 # module-level operation names
 
 def annulus_mass(current, s: float, r: float) -> float:
-    """Mass of the annulus restriction; zero when the slab is empty."""
-    try:
-        return RadialRestriction(current, s, r).mass()
-    except EmptyRestriction:
-        return 0.0
+    """Mass of the annulus restriction, with its self-check; 0.0 where the
+    annulus misses the current or s == r."""
+    return RadialRestriction(current, s, r).mass()

@@ -17,14 +17,6 @@ class QuadratureNotConverged(TclabError):
     """Doubling the quadrature order moved the result more than tolerated."""
 
 
-class EmptyRestriction(TclabError):
-    """A radius restriction produced the zero current.
-
-    This signals an empty slab, not a failure; helpers that sum annulus
-    masses catch it and contribute zero.
-    """
-
-
 class Undersampled(TclabError):
     """Too few samples or modes to resolve a profile's Fourier series."""
 

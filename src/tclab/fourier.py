@@ -230,4 +230,4 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     order = (32, max(32, 8 * max(series.top_mode, 1)))
     return ParamSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
-        order=order, radial_axis=0, periodic_axis=1)
+        order=order, periodic_axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import RadialRestriction, annulus_mass, declare_ladder
-from .errors import EmptyRestriction, VertexTooClose
+from .errors import VertexTooClose
 from .geom import rowdot
 
 OMEGA2 = np.pi
@@ -116,11 +116,7 @@ def _annulus_integral(current, s: float, r: float, density) -> float:
     if s < VERTEX_RADIUS:
         raise VertexTooClose(
             f"inner radius {s} is inside the vertex ball {VERTEX_RADIUS}")
-    try:
-        region = RadialRestriction(current, s, r)
-    except EmptyRestriction:
-        return 0.0
-    return region.integrate_density(density)
+    return RadialRestriction(current, s, r).integrate_density(density)
 
 
 def deviation_integral(current, s: float, r: float) -> float:

@@ -45,6 +45,7 @@ cross sections of spheres (``SphereLaw``), against the stepped
 derivative of the mass change that the library's probes use."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -151,7 +152,7 @@ def polar_disk(radius, order=(48, 96)):
         return xu, xv
 
     return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
-                        order=order, radial_axis=0)
+                        order=order)
 
 
 def check_orthonormal_pairs(B, u, v, tol=1e-15):
@@ -222,6 +223,13 @@ class SpaceCurve:
     def period(self) -> float:
         return 2.0 * np.pi * self.Q
 
+    @cached_property
+    def trace_table(self):
+        """``jet`` at the 4M angles k * period / (4M), as a WindingCurve
+        samples it."""
+        k = 4 * self.M
+        return self.jet(np.arange(k) * (self.period / k))
+
 
 def normalize_to_sphere(curve) -> SpaceCurve:
     """Radially project a curve onto the unit sphere."""
@@ -254,8 +262,8 @@ def star_disk(a, order=(32, 64)) -> ParamSurface:
     """Flat region rho < R(theta) = 1 + a cos theta in the plane z = 0.
 
     The chart is (w, theta) -> w R(theta) (cos theta, sin theta, 0), so
-    |x| = w R(theta) increases along w (radial_axis=0) and the radius at
-    the rim end w = 1 runs from 1 - a to 1 + a.
+    |x| = w R(theta) increases along w and the radius at the rim end
+    w = 1 runs from 1 - a to 1 + a.
     """
 
     def chart(w, theta):
@@ -278,24 +286,23 @@ def star_disk(a, order=(32, 64)) -> ParamSurface:
         return xu, xv
 
     return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
-                        order=order, radial_axis=0)
+                        order=order)
 
 
 def sphere_from_pole(order=(48, 96)) -> ParamSurface:
     """The unit sphere of R^3 seen from its pole p = (0, 0, 1).
 
     The ``spherical_cap`` chart shifted by -p puts p at the origin, and
-    |x| = 2 sin(phi / 2) increases along phi (radial_axis=0).  By
-    Archimedes the ball B_r about a point of the unit sphere cuts out
-    area pi r^2, so e(r) = 0 with Q = 1.  The normal component of x is
-    |x|^2 / 2, so the deviation density |x_perp|^2 / |x|^4 is 1/4 and
+    |x| = 2 sin(phi / 2) increases along phi.  By Archimedes the ball
+    B_r about a point of the unit sphere cuts out area pi r^2, so
+    e(r) = 0 with Q = 1.  The normal component of x is |x|^2 / 2, so the
+    deviation density |x_perp|^2 / |x|^4 is 1/4 and
     dev(s, r) = pi (r^2 - s^2) / 4.
     """
     cap = spherical_cap(1.0, 0.0, np.pi, order=order)
     pole = np.array([0.0, 0.0, 1.0])
     return ParamSurface(lambda phi, lam: cap.chart(phi, lam) - pole,
-                        cap.domain, jacobian=cap.jacobian, order=cap.order,
-                        radial_axis=0)
+                        cap.domain, jacobian=cap.jacobian, order=cap.order)
 
 
 # ---------------------------------------------------------------------------

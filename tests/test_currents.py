@@ -23,8 +23,7 @@ from tclab.currents import (ParamSurface, RadialRestriction, WindingCurve,
                             annulus_mass, cone_chart, curve_mass,
                             declare_ladder, infinite_cone_cylinder_mass)
 from tclab.epiperimetric import build_competitor, optimal_plane
-from tclab.errors import (EmptyRestriction, NoConvergence,
-                          QuadratureNotConverged)
+from tclab.errors import NoConvergence, NonFinite, QuadratureNotConverged
 from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.flat import radial_homotopy_filling
 from tclab.monotonicity import (_tangent_perp, deviation_integral,
@@ -135,19 +134,46 @@ def test_nested_restriction_is_the_direct_restriction():
     assert nested.mass() == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
-def test_empty_restriction_raises():
-    with pytest.raises(EmptyRestriction):
-        RadialRestriction(polar_disk(1.0), 1.5, 2.0)
+def test_annulus_past_the_chart_is_the_zero_current():
     # the rim radius of the star runs over [0.9, 1.1]
-    with pytest.raises(EmptyRestriction):
-        RadialRestriction(star_disk(0.1), 1.15, 1.3)
+    disk, star = polar_disk(1.0), star_disk(0.1)
+    assert annulus_mass(disk, 1.5, 2.0) == 0.0
+    assert annulus_mass(star, 1.15, 1.3) == 0.0
+    assert deviation_integral(star, 1.15, 1.3) == 0.0
+    assert radial_projection_mass(star, 1.15, 1.3) == 0.0
+    for s in (0.0, 0.5, 1.05):
+        assert annulus_mass(star, s, s) == 0.0
+    assert deviation_integral(disk, 0.5, 0.5) == 0.0
+
+
+def test_partly_met_annulus_integrates_densities():
+    # where the star's rim stays below 0.95 the clip width is 0, and so is
+    # the Gram determinant of the width-scaled partials; those angles
+    # contribute 0, and the flat disk leaves only roundoff elsewhere
+    star = star_disk(0.1)
+    dev = deviation_integral(star, 0.95, 1.05)
+    proj = radial_projection_mass(star, 0.95, 1.05)
+    assert np.isfinite(dev) and 0.0 <= dev <= 1e-28
+    assert np.isfinite(proj) and 0.0 <= proj <= 1e-14
+
+
+def test_a_nan_partial_still_fails_a_density_integral():
+    disk = polar_disk(1.0)
+
+    def jac(w, theta):
+        xu, xv = disk.jacobian(w, theta)
+        return xu, np.where((theta > np.pi)[..., None], np.nan, xv)
+
+    broken = ParamSurface(disk.chart, disk.domain, jacobian=jac,
+                          order=disk.order)
+    with pytest.raises(NonFinite):
+        deviation_integral(broken, 0.2, 0.8)
 
 
 def test_restriction_rejects_a_radius_decreasing_along_u():
     disk = polar_disk(1.0)
     flipped = ParamSurface(lambda w, t: disk.chart(1.0 - w, t), disk.domain,
-                           jacobian=disk.jacobian, order=disk.order,
-                           radial_axis=0)
+                           jacobian=disk.jacobian, order=disk.order)
     with pytest.raises(ValueError, match="not increasing"):
         RadialRestriction(flipped, 0.2, 0.5)
 
@@ -284,8 +310,7 @@ def test_annulus_mass_solves_clip_bounds_once_per_angle():
         return wrapped
 
     wrapped = ParamSurface(counted(surf.chart), surf.domain,
-                           jacobian=counted(surf.jacobian), order=surf.order,
-                           radial_axis=0)
+                           jacobian=counted(surf.jacobian), order=surf.order)
     n0, n1 = surf.order
     nodes = n0 * n1 + 4 * n0 * n1  # the rule and its doubled self-check
     mass = annulus_mass(wrapped, 0.0, 0.3)
@@ -596,7 +621,7 @@ def test_competitor_mass_matches_a_fine_gauss_legendre_sum(k):
     ext = build_competitor(curve, optimal_plane(curve).plane)
     n0, T = ext.order
     plain = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
-                         order=(4 * n0, 4 * T), radial_axis=0)
+                         order=(4 * n0, 4 * T))
     want = plain.integrate_density()
     assert abs(ext.mass() - want) <= 1e-13 * want
 

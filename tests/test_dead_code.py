@@ -11,6 +11,11 @@ other read matches by name, so a member read under the same name on
 another receiver counts as read.  The allowlist names each exception
 with the change that gives it a reader; a listed name that gains one
 fails too, so the list never outlives its reasons.
+
+An error class is read by every ``except`` that catches it and every
+import, so the name guard passes one that nothing raises.  Every
+subclass of TclabError in errors.py must therefore also be raised by a
+``raise`` statement somewhere in src/tclab.
 """
 
 import ast
@@ -96,6 +101,35 @@ def unreached_names(trees=None) -> list:
     return sorted(names + members)
 
 
+def _raised(node) -> set:
+    """Names of the exceptions the ``raise`` statements under node raise."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def unraised_errors(errors=None, trees=None) -> list:
+    """Subclasses of TclabError defined in the errors tree, followed
+    through every generation, that no tree raises."""
+    if errors is None:
+        errors = ast.parse((SRC / "errors.py").read_text())
+        trees = [ast.parse(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))]
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in errors.body if isinstance(node, ast.ClassDef)}
+    family = {"TclabError"}
+    while grown := {c for c, b in bases.items() if b & family} - family:
+        family |= grown
+    raised = set().union(*map(_raised, trees))
+    return sorted(family - raised - {"TclabError"})
+
+
 def test_every_library_name_has_a_library_caller():
     assert unreached_names() == sorted(ALLOWED)
 
@@ -123,3 +157,31 @@ def test_member_guard_counts_reads_outside_the_definition():
     # A's self.x reads A.x alone, so B.x is unread; C's self.z reads the
     # z C inherits from B
     assert unreached_names([tree]) == ["A.f", "A.y", "B.x", "h"]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors() == []
+
+
+def test_error_guard_counts_raises_not_handlers():
+    errors = ast.parse(
+        "class TclabError(Exception):\n"
+        "    pass\n"
+        "class Caught(TclabError):\n"
+        "    pass\n"
+        "class Raised(TclabError):\n"
+        "    pass\n"
+        "class Child(Raised):\n"
+        "    pass\n"
+        "class Other(Exception):\n"
+        "    pass\n")
+    user = ast.parse(
+        "from .errors import Caught, Child, Raised\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        return g(x)\n"
+        "    except (Caught, Child):\n"
+        "        raise errors.Raised('wrapped')\n")
+    # Caught and Child are imported and caught but raised nowhere; Other
+    # is no TclabError
+    assert unraised_errors(errors, [errors, user]) == ["Caught", "Child"]

@@ -28,8 +28,8 @@ from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           Undersampled)
 from tclab.fourier import FourierSeries, analyze
 from tclab.geom import Plane2, orthonormal_pairs
-from tclab.scenarios import (Scenario, random_epi_curve, run_scenario,
-                             single_mode_curve)
+from tclab.scenarios import (Scenario, flat_circle, random_epi_curve,
+                             run_scenario, single_mode_curve)
 
 from oracles import check_orthonormal_pairs, mapped_mass, standard_plane
 
@@ -70,6 +70,24 @@ def test_gap_ratio_matches_linearization(Q, i):
     assert abs(verdict.ratio - mode_ratio(i / Q)) < 1e-4
     assert verdict.passed
     assert verdict.epsilon13 == pytest.approx(1.0 - verdict.ratio)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flat_circle(1),
+    lambda: flat_circle(2),
+    lambda: flat_circle(3),
+    lambda: single_mode_curve(2, 2, 1e-3),
+], ids=["flat1", "flat2", "flat3", "tilt"])
+def test_already_flat_cone_passes_with_ratio_zero(make):
+    # a flat circle, and a pure tilt once the search has found its plane,
+    # leave a cone gap at the floor, where the gap counts as already flat
+    curve = make()
+    verdict = epiperimetric_gap(curve)
+    ref = curve.Q * np.pi * epi.CYL_RATIO ** 2
+    assert verdict.cone_gap <= epi.GAP_FLOOR * ref
+    assert verdict.ratio == 0.0
+    assert verdict.epsilon13 == 1.0
+    assert verdict.passed
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ def test_radial_filling_of_small_wiggle(s, r):
     c = 1e-3
     ext = harmonic_extension(single_mode_series(1, 2, c), 1.0)
     surf = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
-                        order=(48, 256), radial_axis=0)
+                        order=(48, 256))
     bound = radial_homotopy_filling(surf, s, r)
     assert bound == pytest.approx(c * (r - s), rel=1e-4)
 
