@@ -75,11 +75,11 @@ def _add_common(sub):
                      help="override scenario seeds")
     sub.add_argument("--jobs", type=int, default=1,
                      help="processes that certify, this one included: "
-                     "forked workers take units of work from the head of a "
-                     "shared index range and this process from its tail, "
-                     "and each worker returns its results in one message; "
-                     "the unit is one epi curve or one scenario of another "
-                     "kind, and artifacts are the same at every --jobs")
+                     "each takes the next unit of work from one shared "
+                     "counter, and each forked worker returns its results "
+                     "in one message; the unit is one epi curve or one "
+                     "scenario of another kind, and artifacts are the same "
+                     "at every --jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,11 +130,11 @@ def _certify(units, jobs: int) -> list:
     exception certifying it raised, which the caller replays.
 
     With jobs > 1 and more than one unit, min(jobs, units) - 1 workers are
-    forked.  They share a lock-guarded index range [lo, hi) of the units
-    not yet taken: each worker takes units itself from its head and this
-    process takes them from its tail, so no unit waits on a hand-off.
-    Each worker returns every (index, outcome) pair it made in one
-    message.  Otherwise this process certifies the units in order.
+    forked.  Every process, this one included, takes the next unit index
+    from one lock-guarded shared counter until it passes the last unit,
+    so no unit waits on a hand-off.  Each worker returns every
+    (index, outcome) pair it made in one message.  Otherwise this process
+    certifies the units in order.
     """
     workers = min(jobs, len(units)) - 1
     if workers < 1:
@@ -144,29 +144,25 @@ def _certify(units, jobs: int) -> list:
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    pending = ctx.Array("l", [0, len(units)])
-    outcomes = [None] * len(units)
+    taken = ctx.Value("l", 0)
     procs, inbox = [], []
     try:
         for _ in range(workers):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_work, args=(units, pending, send))
+            proc = ctx.Process(target=_work, args=(units, taken, send))
             proc.start()
             send.close()
             procs.append(proc)
             inbox.append(recv)
-        while (k := _take(pending, head=False)) is not None:
-            outcomes[k] = _outcome(units[k])
+        made = dict(_drain(units, taken))
         for proc, recv in zip(procs, inbox):
             try:
-                made = recv.recv()
+                made.update(recv.recv())
             except EOFError:
                 proc.join()
                 raise RuntimeError(
                     f"a --jobs worker exited with code {proc.exitcode} "
                     "before sending its results") from None
-            for k, outcome in made:
-                outcomes[k] = outcome
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -176,21 +172,20 @@ def _certify(units, jobs: int) -> list:
             proc.join()
         for recv in inbox:
             recv.close()
-    return outcomes
+    return [made[k] for k in range(len(units))]
 
 
-def _take(pending, head: bool):
-    """The index taken from the head or the tail of the shared range
-    [lo, hi), or None once it is empty."""
-    with pending.get_lock():
-        lo, hi = pending[0], pending[1]
-        if lo >= hi:
-            return None
-        if head:
-            pending[0] = lo + 1
-            return lo
-        pending[1] = hi - 1
-        return hi - 1
+def _drain(units, taken) -> list:
+    """(index, outcome) of each unit this process takes from the shared
+    counter, until the counter passes the last unit."""
+    made = []
+    while True:
+        with taken.get_lock():
+            k = taken.value
+            taken.value = k + 1
+        if k >= len(units):
+            return made
+        made.append((k, _outcome(units[k])))
 
 
 def _outcome(unit):
@@ -207,13 +202,9 @@ def _replay(outcome):
     return outcome
 
 
-def _work(units, pending, send) -> None:
-    """A forked worker: certify units from the head of the shared range,
-    then send every (index, outcome) pair in one message."""
-    made = []
-    while (k := _take(pending, head=True)) is not None:
-        made.append((k, _outcome(units[k])))
-    send.send(made)
+def _work(units, taken, send) -> None:
+    """A forked worker: send every pair _drain makes in one message."""
+    send.send(_drain(units, taken))
     send.close()
 
 

@@ -49,7 +49,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, QuadratureNotConverged
-from .fourier import FourierSeries
 from .geom import rowdot, rownorm
 from .quadrature import gauss_legendre, periodic_trapezoid, trapezoid
 
@@ -74,7 +73,7 @@ class WindingCurve:
     windings, and 2N + 2 for the N stored modes.
     """
 
-    series: FourierSeries
+    series: "FourierSeries"
     M: int = field(init=False)
 
     def __post_init__(self):
@@ -158,25 +157,23 @@ class ParamSurface:
     order : (int, int)
         Node count per axis: the Gauss-Legendre order, or on a periodic
         v axis the number of trapezoid nodes, which must be even.
-    periodic_axis : 1 or None
+    periodic : bool
         Declares the integrand periodic along the v axis over the domain,
         so that axis takes the uniform trapezoid rule.  A restriction of
         the chart builds its own chart, which is not periodic.
     """
 
     def __init__(self, chart, domain, jacobian, order=(32, 32),
-                 periodic_axis=None):
+                 periodic=False):
         self.chart = chart
         self.domain = tuple(float(t) for t in domain)
         self.jacobian = jacobian
         self.order = (int(order[0]), int(order[1]))
-        self.periodic_axis = periodic_axis
+        self.periodic = periodic
         u0, u1, v0, v1 = self.domain
         if not (u1 > u0 and v1 > v0):
             raise ValueError("degenerate chart domain")
-        if periodic_axis not in (None, 1):
-            raise ValueError("only the v axis can be periodic")
-        if periodic_axis == 1 and self.order[1] % 2:
+        if periodic and self.order[1] % 2:
             raise ValueError("a periodic axis needs an even node count")
 
     def points(self, U, V):
@@ -192,7 +189,7 @@ class ParamSurface:
         the trapezoid rule on a periodic v axis."""
         u0, u1, v0, v1 = self.domain
         u, wu = gauss_legendre(order[0], u0, u1)
-        rule = trapezoid if self.periodic_axis == 1 else gauss_legendre
+        rule = trapezoid if self.periodic else gauss_legendre
         v, wv = rule(order[1], v0, v1)
         return u, wu, v, wv
 
@@ -253,7 +250,7 @@ class ParamSurface:
         if not check:
             return self.integrate_density()
         n0, n1 = self.order
-        if self.periodic_axis is None:
+        if not self.periodic:
             coarse = self.integrate_density()
             fine = self.integrate_density(order=(2 * n0, 2 * n1))
             _self_check(fine, coarse, "doubling the rule")

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .currents import ParamSurface
 from .errors import LipschitzTooLarge, NonFinite, Undersampled
 from .geom import rownorm
 
@@ -175,8 +176,6 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     one evaluation per angle and live mode and the powers one per radius
     and live mode.
     """
-    from .currents import ParamSurface
-
     if r_out <= 0:
         raise ValueError("r_out must be positive")
     lip = series.lipschitz()
@@ -230,4 +229,4 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     order = (32, max(32, 8 * max(series.top_mode, 1)))
     return ParamSurface(
         chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
-        order=order, periodic_axis=1)
+        order=order, periodic=True)

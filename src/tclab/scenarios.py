@@ -12,15 +12,13 @@ runs of the same config produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from types import UnionType
-from typing import Literal, Union, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -191,8 +189,8 @@ class _ExtensionParams:
     flat; profile radii start at EXTENSION_R_MAX."""
 
     Q: int = _key(1, "winding number", least=1)
-    mode: int | None = _key(None, "profile frequency i, not Q; default 2Q",
-                            family="extension", least=1)
+    mode: int = _key(None, "profile frequency i, not Q; default 2Q",
+                     family="extension", least=1)
     amplitude: float = _key(1e-2, "profile amplitude", family="extension",
                             above=0)
 
@@ -274,16 +272,13 @@ class SplitParams:
 SCHEMAS = {"epi": EpiParams, "decay": DecayParams, "flat": FlatParams,
            "calib": CalibParams, "split": SplitParams}
 
-_NAMES = {int: "integer", float: "finite number", str: "string",
-          type(None): "null"}
+_NAMES = {int: "integer", float: "finite number", str: "string"}
 
 
 def _describe(tp) -> str:
     origin, args = get_origin(tp), get_args(tp)
     if origin is Literal:
         return " or ".join(map(repr, args))
-    if origin in (Union, UnionType):
-        return " or ".join(map(_describe, args))
     if origin is tuple:
         return f"list of {_describe(args[0])}s"
     return _NAMES[tp]
@@ -295,10 +290,6 @@ def _coerce(value, tp):
     origin, args = get_origin(tp), get_args(tp)
     if origin is Literal and value in args:
         return value
-    if origin in (Union, UnionType):
-        for alt in args:
-            with contextlib.suppress(ConfigError):
-                return _coerce(value, alt)
     if origin is tuple and isinstance(value, (list, tuple)):
         return tuple(_coerce(x, args[0]) for x in value)
     if tp is float and type(value) in (int, float) and math.isfinite(value):
@@ -310,8 +301,7 @@ def _coerce(value, tp):
 
 def _broken_bound(value, meta) -> str | None:
     """The bound of ``meta`` that a number in ``value`` breaks, if any."""
-    numbers = [x for x in (value if isinstance(value, tuple) else (value,))
-               if x is not None]
+    numbers = value if isinstance(value, tuple) else (value,)
     if "least" in meta and any(x < meta["least"] for x in numbers):
         return f">= {meta['least']}"
     if "above" in meta and any(x <= meta["above"] for x in numbers):

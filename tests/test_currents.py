@@ -571,7 +571,7 @@ def periodic_cylinder(b, db, c, dc, T):
         return xu, xv
 
     return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
-                        order=(32, T), periodic_axis=1)
+                        order=(32, T), periodic=True)
 
 
 def test_periodic_chart_self_checks_each_axis():
@@ -682,7 +682,7 @@ def test_mass_frames_without_positions_equal_positioned_sums(make,
                                                               monkeypatch):
     surf = make()
     n0, n1 = surf.order
-    fine = (2 * n0, n1) if surf.periodic_axis else (2 * n0, 2 * n1)
+    fine = (2 * n0, n1) if surf.periodic else (2 * n0, 2 * n1)
     want = [frame_mass(surf, order) for order in (surf.order, fine)]
     frames = []
     build = type(surf)._frame

@@ -9,11 +9,18 @@ GIL.  ``np.unique`` imports ``numpy.ma`` on its first call, which costs
 more than a whole split scenario, so the library does not call it
 on a run's path.  Each check runs in a fresh interpreter, because another
 test may already have imported any of them.
+
+Only a stdlib module may be imported lazily.  A function body that
+imports a tclab module hides an import cycle between two modules, so
+every tclab import sits at the top of its module, where the import
+graph is plain to read.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -53,3 +60,28 @@ def test_a_one_unit_run_with_jobs_loads_no_pool(tmp_path):
             " == 0\n")
     assert _loaded_after(code, tmp_path) == []
     assert "PASS" in (tmp_path / "out" / "split.json").read_text()
+
+
+def _tclab_imports_in_functions(path):
+    """module.function of each function body in path that imports a
+    tclab module, relatively or by its absolute name."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                names = ["tclab" if node.level else node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "tclab" for name in names):
+                found.append(f"{path.stem}.{func.name}")
+    return found
+
+
+def test_no_function_body_imports_a_tclab_module():
+    found = [hit for path in sorted(Path(SRC, "tclab").glob("*.py"))
+             for hit in _tclab_imports_in_functions(path)]
+    assert found == []

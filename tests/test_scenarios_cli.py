@@ -112,7 +112,8 @@ def test_second_load_compiles_no_schema_type_hints(monkeypatch):
           ("decay", {"family": "ode", "r0": -1}),
           ("decay", {"family": "ode", "e0": 0}),
           ("decay", {"family": "extension", "cbar": 5}),
-          ("epi", {"ratios": [], "amplitudes": [], "random": 3})]),
+          ("epi", {"ratios": [], "amplitudes": [], "random": 3}),
+          ("decay", {"mode": None}), ("flat", {"mode": None})]),
 ])
 def test_load_config_rejects_bad_input(payload):
     with pytest.raises(ConfigError):
@@ -408,7 +409,7 @@ def _logged(log):
             for line in log.read_text().splitlines()]
 
 
-def test_cli_jobs_worker_takes_the_head_and_the_parent_the_tail(
+def test_cli_jobs_every_process_gets_the_next_unit_from_one_counter(
         tmp_path, monkeypatch):
     cfg = _split_units(tmp_path / "cfg.json", 6)
     log = tmp_path / "units.log"
@@ -417,11 +418,25 @@ def test_cli_jobs_worker_takes_the_head_and_the_parent_the_tail(
                  "--jobs", "2"]) == 0
     entries = _logged(log)
     assert sorted(k for _, k in entries) == list(range(6))
-    first = {}
+    taken = {}
     for pid, k in entries:
-        first.setdefault(pid, k)
-    assert first.pop(os.getpid()) == 5
-    assert list(first.values()) == [0]
+        taken.setdefault(pid, []).append(k)
+    assert os.getpid() in taken and len(taken) == 2
+    assert sorted(units[0] for units in taken.values()) == [0, 1]
+    assert all(units == sorted(units) for units in taken.values())
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_jobs_four_processes_certify_each_unit_once(
+        tmp_path, monkeypatch):
+    # four processes contend for the counter, more than a two-core desk
+    # machine runs at once; a lost update would hand one unit to two of them
+    cfg = _split_units(tmp_path / "cfg.json", 16)
+    log = tmp_path / "units.log"
+    _log_units(monkeypatch, log, gate=False)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", "4"]) == 0
+    assert sorted(k for _, k in _logged(log)) == list(range(16))
     assert multiprocessing.active_children() == []
 
 
@@ -441,8 +456,8 @@ def test_cli_jobs_worker_death_names_its_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_jobs_unit_exception_propagates_as_in_a_serial_run(
         tmp_path, monkeypatch, jobs):
-    # at --jobs 2 the worker raises for unit 0 and this process for unit 3,
-    # which it certifies first; unit 0's error surfaces all the same
+    # at --jobs 2 units 0 and 3 may raise in either process, and unit 3
+    # may raise first; unit 0's error surfaces all the same
     def raise_at_0_and_3(k, in_worker):
         if k in (0, 3):
             raise ValueError(f"unit {k}")
