@@ -10,8 +10,6 @@ unset leaves its key out so the schema default applies.  Exit codes:
 config was malformed (including an unknown key or an invalid value).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import os
@@ -22,8 +20,7 @@ from typing import Literal, get_args, get_origin
 from .errors import ConfigError, ScenarioError
 from .scenarios import (SCHEMAS, Scenario, load_config, run_scenario,
                         parts, merge, render_artifact, render_summary,
-                        artifact_name, summary_rows, SUMMARY_COLUMNS,
-                        _schema_hints)
+                        artifact_name, summary_rows, SUMMARY_COLUMNS)
 
 
 def _number(text: str):
@@ -53,10 +50,9 @@ def _add_kind(subs, kind: str, schema) -> None:
     so the dataclass alone supplies defaults."""
     sub = subs.add_parser(kind, help=schema.__doc__.strip())
     sub.add_argument("--name", default=kind, help="scenario name")
-    hints = _schema_hints(schema)
     for f in fields(schema):
         flags = ["--" + f.name.lower().replace("_", "-")]
-        if f.name == "Q" and get_origin(hints[f.name]) is tuple:
+        if f.name == "Q" and get_origin(f.type) is tuple:
             flags.append("--qs")
         text = f.metadata["help"]
         if f.default is not None:
@@ -65,7 +61,7 @@ def _add_kind(subs, kind: str, schema) -> None:
                 shown = ",".join(map(str, shown))
             text += f" (default: {shown})"
         sub.add_argument(*flags, dest=f.name, default=argparse.SUPPRESS,
-                         help=text, **_flag_spec(hints[f.name]))
+                         help=text, **_flag_spec(f.type))
     _add_common(sub)
 
 
@@ -112,13 +108,8 @@ def _apply_seed(scenarios, seed):
 def _format_summary(results) -> str:
     rows = [SUMMARY_COLUMNS]
     for row in summary_rows(results):
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(f"{v:.6g}")
-            else:
-                cells.append(str(v))
-        rows.append(tuple(cells))
+        rows.append(tuple(f"{v:.6g}" if isinstance(v, float) else str(v)
+                          for v in row))
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
              for r in rows]

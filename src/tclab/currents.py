@@ -56,6 +56,8 @@ SAMPLES_PER_WINDING_MODE = 16
 MASS_SELF_CHECK_TOL = 1e-6
 NEWTON_MAX_STEPS = 64
 NEWTON_ULPS = 4
+# mass of the unit disk, which normalises the epiperimetric and decay gaps
+OMEGA2 = np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ class WindingCurve:
         first use: rows ::4 are the M base nodes and rows 2::4 their
         midpoints, the same floats, so each equals ``jet`` bit for bit."""
         k = 4 * self.M
-        table = self.jet(np.arange(k) * (self.period / k))
+        table = self.jet(trapezoid(k, 0.0, self.period)[0])
         for arr in table:
             arr.flags.writeable = False
         return table

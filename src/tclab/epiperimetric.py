@@ -29,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import (ParamSurface, WindingCurve,
+from .currents import (OMEGA2, ParamSurface, WindingCurve,
                        infinite_cone_cylinder_mass)
 from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, index_pairs, orthonormal_pairs, rowdot, rownorm,
                    twovector_euclid_norm, twovector_mass_norm, wedge)
+from .quadrature import trapezoid
 
-OMEGA2 = np.pi
 ESCAPE_FACTOR = 2.0
 GAP_FLOOR = 1e-13
 EPS_TARGET = 1e-2
@@ -377,7 +377,7 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
         dphi = (u[..., 0] * du[..., 1] - u[..., 1] * du[..., 0]) / r2
         return phi, dphi, y, r2
 
-    probe = np.arange(4 * m) * (curve.period / (4 * m))
+    probe = trapezoid(4 * m, 0.0, curve.period)[0]
     phi, dphi, _, r2 = angle_data(probe, *curve.trace_table)
     if np.min(r2) <= 0.2 ** 2 or np.min(dphi) <= 0:
         raise NotGraph(

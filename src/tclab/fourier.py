@@ -28,6 +28,7 @@ import numpy as np
 from .currents import ParamSurface
 from .errors import LipschitzTooLarge, NonFinite, Undersampled
 from .geom import rownorm
+from .quadrature import trapezoid
 
 DEFAULT_MODES_PER_Q = 64
 TAIL_TOL = 1e-9
@@ -122,7 +123,7 @@ class FourierSeries:
     def lipschitz(self) -> float:
         """Max |f'| on a dense uniform grid (spectral derivative)."""
         m = max(64, 16 * self.Q * max(self.top_mode, 1))
-        theta = np.arange(m) * (self.period / m)
+        theta = trapezoid(m, 0.0, self.period)[0]
         return float(np.max(rownorm(self.jet(theta)[1])))
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import RadialRestriction, annulus_mass, declare_ladder
+from .currents import (OMEGA2, RadialRestriction, annulus_mass,
+                       declare_ladder)
 from .errors import VertexTooClose
 from .geom import rowdot
 
-OMEGA2 = np.pi
 VERTEX_RADIUS = 1e-6
 # largest fitted constant (almost-monotonicity C02, envelope C) that passes
 BUDGET = 10.0

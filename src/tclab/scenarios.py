@@ -10,15 +10,12 @@ them.  All randomness is drawn from a generator seeded per scenario; two
 runs of the same config produce byte-identical artifacts.
 """
 
-from __future__ import annotations
-
 import copy
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -142,11 +139,11 @@ def orthogonal_planes_instance(Q_list=(1, 1)):
 # ---------------------------------------------------------------------------
 # parameter schemas
 #
-# One frozen dataclass per kind names every key its runner reads, with the
-# key's type, default and validity rules.  Building one from a config's
-# params rejects unknown keys, wrong types, numbers out of range and
-# parameter sets that would yield no verdict row; the command line builds
-# the shortcut flags from the same fields, so each default lives only here.
+# One frozen dataclass per kind names every key its runner reads; each
+# field's annotation is the key's type, read by the parser and by the
+# command line's flags, and its default and validity rules live only here.
+# Building one from a config's params rejects unknown keys, wrong types,
+# numbers out of range and parameter sets that would yield no verdict row.
 # A value that no config varies is a constant instead of a key
 # (EXTENSION_R_MAX, CALIB_ORDER, the epi pass margin, the decay budget);
 # a test checks that configs/desk.json or a benchmark workload sets every
@@ -309,13 +306,6 @@ def _broken_bound(value, meta) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _schema_hints(schema) -> dict:
-    """The schema's field types, compiled from their annotation strings
-    once per schema class; callers only read the dict."""
-    return get_type_hints(schema)
-
-
 def _parse_params(kind: str, params: dict):
     """Typed, validated parameters of one scenario kind."""
     schema = SCHEMAS.get(kind)
@@ -324,17 +314,17 @@ def _parse_params(kind: str, params: dict):
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
     known = {f.name: f for f in fields(schema)}
-    hints = _schema_hints(schema)
     values = {}
     for key, value in params.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r} for kind {kind!r} "
                               f"(known: {', '.join(known)})")
+        tp = known[key].type
         try:
-            values[key] = _coerce(value, hints[key])
+            values[key] = _coerce(value, tp)
         except ConfigError:
-            raise ConfigError(f"key {key!r} must be {_describe(hints[key])}"
-                              f", got {value!r}") from None
+            raise ConfigError(f"key {key!r} must be {_describe(tp)}, got "
+                              f"{value!r}") from None
         bound = _broken_bound(values[key], known[key].metadata)
         if bound:
             raise ConfigError(f"key {key!r} must be {bound}, got {value!r}")
@@ -377,7 +367,7 @@ class Scenario:
             raise ConfigError(f"scenario {self.name!r}: {err}") from None
         object.__setattr__(self, "typed", typed)
 
-    def with_curves(self, curves) -> Scenario:
+    def with_curves(self, curves) -> "Scenario":
         """This scenario certifying only the given (curve, amplitude)
         pairs.  Name, seed and params stay, and so does the config hash;
         the params were validated once and are not parsed again."""

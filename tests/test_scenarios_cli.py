@@ -9,7 +9,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -45,24 +45,17 @@ def test_load_config_happy_path():
     assert scenarios[0].kind == "epi"
 
 
-def test_second_load_compiles_no_schema_type_hints(monkeypatch):
-    import tclab.scenarios as scenarios
+def test_schema_field_types_are_type_objects_and_loads_repeat():
+    # the parser and the command line read each key's type from
+    # Field.type, so an annotation left as a string would reach them
+    # uncompiled
+    untyped = [f"{kind}.{f.name}" for kind, schema in SCHEMAS.items()
+               for f in fields(schema)
+               if not (isinstance(f.type, type)
+                       or get_origin(f.type) in (tuple, Literal))]
+    assert untyped == []
     desk = (REPO / "configs" / "desk.json").read_text()
-    scenarios._schema_hints.cache_clear()
-    calls = []
-
-    def counted(schema):
-        calls.append(schema)
-        return get_type_hints(schema)
-
-    monkeypatch.setattr(scenarios, "get_type_hints", counted)
-    first = load_config(desk)
-    kinds = {sc.kind for sc in first}
-    assert sorted(c.__name__ for c in calls) == sorted(
-        SCHEMAS[k].__name__ for k in kinds)
-    calls.clear()
-    second = load_config(desk)
-    assert calls == []
+    first, second = load_config(desk), load_config(desk)
     assert [sc.config_hash() for sc in second] == [
         sc.config_hash() for sc in first]
     assert [sc.typed for sc in second] == [sc.typed for sc in first]
@@ -148,7 +141,6 @@ def test_every_schema_key_and_choice_is_set_by_a_run():
     keys = {(kind, key) for kind, key, _ in used}
     unset = []
     for kind, schema in SCHEMAS.items():
-        hints = get_type_hints(schema)
         for f in fields(schema):
             family = f.metadata.get("family")
             if (kind, f.name) not in keys:
@@ -156,9 +148,9 @@ def test_every_schema_key_and_choice_is_set_by_a_run():
             elif (family and hasattr(schema, "family")
                   and (kind, f.name, family) not in by_family):
                 unset.append(f"{kind}.{f.name} in family {family}")
-            elif get_origin(hints[f.name]) is Literal:
+            elif get_origin(f.type) is Literal:
                 unset += [f"{kind}.{f.name}={choice}"
-                          for choice in get_args(hints[f.name])
+                          for choice in get_args(f.type)
                           if (kind, f.name, choice) not in used]
     assert unset == []
 

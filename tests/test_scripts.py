@@ -109,3 +109,54 @@ def test_artifact_drift_names_added_columns_and_compares_the_rest(tmp_path,
     assert drift["main"]([new, old]) == 1
     assert capsys.readouterr().out.splitlines()[0] == \
         "summary.csv: columns differ: removed C02"
+
+
+def test_bench_pairs_alternates_sides_on_shared_seeds(capsys):
+    bench = runpy.run_path(os.path.join(SCRIPTS, "bench_pairs.py"))
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append((tree, seed))
+        return {"correct": True, "attempted": 4, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+
+    trees = {"parent": "A", "change": "B"}
+    runs = bench["run_pairs"](trees, "epi", 3, 20, 7, run=fake)
+    assert calls == [("A", 7), ("B", 7), ("B", 8), ("A", 8),
+                     ("A", 9), ("B", 9)]
+    assert [(r["pair"], r["seed"], r["side"]) for r in runs] == [
+        (0, 7, "parent"), (0, 7, "change"), (1, 8, "change"),
+        (1, 8, "parent"), (2, 9, "parent"), (2, 9, "change")]
+    assert all(r["wall_s"] == 1.0 and r["correct"] for r in runs)
+
+
+def test_bench_pairs_aggregates_medians_iqr_and_wins():
+    bench = runpy.run_path(os.path.join(SCRIPTS, "bench_pairs.py"))
+    # wall_s: the change is lower in pairs 0 and 2, ties in pair 1 and is
+    # higher in pair 3; pool_busy: higher is better
+    values = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 2.0, 2.5, 5.0]}
+    runs = [{"pair": k, "seed": 7 + k, "side": side, "correct": True,
+             "wall_s": values[side][k], "busy": values[side][k]}
+            for k in range(4) for side in ("parent", "change")]
+    runs[3]["correct"] = False
+    # a pair missing one side is left out of every statistic
+    runs.append({"pair": 4, "seed": 11, "side": "parent", "correct": True,
+                 "wall_s": 100.0, "busy": 100.0})
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "busy", "better": "higher"},
+               {"name": "absent", "better": "lower", "bound": 0.2}]
+    summary = bench["summarize"](runs, metrics)
+    assert list(summary) == ["wall_s", "busy"]
+    wall = summary["wall_s"]
+    assert wall["pairs"] == 4
+    assert wall["parent_median"] == 2.5 and wall["change_median"] == 2.25
+    assert wall["change_over_parent"] == pytest.approx(-0.1)
+    # inclusive quartiles of 1, 2, 3, 4 are 1.75 and 3.25
+    assert wall["parent_iqr"] == pytest.approx(1.5)
+    assert (wall["change_wins"], wall["change_losses"]) == (2, 1)
+    assert (summary["busy"]["change_wins"],
+            summary["busy"]["change_losses"]) == (1, 2)
+    lines = bench["report"]("epi", summary, runs)
+    assert lines[1].split()[:3] == ["wall_s", "2.5", "2.25"]
+    assert lines[1].endswith("2/1 of 4")
+    assert lines[-1] == "NOT CORRECT: epi pair 1 seed 8 change"
