@@ -58,6 +58,8 @@ NEWTON_MAX_STEPS = 64
 NEWTON_ULPS = 4
 # mass of the unit disk, which normalises the epiperimetric and decay gaps
 OMEGA2 = np.pi
+# radius of the one epi cylinder, where a cone meets its competitor
+CYL_RATIO = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +72,17 @@ class WindingCurve:
     The trace is theta -> (cos theta, sin theta, f(theta)) for theta in
     [0, 2*pi*Q), where the profile f is the Fourier series; Q, n and the
     period are the series'.  ``M``, the base sample count of periodic
-    sums over the curve, is fixed at construction: at least 256,
+    sums over the curve, is fixed at construction: at least 256 and
     SAMPLES_PER_WINDING_MODE per period of the top live mode over the Q
-    windings, and 2N + 2 for the N stored modes.
+    windings, so stored zero rows add no samples.
     """
 
     series: "FourierSeries"
     M: int = field(init=False)
 
     def __post_init__(self):
-        series = self.series
-        object.__setattr__(self, "M", max(
-            256, SAMPLES_PER_WINDING_MODE * series.Q * max(series.top_mode, 1),
-            2 * series.nmodes + 2))
+        m = SAMPLES_PER_WINDING_MODE * self.Q * max(self.series.top_mode, 1)
+        object.__setattr__(self, "M", max(256, m))
 
     @property
     def Q(self) -> int:
@@ -512,18 +512,18 @@ def cone_chart(link, order=(32, 64)) -> ParamSurface:
                         jacobian=cjac, order=order)
 
 
-def infinite_cone_cylinder_mass(curve: WindingCurve, plane_basis: np.ndarray,
-                                radius: float) -> float:
+def infinite_cone_cylinder_mass(curve: WindingCurve,
+                                plane_basis: np.ndarray) -> float:
     """Mass of the infinite cone over the curve inside a plane's cylinder.
 
     ``plane_basis`` is a d x 2 orthonormal column pair; the cylinder is
-    {|B^T x| <= radius}.  Rays are cut at t = radius / |B^T gamma| so the
-    integral is closed in t; the sum reads rows ::2 of the trace table.
+    {|B^T x| <= CYL_RATIO}, where rays end at t = CYL_RATIO / |B^T gamma|,
+    so the integral is closed in t; the sum reads rows ::2 of the trace table.
     """
     g, dg = (a[::2] for a in curve.trace_table)
     wedge = ParamSurface._area_element(g, dg)
     proj = rownorm(g @ plane_basis)
-    return 0.5 * float(periodic_trapezoid(wedge * (radius / proj) ** 2,
+    return 0.5 * float(periodic_trapezoid(wedge * (CYL_RATIO / proj) ** 2,
                                           curve.period))
 
 

@@ -20,8 +20,8 @@ the search's start and, if the search stays (as it does on a start
 gradient within the quotient's roundoff), its certificate.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
-Q-disk of the working cylinder radius inside the optimal plane's cylinder;
-their difference quotient is the achieved decay factor.  A flat (or purely
+Q-disk inside the optimal plane's cylinder of radius CYL_RATIO; their
+difference quotient is the achieved decay factor.  A flat (or purely
 tilted) curve makes both gaps vanish and the ratio is defined as 0.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import (OMEGA2, ParamSurface, WindingCurve,
+from .currents import (CYL_RATIO, OMEGA2, ParamSurface, WindingCurve,
                        infinite_cone_cylinder_mass)
 from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
@@ -44,7 +44,6 @@ EPS_TARGET = 1e-2
 GRAD_TOL = 1e-8
 GRAD_REL = 1e-5
 PRE_EXCESS = 0.1
-CYL_RATIO = 0.5
 REGRAPH_PASSES = 12
 GRAD_STEP = 1e-6
 GRAD_FLOOR = 8.0 * np.finfo(float).eps / GRAD_STEP
@@ -342,19 +341,18 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
                         raw_excess=float(raw))
 
 
-def regraph_over_plane(curve: WindingCurve, plane: Plane2,
-                       new_rho: float) -> FourierSeries:
+def regraph_over_plane(curve: WindingCurve, plane: Plane2) -> FourierSeries:
     """The profile of the cone over the curve on a cylinder around a plane.
 
-    Intersects the (infinite) cone with the cylinder of radius ``new_rho``
+    Intersects the (infinite) cone with the cylinder of radius CYL_RATIO
     around the plane and resamples the trace at the curve's M uniform
     cylinder angles, expressed in the plane's frame.  Returns the trace's
     profile, the same at every radius of a cone, as its Fourier series
-    trimmed by ``_trim_series``.  Raises NotGraph when the cylinder angle
-    fails to advance monotonically, when the curve comes within 0.2 of
-    the plane's axis or when the new cylinder is not strictly inside the
-    curve, and Undersampled when the kept Fourier modes miss more than
-    TAIL_TOL of the regraphed profile's L2 mass.
+    trimmed by ``_trim_series``.  Raises NotGraph when the cylinder is not
+    strictly inside the curve (checked first, so that a NaN angle rate on
+    the plane's axis cannot pass) or when the cylinder angle fails to
+    advance monotonically, and Undersampled when the kept Fourier modes
+    miss more than TAIL_TOL of the regraphed profile's L2 mass.
 
     Both checks probe the curve's trace table.  The resampling is a Newton
     solve for the curve angle of each cylinder angle, whose first pass
@@ -362,7 +360,6 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
     exceeds a few ulps of the period (one or two passes on every curve
     tried) and gives up after REGRAPH_PASSES.
     """
-    m = curve.M
     F = plane.frame()
 
     def angle_data(theta, x, dx):
@@ -377,13 +374,14 @@ def regraph_over_plane(curve: WindingCurve, plane: Plane2,
         dphi = (u[..., 0] * du[..., 1] - u[..., 1] * du[..., 0]) / r2
         return phi, dphi, y, r2
 
+    m = curve.M
     probe = trapezoid(4 * m, 0.0, curve.period)[0]
     phi, dphi, _, r2 = angle_data(probe, *curve.trace_table)
-    if np.min(r2) <= 0.2 ** 2 or np.min(dphi) <= 0:
+    if np.min(r2) <= CYL_RATIO ** 2:
+        raise NotGraph("inner cylinder reaches past the curve")
+    if np.min(dphi) <= 0:
         raise NotGraph(
             "curve is not a cylinder graph over the requested plane")
-    if np.min(r2) <= new_rho ** 2:
-        raise NotGraph("inner cylinder reaches past the curve")
 
     theta = target = probe[::4]
     phi, dphi = phi[::4], dphi[::4]
@@ -424,10 +422,10 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
                      lip_max: float = 0.1) -> ParamSurface:
     """Build the epiperimetric competitor for the cone over the curve.
 
-    The cone is regraphed on the cylinder of radius CYL_RATIO around the
-    plane, which must be a cylinder graph strictly inside the unit link
-    (NotGraph otherwise), with regraphed profile Lipschitz below
-    ``lip_max`` (LipschitzTooLarge from the harmonic extension otherwise).
+    The cone is regraphed on the epi cylinder, radius CYL_RATIO around the
+    plane, which the curve must wind around strictly outside (NotGraph
+    otherwise); every curve's regraphed profile, grid or random, must be
+    Lipschitz below ``lip_max`` (LipschitzTooLarge otherwise).
     The regraph's trimmed profile goes straight to the harmonic
     extension: the competitor is the graph over the plane whose boundary
     is the cone's trace on that cylinder, written in the coordinates of
@@ -437,7 +435,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     unchanged.  Outside the cylinder the competitor agrees with the cone,
     so only the inner pieces enter the gap comparison.
     """
-    profile = regraph_over_plane(curve, plane, CYL_RATIO)
+    profile = regraph_over_plane(curve, plane)
     return harmonic_extension(profile, CYL_RATIO, lip_max=lip_max)
 
 
@@ -454,8 +452,7 @@ def epiperimetric_gap(curve: WindingCurve,
     plane = report.plane
     comp = build_competitor(curve, plane, lip_max=lip_max)
     ref = curve.Q * OMEGA2 * CYL_RATIO ** 2
-    cone_gap = (infinite_cone_cylinder_mass(curve, plane.basis(), CYL_RATIO)
-                - ref)
+    cone_gap = infinite_cone_cylinder_mass(curve, plane.basis()) - ref
     for memo in ("trace_table", "_cone_tangent_data"):
         vars(curve).pop(memo, None)
     comp_gap = comp.mass() - ref

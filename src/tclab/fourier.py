@@ -83,11 +83,6 @@ class FourierSeries:
         object.__setattr__(self, "_live", live)
 
     @property
-    def nmodes(self) -> int:
-        """Largest stored frequency index N."""
-        return self.alpha.shape[0] - 1
-
-    @property
     def period(self) -> float:
         return 2.0 * np.pi * self.Q
 

@@ -168,7 +168,7 @@ class EpiParams:
     amplitudes: tuple[float, ...] = _key((1e-3, 1e-2), "grid amplitudes",
                                          above=0)
     random: int = _key(0, "random multi-mode curves after the grid", least=0)
-    lip_max: float = _key(0.1, "Lipschitz budget of random curves", above=0)
+    lip_max: float = _key(0.1, "Lipschitz cap of every epi profile", above=0)
 
     def __post_init__(self):
         grid = (self.Q, self.ratios, self.amplitudes)
@@ -208,7 +208,7 @@ class DecayParams(_ExtensionParams):
         "extension", "harmonic extension surface or closed-form rate ODE")
     levels: int = _key(8, "dyadic radii in the profile", least=2)
     epsilon12: float = _key(0.1, "rate a = 2 / (1 - epsilon12)")
-    alpha0: float = _key(1.0, "almost-minimality exponent")
+    alpha0: float = _key(1.0, "exponent of C02, read by the extension family")
     cbar: float = _key(0.0, "almost-minimality coefficient", family="ode")
     eps: float = _key(0.5, "drift exponent of the envelope")
     e0: float = _key(1e-2, "excess at radius r0", family="ode", above=0)

@@ -19,8 +19,8 @@ from scipy.stats import special_ortho_group
 
 from tclab import currents
 from tclab.calibration import spherical_cap
-from tclab.currents import (ParamSurface, RadialRestriction, WindingCurve,
-                            annulus_mass, cone_chart, curve_mass,
+from tclab.currents import (CYL_RATIO, ParamSurface, RadialRestriction,
+                            WindingCurve, annulus_mass, cone_chart, curve_mass,
                             declare_ladder, infinite_cone_cylinder_mass)
 from tclab.epiperimetric import build_competitor, optimal_plane
 from tclab.errors import NoConvergence, NonFinite, QuadratureNotConverged
@@ -55,7 +55,7 @@ def _series_with(Q, N, top, value=1e-3):
     (1, 0, 0, 0.0, 256),          # the floor
     (3, 8, 8, 1e-3, 384),         # 16 Q per top live mode
     (2, 12, 9, 1e-12, 288),       # a live mode counts however small
-    (1, 300, 2, 1e-3, 602),       # 2N + 2 for the stored modes
+    (1, 300, 2, 1e-3, 256),       # stored zero rows do not count
 ])
 def test_winding_curve_samples_follow_the_series(Q, N, top, value, M):
     series = _series_with(Q, N, top, value)
@@ -64,6 +64,26 @@ def test_winding_curve_samples_follow_the_series(Q, N, top, value, M):
     assert (curve.Q, curve.n, curve.dim) == (Q, 2, 4)
     assert curve.period == series.period
     assert [f.name for f in fields(WindingCurve) if f.init] == ["series"]
+
+
+def _zero_padded(series, N):
+    """The series with zero rows stored up to mode N."""
+    alpha = np.zeros((N + 1, series.n))
+    beta = np.zeros((N, series.n))
+    alpha[:len(series.alpha)] = series.alpha
+    beta[:len(series.beta)] = series.beta
+    return FourierSeries(series.Q, series.n, alpha, beta)
+
+
+def test_zero_padded_series_gets_the_same_samples():
+    # the top live mode sizes M, so zero rows stored past it change nothing
+    rng = np.random.default_rng(11)
+    curves = [single_mode_curve(1, 2, 1e-3), single_mode_curve(3, 9, 1e-2),
+              flat_circle(2)] + [random_epi_curve(rng) for _ in range(3)]
+    for curve in curves:
+        for N in (len(curve.series.beta) + 1, 300, 1000):
+            padded = WindingCurve(_zero_padded(curve.series, N))
+            assert padded.M == curve.M
 
 
 @pytest.mark.parametrize("order", [(12, 24), (96, 192)])
@@ -661,8 +681,8 @@ def test_curve_sums_equal_the_callback_rule():
         tilt = 0.05 * rng.standard_normal((curve.dim, 2))
         basis = np.linalg.qr(standard_plane(curve.dim).basis() + tilt)[0]
         for B in (standard_plane(curve.dim).basis(), basis):
-            got = infinite_cone_cylinder_mass(curve, B, 0.5)
-            assert got == callback_cone_cylinder_mass(curve, B, 0.5)
+            got = infinite_cone_cylinder_mass(curve, B)
+            assert got == callback_cone_cylinder_mass(curve, B, CYL_RATIO)
     link = normalize_to_sphere(random_link_curve(np.random.default_rng(3)))
     assert curve_mass(link) == callback_curve_mass(link)
 

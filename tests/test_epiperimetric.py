@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 import tclab.epiperimetric as epi
-from tclab.currents import ParamSurface, WindingCurve
+from tclab.currents import CYL_RATIO, ParamSurface, WindingCurve
 from tclab.epiperimetric import (_certificate, build_competitor,
                                  cylindrical_excess, epiperimetric_gap,
                                  mode_ratio, optimal_plane,
@@ -441,44 +441,53 @@ def test_regraph_over_reference_plane_keeps_the_profile():
     # plane onto half the cylinder gives the curve scaled by one half,
     # whose profile is the curve's own
     curve = single_mode_curve(1, 2, 5e-3)
-    back = regraph_over_plane(curve, standard_plane(3), 0.5)
+    back = regraph_over_plane(curve, standard_plane(3))
     theta = np.linspace(0.0, curve.period, 50)
     assert np.allclose(back.jet(theta)[0], curve.series.jet(theta)[0],
                        atol=2e-12)
 
 
-def test_regraph_refuses_a_cylinder_reaching_past_the_curve():
-    # the curve must lie strictly outside the new cylinder: its own
-    # cylinder touches it everywhere, and over a tilted plane the
-    # projected curve comes closest at its minimum |u|
+def test_regraph_guard_is_pinned_at_the_epi_cylinder():
+    # the curve must lie strictly outside the cylinder of radius
+    # CYL_RATIO: over a plane tilted by s the projected curve comes
+    # closest at its least |u|, which falls through CYL_RATIO at s0
     curve = single_mode_curve(1, 2, 5e-3)
-    for rho in (1.0, 1.5):
-        with pytest.raises(NotGraph, match="reaches past the curve"):
-            regraph_over_plane(curve, standard_plane(3), rho)
-    plane = epi._tilt_plane(np.array([0.3, 0.0]), 1)
     theta = np.arange(4 * curve.M) * (curve.period / (4 * curve.M))
-    near = float(np.min(np.linalg.norm(
-        curve.jet(theta)[0] @ plane.basis(), axis=-1)))
-    regraph_over_plane(curve, plane, near * (1 - 1e-9))
+    trace = curve.jet(theta)[0]
+
+    def plane(s):
+        return epi._tilt_plane(np.array([s, 0.0]), 1)
+
+    def near(s):
+        return float(np.min(np.linalg.norm(trace @ plane(s).basis(),
+                                           axis=-1)))
+
+    s0 = optimize.brentq(lambda s: near(s) - CYL_RATIO, 1.0, 3.0,
+                         xtol=1e-14)
+    above, below = s0 * (1 - 1e-7), s0 * (1 + 1e-7)
+    assert CYL_RATIO < near(above) < CYL_RATIO * (1 + 1e-6)
+    assert CYL_RATIO * (1 - 1e-6) < near(below) < CYL_RATIO
+    back = regraph_over_plane(curve, plane(above))
+    assert (back.Q, back.n) == (1, 1)
     with pytest.raises(NotGraph, match="reaches past the curve"):
-        regraph_over_plane(curve, plane, near * (1 + 1e-9))
+        regraph_over_plane(curve, plane(below))
 
 
 @pytest.mark.parametrize("tilted", [False, True],
                          ids=["reference", "tilted"])
 def test_regraph_smaller_cylinder_stays_on_cone(tilted):
-    # each regraphed point 0.5 (cos phi, sin phi, g(phi)) in the plane's
-    # frame lies on a ray of the cone: scaled onto the unit cylinder it
-    # is the curve's point at the angle of its projection
+    # each regraphed point CYL_RATIO (cos phi, sin phi, g(phi)) in the
+    # plane's frame lies on a ray of the cone: scaled onto the unit
+    # cylinder it is the curve's point at the angle of its projection
     curve = single_mode_curve(2, 3, 0.05)
     plane = (epi._tilt_plane(np.array([0.03, -0.02]), 1) if tilted
              else standard_plane(3))
-    back = regraph_over_plane(curve, plane, 0.5)
+    back = regraph_over_plane(curve, plane)
     assert (back.Q, back.n) == (curve.Q, curve.n)
     phi = np.linspace(0.0, back.period, 64, endpoint=False)
     y = np.concatenate([np.cos(phi)[:, None], np.sin(phi)[:, None],
                         back.jet(phi)[0]], axis=1)
-    x = 0.5 * y @ plane.frame().T
+    x = CYL_RATIO * y @ plane.frame().T
     r = np.linalg.norm(x[:, :2], axis=1)
     turn = np.arctan2(x[:, 1], x[:, 0]) - phi
     theta = phi + np.mod(turn + np.pi, 2 * np.pi) - np.pi
@@ -491,7 +500,7 @@ def test_regraph_refuses_a_profile_past_the_kept_modes():
     # that as its own error
     curve = single_mode_curve(1, 100, 1e-4)
     with pytest.raises(Undersampled, match="truncation tail"):
-        regraph_over_plane(curve, standard_plane(3), 0.5)
+        regraph_over_plane(curve, standard_plane(3))
     sc = Scenario(name="high", kind="epi", seed=0,
                   params={"Q": [1], "ratios": [100], "amplitudes": [1e-4]})
     with pytest.raises(ScenarioError, match="truncation tail"):
@@ -515,7 +524,7 @@ def _regraph_cases():
     return cases
 
 
-def _reference_regraph_series(curve, plane, new_rho):
+def _reference_regraph_series(curve, plane):
     """The regraph with a fixed 12 Newton passes."""
     F = plane.frame()
 
@@ -534,7 +543,7 @@ def _reference_regraph_series(curve, plane, new_rho):
         phi, dphi, _, _ = angle_data(theta)
         theta = theta - (phi - target) / dphi
     _, _, y, r2 = angle_data(theta)
-    prof = (new_rho / np.sqrt(r2))[:, None] * y[..., 2:] / new_rho
+    prof = (CYL_RATIO / np.sqrt(r2))[:, None] * y[..., 2:] / CYL_RATIO
     return epi._trim_series(analyze(prof, curve.Q))
 
 
@@ -549,23 +558,23 @@ def test_trim_series_zeroes_quiet_modes_and_cuts_the_tail():
     alpha[6:, 1] = 1e-14         # the tail: cut
     beta[6:, 0] = 1e-13
     trimmed = epi._trim_series(FourierSeries(2, 2, alpha, beta))
-    assert trimmed.nmodes == 5
+    assert len(trimmed.beta) == 5
     assert trimmed.live_modes.tolist() == [3, 5]
     want = alpha[:6].copy()
     want[2, 0] = 0.0
     assert np.array_equal(trimmed.alpha, want)
     assert not np.any(trimmed.beta)
     quiet = epi._trim_series(FourierSeries(1, 1, [[0.5], [1e-13]], [[0.0]]))
-    assert quiet.nmodes == 0 and quiet.alpha.tolist() == [[0.5]]
+    assert quiet.beta.size == 0 and quiet.alpha.tolist() == [[0.5]]
 
 
 def test_regraphed_single_mode_curve_has_one_live_mode(monkeypatch):
     curve = single_mode_curve(3, 12, 1e-2)
     plane = standard_plane(3)
-    assert regraph_over_plane(curve, plane, 0.5).live_modes.tolist() == [12]
+    assert regraph_over_plane(curve, plane).live_modes.tolist() == [12]
     # the untrimmed regraph holds roundoff in every other kept mode
     monkeypatch.setattr(epi, "_trim_series", lambda series: series)
-    raw = regraph_over_plane(curve, plane, 0.5)
+    raw = regraph_over_plane(curve, plane)
     assert raw.live_modes.size > 1
     peak = np.maximum(np.abs(raw.alpha[1:]).max(axis=1),
                       np.abs(raw.beta).max(axis=1))
@@ -574,8 +583,8 @@ def test_regraphed_single_mode_curve_has_one_live_mode(monkeypatch):
 
 def test_regraph_matches_twelve_pass_reference():
     for curve, plane in _regraph_cases():
-        got = regraph_over_plane(curve, plane, 0.5)
-        want = _reference_regraph_series(curve, plane, 0.5)
+        got = regraph_over_plane(curve, plane)
+        want = _reference_regraph_series(curve, plane)
         assert got.alpha.shape == want.alpha.shape
         assert np.all(np.abs(got.alpha - want.alpha) <= 1e-14)
         assert np.all(np.abs(got.beta - want.beta) <= 1e-14)
@@ -594,7 +603,7 @@ def test_regraph_newton_stops_at_convergence(monkeypatch):
         # a fresh curve, whose trace table is not made yet
         curve = WindingCurve(curve.series)
         sizes.clear()
-        regraph_over_plane(curve, plane, 0.5)
+        regraph_over_plane(curve, plane)
         # the trace table at 4M angles is the probe, and the first pass
         # starts on its rows ::4; then one evaluation per Newton pass
         assert sizes[0] == 4 * curve.M
@@ -669,7 +678,7 @@ def test_regraph_rejects_orthogonal_plane():
     curve = single_mode_curve(2, 3, 0.05)
     e = np.eye(3)
     with pytest.raises(NotGraph):
-        regraph_over_plane(curve, Plane2(e[0], e[2]), 1.0)
+        regraph_over_plane(curve, Plane2(e[0], e[2]))
 
 
 @given(st.integers(0, 10_000))

@@ -113,6 +113,38 @@ def test_load_config_rejects_bad_input(payload):
         load_config(payload)
 
 
+_NO_GRID = {"Q": [], "ratios": [], "amplitudes": [], "random": 0}
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"scenarios": {"x": {}}}, "'scenarios' must be a list"),
+    ({"scenarios": [["epi"]]}, "scenario #0 is not an object"),
+    ({"scenarios": [{"name": "a", "kind": "epi"}, {"kind": "epi"}]},
+     "scenario #1 lacks a name"),
+    ({"scenarios": [{"name": "x", "kind": "epi", "parms": {}}]},
+     r"scenario 'x': unknown entry keys \['parms'\]"),
+    ({"scenarios": [{"name": "x", "kind": "epi", "params": [1]}]},
+     "scenario 'x': params must be an object"),
+    ({"scenarios": [{"name": "x", "kind": "epi", "params": _NO_GRID}]},
+     "scenario 'x': no curve to certify"),
+], ids=["list", "object", "name", "entry-keys", "params", "no-curve"])
+def test_load_config_names_what_is_wrong(payload, match):
+    with pytest.raises(ConfigError, match=match):
+        load_config(json.dumps(payload))
+
+
+def test_cli_run_reports_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.json",
+                       [{"name": "x", "kind": "epi", "params": _NO_GRID}])
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("config error:")] == [
+        "config error: scenario 'x': no curve to certify: the Q x ratios x "
+        "amplitudes grid is empty and random is 0"]
+    assert not out.exists()
+
+
 def _run_configs():
     """configs/desk.json and benchmark pass configs: the anchor and two
     seeded passes of every workload, for two run seeds."""
@@ -200,7 +232,7 @@ def test_random_epi_curves_stay_in_contract(seed):
     assert curve.series.lipschitz() <= 0.1 + 1e-12
     assert 1 <= curve.Q <= 3
     series = curve.series
-    for i in range(1, series.nmodes + 1):
+    for i in range(1, len(series.beta) + 1):
         active = (np.any(series.alpha[i] != 0.0)
                   or np.any(series.beta[i - 1] != 0.0))
         if active:

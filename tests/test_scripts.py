@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/."""
 
 import os
+import pathlib
 import runpy
 
 import pytest
@@ -160,3 +161,68 @@ def test_bench_pairs_aggregates_medians_iqr_and_wins():
     assert lines[1].split()[:3] == ["wall_s", "2.5", "2.25"]
     assert lines[1].endswith("2/1 of 4")
     assert lines[-1] == "NOT CORRECT: epi pair 1 seed 8 change"
+
+
+def _write_tree(root, ratio, verdict, extra=None):
+    """A desk-shaped output tree: one CSV artifact, a stdout capture and
+    one benchmark pass artifact."""
+    desk = root / "desk" / "jobs1"
+    desk.mkdir(parents=True)
+    (desk / "epi.csv").write_text(
+        f"Q,ratio,verdict\n1,0.5,PASS\n2,{ratio},{verdict}\n")
+    (desk / "stdout.txt").write_text(f"epi  2  {verdict}\n")
+    pas = root / "perfbench" / "calib" / "pass0"
+    pas.mkdir(parents=True)
+    (pas / "calib.csv").write_text("probe,slack,verdict\n0,1e-3,PASS\n")
+    if extra:
+        (pas / extra).write_text("{}\n")
+
+
+def test_identity_check_names_each_file_that_differs(tmp_path):
+    check = runpy.run_path(os.path.join(SCRIPTS, "identity_check.py"))
+    _write_tree(tmp_path / "a", 0.25, "PASS")
+    _write_tree(tmp_path / "b", 0.25, "PASS")
+    _write_tree(tmp_path / "c", 0.5, "FAIL", extra="split.json")
+    a, b, c = (str(tmp_path / side) for side in "abc")
+    assert check["compare_trees"](a, b) == ([], 3)
+    lines, count = check["compare_trees"](a, c)
+    assert count == 4
+    heads = [line for line in lines if not line.startswith(" ")]
+    assert heads == ["desk/jobs1/epi.csv: differs",
+                     "desk/jobs1/stdout.txt: differs",
+                     "perfbench/calib/pass0/split.json: missing from the "
+                     "parent"]
+    # a differing artifact carries artifact_drift's column report
+    assert lines[1] == "  epi.csv: verdicts DIFFER"
+    assert lines[3].split() == ["ratio", "0.5", "abs", "0.25"]
+
+
+def test_identity_check_exports_both_revisions_and_exits_on_drift(
+        tmp_path, capsys):
+    check = runpy.run_path(os.path.join(SCRIPTS, "identity_check.py"))
+    calls = []
+    ratio = {"parent": 0.25, "change": 0.3}
+
+    def export(rev, tree):
+        os.makedirs(tree)
+        return rev * 2
+
+    def make(tree, out, jobs, passes, seed):
+        side = os.path.basename(tree)
+        calls.append((side, jobs, passes, seed))
+        _write_tree(pathlib.Path(out), ratio[side], "PASS")
+
+    argv = ["A", "B", "--jobs", "1,2", "--passes", "3", "--seed", "5",
+            "--work-dir", str(tmp_path)]
+    assert check["main"](argv, make=make, export=export) == 1
+    assert calls == [("parent", [1, 2], 3, 5), ("change", [1, 2], 3, 5)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["parent: A = AA", "change: B = BB",
+                       "desk/jobs1/epi.csv: differs"]
+    assert out[-1] == "3 files compared, 1 differ"
+    ratio["change"] = 0.25
+    assert check["main"](argv, make=make, export=export) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "3 files compared, 0 differ"
+    # the exports and their outputs are removed
+    assert os.listdir(tmp_path) == []
