@@ -6,8 +6,9 @@ subcommands (``epi``, ``decay``, ``flat``, ``calib``, ``split``) build a
 one-scenario config from flags and run it the same way; their flags are
 generated from the parameter schemas in ``scenarios``, and a flag left
 unset leaves its key out so the schema default applies.  Exit codes:
-0 all verdicts pass, 1 any verdict failed or a scenario errored, 2 the
-config was malformed (including an unknown key or an invalid value).
+0 all verdicts pass, 1 any verdict failed or was refused or a scenario
+errored, 2 the config was malformed (including an unknown key or an
+invalid value).  Each refused epi row gets one stderr line.
 """
 
 import argparse
@@ -207,13 +208,19 @@ def _execute(scenarios, out_dir: str, jobs: int) -> int:
     for sc, units in zip(scenarios, plan):
         mine = [next(outcomes) for _ in units]
         try:
-            results.append(merge([_replay(outcome) for outcome in mine]))
+            res = merge([_replay(outcome) for outcome in mine])
         except ScenarioError as err:
             errored.append(sc.name)
             print(str(err), file=sys.stderr)
             # an artifact left by an earlier run would read as this run's
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, artifact_name(sc)))
+            continue
+        results.append(res)
+        refused = [k for k, row in enumerate(res.rows)
+                   if row[-1].startswith("REFUSED:")]
+        for k, note in zip(refused, res.notes):
+            print(f"scenario {res.name!r} row {k}: {note}", file=sys.stderr)
 
     for res in results:
         path = os.path.join(out_dir, artifact_name(res))

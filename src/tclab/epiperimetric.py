@@ -69,16 +69,17 @@ class EpiperimetricVerdict:
 
     Gaps are masses minus Q * pi * R^2, both measured inside the optimal
     plane's cylinder of the competitor's radius R; the ratio is competitor
-    gap over cone gap and epsilon13 = 1 - ratio.
+    gap over cone gap, and ``linear_ratio`` is its leading order L in the
+    regraphed profile.
     """
 
     cone_gap: float
     competitor_gap: float
     ratio: float
-    epsilon13: float
     passed: bool
     raw_excess: float
     optimal_excess: float
+    linear_ratio: float
 
 
 def _cone_tangent_data(curve: WindingCurve):
@@ -418,9 +419,10 @@ def _trim_series(series: FourierSeries) -> FourierSeries:
     return FourierSeries(series.Q, series.n, alpha[:keep + 1], beta[:keep])
 
 
-def build_competitor(curve: WindingCurve, plane: Plane2,
-                     lip_max: float = 0.1) -> ParamSurface:
-    """Build the epiperimetric competitor for the cone over the curve.
+def build_competitor(curve: WindingCurve, plane: Plane2, lip_max: float = 0.1
+                     ) -> tuple[ParamSurface, FourierSeries]:
+    """The epiperimetric competitor for the cone over the curve, and the
+    regraphed profile that it extends.
 
     The cone is regraphed on the epi cylinder, radius CYL_RATIO around the
     plane, which the curve must wind around strictly outside (NotGraph
@@ -436,7 +438,7 @@ def build_competitor(curve: WindingCurve, plane: Plane2,
     so only the inner pieces enter the gap comparison.
     """
     profile = regraph_over_plane(curve, plane)
-    return harmonic_extension(profile, CYL_RATIO, lip_max=lip_max)
+    return harmonic_extension(profile, CYL_RATIO, lip_max=lip_max), profile
 
 
 def epiperimetric_gap(curve: WindingCurve,
@@ -445,12 +447,13 @@ def epiperimetric_gap(curve: WindingCurve,
 
     PASS means the competitor gap is at most (1 - EPS_TARGET) times the
     cone gap; a cone gap below the floor counts as already-flat and
-    passes with ratio 0.  The curve's sample tables are dropped once the
+    passes with ratio 0.  The verdict also carries L, the linear ratio of
+    the regraphed profile.  The curve's sample tables are dropped once the
     cone gap is read, so a run that holds many curves does not keep them.
     """
     report = optimal_plane(curve)
     plane = report.plane
-    comp = build_competitor(curve, plane, lip_max=lip_max)
+    comp, profile = build_competitor(curve, plane, lip_max=lip_max)
     ref = curve.Q * OMEGA2 * CYL_RATIO ** 2
     cone_gap = infinite_cone_cylinder_mass(curve, plane.basis()) - ref
     for memo in ("trace_table", "_cone_tangent_data"):
@@ -461,13 +464,31 @@ def epiperimetric_gap(curve: WindingCurve,
         ratio = 0.0
     else:
         ratio = comp_gap / cone_gap
-    eps13 = 1.0 - ratio
     return EpiperimetricVerdict(
         cone_gap=float(cone_gap), competitor_gap=float(comp_gap),
-        ratio=float(ratio), epsilon13=float(eps13),
-        passed=bool(ratio <= 1.0 - EPS_TARGET),
+        ratio=float(ratio), passed=bool(ratio <= 1.0 - EPS_TARGET),
         raw_excess=float(report.raw_excess),
-        optimal_excess=float(report.excess))
+        optimal_excess=float(report.excess),
+        linear_ratio=linear_ratio(profile))
+
+
+def linear_ratio(series: FourierSeries) -> float:
+    """Leading order L = sum 2k p_i / sum (1 + k^2) p_i of the gap ratio.
+
+    The sums run over the live modes i of the profile, at frequency
+    k = i/Q and with p_i = |alpha_i|^2 + |beta_i|^2: to leading order the
+    competitor's gap is its Dirichlet energy (1/2) pi Q rho^2 sum k p_i and
+    the cone's gap is (1/4) pi Q rho^2 sum (1 + k^2) p_i.  One live mode
+    gives mode_ratio(k); a profile with no live mode gives 0, the ratio
+    of a flat cone.
+    """
+    i = series.live_modes
+    if not i.size:
+        return 0.0
+    k = i / series.Q
+    alpha, beta = series.alpha[i], series.beta[i - 1]
+    p = rowdot(alpha, alpha) + rowdot(beta, beta)
+    return float(2.0 * (k @ p) / ((1.0 + k * k) @ p))
 
 
 def mode_ratio(a: float) -> float:

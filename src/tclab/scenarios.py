@@ -387,7 +387,8 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
-    """Artifact rows of one scenario; each row ends with its verdict."""
+    """Artifact rows of one scenario; each row ends with its verdict, and
+    ``notes`` holds one message per REFUSED row, in row order."""
 
     name: str
     kind: str
@@ -395,6 +396,7 @@ class ScenarioResult:
     rows: list
     fitted: dict
     config_hash: str
+    notes: list
     payload: dict | None = None
 
     @property
@@ -467,27 +469,44 @@ def epi_curves(sc: Scenario):
         yield curve, amp
 
 
-def _run_epi(sc: Scenario):
-    p = sc.typed
-
-    columns = ("Q", "n", "modes", "amplitude", "raw_excess",
-               "optimal_excess", "cone_gap", "competitor_gap", "ratio",
+EPI_COLUMNS = ("Q", "n", "modes", "amplitude", "raw_excess",
+               "optimal_excess", "cone_gap", "competitor_gap", "ratio", "L",
                "verdict")
-    rows = []
-    epsilon13 = 1.0
+
+
+def _run_epi(sc: Scenario):
+    """One row per curve.  A curve whose certificate raises a TclabError
+    gets a row with empty numbers, the verdict REFUSED:<ErrorClass> and a
+    note that names it."""
+    p = sc.typed
+    rows, notes = [], []
     drawn = epi_curves(sc) if sc.curves is None else sc.curves
     for curve, amplitude in drawn:
-        vd = epiperimetric_gap(curve, lip_max=p.lip_max)
         series = curve.series
         modes = "+".join(str(i) for i in series.live_modes)
+        head = (curve.Q, series.n, modes, amplitude)
+        try:
+            vd = epiperimetric_gap(curve, lip_max=p.lip_max)
+        except TclabError as err:
+            error = type(err).__name__
+            rows.append(head + ("",) * 6 + (f"REFUSED:{error}",))
+            notes.append(f"Q {curve.Q}, modes {modes}, amplitude "
+                         f"{_cell(amplitude)}: {error}: {err}")
+            continue
         verdict = "PASS" if vd.passed else "FAIL"
-        rows.append((curve.Q, series.n, modes,
-                     amplitude, vd.raw_excess, vd.optimal_excess,
-                     vd.cone_gap, vd.competitor_gap, vd.ratio, verdict))
-        epsilon13 = min(epsilon13, vd.epsilon13)
+        rows.append(head + (vd.raw_excess, vd.optimal_excess, vd.cone_gap,
+                            vd.competitor_gap, vd.ratio, vd.linear_ratio,
+                            verdict))
+    return EPI_COLUMNS, rows, _epi_fitted(rows), None, notes
 
-    fitted = {"epsilon13": epsilon13}
-    return columns, rows, fitted, None
+
+def _epi_fitted(rows) -> dict:
+    """Summary constants of epi rows: epsilon13 = min(1, 1 - ratio) over
+    the certified rows, or none when every row was refused."""
+    ratio = EPI_COLUMNS.index("ratio")
+    eps = [1.0 - row[ratio] for row in rows
+           if not row[-1].startswith("REFUSED:")]
+    return {"epsilon13": min([1.0] + eps)} if eps else {}
 
 
 def _decay_radii(r_max: float, levels: int):
@@ -520,7 +539,7 @@ def _run_decay(sc: Scenario):
     fitted = {"gamma0": 0.5 * kfit, "C": report.c}
     if report.c02 is not None:
         fitted["C02"] = report.c02
-    return columns, rows, fitted, None
+    return columns, rows, fitted, None, []
 
 
 def _run_flat(sc: Scenario):
@@ -543,7 +562,7 @@ def _run_flat(sc: Scenario):
         bounds.append(bound)
     kfit, cfit = _fit_power(radii, np.maximum(bounds, 1e-300))
     fitted = {"gamma0": kfit, "C": cfit}
-    return columns, rows, fitted, None
+    return columns, rows, fitted, None, []
 
 
 def calib_bump(rng: np.random.Generator, surface: str, power: int):
@@ -581,7 +600,7 @@ def _run_calib(sc: Scenario):
             verdict = "PASS" if probe.passed else "FAIL"
             rows.append((k, probe.mass, probe.mass_deformed,
                          probe.mass_sweep, p.omega, probe.slack, verdict))
-    return columns, rows, {}, None
+    return columns, rows, {}, None, []
 
 
 def _run_split(sc: Scenario):
@@ -600,7 +619,7 @@ def _run_split(sc: Scenario):
     verdict = payload["verdict"]
     rows = [(g, mult, m, verdict) for g, (mult, m)
             in enumerate(zip(result.multiplicities, result.masses))]
-    return columns, rows, {}, payload
+    return columns, rows, {}, payload, []
 
 
 _RUNNERS = {"epi": _run_epi, "decay": _run_decay, "flat": _run_flat,
@@ -610,12 +629,13 @@ _RUNNERS = {"epi": _run_epi, "decay": _run_decay, "flat": _run_flat,
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Execute one scenario, wrapping module errors with its name."""
     try:
-        columns, rows, fitted, payload = _RUNNERS[sc.kind](sc)
+        columns, rows, fitted, payload, notes = _RUNNERS[sc.kind](sc)
     except TclabError as err:
         raise ScenarioError(sc.name, str(err)) from err
     return ScenarioResult(name=sc.name, kind=sc.kind, columns=columns,
                           rows=rows, fitted=fitted,
-                          config_hash=sc.config_hash(), payload=payload)
+                          config_hash=sc.config_hash(), payload=payload,
+                          notes=notes)
 
 
 def parts(sc: Scenario) -> list:
@@ -628,16 +648,17 @@ def parts(sc: Scenario) -> list:
 
 
 def merge(results) -> ScenarioResult:
-    """The result of a scenario from its parts' results, in draw order;
-    ``epsilon13`` is the minimum over the parts."""
+    """The result of a scenario from its parts' results: rows and notes in
+    draw order, and the summary constants of the joined epi rows."""
     first = results[0]
     if len(results) == 1:
         return first
+    rows = [row for res in results for row in res.rows]
     return ScenarioResult(
-        name=first.name, kind=first.kind, columns=first.columns,
-        rows=[row for res in results for row in res.rows],
-        fitted={"epsilon13": min(res.fitted["epsilon13"] for res in results)},
-        config_hash=first.config_hash, payload=first.payload)
+        name=first.name, kind=first.kind, columns=first.columns, rows=rows,
+        fitted=_epi_fitted(rows), config_hash=first.config_hash,
+        payload=first.payload,
+        notes=[note for res in results for note in res.notes])
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_02_gap_ratios_match_and_stay_below_threshold():
                 v = epiperimetric_gap(single_mode_curve(Q, ratio * Q, amp))
                 worst_dev = fold(worst_dev,
                                  abs(v.ratio - mode_ratio(float(ratio))))
-                min_eps13 = fold(min_eps13, v.epsilon13, min)
+                min_eps13 = fold(min_eps13, 1.0 - v.ratio, min)
     rng = np.random.default_rng(2202)
     worst_random = 0.0
     for _ in range(200):

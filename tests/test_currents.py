@@ -638,7 +638,7 @@ def _epi_curves():
 @pytest.mark.parametrize("k", range(21))
 def test_competitor_mass_matches_a_fine_gauss_legendre_sum(k):
     curve = _epi_curves()[k]
-    ext = build_competitor(curve, optimal_plane(curve).plane)
+    ext, _ = build_competitor(curve, optimal_plane(curve).plane)
     n0, T = ext.order
     plain = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
                          order=(4 * n0, 4 * T))
@@ -689,7 +689,7 @@ def test_curve_sums_equal_the_callback_rule():
 
 def _competitor():
     curve = single_mode_curve(2, 6, 1e-2)
-    return build_competitor(curve, optimal_plane(curve).plane)
+    return build_competitor(curve, optimal_plane(curve).plane)[0]
 
 
 @pytest.mark.parametrize("make", [

@@ -24,8 +24,7 @@ from tclab.epiperimetric import (_certificate, build_competitor,
                                  mode_ratio, optimal_plane,
                                  regraph_over_plane)
 from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
-                          ScenarioError, SupportEscapesCylinder,
-                          Undersampled)
+                          SupportEscapesCylinder, Undersampled)
 from tclab.fourier import FourierSeries, analyze
 from tclab.geom import Plane2, orthonormal_pairs
 from tclab.scenarios import (Scenario, flat_circle, random_epi_curve,
@@ -69,7 +68,7 @@ def test_gap_ratio_matches_linearization(Q, i):
     verdict = epiperimetric_gap(single_mode_curve(Q, i, 1e-2))
     assert abs(verdict.ratio - mode_ratio(i / Q)) < 1e-4
     assert verdict.passed
-    assert verdict.epsilon13 == pytest.approx(1.0 - verdict.ratio)
+    assert abs(verdict.linear_ratio - mode_ratio(i / Q)) <= 2.2e-16
 
 
 @pytest.mark.parametrize("make", [
@@ -86,7 +85,7 @@ def test_already_flat_cone_passes_with_ratio_zero(make):
     ref = curve.Q * np.pi * epi.CYL_RATIO ** 2
     assert verdict.cone_gap <= epi.GAP_FLOOR * ref
     assert verdict.ratio == 0.0
-    assert verdict.epsilon13 == 1.0
+    assert verdict.linear_ratio == 0.0
     assert verdict.passed
 
 
@@ -361,7 +360,7 @@ def test_competitor_mass_is_the_ambient_mass():
     # mapped into ambient coordinates by that rigid frame it keeps the
     # mass the gap reads
     curve, plane = _competitor_cases()[1]
-    disk = build_competitor(curve, plane)
+    disk, _ = build_competitor(curve, plane)
     F = plane.frame()
     want = mapped_mass(disk,
                        lambda y: np.broadcast_to(F, y.shape + F.shape[:1]),
@@ -372,7 +371,7 @@ def test_competitor_mass_is_the_ambient_mass():
 @pytest.mark.parametrize("case", [0, 1], ids=["reference", "tilted"])
 def test_competitor_mass_evaluates_each_node_once(monkeypatch, case):
     curve, plane = _competitor_cases()[case]
-    ext = build_competitor(curve, plane)
+    ext, _ = build_competitor(curve, plane)
     seen = {"points": 0, "partials": 0}
 
     def counted(name, fn):
@@ -497,14 +496,19 @@ def test_regraph_smaller_cylinder_stays_on_cone(tilted):
 def test_regraph_refuses_a_profile_past_the_kept_modes():
     # analyze keeps 64 Q modes, so a mode-100 profile regraphed onto half
     # its cylinder lies wholly in the discarded tail; a scenario reports
-    # that as its own error
+    # that curve as a refused row with the error in its note
     curve = single_mode_curve(1, 100, 1e-4)
     with pytest.raises(Undersampled, match="truncation tail"):
         regraph_over_plane(curve, standard_plane(3))
     sc = Scenario(name="high", kind="epi", seed=0,
                   params={"Q": [1], "ratios": [100], "amplitudes": [1e-4]})
-    with pytest.raises(ScenarioError, match="truncation tail"):
-        run_scenario(sc)
+    res = run_scenario(sc)
+    assert res.rows == [(1, 1, "100", 1e-4) + ("",) * 6
+                        + ("REFUSED:Undersampled",)]
+    assert res.notes == ["Q 1, modes 100, amplitude 0.0001: Undersampled: "
+                         "truncation tail 5.000e-09 exceeds 1.0e-09 of "
+                         "total 5.000e-09"]
+    assert res.fitted == {}
 
 
 def _regraph_cases():
@@ -662,7 +666,7 @@ def test_sample_counts_resolve_exactly_the_live_modes(monkeypatch, quiet):
     monkeypatch.setattr(FourierSeries, "jet", counted)
     series.lipschitz()
     assert sizes == [16 * 2 * top]
-    competitor = build_competitor(curve, standard_plane(3))
+    competitor, _ = build_competitor(curve, standard_plane(3))
     assert competitor.order == (32, 8 * top)
 
 

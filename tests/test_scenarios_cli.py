@@ -15,14 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tclab.epiperimetric as epi
 from tclab.cli import main
-from tclab.currents import ParamSurface, RadialRestriction
+from tclab.currents import ParamSurface, RadialRestriction, WindingCurve
 from tclab.epiperimetric import mode_ratio
 from tclab.errors import ConfigError
+from tclab.fourier import FourierSeries
 from tclab.scenarios import (RANDOM_RATIO_CAP, SCHEMAS, SUMMARY_COLUMNS,
                              Scenario, allowed_random_modes, load_config,
                              random_epi_curve, render_csv, run_scenario,
-                             summary_rows)
+                             single_mode_curve, summary_rows)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -291,12 +293,13 @@ def test_cli_failed_verdict_exits_one(tmp_path):
     assert all(row.endswith(",FAIL") for row in rows)
 
 
-def test_cli_over_large_excess_errors_one_scenario(tmp_path, capsys):
-    # amplitude 0.5 puts the reference-plane excess past the tilt search's
-    # gate; that scenario is reported as errored and the others still write
+def test_cli_over_large_excess_is_a_refused_row(tmp_path, capsys):
+    # amplitudes 0.5 and 0.6 put the reference-plane excess past the tilt
+    # search's gate; each of those curves is a refused row, so the scenario
+    # writes its artifact with no certified row and an empty epsilon13
     cfg = write_config(tmp_path / "cfg.json", [
         {"name": "too_steep", "kind": "epi", "seed": 1,
-         "params": {"Q": [1], "ratios": [2], "amplitudes": [0.5],
+         "params": {"Q": [1], "ratios": [2], "amplitudes": [0.5, 0.6],
                     "random": 0}},
         {"name": "fine", "kind": "epi", "seed": 1,
          "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-2],
@@ -304,25 +307,130 @@ def test_cli_over_large_excess_errors_one_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", cfg, "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "too large to start the tilt search" in err
-    assert "errored scenarios: too_steep" in err
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "scenario 'too_steep' row 0: Q 1, modes 2, amplitude 0.5: "
+        "ExcessTooLarge: excess 0.850 against the reference plane is too "
+        "large to start the tilt search",
+        "scenario 'too_steep' row 1: Q 1, modes 2, amplitude 0.6: "
+        "ExcessTooLarge: excess 1.167 against the reference plane is too "
+        "large to start the tilt search"]
+    rows = (out / "too_steep.csv").read_text().splitlines()[1:-1]
+    assert rows == ["1,1,2,0.5,,,,,,,REFUSED:ExcessTooLarge",
+                    "1,1,2,0.6,,,,,,,REFUSED:ExcessTooLarge"]
     assert "PASS" in (out / "fine.csv").read_text()
-    assert not (out / "too_steep.csv").exists()
-    summary = (out / "summary.csv").read_text()
-    assert "fine" in summary and "too_steep" not in summary
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1] == "too_steep,epi,0,2,,,,"
+    assert summary[2].startswith("fine,epi,1,0,0.199")
 
 
 def test_cli_errored_rerun_removes_the_stale_artifact(tmp_path, capsys):
-    # an artifact left by an earlier run would read as the errored run's
+    # an artifact left by an earlier run would read as the errored run's;
+    # 13 levels put the innermost flat radius inside the vertex ball
     out = tmp_path / "out"
-    args = ["epi", "--name", "e", "--qs", "1", "--ratios", "2",
-            "--out", str(out), "--amplitudes"]
-    assert main(args + ["1e-2"]) == 0
-    assert "PASS" in (out / "e.csv").read_text()
-    assert main(args + ["0.5"]) == 1
-    assert not (out / "e.csv").exists()
+    args = ["flat", "--name", "f", "--out", str(out), "--levels"]
+    assert main(args + ["12"]) == 0
+    assert "PASS" in (out / "f.csv").read_text()
+    assert main(args + ["13"]) == 1
+    assert "is inside the vertex ball 1e-06" in capsys.readouterr().err
+    assert not (out / "f.csv").exists()
     assert (out / "summary.csv").read_text().splitlines()[1:] == []
+
+
+def _stalled_curve():
+    """Codimension-2 curve whose tilt search stalls: Q 1, n 2, alpha_1 =
+    (1e-2, 0) and alpha_3 = (0, 5e-3)."""
+    alpha = np.zeros((4, 2))
+    alpha[1, 0] = 1e-2
+    alpha[3, 1] = 5e-3
+    return WindingCurve(FourierSeries(1, 2, alpha, np.zeros((3, 2))))
+
+
+def _refusal_runs(tmp_path, capsys, args):
+    """epi.csv and stderr of the epi shortcut with these flags, the same
+    at --jobs 1 and 2; each run exits 1."""
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["epi", "--out", str(out), "--jobs", jobs] + args) == 1
+        runs.append(((out / "epi.csv").read_text(), capsys.readouterr().err))
+    assert runs[1] == runs[0]
+    return runs[0][0].splitlines()[1:-1], runs[0][1]
+
+
+@pytest.mark.parametrize("flags,row,note", [
+    (["--qs", "1", "--ratios", "3", "--amplitudes", "5e-2"],
+     "1,1,3,0.05,,,,,,,REFUSED:LipschitzTooLarge",
+     "Q 1, modes 3, amplitude 0.05: LipschitzTooLarge: profile Lipschitz "
+     "0.150 > 0.1"),
+    (["--qs", "2", "--ratios", "5", "--amplitudes", "5e-2"],
+     "2,1,10,0.05,,,,,,,REFUSED:ExcessTooLarge",
+     "Q 2, modes 10, amplitude 0.05: ExcessTooLarge: excess 0.101 against "
+     "the reference plane is too large to start the tilt search"),
+    (["--qs", "1", "--ratios", "100", "--amplitudes", "1e-4"],
+     "1,1,100,0.0001,,,,,,,REFUSED:Undersampled",
+     "Q 1, modes 100, amplitude 0.0001: Undersampled: truncation tail "
+     "5.000e-09 exceeds 1.0e-09 of total 5.000e-09"),
+], ids=["LipschitzTooLarge", "ExcessTooLarge", "Undersampled"])
+def test_cli_refused_grid_curve_is_a_row(tmp_path, capsys, flags, row, note):
+    # the refused curve keeps its Q, n, modes and amplitude, and the two
+    # random curves drawn after it still certify
+    rows, err = _refusal_runs(tmp_path, capsys, flags + ["--random", "2"])
+    assert rows[0] == row
+    assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["PASS", "PASS"]
+    assert err == f"scenario 'epi' row 0: {note}\n"
+
+
+def test_cli_stalled_tilt_search_is_a_refused_row(tmp_path, capsys,
+                                                 monkeypatch):
+    # each drawn curve is certified through Scenario.with_curves; the
+    # stalled one sits between two that certify
+    monkeypatch.setattr("tclab.scenarios.epi_curves", lambda sc: [
+        (single_mode_curve(1, 2, 1e-2), 1e-2), (_stalled_curve(), 1e-2),
+        (single_mode_curve(1, 3, 1e-2), 1e-2)])
+    rows, err = _refusal_runs(tmp_path, capsys, [])
+    assert rows[1] == "1,2,1+3,0.01,,,,,,,REFUSED:NoConvergence"
+    assert rows[0].endswith(",PASS") and rows[2].endswith(",PASS")
+    assert err == ("scenario 'epi' row 1: Q 1, modes 1+3, amplitude 0.01: "
+                   "NoConvergence: tilt search stalled with |grad| = "
+                   "6.77e-08\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_curve_error_outside_tclab_aborts_the_run(tmp_path, monkeypatch,
+                                                      jobs):
+    # only a TclabError is a refusal; anything else is a defect
+    def broken(curve):
+        raise RuntimeError("tilt search broke")
+
+    monkeypatch.setattr("tclab.epiperimetric.optimal_plane", broken)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="tilt search broke"):
+        main(["epi", "--qs", "1", "--ratios", "2,3", "--amplitudes", "1e-3",
+              "--out", str(out), "--jobs", jobs])
+    assert not (out / "epi.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_epi_grid_reports_measured_and_linear_ratios_and_refusals(
+        tmp_path, capsys):
+    # single-mode curves against the linear theory: each certified row
+    # carries its measured ratio and L = 2a/(1 + a^2), and i = 3 at
+    # amplitude 5e-2 regraphs to a profile steeper than the competitor's
+    # Lipschitz budget
+    out = tmp_path / "out"
+    assert main(["epi", "--qs", "1", "--ratios", "2,3", "--amplitudes",
+                 "1e-3,5e-2", "--out", str(out)]) == 1
+    header, *rows = (out / "epi.csv").read_text().splitlines()[:-1]
+    rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [(r["modes"], r["amplitude"], r["verdict"]) for r in rows] == [
+        ("2", "0.001", "PASS"), ("2", "0.05", "PASS"), ("3", "0.001", "PASS"),
+        ("3", "0.05", "REFUSED:LipschitzTooLarge")]
+    for r in rows[:3]:
+        assert float(r["L"]) == pytest.approx(mode_ratio(int(r["modes"])),
+                                              abs=2.2e-16)
+        assert abs(float(r["ratio"]) - float(r["L"])) < 2e-4
+    assert capsys.readouterr().err.startswith("scenario 'epi' row 3: ")
 
 
 def test_cli_seed_override_changes_hash(tmp_path):
@@ -375,15 +483,54 @@ def test_cli_parallel_shortcut_matches_serial(tmp_path):
     assert outputs[1] == outputs[0]
 
 
-def test_cli_parallel_errored_curve_matches_serial(tmp_path, capsys):
-    # the 0.5 and 0.6 curves error as in test_cli_over_large_excess_
-    # errors_one_scenario; whichever process certifies each curve, the
-    # report is the serial run's: the error of the first failing curve in
-    # draw order, whose reference-plane excess is 0.850, and no artifact
+def _desk_scenario(name):
+    desk = load_config((REPO / "configs" / "desk.json").read_text())
+    return next(sc for sc in desk if sc.name == name)
+
+
+def test_desk_grid_rows_carry_the_single_mode_linear_ratio():
+    res = run_scenario(_desk_scenario("epi_grid"))
+    col = res.columns.index
+    for row in res.rows:
+        a = int(row[col("modes")]) / row[col("Q")]
+        assert abs(row[col("L")] - mode_ratio(a)) <= 2.2e-16
+
+
+def test_desk_random_ratios_sit_within_quadratic_reach_of_l(monkeypatch):
+    # the ratio tends to L as the regraphed profile flattens: on the desk
+    # draws |ratio - L| has median 6.77e-5, worst 1.59e-2, and stays below
+    # 7 lip^2 (worst 6.92 lip^2), lip the regraphed profile's Lipschitz
+    # constant
+    lips = []
+    build = epi.build_competitor
+
+    def recorded(*args, **kwargs):
+        competitor, profile = build(*args, **kwargs)
+        lips.append(profile.lipschitz())
+        return competitor, profile
+
+    monkeypatch.setattr(epi, "build_competitor", recorded)
+    res = run_scenario(_desk_scenario("epi_random"))
+    col = res.columns.index
+    dev = np.array([abs(row[col("ratio")] - row[col("L")])
+                    for row in res.rows])
+    assert len(dev) == len(lips) == 200
+    assert np.median(dev) == pytest.approx(6.77e-5, rel=1e-2)
+    assert dev.max() == pytest.approx(1.59e-2, rel=1e-2)
+    assert np.all(dev <= 7.0 * np.array(lips) ** 2)
+
+
+def test_cli_parallel_errored_scenario_matches_serial(tmp_path, capsys):
+    # the flat scenario errors at run time (13 levels reach the vertex
+    # ball); whichever process certifies each unit, the report is the
+    # serial run's: one error line, no flat artifact and the other
+    # scenarios' artifacts
     cfg = write_config(tmp_path / "cfg.json", [
-        {"name": "steep", "kind": "epi", "seed": 1,
-         "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-2, 0.5, 0.6],
+        {"name": "epi_fine", "kind": "epi", "seed": 1,
+         "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-3, 1e-2],
                     "random": 0}},
+        {"name": "flat_deep", "kind": "flat", "seed": 1,
+         "params": {"levels": 13}},
         {"name": "split_demo", "kind": "split", "seed": 3,
          "params": {"Q": [1, 1], "width": 0.05}}])
     reports = []
@@ -391,10 +538,11 @@ def test_cli_parallel_errored_curve_matches_serial(tmp_path, capsys):
         out = tmp_path / f"jobs{jobs}"
         assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 1
         err = capsys.readouterr().err
-        assert err.count("too large to start the tilt search") == 1
-        assert "excess 0.850 against" in err
+        assert err.count("is inside the vertex ball") == 1
+        assert "errored scenarios: flat_deep" in err
         reports.append((err, _outputs(out)))
-    assert sorted(reports[0][1]) == ["split_demo.json", "summary.csv"]
+    assert sorted(reports[0][1]) == ["epi_fine.csv", "split_demo.json",
+                                     "summary.csv"]
     assert reports[1] == reports[0]
 
 
