@@ -8,7 +8,8 @@ generated from the parameter schemas in ``scenarios``, and a flag left
 unset leaves its key out so the schema default applies.  Exit codes:
 0 all verdicts pass, 1 any verdict failed or was refused or a scenario
 errored, 2 the config was malformed (including an unknown key or an
-invalid value).  Each refused epi row gets one stderr line.
+invalid value).  Each refused row, an epi curve or a flat level, gets
+one stderr line.
 """
 
 import argparse

@@ -8,9 +8,12 @@ each a link on the unit cylinder, since cones are scale invariant).  Its
 length and the cylinder masses of its cone are periodic trapezoid sums
 on M nodes, checked by one halving against 2M, both read from rows ::2
 of the trace table, where the epi pipeline and the plane split read
-their samples too.  Every curve and surface has multiplicity 1 and the
-orientation of its parameters; a Q-fold curve winds Q times over its
-period instead of carrying multiplicity Q.
+their samples too.  A WindingCurve also keeps ``cone_tangents``, the
+cone's unit tangents at the M nodes that every plane of the epi excess
+reads; both tables are read-only and made once per curve.  Every curve
+and surface has multiplicity 1 and the orientation of its parameters; a
+Q-fold curve winds Q times over its period instead of carrying
+multiplicity Q.
 A surface is a chart over a rectangle with an analytic jacobian; masses
 and density integrals are tensor sums, Gauss-Legendre along each axis
 except an angle axis that the chart declares periodic, which takes the
@@ -49,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, QuadratureNotConverged
-from .geom import rowdot, rownorm
+from .geom import rowdot, rownorm, twovector_euclid_norm, wedge
 from .quadrature import gauss_legendre, periodic_trapezoid, trapezoid
 
 SAMPLES_PER_WINDING_MODE = 16
@@ -126,6 +129,23 @@ class WindingCurve:
         for arr in table:
             arr.flags.writeable = False
         return table
+
+    @cached_property
+    def cone_tangents(self):
+        """Read-only cone data at the M base nodes, rows ::4 of the trace
+        table, made on first use: the trace points z, their norms |z|,
+        the wedge speeds |z ^ z'| and the components of the unit tangent
+        two-vectors z ^ z' / |z ^ z'|, which every plane of the epi
+        excess shares."""
+        z, dz = (np.ascontiguousarray(a[::4]) for a in self.trace_table)
+        W = wedge(z, dz)
+        speed = twovector_euclid_norm(W)
+        if np.any(speed < 1e-300):
+            raise ValueError("degenerate tangent pair")
+        data = (z, rownorm(z), speed, W / speed[:, None])
+        for arr in data:
+            arr.flags.writeable = False
+        return data
 
 
 def curve_mass(curve) -> float:

@@ -8,16 +8,20 @@ with |.| the mass norm on two-vectors.  Because cone tangents are constant
 along rays, E reduces to a single periodic integral in the curve parameter
 and the whole pipeline (optimal tilt, regraphing on a smaller cylinder,
 harmonic extension inside it) stays one-dimensional except for the final
-surface masses.  The plane-independent part of that integral (trace
-points, wedge speeds, unit tangents), the regraph's probe and the cone's
-cylinder mass read the curve's trace table, built once per curve.  The
-excess kernel takes a whole stack of tilted planes, so each step of the
+surface masses.  The plane-independent part of that integral is the
+curve's cone tangent table (``WindingCurve.cone_tangents``); the regraph's
+probe and the cone's cylinder mass read its trace table.  The excess
+kernel takes a whole stack of tilted planes, so each step of the
 quasi-Newton tilt search with its finite-difference gradient, its starting
 Hessian, its backtracking ladder and the final certificate with all its
 one-sided probes each cost one projection, one escape test and one batch
 of mass norms; one stencil at the reference plane gives the raw excess,
 the search's start and, if the search stays (as it does on a start
 gradient within the quotient's roundoff), its certificate.
+
+A plane whose cylinder the cone leaves lies outside White's comparison
+(Duke 1983), so any plane of a stack that lets a cone ray escape refuses
+the curve with SupportEscapesCylinder: the excess is never scored there.
 
 Gap bookkeeping: both the cone and the competitor are compared to the flat
 Q-disk inside the optimal plane's cylinder of radius CYL_RATIO; their
@@ -35,7 +39,7 @@ from .errors import (ExcessTooLarge, NoConvergence, NotGraph,
                      SupportEscapesCylinder)
 from .fourier import FourierSeries, analyze, harmonic_extension
 from .geom import (Plane2, index_pairs, orthonormal_pairs, rowdot, rownorm,
-                   twovector_euclid_norm, twovector_mass_norm, wedge)
+                   twovector_mass_norm, wedge)
 from .quadrature import trapezoid
 
 ESCAPE_FACTOR = 2.0
@@ -82,50 +86,25 @@ class EpiperimetricVerdict:
     linear_ratio: float
 
 
-def _cone_tangent_data(curve: WindingCurve):
-    """Plane-independent cone data at the curve's M sample angles, built once.
-
-    Returns the trace points z, their norms |z|, the wedge speeds
-    |z ^ z'| and the components of the unit tangent two-vectors
-    z ^ z' / |z ^ z'|, from rows ::4 of the curve's trace table.
-    WindingCurve is immutable, so the arrays are memoized on the instance
-    (read-only, since every tilt of the search shares them).
-    """
-    data = vars(curve).get("_cone_tangent_data")
-    if data is None:
-        z, dz = (np.ascontiguousarray(a[::4]) for a in curve.trace_table)
-        W = wedge(z, dz)
-        speed = twovector_euclid_norm(W)
-        if np.any(speed < 1e-300):
-            raise ValueError("degenerate tangent pair")
-        data = (z, rownorm(z), speed, W / speed[:, None])
-        for arr in data:
-            arr.flags.writeable = False
-        vars(curve)["_cone_tangent_data"] = data
-    return data
-
-
-def cylindrical_excess(curve: WindingCurve, B: np.ndarray):
+def cylindrical_excess(curve: WindingCurve, B: np.ndarray) -> np.ndarray:
     """Excess of the infinite cone over the curve in K planes' unit cylinders.
 
     ``B`` is a (K, d, 2) stack of orthonormal plane bases.  The periodic
     integral runs over the curve's M sample angles.  A cone ray escapes
     when it meets the cylinder wall only outside the ball of radius
-    ESCAPE_FACTOR.  Returns the K excesses and the boolean mask of
-    escaping rows, whose excess is NaN.
+    ESCAPE_FACTOR; any plane of the stack that a ray escapes raises
+    SupportEscapesCylinder.  Returns the K excesses.
     """
-    z, znorm, speed, tangent = _cone_tangent_data(curve)
+    z, znorm, speed, tangent = curve.cone_tangents
     proj = rownorm(z @ B)
     worst = np.max(znorm / np.maximum(proj, 1e-300), axis=-1)
-    escaped = worst > ESCAPE_FACTOR
-    keep = ~escaped
-    B, proj = B[keep], proj[keep]
+    if np.any(worst > ESCAPE_FACTOR):
+        raise SupportEscapesCylinder(
+            f"cone ray exits a plane's cylinder outside |x| = {ESCAPE_FACTOR}")
     diff = tangent - wedge(B[..., 0], B[..., 1])[:, None]
     dist2 = twovector_mass_norm(diff) ** 2
     vals = dist2 * speed / proj ** 2
-    excess = np.full(escaped.shape, np.nan)
-    excess[keep] = 0.25 * np.sum(vals, axis=-1) * (curve.period / curve.M)
-    return excess, escaped
+    return 0.25 * np.sum(vals, axis=-1) * (curve.period / curve.M)
 
 
 def _tilt_bases(V: np.ndarray, n: int) -> np.ndarray:
@@ -147,13 +126,8 @@ def _tilt_bases(V: np.ndarray, n: int) -> np.ndarray:
 
 
 def _tilt_objective(curve: WindingCurve, V: np.ndarray) -> np.ndarray:
-    """Excess of each tilt in the stack V, one cylindrical_excess call.
-
-    A tilt whose cone escapes the cylinder scores 1e6 + |v|^2 instead,
-    which the search descends away from.
-    """
-    vals, escaped = cylindrical_excess(curve, _tilt_bases(V, curve.n))
-    return np.where(escaped, 1e6 + rowdot(V, V), vals)
+    """Excess of each tilt in the stack V, one cylindrical_excess call."""
+    return cylindrical_excess(curve, _tilt_bases(V, curve.n))
 
 
 def _tilt_plane(v: np.ndarray, n: int) -> Plane2:
@@ -281,15 +255,16 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     certificate below raises NoConvergence.  One cylindrical_excess
     call on the reference stencil _stencil(0, CERT_STEPS), the untilted
     plane and its 8n axis neighbours, holds every value read there.  Row
-    0 is the raw excess: a cone that escapes that plane's cylinder raises
-    SupportEscapesCylinder, and a raw excess of PRE_EXCESS or more is
-    refused with ExcessTooLarge, both before the search starts.  Row 0
-    and the +-GRAD_STEP rows, divided by the scale, give the search its
-    start value and gradient.  A search that stays at the origin is
-    certified on the same stencil, one that moves on the stencil at its
-    tilt.  Each search step stacks the tilt with its 4n gradient
-    neighbours and the starting Hessian its 1 + 4n + 4n(2n - 1) stencil
-    rows, so each costs one call too.
+    0 is the raw excess, and a raw excess of PRE_EXCESS or more is
+    refused with ExcessTooLarge before the search starts.  Row 0 and the
+    +-GRAD_STEP rows, divided by the scale, give the search its start
+    value and gradient.  A search that stays at the origin is certified
+    on the same stencil, one that moves on the stencil at its tilt.  A
+    cone that escapes the cylinder of any plane evaluated on the way is
+    refused with SupportEscapesCylinder, as cylindrical_excess raises it;
+    the search never scores such a plane.  Each search step stacks the
+    tilt with its 4n gradient neighbours and the starting Hessian its
+    1 + 4n + 4n(2n - 1) stencil rows, so each costs one call too.
 
     In codimension two the mass norm carries an absolute Pfaffian term,
     so the excess is only piecewise smooth in the tilt and its minima
@@ -308,13 +283,8 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
     gradient units.
     """
     n, m = curve.n, 2 * curve.n
-    V = _stencil(np.zeros(m), CERT_STEPS)
-    vals, escaped = cylindrical_excess(curve, _tilt_bases(V, n))
-    if escaped[0]:
-        raise SupportEscapesCylinder(
-            "cone ray exits the reference plane's cylinder outside "
-            f"|x| = {ESCAPE_FACTOR}")
-    raw = float(vals[0])
+    f = _tilt_objective(curve, _stencil(np.zeros(m), CERT_STEPS))
+    raw = float(f[0])
     if raw >= PRE_EXCESS:
         raise ExcessTooLarge(
             f"excess {raw:.3f} against the reference plane is too large "
@@ -322,7 +292,6 @@ def optimal_plane(curve: WindingCurve) -> ExcessReport:
 
     scale = max(raw, 1e-16)
     tol = max(GRAD_TOL, GRAD_REL * raw)
-    f = np.where(escaped, 1e6 + rowdot(V, V), vals)
     start = f / scale
     grad = (start[1 + 2 * m:1 + 3 * m] - start[1 + 3 * m:]) / (2 * GRAD_STEP)
     v = _quasi_newton(lambda V: _tilt_objective(curve, V) / scale,
@@ -448,16 +417,13 @@ def epiperimetric_gap(curve: WindingCurve,
     PASS means the competitor gap is at most (1 - EPS_TARGET) times the
     cone gap; a cone gap below the floor counts as already-flat and
     passes with ratio 0.  The verdict also carries L, the linear ratio of
-    the regraphed profile.  The curve's sample tables are dropped once the
-    cone gap is read, so a run that holds many curves does not keep them.
+    the regraphed profile.
     """
     report = optimal_plane(curve)
     plane = report.plane
     comp, profile = build_competitor(curve, plane, lip_max=lip_max)
     ref = curve.Q * OMEGA2 * CYL_RATIO ** 2
     cone_gap = infinite_cone_cylinder_mass(curve, plane.basis()) - ref
-    for memo in ("trace_table", "_cone_tangent_data"):
-        vars(curve).pop(memo, None)
     comp_gap = comp.mass() - ref
     floor = GAP_FLOOR * max(ref, 1.0)
     if cone_gap <= floor:

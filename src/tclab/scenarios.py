@@ -51,11 +51,6 @@ def single_mode_series(Q: int, mode: int, amplitude: float) -> FourierSeries:
     return FourierSeries(Q=Q, n=1, alpha=alpha, beta=np.zeros((mode, 1)))
 
 
-def single_mode_curve(Q: int, mode: int, amplitude: float) -> WindingCurve:
-    """Unit-radius winding curve whose profile is one cosine mode."""
-    return WindingCurve(single_mode_series(Q, mode, amplitude))
-
-
 def allowed_random_modes(Q: int) -> list:
     """Profile frequencies whose linear gap ratio stays below the cap.
 
@@ -346,8 +341,9 @@ class Scenario:
 
     ``params`` is kept as written, so the config hash does not depend on
     defaults; ``typed`` holds the validated values the runner reads.
-    ``curves`` is None, or the pre-drawn (curve, amplitude) pairs that an
-    epi part certifies in place of drawing its own (``parts``).
+    ``curves`` is None, or the pre-drawn (profile, amplitude) pairs, each
+    profile a FourierSeries, that an epi part certifies in place of
+    drawing its own (``parts``).
     """
 
     name: str
@@ -368,7 +364,7 @@ class Scenario:
         object.__setattr__(self, "typed", typed)
 
     def with_curves(self, curves) -> "Scenario":
-        """This scenario certifying only the given (curve, amplitude)
+        """This scenario certifying only the given (profile, amplitude)
         pairs.  Name, seed and params stay, and so does the config hash;
         the params were validated once and are not parsed again."""
         part = copy.copy(self)
@@ -454,19 +450,19 @@ def _fit_power(x, y):
 # per-kind runners
 
 def epi_curves(sc: Scenario):
-    """(curve, amplitude) pairs of an epi scenario in draw order: the
-    grid, then the random curves drawn from the scenario's rng."""
+    """(profile, amplitude) pairs of an epi scenario in draw order, each
+    profile the FourierSeries of one curve: the grid, then the random
+    curves drawn from the scenario's rng."""
     p = sc.typed
     for Q in p.Q:
         for ratio in p.ratios:
             for amp in p.amplitudes:
-                yield single_mode_curve(Q, ratio * Q, amp), amp
+                yield single_mode_series(Q, ratio * Q, amp), amp
     rng = sc.rng()
     for _ in range(p.random):
-        curve = random_epi_curve(rng, lip_max=p.lip_max)
-        amp = float(max(np.abs(curve.series.alpha).max(),
-                        np.abs(curve.series.beta).max()))
-        yield curve, amp
+        series = random_epi_curve(rng, lip_max=p.lip_max).series
+        amp = float(max(np.abs(series.alpha).max(), np.abs(series.beta).max()))
+        yield series, amp
 
 
 EPI_COLUMNS = ("Q", "n", "modes", "amplitude", "raw_excess",
@@ -474,24 +470,29 @@ EPI_COLUMNS = ("Q", "n", "modes", "amplitude", "raw_excess",
                "verdict")
 
 
+def _refuse(rows, notes, cells: tuple, err: TclabError, what: str):
+    """Append the row of ``cells`` and the verdict REFUSED:<ErrorClass>,
+    and its note: ``what`` was refused, and why."""
+    rows.append(cells + (f"REFUSED:{type(err).__name__}",))
+    notes.append(f"{what}: {type(err).__name__}: {err}")
+
+
 def _run_epi(sc: Scenario):
-    """One row per curve.  A curve whose certificate raises a TclabError
-    gets a row with empty numbers, the verdict REFUSED:<ErrorClass> and a
-    note that names it."""
+    """One row per curve, each built from its profile when its row is
+    certified, so no curve or sample table outlives its row.  A curve
+    whose certificate raises a TclabError gets a row with empty numbers,
+    the verdict REFUSED:<ErrorClass> and a note that names it."""
     p = sc.typed
     rows, notes = [], []
     drawn = epi_curves(sc) if sc.curves is None else sc.curves
-    for curve, amplitude in drawn:
-        series = curve.series
+    for series, amplitude in drawn:
         modes = "+".join(str(i) for i in series.live_modes)
-        head = (curve.Q, series.n, modes, amplitude)
+        head = (series.Q, series.n, modes, amplitude)
         try:
-            vd = epiperimetric_gap(curve, lip_max=p.lip_max)
+            vd = epiperimetric_gap(WindingCurve(series), lip_max=p.lip_max)
         except TclabError as err:
-            error = type(err).__name__
-            rows.append(head + ("",) * 6 + (f"REFUSED:{error}",))
-            notes.append(f"Q {curve.Q}, modes {modes}, amplitude "
-                         f"{_cell(amplitude)}: {error}: {err}")
+            _refuse(rows, notes, head + ("",) * 6, err, f"Q {series.Q}, "
+                    f"modes {modes}, amplitude {_cell(amplitude)}")
             continue
         verdict = "PASS" if vd.passed else "FAIL"
         rows.append(head + (vd.raw_excess, vd.optimal_excess, vd.cone_gap,
@@ -543,26 +544,37 @@ def _run_decay(sc: Scenario):
 
 
 def _run_flat(sc: Scenario):
+    """One row per level.  A level whose bound raises a TclabError gets a
+    row with empty numbers, the verdict REFUSED:<ErrorClass> and a note;
+    gamma0 and C are fitted over the levels with a bound, and left out
+    when fewer than two have one."""
     p = sc.typed
     surface = extension_surface(p.Q, p.mode, p.amplitude)
 
     columns = ("r", "s", "bound", "filling", "residual", "verdict")
-    rows = []
-    radii = _decay_radii(EXTENSION_R_MAX, p.levels)
-    bounds = []
-    for r in radii:
+    rows, notes = [], []
+    radii, bounds = [], []
+    for r in _decay_radii(EXTENSION_R_MAX, p.levels):
         s = 0.5 * r
-        bound = radial_homotopy_filling(surface, s, r, tnodes=p.tnodes)
+        try:
+            bound = radial_homotopy_filling(surface, s, r, tnodes=p.tnodes)
+        except TclabError as err:
+            _refuse(rows, notes, (r, s, "", "", ""), err,
+                    f"r {_cell(r)}, s {_cell(s)}")
+            continue
         ok = np.isfinite(bound) and bound >= 0.0
         verdict = "PASS" if ok else "FAIL"
         # filling and residual carry no information (the filling is the
         # bound, nothing is matched directly); ROADMAP item 13 replaces
         # both columns with the rescaling ratio and the tail bound
         rows.append((r, s, bound, bound, 0.0, verdict))
+        radii.append(r)
         bounds.append(bound)
-    kfit, cfit = _fit_power(radii, np.maximum(bounds, 1e-300))
-    fitted = {"gamma0": kfit, "C": cfit}
-    return columns, rows, fitted, None, []
+    fitted = {}
+    if len(radii) >= 2:
+        kfit, cfit = _fit_power(radii, np.maximum(bounds, 1e-300))
+        fitted = {"gamma0": kfit, "C": cfit}
+    return columns, rows, fitted, None, notes
 
 
 def calib_bump(rng: np.random.Generator, surface: str, power: int):

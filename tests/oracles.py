@@ -33,6 +33,9 @@ the Plücker components the library stores, and ``matrix_mass_norm`` is
 the mass norm summed over the matrix entries, which the library's
 component norm must equal bit for bit.
 
+``single_mode_curve`` is the winding curve of one cosine mode, which a
+run builds from its profile for each epi grid row.
+
 ``random_link_curve`` and ``normalize_to_sphere`` build spherical links,
 whose cones have mass half the link length and no deviation.
 
@@ -54,6 +57,7 @@ from tclab.calibration import _flow, spherical_cap
 from tclab.currents import ParamSurface, WindingCurve
 from tclab.fourier import FourierSeries
 from tclab.geom import Plane2, rownorm
+from tclab.scenarios import single_mode_series
 
 
 def mapped_mass(surface, dphi, order=None):
@@ -242,6 +246,12 @@ def normalize_to_sphere(curve) -> SpaceCurve:
                          / (rad * r2))
 
     return SpaceCurve(jet, curve.Q, curve.M)
+
+
+def single_mode_curve(Q: int, mode: int, amplitude: float) -> WindingCurve:
+    """Unit-radius winding curve whose profile is one cosine mode, the
+    curve a run builds for each single-mode epi grid row."""
+    return WindingCurve(single_mode_series(Q, mode, amplitude))
 
 
 def random_link_curve(rng) -> WindingCurve:

@@ -23,10 +23,10 @@ from tclab.monotonicity import (DecayConstants, deviation_integral,
                                 synthesize_decay_profile)
 from tclab.scenarios import (Scenario, extension_surface,
                              orthogonal_planes_instance, random_epi_curve,
-                             run_scenario, single_mode_curve)
+                             run_scenario)
 
 from oracles import (first_variation_pair, normalize_to_sphere,
-                     random_link_curve, solid_angle_form)
+                     random_link_curve, single_mode_curve, solid_angle_form)
 
 
 def verdict(ok: bool, label: str, detail: str) -> None:

@@ -29,12 +29,12 @@ from tclab.flat import radial_homotopy_filling
 from tclab.monotonicity import (_tangent_perp, deviation_integral,
                                 mass_profile, radial_projection_mass)
 from tclab.quadrature import gauss_legendre
-from tclab.scenarios import (extension_surface, flat_circle, random_epi_curve,
-                             single_mode_curve)
+from tclab.scenarios import extension_surface, flat_circle, random_epi_curve
 
 from oracles import (callback_cone_cylinder_mass, callback_curve_mass,
                      frame_mass, mapped_mass, normalize_to_sphere, polar_disk,
-                     random_link_curve, standard_plane, star_disk)
+                     random_link_curve, single_mode_curve, standard_plane,
+                     star_disk)
 
 
 def test_winding_circle_length():

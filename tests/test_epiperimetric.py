@@ -27,17 +27,16 @@ from tclab.errors import (ExcessTooLarge, NoConvergence, NotGraph,
                           SupportEscapesCylinder, Undersampled)
 from tclab.fourier import FourierSeries, analyze
 from tclab.geom import Plane2, orthonormal_pairs
-from tclab.scenarios import (Scenario, flat_circle, random_epi_curve,
-                             run_scenario, single_mode_curve)
+from tclab.scenarios import (Scenario, flat_circle, parts, random_epi_curve,
+                             run_scenario)
 
-from oracles import check_orthonormal_pairs, mapped_mass, standard_plane
+from oracles import (check_orthonormal_pairs, mapped_mass, single_mode_curve,
+                     standard_plane)
 
 
 def reference_excess(curve):
     """Excess against the reference plane, a one-row stack call."""
-    vals, escaped = cylindrical_excess(
-        curve, standard_plane(2 + curve.n).basis()[None])
-    assert not escaped[0]
+    vals = cylindrical_excess(curve, standard_plane(2 + curve.n).basis()[None])
     return float(vals[0])
 
 
@@ -252,10 +251,9 @@ def test_stacked_excess_rows_equal_one_row_calls_bit_for_bit(case):
     for V in (epi._stencil(np.zeros(m), epi.CERT_STEPS),
               epi._stencil(1e-2 * rng.standard_normal(m), epi.CERT_STEPS),
               3e-2 * rng.standard_normal((40, m))):
-        vals, escaped = cylindrical_excess(curve, epi._tilt_bases(V, n))
-        assert not escaped.any()
+        vals = cylindrical_excess(curve, epi._tilt_bases(V, n))
         for k in range(len(V)):
-            one, _ = cylindrical_excess(curve, epi._tilt_bases(V[k:k + 1], n))
+            one = cylindrical_excess(curve, epi._tilt_bases(V[k:k + 1], n))
             assert vals[k] == one[0]
     # the untilted row is the reference plane exactly
     assert np.array_equal(epi._tilt_bases(np.zeros((1, m)), n)[0],
@@ -406,7 +404,7 @@ def test_huge_profile_escapes_cylinder():
 def test_tilt_stack_matches_each_plane(n):
     # each row of a stacked call is the excess of its own plane called
     # alone as a one-row stack, and a tilt steep enough to let cone rays
-    # escape is flagged in its row alone
+    # escape refuses the curve, alone or in a stack
     rng = np.random.default_rng(7 + n)
     alpha = np.zeros((4, n))
     alpha[1, 0] = 1e-2
@@ -420,19 +418,17 @@ def test_tilt_stack_matches_each_plane(n):
     u = np.hstack([np.tile([1.0, 0.0], (6, 1)), V[:, :n]])
     v = np.hstack([np.tile([0.0, 1.0], (6, 1)), V[:, n:]])
     check_orthonormal_pairs(bases, u, v)
-    vals, escaped = cylindrical_excess(curve, bases)
-    assert escaped.tolist() == [False] * 5 + [True]
-    for k in range(6):
-        one = orthonormal_pairs(u[k:k + 1], v[k:k + 1])
-        ref, out = cylindrical_excess(curve, one)
-        assert out[0] == escaped[k]
-        if k < 5:
-            assert vals[k] == pytest.approx(ref[0], rel=1e-14, abs=0.0)
-        else:
-            assert np.isnan(vals[k]) and np.isnan(ref[0])
-    objective = epi._tilt_objective(curve, V)
-    assert np.array_equal(objective[:5], vals[:5])
-    assert objective[5] == 1e6 + np.sum(V[5] ** 2)
+    vals = cylindrical_excess(curve, bases[:5])
+    for k in range(5):
+        ref = cylindrical_excess(curve, orthonormal_pairs(u[k:k + 1],
+                                                          v[k:k + 1]))
+        assert vals[k] == pytest.approx(ref[0], rel=1e-14, abs=0.0)
+    assert np.array_equal(epi._tilt_objective(curve, V[:5]), vals)
+    for steep in (bases, bases[5:]):
+        with pytest.raises(SupportEscapesCylinder):
+            cylindrical_excess(curve, steep)
+    with pytest.raises(SupportEscapesCylinder):
+        epi._tilt_objective(curve, V)
 
 
 def test_regraph_over_reference_plane_keeps_the_profile():
@@ -670,12 +666,24 @@ def test_sample_counts_resolve_exactly_the_live_modes(monkeypatch, quiet):
     assert competitor.order == (32, 8 * top)
 
 
-def test_gap_releases_the_curve_sample_tables():
-    # a run holds every curve it certifies; their sample tables go once
-    # the certificate has read them
+def test_epi_parts_hold_profiles_and_no_curve():
+    # a run holds every part it certifies; the parts carry profiles, and
+    # each row builds its own curve, so no sample table outlives its row
+    sc = Scenario(name="parts", kind="epi", seed=3,
+                  params={"Q": [2], "ratios": [3], "amplitudes": [1e-2],
+                          "random": 2})
+    units = parts(sc)
+    assert len(units) == 3
+    for unit in units:
+        ((profile, amplitude),) = unit.curves
+        assert type(profile) is FourierSeries
+        assert type(amplitude) is float
+    assert units[0].curves[0][0].live_modes.tolist() == [6]
+    # the certificate removes nothing from the curve it is given: the
+    # tables it read stay cached for the caller that owns the curve
     curve = single_mode_curve(2, 5, 8e-3)
     epiperimetric_gap(curve)
-    assert not {"trace_table", "_cone_tangent_data"} & set(vars(curve))
+    assert {"trace_table", "cone_tangents"} <= set(vars(curve))
 
 
 def test_regraph_rejects_orthogonal_plane():

@@ -16,15 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclab.epiperimetric as epi
+import tclab.scenarios as scenarios
 from tclab.cli import main
-from tclab.currents import ParamSurface, RadialRestriction, WindingCurve
+from tclab.currents import ParamSurface, RadialRestriction
 from tclab.epiperimetric import mode_ratio
-from tclab.errors import ConfigError
+from tclab.errors import ConfigError, VertexTooClose
 from tclab.fourier import FourierSeries
 from tclab.scenarios import (RANDOM_RATIO_CAP, SCHEMAS, SUMMARY_COLUMNS,
                              Scenario, allowed_random_modes, load_config,
                              random_epi_curve, render_csv, run_scenario,
-                             single_mode_curve, summary_rows)
+                             single_mode_series, summary_rows)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -326,24 +327,81 @@ def test_cli_over_large_excess_is_a_refused_row(tmp_path, capsys):
 
 def test_cli_errored_rerun_removes_the_stale_artifact(tmp_path, capsys):
     # an artifact left by an earlier run would read as the errored run's;
-    # 13 levels put the innermost flat radius inside the vertex ball
+    # 21 levels put the innermost decay radius inside the vertex ball
     out = tmp_path / "out"
-    args = ["flat", "--name", "f", "--out", str(out), "--levels"]
-    assert main(args + ["12"]) == 0
-    assert "PASS" in (out / "f.csv").read_text()
-    assert main(args + ["13"]) == 1
-    assert "is inside the vertex ball 1e-06" in capsys.readouterr().err
-    assert not (out / "f.csv").exists()
+    args = ["decay", "--name", "d", "--out", str(out), "--levels"]
+    assert main(args + ["8"]) == 0
+    assert "PASS" in (out / "d.csv").read_text()
+    assert main(args + ["21"]) == 1
+    assert ("inner radius 4.76837158203125e-07 is inside the vertex ball "
+            "1e-06") in capsys.readouterr().err
+    assert not (out / "d.csv").exists()
     assert (out / "summary.csv").read_text().splitlines()[1:] == []
 
 
-def _stalled_curve():
-    """Codimension-2 curve whose tilt search stalls: Q 1, n 2, alpha_1 =
-    (1e-2, 0) and alpha_3 = (0, 5e-3)."""
+def _flat_runs(tmp_path, capsys, levels):
+    """Exit code, outputs and stderr of ``tclab flat --levels L``, the
+    same at --jobs 1 and 2."""
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"levels{levels}-jobs{jobs}"
+        code = main(["flat", "--levels", str(levels), "--out", str(out),
+                     "--jobs", jobs])
+        runs.append((code, _outputs(out), capsys.readouterr().err))
+    assert runs[1] == runs[0]
+    return runs[0]
+
+
+def test_cli_refused_flat_level_is_a_row(tmp_path, capsys):
+    # 13 levels put the innermost flat radius inside the vertex ball: that
+    # level is a refused row with one stderr line, and the 12 above it
+    # keep the rows and the fit of a 12-level run
+    code, twelve, err = _flat_runs(tmp_path, capsys, 12)
+    assert (code, err) == (0, "")
+    code, thirteen, err = _flat_runs(tmp_path, capsys, 13)
+    assert code == 1
+    assert err == ("scenario 'flat' row 0: r 0.0001220703125, s "
+                   "6.103515625e-05: VertexTooClose: inner radius "
+                   "5.62724784951195e-07 is inside the vertex ball 1e-06\n")
+    rows = thirteen["flat.csv"].splitlines()[1:-1]
+    assert rows[0] == ("0.0001220703125,6.103515625e-05,,,,"
+                       "REFUSED:VertexTooClose")
+    assert rows[1:] == twelve["flat.csv"].splitlines()[1:-1]
+    summary = twelve["summary.csv"].replace("flat,flat,12,0,",
+                                            "flat,flat,12,1,")
+    assert thirteen["summary.csv"] == summary
+
+
+def test_flat_fit_needs_two_levels_with_a_bound(monkeypatch):
+    # a refused level drops out of the gamma0 and C fit; with one bound
+    # left there is nothing to fit, so the summary leaves both empty
+    filling = scenarios.radial_homotopy_filling
+
+    def refuse_inner(surface, s, r, tnodes):
+        if r < 0.5:
+            raise VertexTooClose(f"inner radius {s} refused")
+        return filling(surface, s, r, tnodes=tnodes)
+
+    monkeypatch.setattr(scenarios, "radial_homotopy_filling", refuse_inner)
+    res = run_scenario(Scenario(name="f", kind="flat", seed=0,
+                                params={"levels": 3}))
+    assert [row[-1] for row in res.rows] == ["REFUSED:VertexTooClose"] * 2 \
+        + ["PASS"]
+    assert res.notes == ["r 0.125, s 0.0625: VertexTooClose: inner radius "
+                         "0.0625 refused",
+                         "r 0.25, s 0.125: VertexTooClose: inner radius "
+                         "0.125 refused"]
+    assert res.fitted == {}
+    assert summary_rows([res])[0][5:7] == ("", "")
+
+
+def _stalled_series():
+    """Profile of a codimension-2 curve whose tilt search stalls: Q 1,
+    n 2, alpha_1 = (1e-2, 0) and alpha_3 = (0, 5e-3)."""
     alpha = np.zeros((4, 2))
     alpha[1, 0] = 1e-2
     alpha[3, 1] = 5e-3
-    return WindingCurve(FourierSeries(1, 2, alpha, np.zeros((3, 2))))
+    return FourierSeries(1, 2, alpha, np.zeros((3, 2)))
 
 
 def _refusal_runs(tmp_path, capsys, args):
@@ -383,11 +441,11 @@ def test_cli_refused_grid_curve_is_a_row(tmp_path, capsys, flags, row, note):
 
 def test_cli_stalled_tilt_search_is_a_refused_row(tmp_path, capsys,
                                                  monkeypatch):
-    # each drawn curve is certified through Scenario.with_curves; the
+    # each drawn profile is certified through Scenario.with_curves; the
     # stalled one sits between two that certify
     monkeypatch.setattr("tclab.scenarios.epi_curves", lambda sc: [
-        (single_mode_curve(1, 2, 1e-2), 1e-2), (_stalled_curve(), 1e-2),
-        (single_mode_curve(1, 3, 1e-2), 1e-2)])
+        (single_mode_series(1, 2, 1e-2), 1e-2), (_stalled_series(), 1e-2),
+        (single_mode_series(1, 3, 1e-2), 1e-2)])
     rows, err = _refusal_runs(tmp_path, capsys, [])
     assert rows[1] == "1,2,1+3,0.01,,,,,,,REFUSED:NoConvergence"
     assert rows[0].endswith(",PASS") and rows[2].endswith(",PASS")
@@ -521,16 +579,16 @@ def test_desk_random_ratios_sit_within_quadratic_reach_of_l(monkeypatch):
 
 
 def test_cli_parallel_errored_scenario_matches_serial(tmp_path, capsys):
-    # the flat scenario errors at run time (13 levels reach the vertex
+    # the decay scenario errors at run time (21 levels reach the vertex
     # ball); whichever process certifies each unit, the report is the
-    # serial run's: one error line, no flat artifact and the other
+    # serial run's: one error line, no decay artifact and the other
     # scenarios' artifacts
     cfg = write_config(tmp_path / "cfg.json", [
         {"name": "epi_fine", "kind": "epi", "seed": 1,
          "params": {"Q": [1], "ratios": [2], "amplitudes": [1e-3, 1e-2],
                     "random": 0}},
-        {"name": "flat_deep", "kind": "flat", "seed": 1,
-         "params": {"levels": 13}},
+        {"name": "decay_deep", "kind": "decay", "seed": 1,
+         "params": {"levels": 21}},
         {"name": "split_demo", "kind": "split", "seed": 3,
          "params": {"Q": [1, 1], "width": 0.05}}])
     reports = []
@@ -539,7 +597,7 @@ def test_cli_parallel_errored_scenario_matches_serial(tmp_path, capsys):
         assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 1
         err = capsys.readouterr().err
         assert err.count("is inside the vertex ball") == 1
-        assert "errored scenarios: flat_deep" in err
+        assert "errored scenarios: decay_deep" in err
         reports.append((err, _outputs(out)))
     assert sorted(reports[0][1]) == ["epi_fine.csv", "split_demo.json",
                                      "summary.csv"]
