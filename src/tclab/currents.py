@@ -14,13 +14,14 @@ reads; both tables are read-only and made once per curve.  Every curve
 and surface has multiplicity 1 and the orientation of its parameters; a
 Q-fold curve winds Q times over its period instead of carrying
 multiplicity Q.
-A surface is a chart over a rectangle with an analytic jacobian; masses
-and density integrals are tensor sums, Gauss-Legendre along each axis
-except an angle axis that the chart declares periodic, which takes the
-uniform trapezoid rule.  A mass carries a self-check: on a plain chart it
-doubles the rule on both axes; on a periodic chart it evaluates one fine
-frame, checks the angle rule against every other node of that frame and
-the radial rule against one coarse frame, so no node is evaluated twice.
+A surface is a chart over a rectangle with an analytic jacobian whose v
+axis is an angle over one full period (the cone chart, the spherical
+cap, the harmonic extension and every annulus restriction of these);
+masses and density integrals are tensor sums, Gauss-Legendre along u and
+the uniform trapezoid rule along v.  A mass carries a self-check: it
+evaluates one fine frame, checks the angle rule against every other node
+of that frame and the radial rule against one coarse frame, so no node
+is evaluated twice.
 Every quadrature frame evaluates its chart once on an open axis grid, so
 a chart that factors over the axes (powers of u, trig of v) computes each
 factor once per axis node; ``_grid_frame`` broadcasts and flattens the
@@ -177,26 +178,21 @@ class ParamSurface:
         The chart's partial derivatives, under the same contract as
         ``chart``.
     order : (int, int)
-        Node count per axis: the Gauss-Legendre order, or on a periodic
-        v axis the number of trapezoid nodes, which must be even.
-    periodic : bool
-        Declares the integrand periodic along the v axis over the domain,
-        so that axis takes the uniform trapezoid rule.  A restriction of
-        the chart builds its own chart, which is not periodic.
+        Gauss-Legendre order along u and trapezoid node count along v,
+        an angle whose chart at v1 equals the chart at v0; it is even, so
+        the mass self-check can halve it.
     """
 
-    def __init__(self, chart, domain, jacobian, order=(32, 32),
-                 periodic=False):
+    def __init__(self, chart, domain, jacobian, order=(32, 32)):
         self.chart = chart
         self.domain = tuple(float(t) for t in domain)
         self.jacobian = jacobian
         self.order = (int(order[0]), int(order[1]))
-        self.periodic = periodic
         u0, u1, v0, v1 = self.domain
         if not (u1 > u0 and v1 > v0):
             raise ValueError("degenerate chart domain")
-        if periodic and self.order[1] % 2:
-            raise ValueError("a periodic axis needs an even node count")
+        if self.order[1] % 2:
+            raise ValueError("the angle axis needs an even node count")
 
     def points(self, U, V):
         return self.chart(np.asarray(U, dtype=float),
@@ -207,13 +203,11 @@ class ParamSurface:
                              np.asarray(V, dtype=float))
 
     def _axes(self, order):
-        """Nodes and weights along each chart axis: Gauss-Legendre, or
-        the trapezoid rule on a periodic v axis."""
+        """Nodes and weights along each chart axis: Gauss-Legendre along
+        u, the trapezoid rule along the angle v."""
         u0, u1, v0, v1 = self.domain
-        u, wu = gauss_legendre(order[0], u0, u1)
-        rule = trapezoid if self.periodic else gauss_legendre
-        v, wv = rule(order[1], v0, v1)
-        return u, wu, v, wv
+        return (*gauss_legendre(order[0], u0, u1),
+                *trapezoid(order[1], v0, v1))
 
     def _frame(self, order, positions=True):
         """Positions, partials and weights at the quadrature nodes, u-major;
@@ -250,33 +244,30 @@ class ParamSurface:
             raise NonFinite("non-finite integrand on the chart")
         return W * vals
 
-    def integrate_density(self, density=None, order=None) -> float:
-        """Integral of a scalar density against the area measure.
+    def integrate_density(self, density=None, order=None):
+        """Integral of a density against the area measure.
 
         ``density(x, xu, xv)`` gets positions and chart partials at the
-        quadrature nodes; None integrates 1 (mass).  Unsigned.
+        quadrature nodes; None integrates 1 (mass).  Unsigned.  A density
+        may stack integrands on a leading axis; each is summed over the
+        last axis, the nodes, bit for bit as it would be alone.
         """
-        return float(np.sum(self._weighted(density, order or self.order)))
+        total = np.sum(self._weighted(density, order or self.order), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     def mass(self, check: bool = True):
         """Mass at the chart's order, or with ``check`` the finer value of
         a self-check that raises QuadratureNotConverged on a gap above
         MASS_SELF_CHECK_TOL relative.
 
-        A plain chart sums its rule and the rule doubled on both axes.  A
-        periodic chart with order (n, T) sums one fine frame at (2n, T)
-        and its own every-other angle node, which is the trapezoid rule
-        at T / 2, then sums a coarse frame at (n, T / 2) to check the
-        radial rule: 2.5 n T evaluations where doubling takes 5 n T.
+        At order (n, T) the check sums one fine frame at (2n, T) and its
+        own every-other angle node, which is the trapezoid rule at T / 2,
+        then sums a coarse frame at (n, T / 2) to check the radial rule:
+        2.5 n T chart evaluations.
         """
         if not check:
             return self.integrate_density()
         n0, n1 = self.order
-        if not self.periodic:
-            coarse = self.integrate_density()
-            fine = self.integrate_density(order=(2 * n0, 2 * n1))
-            _self_check(fine, coarse, "doubling the rule")
-            return fine
         terms = self._weighted(None, (2 * n0, n1)).reshape(2 * n0, n1)
         fine = float(np.sum(terms))
         half = 2.0 * float(np.sum(terms[:, ::2]))
@@ -329,8 +320,10 @@ class RadialRestriction(ParamSurface):
     call per angle count.  The frame then evaluates the base chart and
     its partials once on the open grid of mapped radial nodes
     u_lo(v) + w * width(v) against the angles v, as
-    ``ParamSurface._frame`` does.  A chart never changes, so each memo is
-    read-only.
+    ``ParamSurface._frame`` does.  The restriction keeps the base's angle
+    axis, a full period, so its frames and its memo read the same
+    trapezoid angles as the base's own frames.  A chart never changes, so
+    each memo is read-only.
 
     Any chart restricts to any annulus 0 <= s <= r.  Each end-radius
     table checks that the radius does not decrease along u at any of its
@@ -415,13 +408,13 @@ class RadialRestriction(ParamSurface):
 
     def _radius_table(self, n):
         """The base chart's memo for n angles, made on first use: the end
-        radii (rlo, rhi) at the n Gauss-Legendre angles of a frame, and a
+        radii (rlo, rhi) at the n trapezoid angles of a frame, and a
         dict of the solved clip parameter of each radius.  Raises
         ValueError, and memoizes nothing, where the radius decreases
         along u at one of those angles."""
         memo = vars(self.base).setdefault("_clip_memo", {})
         if n not in memo:
-            rlo, rhi = self._end_radii(gauss_legendre(n, *self.domain[2:])[0])
+            rlo, rhi = self._end_radii(trapezoid(n, *self.domain[2:])[0])
             if np.any(rhi < rlo - 1e-12 * max(1.0, float(np.max(rhi)))):
                 raise ValueError(
                     "radius is not increasing along the radial axis")
@@ -516,7 +509,7 @@ def cone_chart(link, order=(32, 64)) -> ParamSurface:
     """Chart of the cone with vertex at the origin over a closed curve.
 
     The chart is (t, theta) -> t * gamma(theta) over (0, 1] x [0, period)
-    at the given Gauss-Legendre order, so the cone reaches exactly the
+    at the given order, so the cone reaches exactly the
     link.  Annulus restrictions of the chart and the monotonicity
     integrals measure radii from the origin, the vertex.
     """

@@ -1,8 +1,9 @@
 """Upper bounds for flat distances via the radial homotopy.
 
 Every estimate here is one-sided: a concrete homotopy whose mass
-dominates the flat distance between two currents.  The construction is
-the radial-projection sweep between two ball scales of one surface.
+dominates the flat distance between two currents, integrated from smooth
+densities only, so the quadrature converges to an upper bound.  The
+construction is the radial-projection sweep between two ball scales.
 """
 
 from .currents import declare_ladder
@@ -19,8 +20,9 @@ def radial_homotopy_filling(current, s: float, r: float,
 
         integral over t in (0, 1) of t^2 RPM(s t, r t) dt
 
-    with RPM the radial projection mass of the annulus at scale t.  The
-    innermost annulus, at the first node, raises VertexTooClose when it
+    with RPM(s, r) the integral of |x_perp| / |x|^3 over the annulus,
+    bounded by sqrt(D J) (``radial_projection_mass``).  The innermost
+    annulus, at the first node, raises VertexTooClose when it
     reaches into the vertex ball.  The 2 * tnodes radii s t and r t are
     declared as the current's clip ladder first, so the first annulus
     solves every annulus's clip bounds in one call.

@@ -160,11 +160,10 @@ def harmonic_extension(series: FourierSeries, r_out: float,
     r = r_out * w^Q, where g attaches weight w^i to mode i (per-mode decay
     r^(i/Q)); the substitution makes every mode polynomial in w.  The
     constant term is kept constant in r.  Boundary trace at w = 1 equals
-    the profile exactly.  The chart declares its angle axis periodic, so
-    the angle takes the trapezoid rule, spectrally accurate on this
-    smooth periodic integrand, with T = 8 * top_mode nodes (at least
-    32); the radius takes Gauss-Legendre of order 32.  Its mass sums
-    (64, T) and checks against (64, T / 2) and (32, T / 2).
+    the profile exactly.  The angle takes the trapezoid rule, spectrally
+    accurate on this smooth periodic integrand, with T = 8 * top_mode
+    nodes (at least 32); the radius takes Gauss-Legendre of order 32.
+    Its mass sums (64, T) and checks against (64, T / 2) and (32, T / 2).
 
     Chart and jacobian run over the series' live modes only and
     broadcast w against theta without expanding them first, so on the
@@ -223,6 +222,5 @@ def harmonic_extension(series: FourierSeries, r_out: float,
         return xu, xv
 
     order = (32, max(32, 8 * max(series.top_mode, 1)))
-    return ParamSurface(
-        chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q), jacobian=jac,
-        order=order, periodic=True)
+    return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi * Q),
+                        jacobian=jac, order=order)

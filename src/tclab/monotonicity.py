@@ -133,13 +133,16 @@ def deviation_integral(current, s: float, r: float) -> float:
 
 
 def radial_projection_mass(current, s: float, r: float) -> float:
-    """Integral of |x_perp| / |x|^3 over the annulus between s and r."""
+    """Cauchy-Schwarz bound sqrt(D J) on the integral of |x_perp| / |x|^3
+    over the annulus between s and r: D is the deviation integral and J
+    that of 1 / |x|^2, two smooth densities summed on one frame."""
 
     def density(x, xu, xv):
         p2, x2 = _tangent_perp(x, xu, xv)
-        return np.sqrt(p2) / x2 ** 1.5
+        return np.stack([p2 / x2 ** 2, 1.0 / x2])
 
-    return _annulus_integral(current, s, r, density)
+    D, J = _annulus_integral(current, s, r, density)
+    return float(np.sqrt(D * J))
 
 
 def synthesize_decay_profile(constants: DecayConstants, e0: float,

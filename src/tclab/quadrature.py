@@ -4,10 +4,11 @@ Two rules cover everything here: Gauss-Legendre on open intervals, and the
 uniform trapezoid rule for periodic integrands, which converges
 geometrically on smooth periodic data and is nested, since doubling its
 node count keeps every old node.  A chart surface takes Gauss-Legendre
-along each axis, or the trapezoid rule along an angle axis it declares
-periodic.  A periodic sum over a curve is checked by one halving: it
-takes values on 2m nodes, sized so that the rule on the m even ones
-already agrees with the rule on all 2m, and raises where they differ.
+along its radial axis u and the trapezoid rule along its angle axis v,
+which spans one full period on every chart.  A periodic sum over a curve
+is checked by one halving: it takes values on 2m nodes, sized so that
+the rule on the m even ones already agrees with the rule on all 2m, and
+raises where they differ.
 """
 
 from functools import lru_cache

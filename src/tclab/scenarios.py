@@ -37,7 +37,7 @@ RANDOM_RATIO_CAP = 0.93
 EXCESS_CAP = 0.05
 # decay and flat profiles start at half the extension disk's unit radius
 EXTENSION_R_MAX = 0.5
-# Gauss-Legendre order of the calib surfaces, the unit disk and sphere
+# quadrature order (u, v) of the calib surfaces, the unit disk and sphere
 CALIB_ORDER = (96, 192)
 
 

@@ -28,7 +28,7 @@ from tclab.fourier import FourierSeries, harmonic_extension
 from tclab.flat import radial_homotopy_filling
 from tclab.monotonicity import (_tangent_perp, deviation_integral,
                                 mass_profile, radial_projection_mass)
-from tclab.quadrature import gauss_legendre
+from tclab.quadrature import gauss_legendre, trapezoid
 from tclab.scenarios import extension_surface, flat_circle, random_epi_curve
 
 from oracles import (callback_cone_cylinder_mass, callback_curve_mass,
@@ -240,13 +240,14 @@ def bisected_integral(surface, s, r, density=None, order=None):
     """Annulus integral with clip bounds found by plain bisection.
 
     Each bound is bisected on |chart| until the bracket stops shrinking,
-    at every Gauss node in v; the u nodes are then mapped into the
-    clipped interval and the area element carries its width.
+    at every trapezoid angle v; the Gauss-Legendre u nodes are then
+    mapped into the clipped interval and the area element carries its
+    width.
     """
     u0, u1, v0, v1 = surface.domain
     order = order or surface.order
     w, ww = gauss_legendre(order[0], 0.0, 1.0)
-    v, wv = gauss_legendre(order[1], v0, v1)
+    v, wv = trapezoid(order[1], v0, v1)
 
     def bound(c):
         lo = np.full(v.shape, u0)
@@ -332,7 +333,8 @@ def test_annulus_mass_solves_clip_bounds_once_per_angle():
     wrapped = ParamSurface(counted(surf.chart), surf.domain,
                            jacobian=counted(surf.jacobian), order=surf.order)
     n0, n1 = surf.order
-    nodes = n0 * n1 + 4 * n0 * n1  # the rule and its doubled self-check
+    # the fine frame and the coarse frame of the self-check
+    nodes = 2 * n0 * n1 + n0 * n1 // 2
     mass = annulus_mass(wrapped, 0.0, 0.3)
     assert mass == annulus_mass(surf, 0.0, 0.3)
     assert seen[0] <= 4 * nodes
@@ -389,9 +391,9 @@ def test_ball_masses_and_their_slabs_solve_each_radius_once(clip_rows):
     n1 = surf.order[1]
     radii = [0.125, 0.25, 0.5]
     mass_profile(surf, radii, 2)
-    # each mass checks itself at twice the angle count
+    # each mass checks itself at half the angle count
     assert sorted(clip_rows) == sorted(
-        (c, n) for c in [0.0] + radii for n in (n1, 2 * n1))
+        (c, n) for c in [0.0] + radii for n in (n1, n1 // 2))
     clip_rows.clear()
     for s, r in zip(radii, radii[1:]):
         deviation_integral(surf, s, r)
@@ -415,7 +417,7 @@ def test_bases_with_different_amplitudes_keep_separate_clip_memos(clip_rows):
     other = annulus_mass(second, 0.1, 0.3)
     n1 = first.order[1]
     assert sorted(clip_rows) == sorted(
-        (c, n) for c in (0.1, 0.3) for n in (n1, 2 * n1))
+        (c, n) for c in (0.1, 0.3) for n in (n1, n1 // 2))
     assert other != mass
     assert other == annulus_mass(extension_surface(1, 2, 2e-2), 0.1, 0.3)
     assert mass == annulus_mass(extension_surface(1, 2, 1e-2), 0.1, 0.3)
@@ -450,8 +452,8 @@ def test_batched_clip_rows_equal_one_radius_solves(make):
     surf = make()
     region = RadialRestriction(surf, 0.0, 0.5)
     radii = _ladder()
-    for n in (surf.order[1], 2 * surf.order[1]):
-        v = gauss_legendre(n, *surf.domain[2:])[0]
+    for n in (surf.order[1], surf.order[1] // 2):
+        v = trapezoid(n, *surf.domain[2:])[0]
         rlo, rhi, _ = region._radius_table(n)
         batched = region._solve_radii(radii, v, rlo, rhi)
         for c, row in zip(radii, batched):
@@ -479,11 +481,11 @@ def test_a_mass_profile_solves_its_ladder_once_per_angle_count(solve_calls):
     profile = mass_profile(surf, radii, 2)
     for s, r in zip(radii, radii[1:]):
         deviation_integral(surf, s, r)
-    # one ball at the rule's angle count and one at its doubled
+    # one ball at the rule's angle count and one at its halved
     # self-check solve all four radii, where solving each ball's own
     # radii takes six calls
     n1 = surf.order[1]
-    assert solve_calls == [4 * n1, 8 * n1]
+    assert solve_calls == [4 * n1, 2 * n1]
     assert np.array_equal(profile.values, [annulus_mass(
         extension_surface(2, 6, 1e-2), 0.0, r) for r in radii])
 
@@ -505,13 +507,13 @@ def test_an_undeclared_annulus_solves_its_own_radii(clip_rows):
     mass = annulus_mass(surf, 0.1, 0.3)
     n1 = surf.order[1]
     assert sorted(clip_rows) == sorted(
-        (c, n) for c in (0.1, 0.3) for n in (n1, 2 * n1))
+        (c, n) for c in (0.1, 0.3) for n in (n1, n1 // 2))
     clip_rows.clear()
     declared = extension_surface(2, 6, 1e-2)
     declare_ladder(declared, [0.05, 0.1, 0.2, 0.3])
     assert annulus_mass(declared, 0.1, 0.3) == mass
     assert sorted(clip_rows) == sorted(
-        (c, n) for c in (0.05, 0.1, 0.2, 0.3) for n in (n1, 2 * n1))
+        (c, n) for c in (0.05, 0.1, 0.2, 0.3) for n in (n1, n1 // 2))
 
 
 def test_an_unconverged_clip_solve_names_its_radii(monkeypatch):
@@ -570,7 +572,7 @@ def test_elementwise_chart_frames_equal_node_charts_bitwise(name):
 
 
 def periodic_cylinder(b, db, c, dc, T):
-    """Periodic chart (u, v) -> (b(u) c(v), cos v, sin v) on [0, 1] x
+    """Chart (u, v) -> (b(u) c(v), cos v, sin v) on [0, 1] x
     [0, 2 pi) with T angle nodes; its area element is |b'(u) c(v)|."""
 
     def chart(u, v):
@@ -591,7 +593,7 @@ def periodic_cylinder(b, db, c, dc, T):
         return xu, xv
 
     return ParamSurface(chart, (0.0, 1.0, 0.0, 2.0 * np.pi), jacobian=jac,
-                        order=(32, T), periodic=True)
+                        order=(32, T))
 
 
 def test_periodic_chart_self_checks_each_axis():
@@ -628,6 +630,42 @@ def test_periodic_chart_needs_an_even_angle_count():
         periodic_cylinder(np.sqrt, np.sqrt, np.cos, np.sin, 15)
 
 
+@pytest.mark.parametrize("make,radii", [
+    (lambda: cone_chart(random_link_curve(np.random.default_rng(4))),
+     (0.1, 0.4)),
+    (lambda: spherical_cap(1.0, 0.0, np.pi), (0.5, 2.0)),
+    (lambda: _multimode_extension(3), (0.1, 0.4)),
+    (lambda: _multimode_extension(1), (0.1, 0.4)),
+    (lambda: _multimode_extension(2), (0.1, 0.4)),
+], ids=["cone", "cap", "ext-Q1", "ext-Q2", "ext-Q3"])
+def test_every_chart_closes_up_over_its_angle_axis(make, radii):
+    # the trapezoid rule along v and the halving of the mass self-check
+    # hold only for a chart that is the same at both ends of its angle
+    # axis and an even angle count
+    surf = make()
+    for chart in (surf, RadialRestriction(surf, *radii)):
+        u0, u1, v0, v1 = chart.domain
+        u = np.linspace(u0, u1, 9)
+        start = chart.points(u, np.full(u.shape, v0))
+        end = chart.points(u, np.full(u.shape, v1))
+        assert np.max(np.abs(end - start)) <= 1e-15
+        assert chart.order[1] % 2 == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RadialRestriction(extension_surface(2, 6, 5e-3), 0.1, 0.3),
+    lambda: cone_chart(random_link_curve(np.random.default_rng(4))),
+], ids=["annulus", "cone"])
+def test_a_stacked_density_integrates_to_its_separate_integrals(make):
+    surf = make()
+    stacked = surf.integrate_density(lambda x, xu, xv: np.stack(
+        [_tangent_deviation(x, xu, xv), _inverse_square(x, xu, xv)]))
+    separate = [surf.integrate_density(_tangent_deviation),
+                surf.integrate_density(_inverse_square)]
+    assert stacked.shape == (2,)
+    assert stacked.tolist() == separate
+
+
 def _epi_curves():
     grid = [single_mode_curve(Q, ratio * Q, amp) for Q in (1, 2, 3)
             for ratio in (2, 3, 4) for amp in (1e-3, 1e-2)]
@@ -635,14 +673,26 @@ def _epi_curves():
                    for seed in (1, 2, 3)]
 
 
+def gauss_legendre_mass(surf, order):
+    """Area of a chart by a Gauss-Legendre sum on both axes, evaluated
+    here node by node, independent of the library's frames and rules."""
+    u0, u1, v0, v1 = surf.domain
+    u, wu = gauss_legendre(order[0], u0, u1)
+    v, wv = gauss_legendre(order[1], v0, v1)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    xu, xv = surf.jacobian(U, V)
+    E = np.sum(xu * xu, axis=-1)
+    G = np.sum(xv * xv, axis=-1)
+    F = np.sum(xu * xv, axis=-1)
+    return float(np.sum(np.outer(wu, wv) * np.sqrt(E * G - F * F)))
+
+
 @pytest.mark.parametrize("k", range(21))
 def test_competitor_mass_matches_a_fine_gauss_legendre_sum(k):
     curve = _epi_curves()[k]
     ext, _ = build_competitor(curve, optimal_plane(curve).plane)
     n0, T = ext.order
-    plain = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
-                         order=(4 * n0, 4 * T))
-    want = plain.integrate_density()
+    want = gauss_legendre_mass(ext, (4 * n0, 4 * T))
     assert abs(ext.mass() - want) <= 1e-13 * want
 
 
@@ -702,8 +752,7 @@ def test_mass_frames_without_positions_equal_positioned_sums(make,
                                                               monkeypatch):
     surf = make()
     n0, n1 = surf.order
-    fine = (2 * n0, n1) if surf.periodic else (2 * n0, 2 * n1)
-    want = [frame_mass(surf, order) for order in (surf.order, fine)]
+    want = [frame_mass(surf, order) for order in (surf.order, (2 * n0, n1))]
     frames = []
     build = type(surf)._frame
 

@@ -4,10 +4,13 @@ Hand oracles: a single mode i over Q = 1 with a = i / Q = 2 makes the
 radial sweep bound homogeneous of degree a - 1 = 1, so halving both
 radii halves the bound.  For that surface with amplitude c the normal
 part of the position is c (a - 1) r^a |cos(2 theta)| to first order in
-c, the integral of |cos(2 theta)| over a turn is 4, so the radial
-projection mass of the annulus (s, r) is 4 c (r - s) and the sweep
-bound, its t^3-weighted integral over t in (0, 1), is c (r - s).  A cone
-is invariant under the radial sweep, so its bound vanishes.
+c.  The bound sweeps the Cauchy-Schwarz bound sqrt(D J) of the radial
+projection mass: over the annulus (s, r) the deviation integral is
+D = c^2 pi (r^2 - s^2) / 2, since cos^2(2 theta) averages 1/2, and
+J = 2 pi ln(r / s), so sqrt(D J) = c pi sqrt((r^2 - s^2) ln(r / s)),
+and the sweep bound, its t^3-weighted integral over t in (0, 1), is a
+quarter of that.  A cone is invariant under the radial sweep, so its
+bound vanishes.
 """
 
 import numpy as np
@@ -33,14 +36,28 @@ def test_radial_filling_scales_like_radius():
 
 @pytest.mark.parametrize("s,r", [(0.1, 0.5), (0.2, 0.9)])
 def test_radial_filling_of_small_wiggle(s, r):
-    # the angular order resolves the kinks of |cos(2 theta)|; the
-    # first-order oracle is exact up to O(c^2)
+    # the first-order oracle is exact up to O(c^2), and both integrands
+    # are smooth, so the run order reads it as closely as a fine one
     c = 1e-3
     ext = harmonic_extension(single_mode_series(1, 2, c), 1.0)
-    surf = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
-                        order=(48, 256))
-    bound = radial_homotopy_filling(surf, s, r)
-    assert bound == pytest.approx(c * (r - s), rel=1e-4)
+    want = c * np.pi * np.sqrt((r * r - s * s) * np.log(r / s)) / 4.0
+    for order in ((48, 256), (32, 32)):
+        surf = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
+                            order=order)
+        bound = radial_homotopy_filling(surf, s, r)
+        assert bound == pytest.approx(want, rel=1e-4)
+
+
+def test_desk_flat_bound_is_converged_at_the_run_order():
+    # the desk flat_sweep surface at its outermost level; the kinked
+    # |x_perp| integrand sat 4.7e-3 relative away from its fine value
+    ext = extension_surface(1, 2, 1e-2)
+    fine = ParamSurface(ext.chart, ext.domain, jacobian=ext.jacobian,
+                        order=(64, 2048))
+    assert ext.order == (32, 32)
+    got, want = (radial_homotopy_filling(surf, 0.25, 0.5)
+                 for surf in (ext, fine))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_radial_filling_is_linear_in_small_amplitude():

@@ -20,9 +20,10 @@ has a closed form that only the r^alpha0 term keeps finite.
 import numpy as np
 import pytest
 
-from tclab.currents import RadialRestriction, annulus_mass, cone_chart
+from tclab.currents import (ParamSurface, RadialRestriction, annulus_mass,
+                            cone_chart)
 from tclab.errors import VertexTooClose
-from tclab.monotonicity import (DecayConstants, MassProfile,
+from tclab.monotonicity import (DecayConstants, MassProfile, _tangent_perp,
                                 deviation_integral, fit_decay, mass_profile,
                                 radial_projection_mass,
                                 synthesize_decay_profile)
@@ -63,14 +64,24 @@ def test_deviation_rejects_vertex_ball():
 
 
 def test_radial_projection_obeys_cauchy_schwarz():
-    # |x_perp| / |x|^3 = (|x_perp| / |x|^2) (1 / |x|), so the mass is at
-    # most the deviation integral's root times that of the 1/|x|^2 mass
+    # |x_perp| / |x|^3 = (|x_perp| / |x|^2) (1 / |x|), so the kinked
+    # integral, here at a fine order, is at most the deviation integral's
+    # root times that of the 1/|x|^2 mass, which is what the bound reads
     surf = extension_surface(2, 5, 5e-3)
     value = radial_projection_mass(surf, 0.3, 0.6)
     i1_sq = deviation_integral(surf, 0.3, 0.6)
     i2_sq = RadialRestriction(surf, 0.3, 0.6).integrate_density(
         lambda x, xu, xv: 1.0 / np.sum(x * x, axis=-1))
-    assert 0.0 < value <= np.sqrt(i1_sq * i2_sq) * (1.0 + 1e-12)
+    assert value == float(np.sqrt(i1_sq * i2_sq))
+
+    def kinked(x, xu, xv):
+        p2, x2 = _tangent_perp(x, xu, xv)
+        return np.sqrt(p2) / x2 ** 1.5
+
+    fine = ParamSurface(surf.chart, surf.domain, jacobian=surf.jacobian,
+                        order=(64, 2048))
+    tight = RadialRestriction(fine, 0.3, 0.6).integrate_density(kinked)
+    assert 0.0 < tight < value
 
 
 def test_radial_projection_builds_one_frame(monkeypatch):
